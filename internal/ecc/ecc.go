@@ -13,7 +13,10 @@
 // x72 DIMM layout (8 data chips + 1 ECC chip).
 package ecc
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Status is the outcome of a Decode.
 type Status int
@@ -41,120 +44,96 @@ func (s Status) String() string {
 	}
 }
 
-// The codeword has 72 positions, indexed 1..72 for the Hamming part
-// with position 0 holding the overall parity bit. Positions 1, 2, 4,
-// 8, 16, 32, 64 hold the seven Hamming check bits; the remaining 64
-// positions hold data bits in ascending order.
+// The codeword has 72 positions: position 0 holds the overall parity
+// bit, positions 1, 2, 4, 8, 16, 32, 64 the seven Hamming check bits,
+// and the other 64 positions up to 71 the data bits in ascending order.
+//
+// The code is linear over GF(2): the ECC byte of a word is the XOR of
+// the ECC bytes of its set bits. A data bit at position p toggles the
+// check bits named by the set bits of p, and the overall parity once
+// for itself and once per toggled check bit, so its ECC byte is
+// p | (1+popcount(p))&1<<7. XORing those per byte value gives encTab,
+// and Encode is eight lookups instead of a walk over 72 positions.
+// The same linearity makes the syndrome a re-encode: Encode(data) XOR
+// the stored byte is the ECC byte of the error pattern alone, whose
+// low seven bits are the flipped codeword position.
 
-// dataPositions[i] is the codeword position of data bit i.
-var dataPositions = func() [64]int {
-	var out [64]int
-	i := 0
-	for pos := 1; pos <= 72 && i < 64; pos++ {
-		if pos&(pos-1) == 0 { // power of two: check bit
-			continue
+// posBit classifications of codeword positions that hold no data bit.
+const (
+	posCheck   = -1 // an ECC bit (position 0 or a power of two)
+	posOutside = -2 // beyond position 71: no single flip produces it
+)
+
+var (
+	// encTab[b][v] is the ECC byte of the word with byte b set to v.
+	encTab [8][256]uint8
+	// posBit maps a codeword position to its data bit index, or to
+	// posCheck/posOutside.
+	posBit [128]int8
+)
+
+func init() {
+	var unit [64]uint8 // ECC byte of the word with only bit i set
+	for pos, i := 0, 0; pos < len(posBit); pos++ {
+		switch {
+		case pos&(pos-1) == 0:
+			posBit[pos] = posCheck
+		case i == 64:
+			posBit[pos] = posOutside
+		default:
+			posBit[pos] = int8(i)
+			unit[i] = uint8(pos) | uint8(1+bits.OnesCount(uint(pos)))&1<<7
+			i++
 		}
-		out[i] = pos
-		i++
 	}
-	return out
-}()
-
-// checkPositions are the power-of-two codeword positions.
-var checkPositions = [7]int{1, 2, 4, 8, 16, 32, 64}
+	for b := range encTab {
+		for v := 1; v < 256; v++ {
+			low := bits.TrailingZeros(uint(v))
+			encTab[b][v] = encTab[b][v&(v-1)] ^ unit[b*8+low]
+		}
+	}
+}
 
 // Encode computes the 8 ECC bits for one 64-bit data word: bits 0-6
 // are the Hamming check bits, bit 7 is the overall parity of the full
 // 72-bit codeword.
+//
+//xfm:hotpath
 func Encode(data uint64) uint8 {
-	var code [73]bool
-	for i := 0; i < 64; i++ {
-		code[dataPositions[i]] = data>>uint(i)&1 == 1
-	}
-	var parity uint8
-	for c, cp := range checkPositions {
-		bit := false
-		for pos := 1; pos <= 72; pos++ {
-			if pos&cp != 0 && code[pos] {
-				bit = !bit
-			}
-		}
-		if bit {
-			parity |= 1 << uint(c)
-			code[cp] = true
-		}
-	}
-	// Overall parity over all 72 Hamming positions.
-	overall := false
-	for pos := 1; pos <= 72; pos++ {
-		if code[pos] {
-			overall = !overall
-		}
-	}
-	if overall {
-		parity |= 1 << 7
-	}
-	return parity
+	return encTab[0][uint8(data)] ^ encTab[1][uint8(data>>8)] ^
+		encTab[2][uint8(data>>16)] ^ encTab[3][uint8(data>>24)] ^
+		encTab[4][uint8(data>>32)] ^ encTab[5][uint8(data>>40)] ^
+		encTab[6][uint8(data>>48)] ^ encTab[7][uint8(data>>56)]
 }
 
 // Decode checks (and if needed corrects) a data word against its ECC
 // bits. It returns the possibly corrected data and the outcome.
+//
+//xfm:hotpath
 func Decode(data uint64, parity uint8) (uint64, Status) {
-	var code [73]bool
-	for i := 0; i < 64; i++ {
-		code[dataPositions[i]] = data>>uint(i)&1 == 1
-	}
-	for c, cp := range checkPositions {
-		code[cp] = parity>>uint(c)&1 == 1
-	}
-	// Syndrome: for each check bit, parity over its coverage class
-	// (including the stored check bit itself).
-	syndrome := 0
-	for c, cp := range checkPositions {
-		bit := false
-		for pos := 1; pos <= 72; pos++ {
-			if pos&cp != 0 && code[pos] {
-				bit = !bit
-			}
-		}
-		if bit {
-			syndrome |= cp
-		}
-		_ = c
-	}
-	// Recompute overall parity across positions plus the stored
-	// overall-parity bit.
-	overall := parity>>7&1 == 1
-	for pos := 1; pos <= 72; pos++ {
-		if code[pos] {
-			overall = !overall
-		}
-	}
+	return correct(data, Encode(data)^parity)
+}
+
+// correct resolves a syndrome byte s = Encode(data) ^ stored parity:
+// s&0x7f is the Hamming syndrome and the parity of s is the overall
+// parity test (the stored check bits enter the codeword parity, and
+// they differ from the recomputed ones exactly in s&0x7f).
+func correct(data uint64, s uint8) (uint64, Status) {
 	switch {
-	case syndrome == 0 && !overall:
+	case s == 0:
 		return data, OK
-	case syndrome == 0 && overall:
-		// The overall parity bit itself flipped.
-		return data, ParityBitFlip
-	case overall:
-		// Single-bit error at codeword position `syndrome`.
-		if syndrome > 72 {
-			return data, DoubleError // syndrome outside the codeword
-		}
-		if syndrome&(syndrome-1) == 0 {
-			// A check bit flipped; data is intact.
-			return data, ParityBitFlip
-		}
-		// Map the position back to its data bit index.
-		for i := 0; i < 64; i++ {
-			if dataPositions[i] == syndrome {
-				return data ^ 1<<uint(i), Corrected
-			}
-		}
-		return data, DoubleError
-	default:
+	case bits.OnesCount8(s)&1 == 0:
 		// Nonzero syndrome with even overall parity: two errors.
 		return data, DoubleError
+	}
+	// Odd overall parity: a single flip at codeword position s&0x7f.
+	switch b := posBit[s&0x7f]; b {
+	case posCheck:
+		return data, ParityBitFlip // an ECC bit flipped; data is intact
+	case posOutside:
+		return data, DoubleError
+	default:
+		return data ^ 1<<uint(b), Corrected
 	}
 }
 
@@ -167,25 +146,41 @@ func PageParity(data []byte) []byte {
 		panic("ecc: data length not a multiple of 8")
 	}
 	out := make([]byte, len(data)/8)
-	for i := 0; i < len(data); i += 8 {
-		out[i/8] = Encode(binary.LittleEndian.Uint64(data[i:]))
-	}
+	PageParityInto(out, data)
 	return out
+}
+
+// PageParityInto is PageParity into a caller-owned buffer of exactly
+// len(data)/8 bytes.
+//
+//xfm:hotpath
+func PageParityInto(dst, data []byte) {
+	if len(data)%8 != 0 || len(dst) != len(data)/8 {
+		panic("ecc: mismatched data/parity lengths")
+	}
+	for i := range dst {
+		dst[i] = Encode(binary.LittleEndian.Uint64(data[i*8:]))
+	}
 }
 
 // VerifyPage checks data against its parity bytes, correcting any
 // single-bit errors in place. It returns the number of corrected
 // words and the number of uncorrectable words.
+//
+//xfm:hotpath
 func VerifyPage(data, parity []byte) (corrected, uncorrectable int) {
 	if len(data)%8 != 0 || len(parity) != len(data)/8 {
 		panic("ecc: mismatched data/parity lengths")
 	}
-	for i := 0; i < len(data); i += 8 {
-		word := binary.LittleEndian.Uint64(data[i:])
-		fixed, st := Decode(word, parity[i/8])
-		switch st {
+	for i, p := range parity {
+		word := binary.LittleEndian.Uint64(data[i*8:])
+		s := Encode(word) ^ p
+		if s == 0 {
+			continue // clean word: the common case
+		}
+		switch fixed, st := correct(word, s); st {
 		case Corrected:
-			binary.LittleEndian.PutUint64(data[i:], fixed)
+			binary.LittleEndian.PutUint64(data[i*8:], fixed)
 			corrected++
 		case DoubleError:
 			uncorrectable++

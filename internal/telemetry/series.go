@@ -435,7 +435,14 @@ func (s *Sampler) StartWall(interval time.Duration) {
 			case <-stop:
 				return
 			case now := <-t.C:
-				s.Sample(now.UnixNano())
+				// A tick can win the select against a closed stop;
+				// Stop clears s.stop under mu, so checking it here
+				// guarantees no sample lands after Stop returns.
+				s.mu.Lock()
+				if s.stop == stop {
+					s.sampleLocked(now.UnixNano())
+				}
+				s.mu.Unlock()
 			}
 		}
 	}()

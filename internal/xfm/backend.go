@@ -56,9 +56,15 @@ type Backend struct {
 	// Side-band ECC (§4.1): the NMA regenerates the x72 parity bytes
 	// when writing data back so the host memory controller can keep
 	// performing SECDED on later reads. The backend keeps the parity
-	// of every stored page and verifies it on swap-in.
+	// of every stored page and verifies it on swap-in. A parity entry
+	// exists exactly while a page swapped out with ECC on is stored;
+	// its 512-byte buffer comes from and returns to parityFree. The
+	// map, the free list and the batch scratch are touched only on the
+	// serial phases; the fan-outs see disjoint eccBatch slots.
 	eccEnabled       bool
 	parity           map[sfm.PageID][]byte
+	parityFree       [][]byte
+	batch            eccBatch
 	parityBytes      telemetry.Counter
 	eccCorrected     telemetry.Counter
 	eccUncorrectable telemetry.Counter
@@ -107,7 +113,7 @@ func newBackend(codec compress.Codec, inner sfm.Backend, regionBytes int64,
 	if err := driver.Paramset(0, regionBytes); err != nil {
 		return nil, err
 	}
-	return &Backend{
+	b := &Backend{
 		inner:       inner,
 		driver:      driver,
 		mapp:        m,
@@ -116,7 +122,10 @@ func newBackend(codec compress.Codec, inner sfm.Backend, regionBytes int64,
 		parity:      map[sfm.PageID][]byte{},
 		quarantined: map[sfm.PageID]int{},
 		pool:        parallel.NewPool(0),
-	}, nil
+	}
+	b.batch.parityFn = b.parityStep
+	b.batch.verifyFn = b.verifyStep
+	return b, nil
 }
 
 // SetInjector arms deterministic fault injection (nil disarms): the
@@ -186,8 +195,11 @@ func (b *Backend) SwapOut(now dram.Ps, id sfm.PageID, data []byte) error {
 		// Regenerate the side-band parity for the page image the NMA
 		// writes back (§4.1: "the NMA calculates the parity bits and
 		// stores them in the ECC DRAM chips, when writing back").
-		b.parity[id] = ecc.PageParity(data)
-		b.parityBytes.Add(int64(len(b.parity[id])))
+		p := b.parityBuf(id)
+		ecc.PageParityInto(p, data)
+		b.parityBytes.Add(int64(len(p)))
+	} else {
+		b.dropParity(id)
 	}
 	if b.deg != nil {
 		b.stageCopy(id, data)
@@ -216,18 +228,21 @@ func (b *Backend) SwapIn(now dram.Ps, id sfm.PageID, dst []byte, offload bool) e
 	if err := b.inner.SwapIn(now, id, dst, offload); err != nil {
 		return err
 	}
-	if b.eccEnabled {
-		if p, ok := b.parity[id]; ok {
+	if p, ok := b.parity[id]; ok {
+		corrected, bad := 0, 0
+		if b.eccEnabled {
 			if b.inj != nil {
 				b.injectECC(id, dst)
 			}
-			corrected, bad := ecc.VerifyPage(dst, p)
+			corrected, bad = ecc.VerifyPage(dst, p)
 			b.recordECC(corrected, bad)
-			delete(b.parity, id)
-			if bad > 0 {
-				if err := b.quarantinePage(id, bad, dst); err != nil {
-					return err
-				}
+		}
+		// Dropped even when ECC is off and the image went unverified:
+		// an entry must not outlive the page image it describes.
+		b.dropParity(id)
+		if bad > 0 {
+			if err := b.quarantinePage(id, bad, dst); err != nil {
+				return err
 			}
 		}
 	}
@@ -247,6 +262,30 @@ func (b *Backend) SwapIn(now dram.Ps, id sfm.PageID, dst []byte, offload bool) e
 	}
 	b.submitOrFallback(req, nma.DecompressOp)
 	return nil
+}
+
+// parityBuf returns the parity buffer registered for id, registering
+// a recycled (or, cold, a new) one when the page has none.
+func (b *Backend) parityBuf(id sfm.PageID) []byte {
+	if p, ok := b.parity[id]; ok {
+		return p
+	}
+	var p []byte
+	if n := len(b.parityFree); n > 0 {
+		p, b.parityFree = b.parityFree[n-1], b.parityFree[:n-1]
+	} else {
+		p = make([]byte, sfm.PageSize/8)
+	}
+	b.parity[id] = p
+	return p
+}
+
+// dropParity forgets id's parity, if any, and recycles its buffer.
+func (b *Backend) dropParity(id sfm.PageID) {
+	if p, ok := b.parity[id]; ok {
+		delete(b.parity, id)
+		b.parityFree = append(b.parityFree, p)
+	}
 }
 
 // submitOrFallback runs the §6 submission protocol: lazy occupancy

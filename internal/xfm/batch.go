@@ -17,31 +17,82 @@ import (
 // use, and driver.AdvanceTo is idempotent at a fixed timestamp, batch
 // results, stats, and NMA accounting are identical to serial calls.
 
+// eccBatch is the backend's reusable scratch for one batch's ECC
+// fan-out: pars[i] is page i's parity buffer (nil = no ECC work), vs[i]
+// its verification result. The serial phase fills pars and aliases the
+// caller's batch for the duration of the Run; workers touch only slot
+// i. The step funcs are bound once so a warm batch allocates no
+// closure.
+type eccBatch struct {
+	outs []sfm.PageOut
+	ins  []sfm.PageIn
+	pars [][]byte
+	vs   []eccVerdict
+
+	parityFn, verifyFn func(w, i int)
+}
+
+type eccVerdict struct{ corrected, bad int }
+
+// reset sizes the per-page slots for an n-page batch and clears pars.
+func (sc *eccBatch) reset(n int) {
+	if cap(sc.pars) < n {
+		sc.pars = make([][]byte, n)
+		sc.vs = make([]eccVerdict, n)
+	}
+	sc.pars, sc.vs = sc.pars[:n], sc.vs[:n]
+	for i := range sc.pars {
+		sc.pars[i] = nil
+	}
+}
+
+//xfm:hotpath
+func (b *Backend) parityStep(_, i int) {
+	if p := b.batch.pars[i]; p != nil {
+		ecc.PageParityInto(p, b.batch.outs[i].Data)
+	}
+}
+
+//xfm:hotpath
+func (b *Backend) verifyStep(_, i int) {
+	if p := b.batch.pars[i]; p != nil {
+		c, bad := ecc.VerifyPage(b.batch.ins[i].Dst, p)
+		b.batch.vs[i] = eccVerdict{corrected: c, bad: bad}
+	}
+}
+
 // SwapOutBatch implements sfm.Backend: the inner store compresses the
 // batch (in parallel when the inner store is sharded), ECC parity is
 // computed on every core, and the offload submissions replay serially.
 func (b *Backend) SwapOutBatch(now dram.Ps, pages []sfm.PageOut) []error {
 	hBatchPages.Observe(float64(len(pages)))
 	errs := b.inner.SwapOutBatch(now, pages)
-	var pars [][]byte
+	sc := &b.batch
+	sc.reset(len(pages))
+	for i, p := range pages {
+		if errs[i] != nil {
+			continue
+		}
+		if b.eccEnabled {
+			sc.pars[i] = b.parityBuf(p.ID)
+		} else {
+			b.dropParity(p.ID)
+		}
+	}
 	if b.eccEnabled {
 		// §4.1: the NMA regenerates side-band parity when writing back.
 		// Parity generation is pure per-page math — fan it out.
-		pars = make([][]byte, len(pages))
-		b.pool.Run(len(pages), b.workers, func(_, i int) {
-			if errs[i] == nil {
-				pars[i] = ecc.PageParity(pages[i].Data)
-			}
-		})
+		sc.outs = pages
+		b.pool.Run(len(pages), b.workers, sc.parityFn)
+		sc.outs = nil
 	}
 	b.driver.AdvanceTo(now)
 	for i, p := range pages {
 		if errs[i] != nil {
 			continue
 		}
-		if b.eccEnabled {
-			b.parity[p.ID] = pars[i]
-			b.parityBytes.Add(int64(len(pars[i])))
+		if par := sc.pars[i]; par != nil {
+			b.parityBytes.Add(int64(len(par)))
 		}
 		if b.deg != nil {
 			b.stageCopy(p.ID, p.Data)
@@ -60,53 +111,56 @@ func (b *Backend) SwapOutBatch(now dram.Ps, pages []sfm.PageOut) []error {
 }
 
 // SwapInBatch implements sfm.Backend: the inner store decompresses the
-// batch, parity verification fans out (the parity map sees only reads
-// during the parallel phase), and driver accounting replays serially.
+// batch, parity verification fans out over buffers looked up serially
+// beforehand (workers never touch the parity map), and driver
+// accounting replays serially.
 func (b *Backend) SwapInBatch(now dram.Ps, pages []sfm.PageIn, offload bool) []error {
 	hBatchPages.Observe(float64(len(pages)))
 	errs := b.inner.SwapInBatch(now, pages, offload)
-	type verify struct {
-		corrected, bad int
-		checked        bool
-	}
-	var vs []verify
-	if b.eccEnabled {
-		if b.inj != nil {
-			// Draw and apply the scheduled bit flips serially, in input
-			// order, before the verification fan-out: the draws are
-			// keyed by page ID but budget accounting is call-ordered,
-			// and determinism of budgeted plans must not depend on
-			// worker scheduling.
-			for i := range pages {
-				if errs[i] != nil {
-					continue
-				}
-				if _, ok := b.parity[pages[i].ID]; ok {
-					b.injectECC(pages[i].ID, pages[i].Dst)
-				}
-			}
+	sc := &b.batch
+	sc.reset(len(pages))
+	verify := false
+	for i, p := range pages {
+		if errs[i] != nil {
+			continue
 		}
-		vs = make([]verify, len(pages))
-		b.pool.Run(len(pages), b.workers, func(_, i int) {
-			if errs[i] != nil {
-				return
-			}
-			if p, ok := b.parity[pages[i].ID]; ok {
-				c, bad := ecc.VerifyPage(pages[i].Dst, p)
-				vs[i] = verify{corrected: c, bad: bad, checked: true}
-			}
-		})
+		par, ok := b.parity[p.ID]
+		if !ok {
+			continue
+		}
+		if !b.eccEnabled {
+			// Swapped in unverified: an entry must not outlive the
+			// page image it describes.
+			b.dropParity(p.ID)
+			continue
+		}
+		if b.inj != nil {
+			// Draw and apply the scheduled bit flips here, serially and
+			// in input order, not in the verification fan-out: the
+			// draws are keyed by page ID but budget accounting is
+			// call-ordered, and determinism of budgeted plans must not
+			// depend on worker scheduling.
+			b.injectECC(p.ID, p.Dst)
+		}
+		sc.pars[i] = par
+		verify = true
+	}
+	if verify {
+		sc.ins = pages
+		b.pool.Run(len(pages), b.workers, sc.verifyFn)
+		sc.ins = nil
 	}
 	b.driver.AdvanceTo(now)
 	for i, p := range pages {
 		if errs[i] != nil {
 			continue
 		}
-		if b.eccEnabled && vs[i].checked {
-			b.recordECC(vs[i].corrected, vs[i].bad)
-			delete(b.parity, p.ID)
-			if vs[i].bad > 0 {
-				if err := b.quarantinePage(p.ID, vs[i].bad, p.Dst); err != nil {
+		if sc.pars[i] != nil {
+			v := sc.vs[i]
+			b.recordECC(v.corrected, v.bad)
+			b.dropParity(p.ID)
+			if v.bad > 0 {
+				if err := b.quarantinePage(p.ID, v.bad, p.Dst); err != nil {
 					errs[i] = err
 					continue
 				}
