@@ -6,11 +6,9 @@ import (
 
 	"xfm/internal/compress"
 	"xfm/internal/dram"
-	"xfm/internal/ecc"
 	"xfm/internal/fault"
 	"xfm/internal/memctrl"
 	"xfm/internal/nma"
-	"xfm/internal/parallel"
 	"xfm/internal/sfm"
 	"xfm/internal/telemetry"
 )
@@ -25,15 +23,9 @@ import (
 // timing model. CPU cycles are charged only for operations that
 // actually fell back to the CPU.
 type Backend struct {
-	inner   sfm.Backend
-	driver  *Driver
-	mapp    memctrl.Mapping
-	workers int // batch parallelism bound (0 = GOMAXPROCS)
-	// pool runs the batch fan-outs (ECC parity math); persistent so
-	// steady-state batches spin up no goroutines. workers caps each
-	// Run rather than the pool width, so SetWorkers-style rebinding
-	// stays cheap.
-	pool *parallel.Pool
+	inner  sfm.Backend
+	driver *Driver
+	mapp   memctrl.Mapping
 
 	// Lazy SPM occupancy tracking (§6): the backend assumes every
 	// submitted offload still occupies the SPM until a completion-
@@ -44,43 +36,29 @@ type Backend struct {
 
 	// Mutation of these counters happens only on the serial submission
 	// path (single-page calls and the serial phase of a batch), but
-	// Stats()/ECCStats() may be called from other goroutines while a
-	// batch is in flight, so every counter a snapshot reads is an
-	// atomic telemetry counter.
+	// Stats() may be called from other goroutines while a batch is in
+	// flight, so every counter a snapshot reads is an atomic telemetry
+	// counter.
 	nextReq   int64 // serial-phase only, never read by snapshots
 	offloads  telemetry.Counter
 	fallbacks telemetry.Counter
 	cpuCycles telemetry.FloatCounter
 	codec     compress.Codec
 
-	// Side-band ECC (§4.1): the NMA regenerates the x72 parity bytes
-	// when writing data back so the host memory controller can keep
-	// performing SECDED on later reads. The backend keeps the parity
-	// of every stored page and verifies it on swap-in. A parity entry
-	// exists exactly while a page swapped out with ECC on is stored;
-	// its 512-byte buffer comes from and returns to parityFree. The
-	// map, the free list and the batch scratch are touched only on the
-	// serial phases; the fan-outs see disjoint eccBatch slots.
-	eccEnabled       bool
-	parity           map[sfm.PageID][]byte
-	parityFree       [][]byte
-	batch            eccBatch
-	parityBytes      telemetry.Counter
-	eccCorrected     telemetry.Counter
-	eccUncorrectable telemetry.Counter
+	// integ is the side-band ECC, fault-injection and quarantine state
+	// (integrity.go); deg is the circuit breaker (degrade.go), nil
+	// unless armed, so the default backend pays one nil check per op.
+	integ *integrity
+	deg   *degrader
 
-	// Fault plane and graceful degradation (both nil/empty unless
-	// explicitly armed; the default backend pays one nil check per op).
-	// inj schedules deterministic ECC bit flips on swap-in images; deg
-	// is the circuit breaker (degrade.go); staging holds raw page
-	// copies that back quarantine re-serves; quarantined lists pages
-	// whose verification found uncorrectable words (bad-word count).
-	// Like parity, staging and quarantined are touched only on the
-	// serial phases of the swap paths.
-	inj         *fault.Injector
-	deg         *degrader
-	staging     map[sfm.PageID][]byte
-	quarantined map[sfm.PageID]int
+	// one is the single-page calls' batch of one: the backend is
+	// single-owner on the serial path (see nextReq), so SwapOut/SwapIn
+	// run the batch protocol over this scratch without allocating.
+	one struct {
+		out  [1]sfm.PageOut
+		in   [1]sfm.PageIn
+		errs [1]error
+	}
 }
 
 // NewBackend builds an XFM backend. regionBytes limits the SFM region;
@@ -101,7 +79,7 @@ func NewShardedBackend(codec compress.Codec, regionBytes int64, nShards, workers
 	if err != nil {
 		return nil, err
 	}
-	b.workers = workers
+	b.integ.workers = workers
 	return b, nil
 }
 
@@ -113,33 +91,27 @@ func newBackend(codec compress.Codec, inner sfm.Backend, regionBytes int64,
 	if err := driver.Paramset(0, regionBytes); err != nil {
 		return nil, err
 	}
-	b := &Backend{
-		inner:       inner,
-		driver:      driver,
-		mapp:        m,
-		codec:       codec,
-		eccEnabled:  true,
-		parity:      map[sfm.PageID][]byte{},
-		quarantined: map[sfm.PageID]int{},
-		pool:        parallel.NewPool(0),
-	}
-	b.batch.parityFn = b.parityStep
-	b.batch.verifyFn = b.verifyStep
-	return b, nil
+	return &Backend{
+		inner:  inner,
+		driver: driver,
+		mapp:   m,
+		codec:  codec,
+		integ:  newIntegrity(),
+	}, nil
 }
 
 // SetInjector arms deterministic fault injection (nil disarms): the
 // injector reaches the driver's submission path, the NMA sim's storm
 // schedule, and this backend's ECC verification images.
 func (b *Backend) SetInjector(in *fault.Injector) {
-	b.inj = in
+	b.integ.inj = in
 	b.driver.SetInjector(in)
 }
 
 // Close releases the backend's worker pool (and the inner store's,
 // when it has one). Optional: idle workers only park on a channel.
 func (b *Backend) Close() {
-	b.pool.Close()
+	b.integ.pool.Close()
 	if c, ok := b.inner.(interface{ Close() }); ok {
 		c.Close()
 	}
@@ -147,7 +119,7 @@ func (b *Backend) Close() {
 
 // SetECC enables or disables side-band parity regeneration; it is on
 // by default (commodity servers run ECC DIMMs, §4.1).
-func (b *Backend) SetECC(on bool) { b.eccEnabled = on }
+func (b *Backend) SetECC(on bool) { b.integ.on = on }
 
 // Driver returns the backend's driver.
 func (b *Backend) Driver() *Driver { return b.driver }
@@ -156,13 +128,12 @@ func (b *Backend) Driver() *Driver { return b.driver }
 // page-aligned address. All banks refresh the same row index during a
 // window and the page's two interleaved banks share one row (Fig. 6a),
 // so a page maps to a single group.
-func (b *Backend) pageGroup(addr int64) int {
-	addr %= b.mapp.TotalBytes()
+func pageGroup(m memctrl.Mapping, addr int64) int {
+	addr %= m.TotalBytes()
 	if addr < 0 {
-		addr += b.mapp.TotalBytes()
+		addr += m.TotalBytes()
 	}
-	co := b.mapp.Decompose(addr)
-	return b.mapp.Device.RowRefreshGroup(co.Row)
+	return m.Device.RowRefreshGroup(m.Decompose(addr).Row)
 }
 
 // localAddr places a page id in the local address space; the SFM
@@ -175,9 +146,6 @@ func (b *Backend) localAddr(id sfm.PageID) int64 {
 // driver-configured base.
 func (b *Backend) regionAddr(id sfm.PageID) int64 {
 	base, size := b.driver.Region()
-	if size <= 0 {
-		size = sfm.PageSize
-	}
 	return base + (int64(id)*sfm.PageSize)%size
 }
 
@@ -191,29 +159,9 @@ func (b *Backend) SwapOut(now dram.Ps, id sfm.PageID, data []byte) error {
 	if err := b.inner.SwapOut(now, id, data); err != nil {
 		return err
 	}
-	if b.eccEnabled {
-		// Regenerate the side-band parity for the page image the NMA
-		// writes back (§4.1: "the NMA calculates the parity bits and
-		// stores them in the ECC DRAM chips, when writing back").
-		p := b.parityBuf(id)
-		ecc.PageParityInto(p, data)
-		b.parityBytes.Add(int64(len(p)))
-	} else {
-		b.dropParity(id)
-	}
-	if b.deg != nil {
-		b.stageCopy(id, data)
-	}
-	b.driver.AdvanceTo(now)
-	b.nextReq++
-	req := nma.Request{
-		ID:       b.nextReq,
-		Kind:     nma.CompressOp,
-		SrcGroup: b.pageGroup(b.localAddr(id)),
-		DstGroup: b.pageGroup(b.regionAddr(id)),
-		Arrive:   now,
-	}
-	b.submitOrFallback(req, nma.CompressOp)
+	b.one.out[0], b.one.errs[0] = sfm.PageOut{ID: id, Data: data}, nil
+	b.offloadOut(now, b.one.out[:], b.one.errs[:])
+	b.one.out[0].Data = nil
 	return nil
 }
 
@@ -228,159 +176,94 @@ func (b *Backend) SwapIn(now dram.Ps, id sfm.PageID, dst []byte, offload bool) e
 	if err := b.inner.SwapIn(now, id, dst, offload); err != nil {
 		return err
 	}
-	if p, ok := b.parity[id]; ok {
-		corrected, bad := 0, 0
-		if b.eccEnabled {
-			if b.inj != nil {
-				b.injectECC(id, dst)
-			}
-			corrected, bad = ecc.VerifyPage(dst, p)
-			b.recordECC(corrected, bad)
-		}
-		// Dropped even when ECC is off and the image went unverified:
-		// an entry must not outlive the page image it describes.
-		b.dropParity(id)
-		if bad > 0 {
-			if err := b.quarantinePage(id, bad, dst); err != nil {
-				return err
-			}
-		}
-	}
-	delete(b.staging, id)
+	b.one.in[0], b.one.errs[0] = sfm.PageIn{ID: id, Dst: dst}, nil
+	b.offloadIn(now, b.one.in[:], b.one.errs[:], offload)
+	b.one.in[0].Dst = nil
+	return b.one.errs[0]
+}
+
+// offloadOut is the XFM half of xfm_swap_out() for every page the inner
+// store accepted (errs[i] == nil): parity regeneration (§4.1: "the NMA
+// calculates the parity bits and stores them in the ECC DRAM chips,
+// when writing back"), then one offload submission per page in input
+// order. It is the only implementation — a single-page call is a batch
+// of one — and driver.AdvanceTo is idempotent at a fixed timestamp, so
+// a batch leaves the same stats and NMA accounting as a page-at-a-time
+// loop.
+func (b *Backend) offloadOut(now dram.Ps, pages []sfm.PageOut, errs []error) {
+	b.integ.stageOut(pages, errs)
 	b.driver.AdvanceTo(now)
-	if !offload {
-		b.recordFallback(nma.DecompressOp)
-		return nil
-	}
-	b.nextReq++
-	req := nma.Request{
-		ID:       b.nextReq,
-		Kind:     nma.DecompressOp,
-		SrcGroup: b.pageGroup(b.regionAddr(id)),
-		DstGroup: b.pageGroup(b.localAddr(id)),
-		Arrive:   now,
-	}
-	b.submitOrFallback(req, nma.DecompressOp)
-	return nil
-}
-
-// parityBuf returns the parity buffer registered for id, registering
-// a recycled (or, cold, a new) one when the page has none.
-func (b *Backend) parityBuf(id sfm.PageID) []byte {
-	if p, ok := b.parity[id]; ok {
-		return p
-	}
-	var p []byte
-	if n := len(b.parityFree); n > 0 {
-		p, b.parityFree = b.parityFree[n-1], b.parityFree[:n-1]
-	} else {
-		p = make([]byte, sfm.PageSize/8)
-	}
-	b.parity[id] = p
-	return p
-}
-
-// dropParity forgets id's parity, if any, and recycles its buffer.
-func (b *Backend) dropParity(id sfm.PageID) {
-	if p, ok := b.parity[id]; ok {
-		delete(b.parity, id)
-		b.parityFree = append(b.parityFree, p)
+	for i, p := range pages {
+		if errs[i] != nil {
+			continue
+		}
+		b.integ.settleOut(i, p)
+		b.submitOrFallback(now, nma.CompressOp, b.localAddr(p.ID), b.regionAddr(p.ID))
 	}
 }
 
-// submitOrFallback runs the §6 submission protocol: lazy occupancy
-// check, MMIO sync when the inferred SPM bound is exhausted, then an
-// MMIO write into the request queue; on rejection the CPU performs
-// the operation.
+// offloadIn is the XFM half of xfm_swap_in(): parity verification of
+// every page the inner store returned, then per page in input order the
+// verdict (an uncorrectable page with no staging copy fails here, into
+// errs[i]) and either the CPU charge of a demand fault or an offload
+// submission.
+func (b *Backend) offloadIn(now dram.Ps, pages []sfm.PageIn, errs []error, offload bool) {
+	b.integ.stageIn(pages, errs)
+	b.driver.AdvanceTo(now)
+	for i, p := range pages {
+		if errs[i] != nil {
+			continue
+		}
+		if errs[i] = b.integ.settleIn(i, p); errs[i] != nil {
+			continue
+		}
+		if !offload {
+			b.recordFallback(nma.DecompressOp)
+			continue
+		}
+		b.submitOrFallback(now, nma.DecompressOp, b.regionAddr(p.ID), b.localAddr(p.ID))
+	}
+}
+
 // recordFallback charges one CPU-executed swap operation.
 func (b *Backend) recordFallback(kind nma.OpKind) {
 	b.fallbacks.Inc()
 	gmFallbacks.Inc()
-	var perByte float64
+	b.cpuCycles.Add(fallbackCycles(b.codec, kind))
+}
+
+// fallbackCycles is the modelled host cost of running one page's
+// (de)compression on the CPU.
+func fallbackCycles(c compress.Codec, kind nma.OpKind) float64 {
 	if kind == nma.CompressOp {
-		perByte = b.codec.Info().CompressCyclesPerByte
-	} else {
-		perByte = b.codec.Info().DecompressCyclesPerByte
+		return c.Info().CompressCyclesPerByte * sfm.PageSize
 	}
-	b.cpuCycles.Add(perByte * sfm.PageSize)
-}
-
-// stageCopy keeps an uncompressed staging copy of a swapped-out page:
-// the CPU-side backstop that lets a later uncorrectable ECC hit be
-// re-served intact instead of surfacing data loss. Buffers recycle per
-// page ID across swap cycles.
-//
-//xfm:allocok staging copies exist only with degradation armed (chaos runs), never in steady-state benchmarks
-func (b *Backend) stageCopy(id sfm.PageID, data []byte) {
-	buf := b.staging[id]
-	if cap(buf) < len(data) {
-		buf = make([]byte, len(data))
-	}
-	buf = buf[:len(data)]
-	copy(buf, data)
-	b.staging[id] = buf
-}
-
-// injectECC applies the chaos plan's scheduled bit flips to the page
-// image read back from far memory, before parity verification. The
-// draw is keyed by page ID, so which pages get hit is independent of
-// swap order; multi takes precedence over single when both fire.
-func (b *Backend) injectECC(id sfm.PageID, dst []byte) {
-	words := len(dst) / 8
-	if words == 0 {
-		return
-	}
-	if b.inj.Hit(fault.SiteECCMulti, uint64(id)) {
-		// Two flipped bits in one 64-bit word: uncorrectable under
-		// SECDED (§4.1). The word index is a hash of the page ID so
-		// hits spread across the page.
-		w := int((uint64(id) * 0x9e3779b97f4a7c15 >> 17) % uint64(words))
-		dst[w*8] ^= 0x41
-		return
-	}
-	if b.inj.Hit(fault.SiteECCSingle, uint64(id)) {
-		w := int((uint64(id) * 0xbf58476d1ce4e5b9 >> 17) % uint64(words))
-		dst[w*8] ^= 0x01
-	}
-}
-
-// quarantinePage handles an uncorrectable ECC verification: the page
-// joins the quarantine list and, when a staging copy of the original
-// bytes exists, the swap-in is re-served intact from it. Only when no
-// copy is available does the caller surface data loss, as a typed
-// *UncorrectableError.
-//
-//xfm:allocok quarantine is the uncorrectable-ECC cold path, never steady-state work
-func (b *Backend) quarantinePage(id sfm.PageID, bad int, dst []byte) error {
-	if _, dup := b.quarantined[id]; !dup {
-		gmQuarantinedPages.Add(1)
-	}
-	b.quarantined[id] = bad
-	if c, ok := b.staging[id]; ok && len(c) == len(dst) {
-		copy(dst, c)
-		gmQuarantineServed.Inc()
-		return nil
-	}
-	return &UncorrectableError{Page: id, BadWords: bad}
+	return c.Info().DecompressCyclesPerByte * sfm.PageSize
 }
 
 // QuarantinedPages returns how many pages are on the quarantine list.
-func (b *Backend) QuarantinedPages() int { return len(b.quarantined) }
+func (b *Backend) QuarantinedPages() int { return len(b.integ.quarantined) }
 
 // QuarantineServed returns how many quarantined swap-ins were re-served
 // from staging copies, process-wide.
 func QuarantineServed() int64 { return gmQuarantineServed.Value() }
 
-// recordECC accumulates one page's verification result.
-func (b *Backend) recordECC(corrected, bad int) {
-	b.eccCorrected.Add(int64(corrected))
-	gmECCCorrected.Add(int64(corrected))
-	b.eccUncorrectable.Add(int64(bad))
-	gmECCUncorrectable.Add(int64(bad))
-}
-
+// submitOrFallback builds the offload request for a page moving from
+// address src to dst and runs the §6 submission protocol: lazy
+// occupancy check, MMIO sync when the inferred SPM bound is exhausted,
+// then an MMIO write into the request queue; on rejection the CPU
+// performs the operation.
+//
 //xfm:hotpath
-func (b *Backend) submitOrFallback(req nma.Request, kind nma.OpKind) {
+func (b *Backend) submitOrFallback(now dram.Ps, kind nma.OpKind, src, dst int64) {
+	b.nextReq++
+	req := nma.Request{
+		ID:       b.nextReq,
+		Kind:     kind,
+		SrcGroup: pageGroup(b.mapp, src),
+		DstGroup: pageGroup(b.mapp, dst),
+		Arrive:   now,
+	}
 	d := b.deg
 	if d == nil {
 		// Default path: §6's stateless per-op fallback, no breaker.
@@ -398,7 +281,7 @@ func (b *Backend) submitOrFallback(req nma.Request, kind nma.OpKind) {
 		// ReprobeAfter absorbed ops, start probing with canaries.
 		d.cpuOps++
 		if d.cpuOps >= d.policy.ReprobeAfter {
-			b.transition(ModeRecovering, req.Arrive)
+			b.transition(ModeRecovering, now)
 		}
 		b.recordFallback(kind)
 		return
@@ -408,13 +291,13 @@ func (b *Backend) submitOrFallback(req nma.Request, kind nma.OpKind) {
 		gmCanaryProbes.Inc()
 		if ok, err := b.submitOnce(req); err != nil || !ok {
 			gmCanaryFailures.Inc()
-			b.transition(ModeCPUOnly, req.Arrive)
+			b.transition(ModeCPUOnly, now)
 			b.recordFallback(kind)
 			return
 		}
 		d.canaryOK++
 		if d.canaryOK >= d.policy.CanarySuccesses {
-			b.transition(ModeHealthy, req.Arrive)
+			b.transition(ModeHealthy, now)
 		}
 		b.offloads.Inc()
 		gmOffloads.Inc()
@@ -442,15 +325,15 @@ func (b *Backend) submitOrFallback(req nma.Request, kind nma.OpKind) {
 	d.recordOutcome(fail)
 	if fail {
 		if d.failures >= d.policy.TripFailures {
-			b.transition(ModeCPUOnly, req.Arrive)
+			b.transition(ModeCPUOnly, now)
 		} else if d.failures >= d.policy.DegradeFailures {
-			b.transition(ModeDegraded, req.Arrive)
+			b.transition(ModeDegraded, now)
 		}
 		b.recordFallback(kind)
 		return
 	}
 	if Mode(d.mode.Load()) == ModeDegraded && d.failures < d.policy.DegradeFailures {
-		b.transition(ModeHealthy, req.Arrive)
+		b.transition(ModeHealthy, now)
 	}
 	if !ok {
 		b.recordFallback(kind)
@@ -506,7 +389,7 @@ func (b *Backend) SPMSyncs() int64 { return b.spmSyncs.Value() }
 // uncorrectable) for the side-band ECC path. Like Stats, it is a
 // race-free snapshot under concurrent batch swaps.
 func (b *Backend) ECCStats() (parityBytes, corrected, uncorrectable int64) {
-	return b.parityBytes.Value(), b.eccCorrected.Value(), b.eccUncorrectable.Value()
+	return b.integ.parityBytes.Value(), b.integ.corrected.Value(), b.integ.uncorrectable.Value()
 }
 
 var _ sfm.Backend = (*Backend)(nil)

@@ -161,7 +161,6 @@ func TestGroupBatchMatchesSerial(t *testing.T) {
 		return g
 	}
 	serial, batched := mk(), mk()
-	batched.SetWorkers(4)
 
 	ids := batchIDs(32)
 	outs := make([]sfm.PageOut, len(ids))

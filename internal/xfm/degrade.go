@@ -179,8 +179,8 @@ func (b *Backend) EnableDegradation(p DegradePolicy) {
 		outcomes: make([]bool, p.Window),
 		track:    -1,
 	}
-	if b.staging == nil {
-		b.staging = map[sfm.PageID][]byte{}
+	if b.integ.staging == nil {
+		b.integ.staging = map[sfm.PageID][]byte{}
 	}
 	gmDegradedMode.SetInt(int64(ModeHealthy))
 }

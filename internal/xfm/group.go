@@ -37,7 +37,6 @@ type GroupBackend struct {
 	offloads  int64
 	fallbacks int64
 	cpuCycles float64
-	workers   int            // batch parallelism bound (0 = GOMAXPROCS)
 	pool      *parallel.Pool // persistent batch fan-out workers
 
 	stats groupStats
@@ -46,10 +45,6 @@ type GroupBackend struct {
 // Close releases the backend's worker pool goroutines. Optional: idle
 // workers only park on a channel.
 func (g *GroupBackend) Close() { g.pool.Close() }
-
-// SetWorkers bounds the goroutines SwapOutBatch/SwapInBatch use for
-// (de)compression (0, the default, means GOMAXPROCS).
-func (g *GroupBackend) SetWorkers(n int) { g.workers = n }
 
 type groupStats struct {
 	swapOuts, swapIns int64
@@ -94,35 +89,43 @@ func NewGroupBackend(newCodec func(window int) compress.Codec, perDIMMRegion int
 // DIMMs returns the number of memory modules in the group.
 func (g *GroupBackend) DIMMs() int { return g.layout.DIMMs }
 
-// pageGroupOf maps an address to its refresh group (as Backend does).
-func (g *GroupBackend) pageGroupOf(addr int64) int {
-	addr %= g.mapp.TotalBytes()
-	if addr < 0 {
-		addr += g.mapp.TotalBytes()
-	}
-	co := g.mapp.Decompose(addr)
-	return g.mapp.Device.RowRefreshGroup(co.Row)
+// localGroup and regionGroup are the refresh groups of page id's local
+// rows and of its same-offset SFM region slot.
+func (g *GroupBackend) localGroup(id sfm.PageID) int {
+	return pageGroup(g.mapp, int64(id)*sfm.PageSize)
 }
 
-// SwapOut implements sfm.Backend: the page is split at the channel
-// interleave granularity; each DIMM's share is compressed with the
-// reduced window and placed at the same offset on every DIMM.
+func (g *GroupBackend) regionGroup(id sfm.PageID) int {
+	return pageGroup(g.mapp, g.perDIMMRegion+(int64(id)*sfm.PageSize)%g.perDIMMRegion)
+}
+
+// compressPage is the pure per-page half of swap-out: the page is split
+// at the channel interleave granularity and each DIMM's share is
+// compressed with the reduced window. SwapOut runs it inline,
+// SwapOutBatch on the pool.
+func (g *GroupBackend) compressPage(p sfm.PageOut) (CompressedLayout, error) {
+	if len(p.Data) != sfm.PageSize {
+		return CompressedLayout{}, fmt.Errorf("xfm: page %d has %d bytes, want %d", p.ID, len(p.Data), sfm.PageSize) //xfm:ignore hotpath-alloc cold validation path: wrong page size is a caller bug, never taken steady-state
+	}
+	return g.layout.CompressPage(p.Data, g.newCodec), nil
+}
+
+// SwapOut implements sfm.Backend: every DIMM places its compressed
+// share of the page at the same offset.
 func (g *GroupBackend) SwapOut(now dram.Ps, id sfm.PageID, data []byte) error {
-	if len(data) != sfm.PageSize {
-		return fmt.Errorf("xfm: page %d has %d bytes, want %d", id, len(data), sfm.PageSize) //xfm:ignore hotpath-alloc cold validation path: wrong page size is a caller bug, never taken steady-state
+	cl, err := g.compressPage(sfm.PageOut{ID: id, Data: data})
+	if err != nil {
+		return err
 	}
-	if _, dup := g.slots[id]; dup {
-		return sfm.ErrExists
-	}
-	cl := g.layout.CompressPage(data, g.newCodec)
 	return g.placeCompressed(now, id, cl)
 }
 
 // placeCompressed stores an already-compressed page and submits the
-// per-DIMM offload requests — the serial bookkeeping half of SwapOut,
-// shared with SwapOutBatch (whose compression runs in parallel).
+// per-DIMM offload requests (each NMA reads its own chunks of the cold
+// page during its refresh windows) — the serial bookkeeping half of
+// swap-out.
 func (g *GroupBackend) placeCompressed(now dram.Ps, id sfm.PageID, cl CompressedLayout) error {
-	if _, dup := g.slots[id]; dup {
+	if g.Contains(id) {
 		return sfm.ErrExists
 	}
 	if g.reservedBytes+int64(cl.SlotBytes) > g.perDIMMRegion {
@@ -134,50 +137,32 @@ func (g *GroupBackend) placeCompressed(now dram.Ps, id sfm.PageID, cl Compressed
 	g.stats.storedPages++
 	g.stats.storedBytes += int64(cl.TotalStored())
 	g.stats.fragBytes += int64(cl.FragmentationBytes())
-
-	// One offload request per DIMM: each NMA reads its own chunks of
-	// the cold page during its refresh windows.
-	srcGroup := g.pageGroupOf(int64(id) * sfm.PageSize)
-	dstGroup := g.pageGroupOf(g.perDIMMRegion + (int64(id)*sfm.PageSize)%g.perDIMMRegion)
-	allOK := true
-	for _, d := range g.drivers {
-		d.AdvanceTo(now)
-		g.nextReq++
-		ok, err := d.Submit(nma.Request{
-			ID: g.nextReq, Kind: nma.CompressOp,
-			SrcGroup: srcGroup, DstGroup: dstGroup, Arrive: now,
-		})
-		if err != nil || !ok {
-			allOK = false
-		}
-	}
-	if allOK {
-		g.offloads++
-	} else {
-		// CPU_Fallback compresses the whole page on the host with the
-		// scatter-aware function (Fig. 9b).
-		g.fallbacks++
-		g.cpuCycles += g.codec.Info().CompressCyclesPerByte * sfm.PageSize
-	}
+	g.submitOrFallback(now, nma.CompressOp, g.localGroup(id), g.regionGroup(id), true)
 	return nil
 }
 
-// SwapIn implements sfm.Backend: parts are fetched from every DIMM,
-// decompressed, and gathered back into host-logical order. The
-// specialized CPU fallback "handles both decompression and gathering
-// operations without additional memory copies" (§6).
-func (g *GroupBackend) SwapIn(now dram.Ps, id sfm.PageID, dst []byte, offload bool) error {
-	if len(dst) != sfm.PageSize {
-		return fmt.Errorf("xfm: dst has %d bytes, want %d", len(dst), sfm.PageSize) //xfm:ignore hotpath-alloc cold validation path: wrong buffer size is a caller bug, never taken steady-state
+// decompressPage is the pure per-page half of swap-in: parts are
+// fetched from every DIMM, decompressed, and gathered straight into
+// p.Dst in host-logical order (the specialized CPU fallback "handles
+// both decompression and gathering operations without additional
+// memory copies", §6). It only reads the slot map. SwapIn runs it
+// inline, SwapInBatch on the pool.
+func (g *GroupBackend) decompressPage(p sfm.PageIn) (CompressedLayout, error) {
+	if len(p.Dst) != sfm.PageSize {
+		return CompressedLayout{}, fmt.Errorf("xfm: dst has %d bytes, want %d", len(p.Dst), sfm.PageSize) //xfm:ignore hotpath-alloc cold validation path: wrong buffer size is a caller bug, never taken steady-state
 	}
-	cl, ok := g.slots[id]
+	cl, ok := g.slots[p.ID]
 	if !ok {
-		return sfm.ErrNotFound
+		return cl, sfm.ErrNotFound
 	}
-	// Decompress and gather straight into dst (the specialized CPU
-	// fallback "handles both decompression and gathering operations
-	// without additional memory copies", §6).
-	if _, err := g.layout.DecompressPageInto(dst[:0], cl, g.newCodec, sfm.PageSize); err != nil {
+	_, err := g.layout.DecompressPageInto(p.Dst[:0], cl, g.newCodec, sfm.PageSize)
+	return cl, err
+}
+
+// SwapIn implements sfm.Backend.
+func (g *GroupBackend) SwapIn(now dram.Ps, id sfm.PageID, dst []byte, offload bool) error {
+	cl, err := g.decompressPage(sfm.PageIn{ID: id, Dst: dst})
+	if err != nil {
 		return err
 	}
 	g.finishSwapIn(now, id, cl, offload)
@@ -185,8 +170,7 @@ func (g *GroupBackend) SwapIn(now dram.Ps, id sfm.PageID, dst []byte, offload bo
 }
 
 // finishSwapIn removes a decompressed page's slot and submits the
-// per-DIMM offload requests — the serial bookkeeping half of SwapIn,
-// shared with SwapInBatch.
+// per-DIMM offload requests — the serial bookkeeping half of swap-in.
 func (g *GroupBackend) finishSwapIn(now dram.Ps, id sfm.PageID, cl CompressedLayout, offload bool) {
 	delete(g.slots, id)
 	g.reservedBytes -= int64(cl.SlotBytes)
@@ -194,23 +178,23 @@ func (g *GroupBackend) finishSwapIn(now dram.Ps, id sfm.PageID, cl CompressedLay
 	g.stats.storedPages--
 	g.stats.storedBytes -= int64(cl.TotalStored())
 	g.stats.fragBytes -= int64(cl.FragmentationBytes())
+	g.submitOrFallback(now, nma.DecompressOp, g.regionGroup(id), g.localGroup(id), offload)
+}
 
-	srcGroup := g.pageGroupOf(g.perDIMMRegion + (int64(id)*sfm.PageSize)%g.perDIMMRegion)
-	dstGroup := g.pageGroupOf(int64(id) * sfm.PageSize)
-	if !offload {
-		g.fallbacks++
-		g.cpuCycles += g.codec.Info().DecompressCyclesPerByte * sfm.PageSize
-		for _, d := range g.drivers {
-			d.AdvanceTo(now)
-		}
-		return
-	}
-	allOK := true
+// submitOrFallback advances every DIMM to now and, when offload is
+// asserted, submits one request per DIMM. Unless every NMA accepted its
+// share, CPU_Fallback runs the whole page on the host with the
+// scatter-aware function (Fig. 9b).
+func (g *GroupBackend) submitOrFallback(now dram.Ps, kind nma.OpKind, srcGroup, dstGroup int, offload bool) {
+	allOK := offload
 	for _, d := range g.drivers {
 		d.AdvanceTo(now)
+		if !offload {
+			continue
+		}
 		g.nextReq++
 		ok, err := d.Submit(nma.Request{
-			ID: g.nextReq, Kind: nma.DecompressOp,
+			ID: g.nextReq, Kind: kind,
 			SrcGroup: srcGroup, DstGroup: dstGroup, Arrive: now,
 		})
 		if err != nil || !ok {
@@ -219,10 +203,10 @@ func (g *GroupBackend) finishSwapIn(now dram.Ps, id sfm.PageID, cl CompressedLay
 	}
 	if allOK {
 		g.offloads++
-	} else {
-		g.fallbacks++
-		g.cpuCycles += g.codec.Info().DecompressCyclesPerByte * sfm.PageSize
+		return
 	}
+	g.fallbacks++
+	g.cpuCycles += fallbackCycles(g.codec, kind)
 }
 
 // Contains implements sfm.Backend.
