@@ -57,11 +57,13 @@ type bitReader struct {
 func (r *bitReader) fill() {
 	if r.pos+8 <= len(r.src) && r.nacc <= 56 {
 		// Word-wise refill: one 64-bit load tops the accumulator up to
-		// ≥ 56 bits in a single step on the common path.
+		// 56–63 bits in a single step on the common path. Only the
+		// whole bytes that fit are counted; the bits of the next byte
+		// that the load also brought in are ORed in again, unchanged,
+		// by the refill that counts them.
 		r.acc |= binary.LittleEndian.Uint64(r.src[r.pos:]) << r.nacc
-		fetched := (64 - r.nacc) &^ 7 // whole bytes that fit
-		r.pos += int(fetched >> 3)
-		r.nacc += fetched
+		r.pos += int((63 - r.nacc) >> 3)
+		r.nacc |= 56
 		return
 	}
 	for r.nacc <= 56 && r.pos < len(r.src) {

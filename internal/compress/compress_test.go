@@ -529,6 +529,13 @@ func TestLZ77WindowRespected(t *testing.T) {
 // pipeline does (Scratch staging), so their allocs/op reflect the
 // steady-state hot path: 0 allocs/op, asserted by the regression tests
 // in scratch_test.go and gated in CI via -bench-json.
+//
+// Their page is one key=value line repeated 140 times: after the first
+// 31 bytes everything is one chain of maximal matches, so they time the
+// codecs' best case. That is why DESIGN §8 once read "xdeflate compress
+// 4K ≈ 18 µs" while the swap path paid ≈ 140 µs a page; the numbers
+// that track the swap path are BenchmarkXDeflate{Compress,Decompress}Mixed
+// in xdeflate_bench_test.go.
 func BenchmarkLZFastCompress4K(b *testing.B) {
 	in := bytes.Repeat([]byte("key=value;count=123;flag=true;\n"), 140)[:4096]
 	c := NewLZFast()

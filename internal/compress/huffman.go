@@ -1,6 +1,6 @@
 package compress
 
-import "slices"
+import "math/bits"
 
 // Canonical Huffman coding used by the xdeflate codec. Code lengths are
 // limited to huffMaxBits; codes are assigned canonically (by length,
@@ -12,17 +12,20 @@ const huffMaxBits = 15
 // construction so the hot path builds code tables without allocating.
 // It lives inside the pooled xdeflate encode state.
 type huffScratch struct {
-	nodes    []nodeRef
-	live     []int32
-	keys     []int64
-	work     []int32
-	internal []int32
-	stack    []depthItem
+	nodes []huffNode
+	order []int32
+	tmp   []int32
 }
 
-type depthItem struct {
-	idx   int32
-	depth int32
+// huffNode is a Huffman tree node. The leaves come first in the node
+// slice, in symbol order; every internal node is appended after both of
+// its children.
+type huffNode struct {
+	weight int
+	sym    int32 // leaves only
+	left   int32 // internal nodes only
+	right  int32
+	depth  int32
 }
 
 // huffBuildLengthsInto computes length-limited Huffman code lengths for
@@ -30,90 +33,108 @@ type depthItem struct {
 // len(freq)). Symbols with zero frequency get length 0. If only one
 // symbol has nonzero frequency it is assigned length 1. All working
 // memory comes from hs.
-//
-//xfm:allocok pop/merge closures do not escape and are stack-allocated; zero allocs/op pinned by the compression benchmarks
 func huffBuildLengthsInto(lengths []uint8, freq []int, hs *huffScratch) {
-	for i := range lengths {
-		lengths[i] = 0
-	}
+	clear(lengths)
 	hs.nodes = hs.nodes[:0]
-	hs.live = hs.live[:0]
 	for s, f := range freq {
 		if f > 0 {
-			hs.nodes = append(hs.nodes, nodeRef{weight: f, sym: s, left: -1, right: -1})
-			hs.live = append(hs.live, int32(len(hs.nodes)-1))
+			hs.nodes = append(hs.nodes, huffNode{weight: f, sym: int32(s)})
 		}
 	}
-	switch len(hs.live) {
+	n := len(hs.nodes)
+	switch n {
 	case 0:
 		return
 	case 1:
-		lengths[hs.nodes[hs.live[0]].sym] = 1
+		lengths[hs.nodes[0].sym] = 1
 		return
 	}
-	for attempt := 0; ; attempt++ {
-		// Standard Huffman construction over the current weights. The
-		// sort key is (weight, node index): a total order packed into
-		// one int64, so the code assignment is deterministic and the
-		// sort runs closure- and allocation-free.
-		hs.keys = hs.keys[:0]
-		for _, idx := range hs.live {
-			hs.keys = append(hs.keys, int64(hs.nodes[idx].weight)<<20|int64(idx))
-		}
-		slices.Sort(hs.keys)
-		hs.work = hs.work[:0]
-		for _, k := range hs.keys {
-			hs.work = append(hs.work, int32(k&(1<<20-1)))
-		}
-		// Simple two-queue merge: leaves queue + internal queue, both
-		// kept sorted by construction.
-		leaves := hs.work
-		li := 0
-		hs.internal = hs.internal[:0]
-		ii := 0
-		pop := func() int32 {
-			if li >= len(leaves) {
-				n := hs.internal[ii]
-				ii++
-				return n
+	for {
+		// Standard Huffman construction over the current weights, as a
+		// two-queue merge: the leaves sorted by (weight, leaf index) — a
+		// total order, so the code assignment is deterministic — and
+		// the internal nodes, which are created in non-decreasing
+		// weight order and so need no sorting. A leaf wins a weight tie
+		// against an internal node.
+		leaves := hs.sortLeaves(n)
+		li, ii := 0, n
+		for len(hs.nodes) < 2*n-1 {
+			var pair [2]int32
+			for k := range pair {
+				if li < n && (ii >= len(hs.nodes) || hs.nodes[leaves[li]].weight <= hs.nodes[ii].weight) {
+					pair[k] = leaves[li]
+					li++
+				} else {
+					pair[k] = int32(ii)
+					ii++
+				}
 			}
-			if ii >= len(hs.internal) || hs.nodes[leaves[li]].weight <= hs.nodes[hs.internal[ii]].weight {
-				n := leaves[li]
-				li++
-				return n
-			}
-			n := hs.internal[ii]
-			ii++
-			return n
-		}
-		total := len(leaves)
-		for total > 1 {
-			a := pop()
-			b := pop()
-			hs.nodes = append(hs.nodes, nodeRef{
-				weight: hs.nodes[a].weight + hs.nodes[b].weight,
-				sym:    -1, left: a, right: b,
+			hs.nodes = append(hs.nodes, huffNode{
+				weight: hs.nodes[pair[0]].weight + hs.nodes[pair[1]].weight,
+				left:   pair[0], right: pair[1],
 			})
-			hs.internal = append(hs.internal, int32(len(hs.nodes)-1))
-			total--
 		}
-		root := pop()
-		// Walk depths iteratively.
-		maxDepth := assignDepths(hs, root, lengths)
+		// The last node is the root; parents follow their children, so
+		// one backward pass assigns every depth.
+		for idx := len(hs.nodes) - 1; idx >= n; idx-- {
+			nd := &hs.nodes[idx]
+			hs.nodes[nd.left].depth = nd.depth + 1
+			hs.nodes[nd.right].depth = nd.depth + 1
+		}
+		maxDepth := int32(0)
+		for _, leaf := range hs.nodes[:n] {
+			maxDepth = max(maxDepth, leaf.depth)
+		}
 		if maxDepth <= huffMaxBits {
+			for _, leaf := range hs.nodes[:n] {
+				lengths[leaf.sym] = uint8(leaf.depth)
+			}
 			return
 		}
 		// Length overflow: dampen the weights and retry. Each round
 		// halves the dynamic range, converging to equal weights
 		// (a balanced tree) in the worst case.
-		for _, idx := range hs.live {
-			hs.nodes[idx].weight = hs.nodes[idx].weight/2 + 1
-		}
-		hs.nodes = hs.nodes[:len(hs.live)] // drop internal nodes
-		for i := range lengths {
-			lengths[i] = 0
+		hs.nodes = hs.nodes[:n] // drop internal nodes
+		for k := range hs.nodes {
+			hs.nodes[k].weight = hs.nodes[k].weight/2 + 1
 		}
 	}
+}
+
+// sortLeaves returns the indexes of the leaves hs.nodes[:n] ordered by
+// (weight, index): a stable LSD radix sort over the bytes of the
+// weight, starting from index order. The number of passes follows the
+// largest weight, which is not bounded by a page (Compress accepts
+// inputs of any length).
+func (hs *huffScratch) sortLeaves(n int) []int32 {
+	if cap(hs.order) < n {
+		hs.order = make([]int32, n)
+		hs.tmp = make([]int32, n)
+	}
+	from, to := hs.order[:n], hs.tmp[:n]
+	maxWeight := 0
+	for k := range from {
+		from[k] = int32(k)
+		maxWeight = max(maxWeight, hs.nodes[k].weight)
+	}
+	for shift := uint(0); maxWeight>>shift != 0; shift += 8 {
+		var next [256]int32
+		for _, idx := range from {
+			next[uint8(hs.nodes[idx].weight>>shift)]++
+		}
+		pos := int32(0)
+		for d, cnt := range next {
+			next[d] = pos
+			pos += cnt
+		}
+		for _, idx := range from {
+			d := uint8(hs.nodes[idx].weight >> shift)
+			to[next[d]] = idx
+			next[d]++
+		}
+		from, to = to, from
+	}
+	return from
 }
 
 // huffBuildLengths is the allocating convenience form used by tests.
@@ -124,44 +145,11 @@ func huffBuildLengths(freq []int) []uint8 {
 	return lengths
 }
 
-// nodeRef is a Huffman tree node: sym >= 0 for leaves, -1 for internal
-// nodes; left/right index into the shared nodes slice.
-type nodeRef struct {
-	weight int
-	sym    int
-	left   int32
-	right  int32
-}
-
-// assignDepths writes leaf depths into lengths and returns the maximum
-// depth found.
-func assignDepths(hs *huffScratch, root int32, lengths []uint8) int {
-	maxDepth := 0
-	hs.stack = append(hs.stack[:0], depthItem{root, 0})
-	for len(hs.stack) > 0 {
-		it := hs.stack[len(hs.stack)-1]
-		hs.stack = hs.stack[:len(hs.stack)-1]
-		n := hs.nodes[it.idx]
-		if n.sym >= 0 {
-			d := int(it.depth)
-			if d == 0 {
-				d = 1 // single-symbol tree
-			}
-			lengths[n.sym] = uint8(d)
-			if d > maxDepth {
-				maxDepth = d
-			}
-			continue
-		}
-		hs.stack = append(hs.stack, depthItem{n.left, it.depth + 1}, depthItem{n.right, it.depth + 1})
-	}
-	return maxDepth
-}
-
-// huffCanonicalCodesInto assigns canonical codes from lengths into
-// codes (len(codes) must equal len(lengths)). The codes are
-// bit-reversed for LSB-first emission (like DEFLATE).
-func huffCanonicalCodesInto(codes []uint32, lengths []uint8) {
+// huffCanonicalTableInto assigns canonical codes from lengths into tab
+// (len(tab) must equal len(lengths)) as code<<4 | length, so the
+// encoder fetches both with one load. The codes are bit-reversed for
+// LSB-first emission (like DEFLATE).
+func huffCanonicalTableInto(tab []uint32, lengths []uint8) {
 	var blCount [huffMaxBits + 1]int
 	for _, l := range lengths {
 		blCount[l]++
@@ -169,33 +157,34 @@ func huffCanonicalCodesInto(codes []uint32, lengths []uint8) {
 	blCount[0] = 0
 	var nextCode [huffMaxBits + 1]uint32
 	code := uint32(0)
-	for bits := 1; bits <= huffMaxBits; bits++ {
-		code = (code + uint32(blCount[bits-1])) << 1
-		nextCode[bits] = code
+	for l := 1; l <= huffMaxBits; l++ {
+		code = (code + uint32(blCount[l-1])) << 1
+		nextCode[l] = code
 	}
 	for sym, l := range lengths {
 		if l == 0 {
-			codes[sym] = 0
+			tab[sym] = 0
 			continue
 		}
-		codes[sym] = reverseBits(nextCode[l], uint(l))
+		tab[sym] = reverseBits(nextCode[l], uint(l))<<4 | uint32(l)
 		nextCode[l]++
 	}
 }
 
-// huffCanonicalCodes is the allocating convenience form used by tests.
+// huffCanonicalCodes is the allocating convenience form used by tests:
+// the codes alone.
 func huffCanonicalCodes(lengths []uint8) []uint32 {
 	codes := make([]uint32, len(lengths))
-	huffCanonicalCodesInto(codes, lengths)
+	huffCanonicalTableInto(codes, lengths)
+	for i := range codes {
+		codes[i] >>= 4
+	}
 	return codes
 }
 
+// reverseBits reverses the low n bits of v (1 ≤ n ≤ 16).
 func reverseBits(v uint32, n uint) uint32 {
-	var out uint32
-	for i := uint(0); i < n; i++ {
-		out = out<<1 | (v>>i)&1
-	}
-	return out
+	return uint32(bits.Reverse16(uint16(v)) >> (16 - n))
 }
 
 // huffTableBits is the width of the first-level decode table: codes up
@@ -221,34 +210,30 @@ type huffDecoder struct {
 }
 
 // init rebuilds the decoder from a code-length table, reusing the
-// symbol buffer. Canonical order is (length, symbol), which a pass per
-// length in ascending symbol order produces directly — no sort, no
-// allocation in the steady state.
+// symbol buffer. Canonical order is (length, symbol): one counting pass
+// gives each length its first slot, and a second pass in ascending
+// symbol order drops every symbol into the next slot of its length — no
+// sort, no allocation in the steady state.
 func (d *huffDecoder) init(lengths []uint8) {
-	for i := range d.count {
-		d.count[i] = 0
-	}
-	n := 0
+	clear(d.count[:])
 	for _, l := range lengths {
-		if l > 0 {
-			d.count[l]++
-			n++
-		}
+		d.count[l]++
+	}
+	d.count[0] = 0
+	var next [huffMaxBits + 1]int
+	n := 0
+	for l := 1; l <= huffMaxBits; l++ {
+		next[l] = n
+		n += d.count[l]
 	}
 	if cap(d.syms) < n {
 		d.syms = make([]int, n)
 	}
 	d.syms = d.syms[:n]
-	idx := 0
-	for l := uint8(1); l <= huffMaxBits; l++ {
-		if d.count[l] == 0 {
-			continue
-		}
-		for sym, sl := range lengths {
-			if sl == l {
-				d.syms[idx] = sym
-				idx++
-			}
+	for sym, l := range lengths {
+		if l != 0 {
+			d.syms[next[l]] = sym
+			next[l]++
 		}
 	}
 	d.buildTable()
@@ -258,9 +243,7 @@ func (d *huffDecoder) init(lengths []uint8) {
 // syms) form. Each ≤ huffTableBits code occupies every table index
 // whose low bits equal its bit-reversed pattern.
 func (d *huffDecoder) buildTable() {
-	for i := range d.table {
-		d.table[i] = 0
-	}
+	clear(d.table[:])
 	// Over-subscribed length tables (possible only on corrupt input)
 	// break the canonical progression below: an overflowed code aliases
 	// earlier table slots after bit reversal. Leave the table empty in
@@ -274,7 +257,7 @@ func (d *huffDecoder) buildTable() {
 		}
 	}
 	// Reconstruct the canonical code progression (same recurrence as
-	// huffCanonicalCodesInto) over the symbols in canonical order.
+	// huffCanonicalTableInto) over the symbols in canonical order.
 	code := uint32(0)
 	idx := 0
 	for l := uint(1); l <= huffMaxBits; l++ {

@@ -25,63 +25,139 @@ type lzToken struct {
 }
 
 // lz77Encoder holds the matcher's reusable state (token output, hash
-// heads, chain links) so the hot path parses without allocating. It is
-// pooled inside the xdeflate encode state; a zero value is ready to
-// use.
+// heads, chain links, symbol frequencies) so the hot path parses
+// without allocating. It is pooled inside the xdeflate encode state; a
+// zero value is ready to use.
+//
+// head and prev hold position+1, so 0 means "no entry" and the
+// per-parse reset of head is a clear(); prev needs no reset because a
+// slot is written (by the insert of its position) before any chain walk
+// can reach it.
 type lz77Encoder struct {
 	tokens []lzToken
 	head   [1 << lz77HashLog]int32
 	prev   []int32
 	src    []byte
 	window int
+	// litFreq/distFreq count the litlen and distance symbols of the
+	// tokens of the last parse (without the end-of-block symbol).
+	litFreq  [xdLitLenSyms]int
+	distFreq [xdDistSyms]int
 }
 
-// insert records position pos in the hash chains.
-func (e *lz77Encoder) insert(pos int) {
-	if pos+lz77MinMatch > len(e.src) {
-		return
-	}
-	h := lz77Hash(e.src[pos:])
-	e.prev[pos] = e.head[h]
-	e.head[h] = int32(pos)
+// lz77Hash hashes the three bytes in the low 24 bits of v.
+func lz77Hash(v uint32) uint32 {
+	return ((v & 0xffffff) * 2654435761) >> (32 - lz77HashLog)
 }
 
-// findMatch returns the best match starting at i within the window.
-func (e *lz77Encoder) findMatch(i int) (bestLen, bestDist int) {
+// load24 reads the three bytes at src[p:], for the one position whose
+// hashed bytes are the last three of src and a 32-bit load would overrun.
+func load24(src []byte, p int) uint32 {
+	return uint32(src[p]) | uint32(src[p+1])<<8 | uint32(src[p+2])<<16
+}
+
+// probe inserts position i into the hash chains and returns the first
+// longest match among the (at most lz77MaxChain, in-window) earlier
+// positions on its chain, provided it is strictly longer than floor;
+// otherwise it returns (floor, 0). A position too close to the end to
+// have a 3-byte hash is neither searched nor inserted.
+//
+// A candidate is first tested on the four bytes that end at offset
+// bestLen (the three hashed bytes while nothing is found yet): a match
+// longer than bestLen must agree on all of them, so a mismatch rejects
+// it without the word-wise compare.
+func (e *lz77Encoder) probe(i, floor int) (bestLen, bestDist int) {
 	src := e.src
-	if i+lz77MinMatch > len(src) {
-		return 0, 0
+	bestLen = floor
+	var v uint32
+	switch rem := len(src) - i; {
+	case rem > lz77MinMatch:
+		v = binary.LittleEndian.Uint32(src[i:])
+	case rem == lz77MinMatch:
+		v = load24(src, i)
+	default:
+		return bestLen, 0
 	}
-	h := lz77Hash(src[i:])
+	h := lz77Hash(v)
 	cand := e.head[h]
-	chain := 0
-	for cand >= 0 && chain < lz77MaxChain {
-		c := int(cand)
-		dist := i - c
-		if dist > e.window {
+	e.head[h] = int32(i + 1)
+	e.prev[i] = cand
+	maxLen := min(len(src)-i, lz77MaxMatch)
+	if bestLen >= maxLen {
+		return bestLen, 0
+	}
+	// The check word: src[p+off:p+off+4]&mask must equal want at p = c
+	// as it does at p = i. bestLen < maxLen keeps off+4 ≤ len(src)−i.
+	off, mask, want := 0, uint32(0xffffff), v&0xffffff
+	if bestLen >= lz77MinMatch {
+		off, mask = bestLen-3, ^uint32(0)
+		want = binary.LittleEndian.Uint32(src[i+off:])
+	}
+	oldest := i - e.window
+	for chain := lz77MaxChain; cand > 0 && chain > 0; chain-- {
+		c := int(cand) - 1
+		if c < oldest {
 			break
 		}
-		if dist > 0 {
-			l := matchLen(src, c, i)
-			if l > bestLen {
-				bestLen, bestDist = l, dist
-				if l >= lz77MaxMatch {
+		if binary.LittleEndian.Uint32(src[c+off:])&mask == want {
+			// Common prefix of src[c:] and src[i:], 8 bytes per step,
+			// finished by a trailing-zero count of the first differing
+			// word; l+8 ≤ maxLen ≤ len(src)−i keeps both loads in bounds.
+			l := 0
+			for {
+				if l+8 > maxLen {
+					for l < maxLen && src[c+l] == src[i+l] {
+						l++
+					}
 					break
 				}
+				x := binary.LittleEndian.Uint64(src[c+l:]) ^ binary.LittleEndian.Uint64(src[i+l:])
+				if x != 0 {
+					l += bits.TrailingZeros64(x) >> 3
+					break
+				}
+				l += 8
+			}
+			if l > bestLen {
+				bestLen, bestDist = l, i-c
+				if l >= maxLen {
+					break
+				}
+				off, mask = l-3, ^uint32(0)
+				want = binary.LittleEndian.Uint32(src[i+off:])
 			}
 		}
 		cand = e.prev[c]
-		chain++
 	}
 	return bestLen, bestDist
 }
 
+// insertRange records positions [from, to) in the hash chains without
+// searching them: the positions a match covers.
+func (e *lz77Encoder) insertRange(from, to int) {
+	src := e.src
+	// Positions below len−3 hash from one 32-bit load; position len−3
+	// has exactly three bytes left; later ones have no hash.
+	last := len(src) - lz77MinMatch
+	p := from
+	for wide := min(to, last); p < wide; p++ {
+		h := lz77Hash(binary.LittleEndian.Uint32(src[p:]))
+		e.prev[p] = e.head[h]
+		e.head[h] = int32(p + 1)
+	}
+	if p == last && p < to {
+		h := lz77Hash(load24(src, p))
+		e.prev[p] = e.head[h]
+		e.head[h] = int32(p + 1)
+	}
+}
+
 // parse produces the token stream for src with matches limited to the
-// given window. With lazy matching (the standard DEFLATE heuristic) a
-// match is deferred by one position when the next position holds a
-// strictly longer one, trading a literal for a better match. The
-// returned slice is owned by the encoder and valid until the next
-// parse call.
+// given window, and counts the tokens' symbols into litFreq/distFreq.
+// With lazy matching (the standard DEFLATE heuristic) a match is
+// deferred by one position when the next position holds a strictly
+// longer one, trading a literal for a better match. The returned slice
+// is owned by the encoder and valid until the next parse call.
 func (e *lz77Encoder) parse(src []byte, window int, lazy bool) []lzToken {
 	if window < 1 {
 		window = 1
@@ -90,93 +166,63 @@ func (e *lz77Encoder) parse(src []byte, window int, lazy bool) []lzToken {
 		window = 65535
 	}
 	e.src, e.window = src, window
-	e.tokens = e.tokens[:0]
-	for i := range e.head {
-		e.head[i] = -1
-	}
+	clear(e.head[:])
+	clear(e.litFreq[:])
+	clear(e.distFreq[:])
 	if cap(e.prev) < len(src) {
 		e.prev = make([]int32, len(src))
 	}
 	e.prev = e.prev[:len(src)]
-	i := 0
-	for i < len(src) {
-		bestLen, bestDist := e.findMatch(i)
-		if lazy && bestLen >= lz77MinMatch && bestLen < lz77MaxMatch && i+1 < len(src) {
-			// Insert i (it is consumed either way), then peek one
-			// position ahead for a strictly longer match.
-			e.insert(i)
-			nextLen, nextDist := e.findMatch(i + 1)
-			firstInsert := 1 // position i is already inserted
-			if nextLen > bestLen {
-				// Emit the current byte as a literal and take the
-				// longer match starting at i+1.
-				e.tokens = append(e.tokens, lzToken{lit: src[i]})
-				i++
-				bestLen, bestDist = nextLen, nextDist
-				firstInsert = 0 // the deferred match start is not inserted
-			}
-			e.tokens = append(e.tokens, lzToken{length: uint16(bestLen), dist: uint16(bestDist)})
-			for k := firstInsert; k < bestLen; k++ {
-				e.insert(i + k)
-			}
-			i += bestLen
+	// Every token covers at least one byte, so len(src) slots suffice
+	// and tokens are stored by index.
+	if cap(e.tokens) < len(src) {
+		e.tokens = make([]lzToken, len(src))
+	}
+	tokens := e.tokens[:len(src)]
+	n := 0
+	for i := 0; i < len(src); {
+		// Lengths below lz77MinMatch are literals either way, so the
+		// search only looks for something longer.
+		bestLen, bestDist := e.probe(i, lz77MinMatch-1)
+		if bestLen < lz77MinMatch {
+			tokens[n] = lzToken{lit: src[i]}
+			n++
+			e.litFreq[src[i]]++
+			i++
 			continue
 		}
-		if bestLen >= lz77MinMatch {
-			if bestLen > lz77MaxMatch {
-				bestLen = lz77MaxMatch
+		inserted := i + 1
+		if lazy && bestLen < lz77MaxMatch {
+			// Peek one position ahead; only a strictly longer match
+			// there changes the parse, so the search starts from
+			// bestLen. Position i+1 is consumed (and inserted) either
+			// way.
+			nextLen, nextDist := e.probe(i+1, bestLen)
+			inserted++
+			if nextLen > bestLen {
+				tokens[n] = lzToken{lit: src[i]}
+				n++
+				e.litFreq[src[i]]++
+				i++
+				bestLen, bestDist = nextLen, nextDist
 			}
-			e.tokens = append(e.tokens, lzToken{length: uint16(bestLen), dist: uint16(bestDist)})
-			// Insert hash entries for every position the match covers
-			// so later matches can reference them.
-			for k := 0; k < bestLen; k++ {
-				e.insert(i + k)
-			}
-			i += bestLen
-		} else {
-			e.tokens = append(e.tokens, lzToken{lit: src[i]})
-			e.insert(i)
-			i++
 		}
+		tokens[n] = lzToken{length: uint16(bestLen), dist: uint16(bestDist)}
+		n++
+		e.litFreq[257+lengthCode(bestLen)]++
+		e.distFreq[distCode(bestDist)]++
+		// Later matches may reference every position this one covers.
+		e.insertRange(inserted, i+bestLen)
+		i += bestLen
 	}
 	e.src = nil
-	return e.tokens
+	return tokens[:n]
 }
 
 // lz77Parse is the allocation-per-call convenience form used by tests.
 func lz77Parse(src []byte, window int, lazy bool) []lzToken {
 	var e lz77Encoder
 	return e.parse(src, window, lazy)
-}
-
-// matchLen returns the common-prefix length of src[a:] and src[b:]
-// capped at lz77MaxMatch, with b > a. It compares 8 bytes per
-// iteration and finishes with a trailing-zero count of the first
-// differing word; both loads stay in bounds because a < b and
-// n+8 ≤ maxN ≤ len(src)−b. The result is identical to a byte loop.
-func matchLen(src []byte, a, b int) int {
-	maxN := len(src) - b
-	if maxN > lz77MaxMatch {
-		maxN = lz77MaxMatch
-	}
-	n := 0
-	for n+8 <= maxN {
-		x := binary.LittleEndian.Uint64(src[a+n:]) ^ binary.LittleEndian.Uint64(src[b+n:])
-		if x != 0 {
-			n += bits.TrailingZeros64(x) >> 3
-			return n
-		}
-		n += 8
-	}
-	for n < maxN && src[a+n] == src[b+n] {
-		n++
-	}
-	return n
-}
-
-func lz77Hash(p []byte) uint32 {
-	v := uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16
-	return (v * 2654435761) >> (32 - lz77HashLog)
 }
 
 // DEFLATE-style length and distance code tables (RFC 1951 §3.2.5).

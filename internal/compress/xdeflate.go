@@ -43,16 +43,14 @@ const (
 
 // xdEncState is the pooled per-call state of the encoder hot path.
 type xdEncState struct {
-	lz        lz77Encoder
-	hs        huffScratch
-	litFreq   [xdLitLenSyms]int
-	distFreq  [xdDistSyms]int
-	litLens   [xdLitLenSyms]uint8
-	distLens  [xdDistSyms]uint8
-	litCodes  [xdLitLenSyms]uint32
-	distCodes [xdDistSyms]uint32
-	nibs      []uint8
-	body      []byte
+	lz       lz77Encoder
+	hs       huffScratch
+	litLens  [xdLitLenSyms]uint8
+	distLens [xdDistSyms]uint8
+	litTab   [xdLitLenSyms]uint32 // code<<4 | length
+	distTab  [xdDistSyms]uint32
+	nibs     []uint8
+	body     []byte
 }
 
 var xdEncPool = sync.Pool{New: func() any { return new(xdEncState) }}
@@ -124,54 +122,39 @@ func (x *XDeflate) Compress(dst, src []byte) []byte {
 		return append(dst, 0) // empty stored block
 	}
 	st := xdEncPool.Get().(*xdEncState)
-	body := x.encodeHuffman(st, src)
-	if body == nil || len(body) >= len(src) {
-		xdEncPool.Put(st)
+	if body := x.encodeHuffman(st, src); body != nil {
+		dst = append(dst, 1)
+		dst = append(dst, body...)
+	} else {
 		dst = append(dst, 0) // stored
-		return append(dst, src...)
+		dst = append(dst, src...)
 	}
-	dst = append(dst, 1)
-	dst = append(dst, body...)
 	xdEncPool.Put(st)
 	return dst
 }
 
 // encodeHuffman builds the huffman block into st.body and returns it;
-// the result is valid until st is reused.
-//
-//xfm:allocok emitLit closure does not escape and output reuses xdEncState scratch; zero allocs/op pinned by the compression benchmarks
+// the result is valid until st is reused. It returns nil when the block
+// would not be smaller than src, which is known from the code lengths
+// and symbol counts before a single bit is emitted.
 func (x *XDeflate) encodeHuffman(st *xdEncState, src []byte) []byte {
 	tokens := st.lz.parse(src, x.window, x.lazy)
-	// Frequency pass.
-	litFreq := st.litFreq[:]
-	distFreq := st.distFreq[:]
-	for i := range litFreq {
-		litFreq[i] = 0
-	}
-	for i := range distFreq {
-		distFreq[i] = 0
-	}
-	for _, t := range tokens {
-		if t.length == 0 {
-			litFreq[t.lit]++
-		} else {
-			litFreq[257+lengthCode(int(t.length))]++
-			distFreq[distCode(int(t.dist))]++
-		}
-	}
+	litFreq := st.lz.litFreq[:]
+	distFreq := st.lz.distFreq[:]
 	litFreq[xdEOB]++
 	litLens := st.litLens[:]
 	distLens := st.distLens[:]
 	huffBuildLengthsInto(litLens, litFreq, &st.hs)
 	huffBuildLengthsInto(distLens, distFreq, &st.hs)
-	litCodes := st.litCodes[:]
-	distCodes := st.distCodes[:]
-	huffCanonicalCodesInto(litCodes, litLens)
-	huffCanonicalCodesInto(distCodes, distLens)
 
-	// Header: trimmed, nibble-packed code length tables.
+	// Header: trimmed, nibble-packed code length tables. The body
+	// buffer is reserved once for the largest block worth emitting
+	// (shorter than src) plus the bit writer's 8-byte store.
 	maxLit := maxUsedSym(litLens)
 	maxDist := maxUsedSym(distLens)
+	if cap(st.body) < len(src)+8 {
+		st.body = make([]byte, 0, len(src)+8)
+	}
 	out := st.body[:0]
 	out = append(out, byte(maxLit), byte(maxLit>>8))
 	out = st.packNibbles(out, litLens[:maxLit+1])
@@ -180,23 +163,44 @@ func (x *XDeflate) encodeHuffman(st *xdEncState, src []byte) []byte {
 		out = st.packNibbles(out, distLens[:maxDist+1])
 	}
 
-	w := bitWriter{buf: out}
-	emitLit := func(sym int) {
-		w.writeBits(litCodes[sym], uint(litLens[sym]))
+	nbits := 0
+	for sym, f := range litFreq {
+		nbits += f * int(litLens[sym])
 	}
+	for lc, extra := range lengthExtra {
+		nbits += litFreq[257+lc] * int(extra)
+	}
+	for dc, f := range distFreq {
+		nbits += f * int(uint(distLens[dc])+distExtra[dc])
+	}
+	if len(out)+(nbits+7)/8 >= len(src) {
+		return nil
+	}
+
+	litTab := st.litTab[:]
+	distTab := st.distTab[:]
+	huffCanonicalTableInto(litTab, litLens)
+	huffCanonicalTableInto(distTab, distLens)
+	w := bitWriter{buf: out}
 	for _, t := range tokens {
 		if t.length == 0 {
-			emitLit(int(t.lit))
+			e := litTab[t.lit]
+			w.writeBits(e>>4, uint(e&15))
 			continue
 		}
+		// A code and its extra bits go out as one field: the code in
+		// the low bits, the extra bits above it.
 		lc := lengthCode(int(t.length))
-		emitLit(257 + lc)
-		w.writeBits(uint32(int(t.length)-lengthBase[lc]), lengthExtra[lc])
+		e := litTab[257+lc]
+		n := uint(e & 15)
+		w.writeBits(e>>4|uint32(int(t.length)-lengthBase[lc])<<n, n+lengthExtra[lc])
 		dc := distCode(int(t.dist))
-		w.writeBits(distCodes[dc], uint(distLens[dc]))
-		w.writeBits(uint32(int(t.dist)-distBase[dc]), distExtra[dc])
+		e = distTab[dc]
+		n = uint(e & 15)
+		w.writeBits(e>>4|uint32(int(t.dist)-distBase[dc])<<n, n+distExtra[dc])
 	}
-	emitLit(xdEOB)
+	e := litTab[xdEOB]
+	w.writeBits(e>>4, uint(e&15))
 	st.body = w.flush()
 	return st.body
 }
@@ -287,6 +291,11 @@ func (x *XDeflate) decodeHuffman(st *xdDecState, dst, src []byte, want, base int
 	out := Grow(dst, want-base)
 	o := base
 	for {
+		// The fast loop takes every token it can and stops, with the
+		// reader in front of the token, at the first one it cannot;
+		// the careful code below decodes that one token (or rejects
+		// the stream) and hands back.
+		o = st.decodeFast(&r, out, o, base)
 		sym := litDec.decode(&r)
 		if sym < 0 {
 			return dst, ErrCorrupt
@@ -320,45 +329,129 @@ func (x *XDeflate) decodeHuffman(st *xdDecState, dst, src []byte, want, base int
 			return dst, ErrCorrupt
 		}
 		if dist >= 8 {
-			// Non-self-overlapping at word granularity: copy 8 bytes
-			// per iteration. The wildcopy form overshoots by up to 7
-			// bytes, so it runs only while that slack fits inside the
-			// output; a match ending near want finishes with an exact
-			// word loop plus a byte tail.
+			// Non-self-overlapping at word granularity: an exact word
+			// loop plus a byte tail, since this close to want the
+			// wildcopy's overshoot may not fit.
 			k := 0
-			if o+length+8 <= len(out) {
-				for ; k < length; k += 8 {
-					binary.LittleEndian.PutUint64(out[o+k:], binary.LittleEndian.Uint64(out[start+k:]))
-				}
-			} else {
-				for ; k+8 <= length; k += 8 {
-					binary.LittleEndian.PutUint64(out[o+k:], binary.LittleEndian.Uint64(out[start+k:]))
-				}
-				for ; k < length; k++ {
-					out[o+k] = out[start+k]
-				}
+			for ; k+8 <= length; k += 8 {
+				binary.LittleEndian.PutUint64(out[o+k:], binary.LittleEndian.Uint64(out[start+k:]))
 			}
-			o += length
+			for ; k < length; k++ {
+				out[o+k] = out[start+k]
+			}
 		} else {
-			// Overlapping match (RLE via offset < length): write one
-			// period byte-wise, then double the copied region with
-			// memmove-backed copies — O(log length) passes.
-			end := o + length
-			n := o
-			for k := 0; k < dist && n < end; k++ {
-				out[n] = out[start+k]
-				n++
-			}
-			for n < end {
-				n += copy(out[n:end], out[start:n])
-			}
-			o = end
+			overlapCopy(out[:o+length], o, dist)
 		}
+		o += length
 	}
 	if o != want {
 		return dst, ErrCorrupt
 	}
 	return out[:want], nil
+}
+
+// xdFastOutSlack is the output room one fast-loop iteration may use: a
+// literal, then a maximal match whose 8-byte wildcopy overshoots by up
+// to 7 bytes.
+const xdFastOutSlack = 1 + lz77MaxMatch + 7
+
+// decodeFast decodes tokens into out[o:] for as long as every step is
+// the common case, and returns the new o with r positioned in front of
+// the first token it did not take. One 64-bit refill (≥ 56 bits) covers
+// a literal plus a whole second token: with both codes resolved by the
+// 9-bit tables a match is at most 9+5+9+13 = 36 bits. It stops, without
+// consuming the token, on a code the first-level table does not resolve
+// (longer than huffTableBits, or the empty table of an over-subscribed
+// length set), on end-of-block, on anything invalid, when fewer than 8
+// input bytes remain to refill from, and within xdFastOutSlack bytes of
+// the end of out — so every accept/reject decision stays with the
+// caller's careful path.
+func (st *xdDecState) decodeFast(r *bitReader, out []byte, o, base int) int {
+	src := r.src
+	acc, nacc, pos := r.acc, r.nacc, r.pos
+	litTable, distTable := &st.litDec.table, &st.distDec.table
+	const tableMask = 1<<huffTableBits - 1
+	limit := len(out) - xdFastOutSlack
+	for o <= limit && pos+8 <= len(src) {
+		acc |= binary.LittleEndian.Uint64(src[pos:]) << nacc
+		pos += int((63 - nacc) >> 3)
+		nacc |= 56
+		e := litTable[acc&tableMask]
+		if e>>4 < 256 {
+			if e == 0 {
+				break
+			}
+			acc >>= e & 15
+			nacc -= uint(e & 15)
+			out[o] = byte(e >> 4)
+			o++
+			// The refill still holds a whole token.
+			e = litTable[acc&tableMask]
+			if e>>4 < 256 {
+				if e == 0 {
+					break
+				}
+				acc >>= e & 15
+				nacc -= uint(e & 15)
+				out[o] = byte(e >> 4)
+				o++
+				continue
+			}
+		}
+		// A length code or end-of-block. Decode the match on copies of
+		// the accumulator and commit them only once it is known good.
+		lc := int(e>>4) - 257
+		if lc < 0 || lc >= len(lengthBase) {
+			break
+		}
+		a, n := acc>>(e&15), nacc-uint(e&15)
+		length := lengthBase[lc] + int(a&(1<<lengthExtra[lc]-1))
+		a >>= lengthExtra[lc]
+		n -= lengthExtra[lc]
+		de := distTable[a&tableMask]
+		dc := int(de >> 4)
+		if de == 0 || dc >= len(distBase) {
+			break
+		}
+		a >>= de & 15
+		n -= uint(de & 15)
+		dist := distBase[dc] + int(a&(1<<distExtra[dc]-1))
+		a >>= distExtra[dc]
+		n -= distExtra[dc]
+		start := o - dist
+		if start < base {
+			break
+		}
+		acc, nacc = a, n
+		if dist >= 8 {
+			// Non-self-overlapping at word granularity; the overshoot
+			// of up to 7 bytes is inside xdFastOutSlack.
+			for k := 0; k < length; k += 8 {
+				binary.LittleEndian.PutUint64(out[o+k:], binary.LittleEndian.Uint64(out[start+k:]))
+			}
+		} else {
+			overlapCopy(out[:o+length], o, dist)
+		}
+		o += length
+	}
+	r.acc, r.nacc, r.pos = acc, nacc, pos
+	return o
+}
+
+// overlapCopy fills out[o:] from the dist (< 8) bytes before o,
+// repeated: an overlapping match (RLE via offset < length). It writes
+// one period byte-wise, then doubles the copied region with
+// memmove-backed copies — O(log length) passes.
+func overlapCopy(out []byte, o, dist int) {
+	start := o - dist
+	n := o
+	for k := 0; k < dist && n < len(out); k++ {
+		out[n] = out[start+k]
+		n++
+	}
+	for n < len(out) {
+		n += copy(out[n:], out[start:n])
+	}
 }
 
 func maxUsedSym(lens []uint8) int {

@@ -2,6 +2,7 @@ package xfm
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"xfm/internal/compress"
@@ -119,10 +120,22 @@ func TestECCAddsNoAllocations(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			measure := func(eccOn bool) float64 {
 				cycle := tc.cycle(mk(eccOn))
-				for i := 0; i < 3; i++ { // warm pools, arenas and free lists
+				// Warm pools, arenas and free lists. The slowest to
+				// fill is the NMA simulator's op free list: through
+				// its eighth batch cycle a new backend still allocates
+				// two ops per page, ECC on or off.
+				for i := 0; i < 12; i++ {
 					cycle()
 				}
-				return testing.AllocsPerRun(10, cycle)
+				// A GC inside a sample empties the sync.Pools (codec
+				// state, staging scratch) and their refills count
+				// against that sample; the minimum of five samples is
+				// the steady state.
+				allocs := math.Inf(1)
+				for sample := 0; sample < 5; sample++ {
+					allocs = min(allocs, testing.AllocsPerRun(10, cycle))
+				}
+				return allocs
 			}
 			on, off := measure(true), measure(false)
 			if on > off {
