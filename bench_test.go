@@ -37,7 +37,6 @@ func BenchmarkFig1BandwidthUtilization(b *testing.B) {
 	}
 	top := last.Rows[len(last.Rows)-1]
 	b.ReportMetric(top.CPUSFMChannelGBps, "cpuSFM-GB/s@32ranks")
-	b.ReportMetric(last.WorstCase512GBChannelGBps(), "worst512GB-GB/s")
 }
 
 // BenchmarkFig3CostModel regenerates Fig. 3: the DFM-vs-SFM cost and

@@ -11,10 +11,12 @@
 //	            [-require-series name,name,...] [-diff FILE,FILE]
 //
 // -require lists metric names that must appear with at least one
-// sample. -require-nesting demands that the trace contains at least one
-// NMA compress/decompress span strictly nested inside a refresh-window
-// span on the same track (the paper's core claim, rendered on the
-// timeline). -timeseries validates a dump written by -timeseries-out:
+// sample; it and -require-series default to the rows the metric
+// catalogue (internal/telemetry/catalogue.go) marks as required of
+// every CI artifact. -require-nesting demands that the trace contains
+// at least one NMA compress/decompress span strictly nested inside a
+// refresh-window span on the same track (the paper's core claim,
+// rendered on the timeline). -timeseries validates a dump written by -timeseries-out:
 // schema version, strictly monotonic timestamps within each series,
 // non-negative counter-kind deltas, and (via -require-series) the
 // presence of named series with at least one point.
@@ -37,31 +39,6 @@ import (
 
 	"xfm/internal/telemetry"
 )
-
-// defaultRequiredMetrics and defaultRequiredSeries are the telemetry
-// contract between the benchmark binaries and CI: the metrics every
-// smoke run must expose with at least one sample, and the series every
-// flight recording must carry. They are the -require/-require-series
-// flag defaults, and xfmlint's telemetry-contract rule extracts them
-// from this file's AST to verify each name has a live registration —
-// a ghost requirement here fails the lint build, not the smoke run.
-var defaultRequiredMetrics = []string{
-	"sfm_swap_outs_total",
-	"xfm_offloads_total",
-	"nma_offload_latency_ps",
-	"nma_slot_utilization",
-	"xfm_fallback_rate",
-	"xfm_fallbacks_total",
-	"xfm_degraded_mode",
-}
-
-var defaultRequiredSeries = []string{
-	"xfm_offloads_total",
-	"nma_windows_total",
-	"nma_slot_utilization",
-	"sfm_promotion_rate",
-	"xfm_degraded_mode",
-}
 
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "telemetryck: "+format+"\n", args...)
@@ -343,10 +320,10 @@ func checkDiff(arg string) {
 func main() {
 	metrics := flag.String("metrics", "", "Prometheus text metrics file to validate")
 	traceOut := flag.String("trace", "", "Chrome trace-event JSON file to validate")
-	require := flag.String("require", strings.Join(defaultRequiredMetrics, ","), "comma-separated metric names that must be present (\"none\" disables)")
+	require := flag.String("require", strings.Join(telemetry.RequiredMetrics(), ","), "comma-separated metric names that must be present (\"none\" disables)")
 	requireNesting := flag.Bool("require-nesting", false, "require nma spans nested in refresh-window spans")
 	timeseries := flag.String("timeseries", "", "flight-recorder time-series dump to validate")
-	requireSeries := flag.String("require-series", strings.Join(defaultRequiredSeries, ","), "comma-separated series names that must be present in -timeseries (\"none\" disables)")
+	requireSeries := flag.String("require-series", strings.Join(telemetry.RequiredSeries(), ","), "comma-separated series names that must be present in -timeseries (\"none\" disables)")
 	diff := flag.String("diff", "", "compare two comma-separated time-series dumps and report each series' first divergent window")
 	flag.Parse()
 

@@ -1,12 +1,14 @@
 // Command xfmlint runs the repository's domain static-analysis suite:
-// atomic-field, guardedby, hotpath-alloc, and sim-determinism, plus
-// //xfm: directive validation. It is wired into CI as a failing gate;
-// see DESIGN.md §9 for the rule catalogue and suppression syntax.
+// atomic-field, guardedby, hotpath-alloc, lock-order, unreachable and
+// sim-determinism, plus //xfm: directive validation. It is wired into
+// CI as a failing gate; see DESIGN.md §9 for the rule catalogue and
+// suppression syntax.
 //
 // Usage:
 //
 //	xfmlint ./...
 //	xfmlint -json ./... > xfmlint.json
+//	xfmlint -rules unreachable ./...
 package main
 
 import (

@@ -1,7 +1,6 @@
 package xfmbench
 
 import (
-	"bytes"
 	"testing"
 
 	"xfm/internal/contention"
@@ -19,81 +18,75 @@ import (
 	"xfm/internal/xfm"
 )
 
-// TestEndToEndMultiChannelAnalytics drives the whole stack at once:
-// a DataFrame over a traced far-memory heap whose backend is the
-// 4-DIMM multi-channel XFM group (per-DIMM NMAs, window-limited
-// compression, same-offset placement). Content integrity, trace
-// consistency, and offload accounting must all hold together.
+// TestEndToEndMultiChannelAnalytics drives the whole stack at once: a
+// DataFrame over a far-memory heap whose backend is the sharded XFM
+// backend that benchmark/ and examples/ run (sharded store, side-band
+// ECC, driver, NMA). Content integrity, swap accounting and offload
+// accounting must all hold together.
 func TestEndToEndMultiChannelAnalytics(t *testing.T) {
-	drivers := make([]*xfm.Driver, 4)
-	for i := range drivers {
-		drivers[i] = xfm.NewDriver(nma.NewSim(nma.DefaultConfig(dram.Device32Gb)))
-	}
-	group, err := xfm.NewGroupBackend(
-		func(w int) compress.Codec { return compress.NewXDeflateWindow(w) },
-		1<<28, drivers, memctrl.SkylakeMapping(4, 2, dram.Device32Gb))
+	driver := xfm.NewDriver(nma.NewSim(nma.DefaultConfig(dram.Device32Gb)))
+	backend, err := xfm.NewShardedBackend(compress.NewXDeflate(), 1<<28, 4, 0,
+		driver, memctrl.SkylakeMapping(4, 2, dram.Device32Gb))
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced := sfm.NewTracingBackend(group)
-	heap := sfm.NewHeap(traced)
+	defer backend.Close()
+	heap := sfm.NewHeap(backend)
 	frame := dataframe.New(heap)
 
 	n := 4096
-	vals := make([]int64, n)
-	var want int64
+	keys, vals := make([]int64, n), make([]int64, n)
+	want := map[int64]int64{}
 	for i := range vals {
-		vals[i] = int64(i * 3)
-		want += vals[i]
+		keys[i], vals[i] = int64(i%4), int64(i*3)
+		want[keys[i]] += vals[i]
 	}
-	col, err := frame.AddInt64(0, "v", vals)
-	if err != nil {
+	if _, err := frame.AddInt64(0, "k", keys); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := frame.AddInt64(0, "v", vals); err != nil {
 		t.Fatal(err)
 	}
 
-	// Demote, then query through compressed multi-channel far memory.
-	if _, err := frame.Demote(dram.Millisecond, "v"); err != nil {
-		t.Fatal(err)
+	// Demote both columns, then query through compressed far memory.
+	demoted := 0
+	for _, name := range []string{"k", "v"} {
+		d, err := frame.Demote(dram.Millisecond, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		demoted += d
 	}
-	sum, err := col.SumInt64(2 * dram.Millisecond)
+	if demoted == 0 {
+		t.Fatal("nothing demoted")
+	}
+	got, err := frame.GroupSumInt64(2*dram.Millisecond, "k", "v")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum != want {
-		t.Fatalf("sum through 4-DIMM far memory = %d, want %d", sum, want)
+	if len(got) != len(want) {
+		t.Fatalf("got %d groups, want %d", len(got), len(want))
 	}
-
-	// The trace must replay cleanly through both encodings.
-	var buf bytes.Buffer
-	if err := traced.WriteTrace(trace.NewBinaryWriter(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := trace.ReadAll(trace.NewBinaryReader(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, ins := 0, 0
-	for _, r := range recs {
-		switch r.Op {
-		case trace.SwapOut:
-			outs++
-		case trace.SwapIn, trace.Prefetch:
-			ins++
+	for k, w := range want {
+		if got[k] != w {
+			t.Errorf("group %d through far memory = %d, want %d", k, got[k], w)
 		}
 	}
-	if outs == 0 || ins == 0 {
-		t.Fatalf("trace incomplete: %d outs, %d ins", outs, ins)
+
+	// Every demoted page went out once and faulted back once.
+	st, hs := backend.Stats(), heap.Stats()
+	if st.SwapOuts != int64(demoted) || st.SwapIns != int64(demoted) || hs.DemandFaults != int64(demoted) {
+		t.Errorf("demoted %d pages: backend %d outs / %d ins, heap %d demand faults",
+			demoted, st.SwapOuts, st.SwapIns, hs.DemandFaults)
 	}
-	if int64(outs) != group.Stats().SwapOuts {
-		t.Errorf("trace outs %d != backend swap-outs %d", outs, group.Stats().SwapOuts)
+	if _, _, bad := backend.ECCStats(); bad != 0 {
+		t.Errorf("%d uncorrectable ECC words on a fault-free run", bad)
 	}
 
-	// Every DIMM's NMA saw the offloads; advancing time completes them.
-	for i, d := range drivers {
-		d.AdvanceTo(2 * dram.Second)
-		if d.NMAStats().Submitted == 0 {
-			t.Errorf("DIMM %d saw no offload requests", i)
-		}
+	// The NMA saw the swap-out offloads; advancing time completes them.
+	driver.AdvanceTo(2 * dram.Second)
+	if ns := driver.NMAStats(); ns.Submitted == 0 || ns.Completed != ns.Submitted-ns.Fallbacks {
+		t.Errorf("NMA stats after drain: %+v", ns)
 	}
 }
 

@@ -12,19 +12,19 @@ import (
 
 // Rule names, used in diagnostics and //xfm:ignore directives.
 const (
-	RuleAtomicField       = "atomic-field"
-	RuleGuardedBy         = "guardedby"
-	RuleHotpathAlloc      = "hotpath-alloc"
-	RuleDeterminism       = "sim-determinism"
-	RuleDirective         = "directive"
-	RuleLockOrder         = "lock-order"
-	RuleTelemetryContract = "telemetry-contract"
+	RuleAtomicField  = "atomic-field"
+	RuleGuardedBy    = "guardedby"
+	RuleHotpathAlloc = "hotpath-alloc"
+	RuleDeterminism  = "sim-determinism"
+	RuleDirective    = "directive"
+	RuleLockOrder    = "lock-order"
+	RuleUnreachable  = "unreachable"
 )
 
 // KnownRules lists every rule an //xfm:ignore directive may name.
 var KnownRules = []string{
 	RuleAtomicField, RuleGuardedBy, RuleHotpathAlloc, RuleDeterminism, RuleDirective,
-	RuleLockOrder, RuleTelemetryContract,
+	RuleLockOrder, RuleUnreachable,
 }
 
 func knownRule(name string) bool {
@@ -74,7 +74,7 @@ func DefaultRules() []Rule {
 		NewHotpathAllocRule(),
 		NewDeterminismRule(),
 		NewLockOrderRule(),
-		NewTelemetryContractRule(),
+		NewUnreachableRule(),
 	}
 }
 

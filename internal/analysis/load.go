@@ -5,8 +5,9 @@
 // the rest of this repository relies on but the compiler cannot see:
 // atomic counters must be atomic everywhere (atomic-field), mutex-
 // guarded fields must be touched under their lock (guardedby),
-// annotated hot paths must not allocate (hotpath-alloc), and the
-// simulator packages must stay bit-deterministic (sim-determinism).
+// annotated hot paths must not allocate (hotpath-alloc), the simulator
+// packages must stay bit-deterministic (sim-determinism), and nothing
+// ships that no binary reaches (unreachable).
 //
 // Directives use the //xfm: comment namespace; see directive.go.
 package analysis

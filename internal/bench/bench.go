@@ -132,16 +132,6 @@ var skewedIDs = func() []sfm.PageID {
 
 func skewedID(i int) sfm.PageID { return skewedIDs[i] }
 
-// Names lists the available scenario names in run order.
-func Names() []string {
-	ss := scenarios()
-	out := make([]string, len(ss))
-	for i, s := range ss {
-		out[i] = s.name
-	}
-	return out
-}
-
 // pages builds the benchmark working set: compressible key-value
 // pages, the same shape bench_test.go uses. ids, when non-nil,
 // overrides the default sequential page ids (page content still keys

@@ -219,3 +219,13 @@ func TestScenarioNamesStable(t *testing.T) {
 		}
 	}
 }
+
+// Names lists the available scenario names in run order.
+func Names() []string {
+	ss := scenarios()
+	out := make([]string, len(ss))
+	for i, s := range ss {
+		out[i] = s.name
+	}
+	return out
+}

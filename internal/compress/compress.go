@@ -82,19 +82,6 @@ func Names() []string {
 	return out
 }
 
-// Ratio returns the compression ratio original/compressed for codec c
-// on src. A ratio below 1 means the data expanded.
-func Ratio(c Codec, src []byte) float64 {
-	if len(src) == 0 {
-		return 1
-	}
-	out := c.Compress(nil, src)
-	if len(out) == 0 {
-		return 1
-	}
-	return float64(len(src)) / float64(len(out))
-}
-
 func init() {
 	Register(NewLZFast())
 	Register(NewXDeflate())

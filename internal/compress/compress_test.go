@@ -595,3 +595,16 @@ func BenchmarkXDeflateDecompress4K(b *testing.B) {
 		}
 	}
 }
+
+// Ratio returns the compression ratio original/compressed for codec c
+// on src. A ratio below 1 means the data expanded.
+func Ratio(c Codec, src []byte) float64 {
+	if len(src) == 0 {
+		return 1
+	}
+	out := c.Compress(nil, src)
+	if len(out) == 0 {
+		return 1
+	}
+	return float64(len(src)) / float64(len(out))
+}

@@ -44,9 +44,6 @@ func (s *sliceWriter) Write(p []byte) (int, error) {
 // level.
 func NewFlate() *Flate { return &Flate{level: flate.DefaultCompression} }
 
-// NewFlateLevel returns a reference codec at the given flate level.
-func NewFlateLevel(level int) *Flate { return &Flate{level: level} }
-
 // Name implements Codec.
 func (f *Flate) Name() string {
 	if f.level == flate.DefaultCompression {

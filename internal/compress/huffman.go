@@ -138,6 +138,8 @@ func (hs *huffScratch) sortLeaves(n int) []int32 {
 }
 
 // huffBuildLengths is the allocating convenience form used by tests.
+//
+//xfm:ignore unreachable entry point of TestHuffmanKraft, TestHuffmanLengthLimit and the frozen reference encoder (compat_ref_test.go)
 func huffBuildLengths(freq []int) []uint8 {
 	lengths := make([]uint8, len(freq))
 	var hs huffScratch
@@ -173,6 +175,8 @@ func huffCanonicalTableInto(tab []uint32, lengths []uint8) {
 
 // huffCanonicalCodes is the allocating convenience form used by tests:
 // the codes alone.
+//
+//xfm:ignore unreachable entry point of TestHuffmanRoundTripCodes and craftStream (xdeflate_ref_test.go)
 func huffCanonicalCodes(lengths []uint8) []uint32 {
 	codes := make([]uint32, len(lengths))
 	huffCanonicalTableInto(codes, lengths)
@@ -278,6 +282,9 @@ func (d *huffDecoder) buildTable() {
 	}
 }
 
+// newHuffDecoder is the allocating convenience form used by tests.
+//
+//xfm:ignore unreachable entry point of TestHuffmanRoundTripCodes
 func newHuffDecoder(lengths []uint8) *huffDecoder {
 	d := &huffDecoder{}
 	d.init(lengths)

@@ -220,6 +220,8 @@ func (e *lz77Encoder) parse(src []byte, window int, lazy bool) []lzToken {
 }
 
 // lz77Parse is the allocation-per-call convenience form used by tests.
+//
+//xfm:ignore unreachable entry point of TestParseEdgesMatchReference, TestLZ77ParseReconstructs and TestLZ77WindowRespected
 func lz77Parse(src []byte, window int, lazy bool) []lzToken {
 	var e lz77Encoder
 	return e.parse(src, window, lazy)

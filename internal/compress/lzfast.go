@@ -78,6 +78,8 @@ func NewLZFast() *LZFast { return &LZFast{maxOffset: lzfMaxOffset} }
 
 // NewLZFastWindow returns an LZFast codec whose matches are limited to
 // the given window in bytes (clamped to [1, 65535]).
+//
+//xfm:ignore unreachable the window-limited LZFast that allCodecs (compress_test.go) and TestPropertyRoundTripStructured round-trip
 func NewLZFastWindow(window int) *LZFast {
 	if window < 1 {
 		window = 1

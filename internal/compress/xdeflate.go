@@ -71,6 +71,8 @@ func NewXDeflate() *XDeflate { return &XDeflate{window: 32768, lazy: true} }
 
 // NewXDeflateGreedy returns a codec with lazy matching disabled — the
 // faster, lower-ratio parse, used by the greedy-vs-lazy comparison.
+//
+//xfm:ignore unreachable the greedy parse TestLazyMatchingImprovesRatio and TestGreedyLazyBothRoundTripRandomized compare the lazy one against
 func NewXDeflateGreedy() *XDeflate { return &XDeflate{window: 32768} }
 
 // NewXDeflateWindow returns a codec whose match window is limited to
@@ -494,12 +496,6 @@ func (st *xdEncState) packNibbles(dst []byte, lens []uint8) []byte {
 		dst = append(dst, b)
 	}
 	return dst
-}
-
-// packNibbles is the allocating convenience form used by tests.
-func packNibbles(dst []byte, lens []uint8) []byte {
-	var st xdEncState
-	return st.packNibbles(dst, lens)
 }
 
 // unpackNibbles fills out from src and returns the remaining source.

@@ -486,3 +486,9 @@ func TestDecodeFastStopsInFrontOfWhatItCannotTake(t *testing.T) {
 		t.Fatalf("fast loop took %d bytes through an empty table", o)
 	}
 }
+
+// packNibbles is the allocating convenience form the reference encoders use.
+func packNibbles(dst []byte, lens []uint8) []byte {
+	var st xdEncState
+	return st.packNibbles(dst, lens)
+}

@@ -124,18 +124,6 @@ type Result struct {
 	SFMThroughputFactor float64
 }
 
-// MeanSlowdown returns the average workload slowdown.
-func (r Result) MeanSlowdown() float64 {
-	if len(r.Slowdowns) == 0 {
-		return 1
-	}
-	sum := 0.0
-	for _, s := range r.Slowdowns {
-		sum += s
-	}
-	return sum / float64(len(r.Slowdowns))
-}
-
 // MaxSlowdown returns the worst workload slowdown.
 func (r Result) MaxSlowdown() float64 {
 	m := 1.0

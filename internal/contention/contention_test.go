@@ -165,3 +165,15 @@ func TestMeanMaxSlowdownEmpty(t *testing.T) {
 		t.Error("empty result should report 1.0")
 	}
 }
+
+// MeanSlowdown returns the average workload slowdown.
+func (r Result) MeanSlowdown() float64 {
+	if len(r.Slowdowns) == 0 {
+		return 1
+	}
+	sum := 0.0
+	for _, s := range r.Slowdowns {
+		sum += s
+	}
+	return sum / float64(len(r.Slowdowns))
+}

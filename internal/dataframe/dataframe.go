@@ -123,8 +123,7 @@ type Column struct {
 	pages []sfm.PageID
 }
 
-// Name returns the column name; Kind its element type; Rows its
-// length; Pages the number of far-memory pages backing it.
+// Name returns the column name.
 func (c *Column) Name() string { return c.name }
 
 // Kind returns the element type.
@@ -132,41 +131,6 @@ func (c *Column) Kind() Kind { return c.kind }
 
 // Rows returns the column length.
 func (c *Column) Rows() int { return c.rows }
-
-// Pages returns how many heap pages back the column.
-func (c *Column) Pages() int { return len(c.pages) }
-
-// raw fetches the stored word at row, touching (and possibly
-// faulting) the backing page.
-func (c *Column) raw(now dram.Ps, row int) (uint64, error) {
-	if row < 0 || row >= c.rows {
-		return 0, fmt.Errorf("dataframe: row %d out of range [0,%d)", row, c.rows)
-	}
-	page, err := c.frame.heap.Touch(now, c.pages[row/valuesPerPage])
-	if err != nil {
-		return 0, err
-	}
-	idx := row % valuesPerPage
-	return binary.LittleEndian.Uint64(page[idx*8:]), nil
-}
-
-// Int64At returns the int64 value at row.
-func (c *Column) Int64At(now dram.Ps, row int) (int64, error) {
-	if c.kind != KindInt64 {
-		return 0, fmt.Errorf("dataframe: column %q is %v", c.name, c.kind)
-	}
-	v, err := c.raw(now, row)
-	return int64(v), err
-}
-
-// Float64At returns the float64 value at row.
-func (c *Column) Float64At(now dram.Ps, row int) (float64, error) {
-	if c.kind != KindFloat64 {
-		return 0, fmt.Errorf("dataframe: column %q is %v", c.name, c.kind)
-	}
-	v, err := c.raw(now, row)
-	return math.Float64frombits(v), err
-}
 
 // scan iterates the column's pages in order, calling fn for every
 // value. Scans are the far-memory-friendly access pattern: page-
@@ -190,16 +154,6 @@ func (c *Column) scan(now dram.Ps, fn func(row int, word uint64)) error {
 	return nil
 }
 
-// SumInt64 scans and sums an int64 column.
-func (c *Column) SumInt64(now dram.Ps) (int64, error) {
-	if c.kind != KindInt64 {
-		return 0, fmt.Errorf("dataframe: column %q is %v", c.name, c.kind)
-	}
-	var sum int64
-	err := c.scan(now, func(_ int, w uint64) { sum += int64(w) })
-	return sum, err
-}
-
 // MeanFloat64 scans and averages a float64 column.
 func (c *Column) MeanFloat64(now dram.Ps) (float64, error) {
 	if c.kind != KindFloat64 {
@@ -211,20 +165,6 @@ func (c *Column) MeanFloat64(now dram.Ps) (float64, error) {
 	var sum float64
 	err := c.scan(now, func(_ int, w uint64) { sum += math.Float64frombits(w) })
 	return sum / float64(c.rows), err
-}
-
-// FilterInt64 returns the rows where pred holds.
-func (c *Column) FilterInt64(now dram.Ps, pred func(int64) bool) ([]int, error) {
-	if c.kind != KindInt64 {
-		return nil, fmt.Errorf("dataframe: column %q is %v", c.name, c.kind)
-	}
-	var rows []int
-	err := c.scan(now, func(row int, w uint64) {
-		if pred(int64(w)) {
-			rows = append(rows, row)
-		}
-	})
-	return rows, err
 }
 
 // GroupSumInt64 groups the key column's values and sums the value

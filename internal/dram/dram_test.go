@@ -340,3 +340,20 @@ func BenchmarkRankAccess(b *testing.B) {
 		now, _ = r.Access(now, i%32, (i*37)%Device32Gb.RowsPerBank, Read)
 	}
 }
+
+// ForceRefresh issues the next REF at exactly time at, regardless of
+// schedule: the tests below drive refresh by hand with it.
+func (r *Rank) ForceRefresh(at Ps) RefreshWindow {
+	for i := range r.banks {
+		if r.banks[i].state == BankActive {
+			r.banks[i].Precharge(at, r.t)
+		}
+	}
+	return r.refreshAt(at)
+}
+
+// RefreshDutyCycle returns the fraction of time a rank is locked by
+// all-bank refresh: tRFC/tREFI (§4.3 computes ≈8% for tRFC = 300 ns).
+func (t Timings) RefreshDutyCycle() float64 {
+	return float64(t.TRFC) / float64(t.TREFI)
+}

@@ -52,37 +52,14 @@ func NewRank(cfg DeviceConfig, t Timings) *Rank {
 	}
 }
 
-// SetTracer redirects this rank's refresh spans to tr (nil disables
-// them); the default is the process-wide tracer.
-func (r *Rank) SetTracer(tr *telemetry.Tracer) {
-	r.tracer = tr
-	r.telTrack = -1
-}
-
 // Config returns the rank's device configuration.
 func (r *Rank) Config() DeviceConfig { return r.cfg }
-
-// Timings returns the rank's timing set.
-func (r *Rank) Timings() Timings { return r.t }
-
-// NumBanks returns the number of banks in the rank.
-func (r *Rank) NumBanks() int { return len(r.banks) }
 
 // Bank returns bank i for inspection.
 func (r *Rank) Bank(i int) *Bank { return &r.banks[i] }
 
 // Stats returns a snapshot of rank counters.
 func (r *Rank) Stats() RankStats { return r.stats }
-
-// RefCounter returns the number of REF commands issued so far.
-func (r *Rank) RefCounter() int { return r.refCounter }
-
-// NextRefreshAt returns the scheduled time of the next REF command.
-func (r *Rank) NextRefreshAt() Ps { return r.nextREFAt }
-
-// LockedUntil returns the end of the current refresh lockout, or 0
-// when the rank is not refreshing.
-func (r *Rank) LockedUntil() Ps { return r.lockedUntil }
 
 // RefreshWindow describes one all-bank refresh (one tRFC): during
 // [Start, End) the rank is inaccessible to the CPU and the NMA may use
@@ -124,17 +101,6 @@ func (r *Rank) MaybeRefresh(now Ps) (RefreshWindow, bool) {
 	return w, true
 }
 
-// ForceRefresh issues the next REF at exactly time at, regardless of
-// schedule (used by tests and the NMA-side scheduler replay).
-func (r *Rank) ForceRefresh(at Ps) RefreshWindow {
-	for i := range r.banks {
-		if r.banks[i].state == BankActive {
-			r.banks[i].Precharge(at, r.t)
-		}
-	}
-	return r.refreshAt(at)
-}
-
 func (r *Rank) refreshAt(start Ps) RefreshWindow {
 	lo, hi := r.cfg.RefreshedRows(r.refCounter)
 	end := start + r.t.TRFC
@@ -151,8 +117,8 @@ func (r *Rank) refreshAt(start Ps) RefreshWindow {
 	r.lockedUntil = end
 	r.stats.REFs++
 	r.stats.RefreshLockPs += r.t.TRFC
-	mREFs.Inc()
-	mRefreshLockPs.Add(int64(r.t.TRFC))
+	telemetry.DRAMRefs.Inc()
+	telemetry.DRAMRefreshLockPs.Add(int64(r.t.TRFC))
 	if r.tracer != nil && r.tracer.Enabled() {
 		if r.telTrack < 0 {
 			r.telTrack = r.tracer.NewTrack("dram-rank")

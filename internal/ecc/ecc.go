@@ -18,10 +18,10 @@ import (
 	"math/bits"
 )
 
-// Status is the outcome of a Decode.
+// Status is the outcome of checking one word against its ECC bits.
 type Status int
 
-// Decode outcomes.
+// Check outcomes.
 const (
 	OK            Status = iota // no error
 	Corrected                   // single-bit error corrected
@@ -104,14 +104,6 @@ func Encode(data uint64) uint8 {
 		encTab[2][uint8(data>>16)] ^ encTab[3][uint8(data>>24)] ^
 		encTab[4][uint8(data>>32)] ^ encTab[5][uint8(data>>40)] ^
 		encTab[6][uint8(data>>48)] ^ encTab[7][uint8(data>>56)]
-}
-
-// Decode checks (and if needed corrects) a data word against its ECC
-// bits. It returns the possibly corrected data and the outcome.
-//
-//xfm:hotpath
-func Decode(data uint64, parity uint8) (uint64, Status) {
-	return correct(data, Encode(data)^parity)
 }
 
 // correct resolves a syndrome byte s = Encode(data) ^ stored parity:

@@ -430,3 +430,10 @@ func BenchmarkVerifyPage4K(b *testing.B) {
 		})
 	}
 }
+
+// Decode checks (and if needed corrects) one data word against its ECC
+// bits: the word-level form of VerifyPage's loop body, which is what
+// the tests and FuzzDecodeMatchesRef drive.
+func Decode(data uint64, parity uint8) (uint64, Status) {
+	return correct(data, Encode(data)^parity)
+}

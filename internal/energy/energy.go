@@ -62,13 +62,6 @@ func ConditionalSavingFraction(f float64, n, banksTouched int) float64 {
 	return 1 - mixed/random
 }
 
-// CPUAccessEnergyNJ returns the energy for the CPU path: the page
-// crosses the DDR channel (and, for SFM, is read cold and written
-// back, so callers typically double it).
-func CPUAccessEnergyNJ(n int, banksTouched int) float64 {
-	return PageTransferNJ(n, ChannelPJPerBit) + RowActPreNJ*float64(banksTouched)
-}
-
 // FPGAResource is one row of Table 2.
 type FPGAResource struct {
 	Name    string
@@ -120,10 +113,6 @@ type DRAMOverheads struct {
 func BankModificationOverheads() DRAMOverheads {
 	return DRAMOverheads{AreaFraction: 0.0015, PowerFraction: 0.00002}
 }
-
-// PrototypeThroughputGBps returns the AxDIMM prototype accelerator
-// throughputs (§7): compression and decompression.
-func PrototypeThroughputGBps() (comp, decomp float64) { return 14.8, 17.2 }
 
 // OpenSourceDeflateGBps returns the FPGA Deflate accelerator
 // throughput from Table 2's discussion (§8): 1.4 GB/s compression and

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"xfm/internal/dram"
+	"xfm/internal/nma"
 )
 
 func TestDataMovementSavingMatchesPaper(t *testing.T) {
@@ -119,8 +120,11 @@ func TestPrototypeOverprovisioned(t *testing.T) {
 	}
 }
 
+// TestAxDIMMPrototypeThroughput pins the §7 prototype numbers where the
+// simulator reads them: the NMA's default engine rates.
 func TestAxDIMMPrototypeThroughput(t *testing.T) {
-	comp, decomp := PrototypeThroughputGBps()
+	cfg := nma.DefaultConfig(dram.Device32Gb)
+	comp, decomp := cfg.CompressGBps, cfg.DecompressGBps
 	if comp != 14.8 || decomp != 17.2 {
 		t.Errorf("prototype throughput = %.1f/%.1f, want 14.8/17.2 (§7)", comp, decomp)
 	}
@@ -132,4 +136,11 @@ func TestPageTransferScalesLinearly(t *testing.T) {
 	if math.Abs(e4-4*e1) > 1e-9 {
 		t.Errorf("transfer energy not linear: %v vs 4×%v", e4, e1)
 	}
+}
+
+// CPUAccessEnergyNJ returns the energy for the CPU path: the page
+// crosses the DDR channel (and, for SFM, is read cold and written
+// back, so callers typically double it).
+func CPUAccessEnergyNJ(n int, banksTouched int) float64 {
+	return PageTransferNJ(n, ChannelPJPerBit) + RowActPreNJ*float64(banksTouched)
 }

@@ -79,15 +79,6 @@ func Fig1() *Fig1Result {
 	return res
 }
 
-// WorstCase512GBChannelGBps returns the §1 headline: the channel
-// bandwidth a 512 GB CPU-centric SFM can reach at a 100% promotion
-// rate ("the memory bandwidth utilization for reading and writing
-// data to memory can reach up to 34GBps").
-func (r *Fig1Result) WorstCase512GBChannelGBps() float64 {
-	swap := 512.0 / 60 // 100% promotion
-	return swap * 4    // §3.3 footnote: 4× with ratio folded out
-}
-
 // Table renders the figure.
 func (r *Fig1Result) Table() *stats.Table {
 	t := stats.NewTable(

@@ -36,8 +36,3 @@ func RunExperiments(list []Experiment, workers int) []RunResult {
 	})
 	return out
 }
-
-// RunAll runs the full suite in paper order.
-func RunAll(workers int) []RunResult {
-	return RunExperiments(All(), workers)
-}

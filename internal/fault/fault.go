@@ -101,17 +101,9 @@ func NewInjector(p Plan) *Injector {
 	rng := rand.New(rand.NewSource(p.Seed))
 	for i := Site(0); i < NumSites; i++ {
 		in.seeds[i] = rng.Uint64()
-		in.counts[i] = mInjected.With(i.String())
+		in.counts[i] = telemetry.FaultInjected.With(i.String())
 	}
 	return in
-}
-
-// Plan returns a copy of the normalized plan the injector evaluates.
-func (in *Injector) Plan() Plan {
-	if in == nil {
-		return Plan{}
-	}
-	return in.plan
 }
 
 // Hit reports whether the fault at site fires for the event identified

@@ -254,3 +254,11 @@ func TestWrapCodecTransientCorrupt(t *testing.T) {
 		t.Fatal("WrapCodec(nil) should return the inner codec")
 	}
 }
+
+// Plan returns a copy of the normalized plan the injector evaluates.
+func (in *Injector) Plan() Plan {
+	if in == nil {
+		return Plan{}
+	}
+	return in.plan
+}

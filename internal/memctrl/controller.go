@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"xfm/internal/dram"
+	"xfm/internal/telemetry"
 )
 
 // Request is one memory access presented to the controller.
@@ -61,9 +62,6 @@ func NewChannel(n int, dev dram.DeviceConfig, t dram.Timings) *Channel {
 
 // Rank returns rank i of the channel.
 func (c *Channel) Rank(i int) *dram.Rank { return c.ranks[i] }
-
-// NumRanks returns the number of ranks on the channel.
-func (c *Channel) NumRanks() int { return len(c.ranks) }
 
 // Access performs one chunk access of the given size on the channel
 // and returns the completion time of the data transfer and whether
@@ -178,7 +176,7 @@ func (ctl *Controller) Submit(req Request) dram.Ps {
 	} else {
 		mReqWrites.Inc()
 	}
-	hReqLatency.Observe(float64(lat))
+	telemetry.MemctrlRequestLatencyPs.Observe(float64(lat))
 	return last
 }
 

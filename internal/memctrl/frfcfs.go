@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"xfm/internal/dram"
+	"xfm/internal/telemetry"
 )
 
 // QueuedController adds transaction queues and FR-FCFS scheduling on
@@ -65,7 +66,7 @@ func (q *QueuedController) Enqueue(req Request) bool {
 			return false
 		}
 		q.readQ = append(q.readQ, req)
-		gReadQueue.SetInt(int64(len(q.readQ)))
+		telemetry.MemctrlReadQueueDepth.SetInt(int64(len(q.readQ)))
 		return true
 	}
 	if len(q.writeQ) >= q.WriteQueueDepth {
@@ -74,12 +75,9 @@ func (q *QueuedController) Enqueue(req Request) bool {
 		return false
 	}
 	q.writeQ = append(q.writeQ, req)
-	gWriteQueue.SetInt(int64(len(q.writeQ)))
+	telemetry.MemctrlWriteQueueDepth.SetInt(int64(len(q.writeQ)))
 	return true
 }
-
-// QueueLens returns the current (read, write) queue depths.
-func (q *QueuedController) QueueLens() (int, int) { return len(q.readQ), len(q.writeQ) }
 
 // rowHit reports whether the request's first chunk targets an open
 // row.
@@ -122,7 +120,7 @@ func (q *QueuedController) ServeOne() (dram.Ps, bool) {
 		req := q.writeQ[i]
 		q.writeQ = append(q.writeQ[:i], q.writeQ[i+1:]...)
 		q.stats.WritesServed++
-		gWriteQueue.SetInt(int64(len(q.writeQ)))
+		telemetry.MemctrlWriteQueueDepth.SetInt(int64(len(q.writeQ)))
 		return q.inner.Submit(req), true
 	}
 	if len(q.readQ) > 0 {
@@ -130,7 +128,7 @@ func (q *QueuedController) ServeOne() (dram.Ps, bool) {
 		req := q.readQ[i]
 		q.readQ = append(q.readQ[:i], q.readQ[i+1:]...)
 		q.stats.ReadsServed++
-		gReadQueue.SetInt(int64(len(q.readQ)))
+		telemetry.MemctrlReadQueueDepth.SetInt(int64(len(q.readQ)))
 		return q.inner.Submit(req), true
 	}
 	return 0, false

@@ -122,3 +122,6 @@ func TestServeOneEmpty(t *testing.T) {
 		t.Error("served from empty queues")
 	}
 }
+
+// QueueLens returns the current (read, write) queue depths.
+func (q *QueuedController) QueueLens() (int, int) { return len(q.readQ), len(q.writeQ) }

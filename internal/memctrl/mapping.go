@@ -133,21 +133,3 @@ func (m Mapping) Decompose(addr int64) Coord {
 		Col:     colChunk*m.BankInterleave + off,
 	}
 }
-
-// PageCoords returns the distinct (channel, rank, bank, row) tuples a
-// physically contiguous region [addr, addr+size) touches. The SFM swap
-// path uses this to find which rows a 4 KiB page occupies, which the
-// NMA matches against refresh windows.
-func (m Mapping) PageCoords(addr int64, size int) []Coord {
-	seen := map[Coord]bool{}
-	var out []Coord
-	for off := int64(0); off < int64(size); off += int64(m.BankInterleave) {
-		c := m.Decompose(addr + off)
-		key := Coord{Channel: c.Channel, Rank: c.Rank, Bank: c.Bank, Row: c.Row}
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, key)
-		}
-	}
-	return out
-}

@@ -259,3 +259,20 @@ func TestXORBankHashSpreadsRowStrides(t *testing.T) {
 		t.Errorf("XOR hash banks = %d, plain = %d; hashing should spread strides", h, p)
 	}
 }
+
+// PageCoords returns the distinct (channel, rank, bank, row) tuples a
+// physically contiguous region [addr, addr+size) touches: how the
+// tests below look at the rows a 4 KiB page occupies.
+func (m Mapping) PageCoords(addr int64, size int) []Coord {
+	seen := map[Coord]bool{}
+	var out []Coord
+	for off := int64(0); off < int64(size); off += int64(m.BankInterleave) {
+		c := m.Decompose(addr + off)
+		key := Coord{Channel: c.Channel, Rank: c.Rank, Bank: c.Bank, Row: c.Row}
+		if !seen[key] {
+			seen[key] = true
+			out = append(out, key)
+		}
+	}
+	return out
+}

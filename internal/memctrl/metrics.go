@@ -2,31 +2,11 @@ package memctrl
 
 import "xfm/internal/telemetry"
 
-// Process-wide memory-controller metrics: request volume and latency as
-// seen at the host controller (the vantage point of the paper's §7
-// co-run interference experiments), plus FR-FCFS queue occupancy so
-// back-pressure into the core is visible on a dashboard.
+// Label children of the catalogue's memctrl families, resolved once so
+// the request path never does a label lookup.
 var (
-	mRequests = telemetry.NewCounterVec("memctrl_requests_total",
-		"Requests submitted to the controller, by access kind.", "kind")
-	mReqReads, mReqWrites *telemetry.Counter
-
-	hReqLatency = telemetry.NewHistogram("memctrl_request_latency_ps",
-		"Per-request completion latency in picoseconds (all chunks done).",
-		telemetry.ExpBuckets(1e3, 2, 24))
-
-	gReadQueue = telemetry.NewGauge("memctrl_read_queue_depth",
-		"Current FR-FCFS read queue occupancy.")
-	gWriteQueue = telemetry.NewGauge("memctrl_write_queue_depth",
-		"Current FR-FCFS write queue occupancy.")
-	mQueueStalls = telemetry.NewCounterVec("memctrl_queue_full_stalls_total",
-		"Enqueue rejections due to a full transaction queue, by queue.", "queue")
-	mReadStalls, mWriteStalls *telemetry.Counter
+	mReqReads    = telemetry.MemctrlRequests.With("read")
+	mReqWrites   = telemetry.MemctrlRequests.With("write")
+	mReadStalls  = telemetry.MemctrlQueueFullStalls.With("read")
+	mWriteStalls = telemetry.MemctrlQueueFullStalls.With("write")
 )
-
-func init() {
-	mReqReads = mRequests.With("read")
-	mReqWrites = mRequests.With("write")
-	mReadStalls = mQueueStalls.With("read")
-	mWriteStalls = mQueueStalls.With("write")
-}

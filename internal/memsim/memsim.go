@@ -11,7 +11,6 @@ package memsim
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"xfm/internal/dram"
 	"xfm/internal/memctrl"
@@ -209,33 +208,4 @@ func (sys System) Run(specs []StreamSpec, dur dram.Ps) ([]Result, error) {
 		out[i] = r
 	}
 	return out, nil
-}
-
-// SlowdownVsSolo runs each stream alone and then all together, and
-// returns each stream's latency inflation factor (co-run mean latency
-// ÷ solo mean latency) — the simulation analogue of Fig. 11's runtime
-// slowdowns for memory-bound workloads.
-func (sys System) SlowdownVsSolo(specs []StreamSpec, dur dram.Ps) ([]float64, error) {
-	co, err := sys.Run(specs, dur)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(specs))
-	for i, s := range specs {
-		solo, err := sys.Run([]StreamSpec{s}, dur)
-		if err != nil {
-			return nil, err
-		}
-		if solo[0].MeanLatencyNs > 0 {
-			out[i] = co[i].MeanLatencyNs / solo[0].MeanLatencyNs
-		} else {
-			out[i] = 1
-		}
-	}
-	return out, nil
-}
-
-// SortResultsByID orders results for stable display.
-func SortResultsByID(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Spec.ID < rs[j].Spec.ID })
 }

@@ -291,3 +291,11 @@ func BenchmarkAdvanceIdle(b *testing.B) {
 		a.AdvanceTo(now)
 	}
 }
+
+// SetTracer redirects span output to tr (nil disables tracing for this
+// sim); tests inject private tracers here. Sims default to the
+// process-wide telemetry.DefaultTracer.
+func (s *Sim) SetTracer(tr *telemetry.Tracer) {
+	s.tracer = tr
+	s.track = -1
+}

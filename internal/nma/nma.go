@@ -385,17 +385,11 @@ func NewSim(cfg Config) *Sim {
 	return s
 }
 
-// SetTracer redirects span output to tr (nil disables tracing for this
-// sim); tests inject private tracers here. Sims default to the
-// process-wide telemetry.DefaultTracer.
-func (s *Sim) SetTracer(tr *telemetry.Tracer) {
-	s.tracer = tr
-	s.track = -1
-}
-
 // SetSampler redirects flight-recorder clock ticks to smp (nil
 // disconnects this sim from the recorder); tests inject private
 // samplers here. Sims default to telemetry.DefaultSampler.
+//
+//xfm:ignore unreachable test seam: TestTimeseriesBitDeterministic (internal/xfm) and the nma engine/storm tests record into private samplers
 func (s *Sim) SetSampler(smp *telemetry.Sampler) { s.sampler = smp }
 
 // SetInjector arms fault injection on this sim (nil disarms): the
@@ -414,9 +408,13 @@ func (s *Sim) Stats() Stats { return s.stats }
 func (s *Sim) Now() dram.Ps { return (s.window + 1) * s.cfg.Timings.TREFI }
 
 // SPMUsed returns the current SPM occupancy in bytes.
+//
+//xfm:ignore unreachable observer: TestSPMPressureBlocksReads and TestConservation watch the SPM drain, TestDriverSPCapacityCountsMMIO (internal/xfm) reads it through the driver
 func (s *Sim) SPMUsed() int { return s.spmUsed }
 
 // QueueLen returns the current Compress_Request_Queue depth.
+//
+//xfm:ignore unreachable observer: TestSPMPressureBlocksReads and TestConservation check the queue drains; the retired RegisterFile (internal/xfm/mmio_retired_test.go) reads it
 func (s *Sim) QueueLen() int { return s.queuedCount }
 
 // completedBucket maps a destination group key to its bucket index
@@ -450,13 +448,13 @@ func (s *Sim) newOp(req Request) *op {
 // container reuses its backing array.
 func (s *Sim) Submit(req Request) bool {
 	s.stats.Submitted++
-	mSubmitted.Inc()
+	telemetry.NMARequestsSubmitted.Inc()
 	if req.SrcGroup < 0 || req.SrcGroup >= s.groups || req.DstGroup < -1 || req.DstGroup >= s.groups {
 		panic(fmt.Sprintf("nma: refresh group out of range in %+v", req)) //xfm:ignore hotpath-alloc panic guard on malformed request; Sprintf runs only when panicking
 	}
 	if s.queuedCount >= s.cfg.QueueDepth {
 		s.stats.Fallbacks++
-		mRejected.Inc()
+		telemetry.NMARequestsRejected.Inc()
 		return false
 	}
 	o := s.newOp(req)
@@ -499,7 +497,7 @@ func (s *Sim) StepWindow() int {
 		// access slots, and queued work simply ages one window.
 		cond, rand = 0, 0
 		s.stats.StormWindows++
-		mStormWindows.Inc()
+		telemetry.NMAStormWindows.Inc()
 	}
 	condBudget, randBudget := cond, rand
 	s.traceOn = s.tracer != nil && s.tracer.Enabled()
@@ -598,14 +596,14 @@ func (s *Sim) StepWindow() int {
 	randDone := randBudget - rand
 	if condDone+randDone > 0 {
 		s.stats.BusyWindows++
-		mBusyWindows.Inc()
+		telemetry.NMABusyWindows.Inc()
 	}
-	mWindows.Inc()
-	mSlotsOffered.Add(int64(condBudget + randBudget))
-	mCondAccesses.Add(int64(condDone))
-	mRandAccesses.Add(int64(randDone))
-	gQueueDepth.SetInt(int64(s.queuedCount))
-	gSPMUsed.SetInt(int64(s.spmUsed))
+	telemetry.NMAWindows.Inc()
+	telemetry.NMASlotsOffered.Add(int64(condBudget + randBudget))
+	telemetry.NMAConditionalAccesses.Add(int64(condDone))
+	telemetry.NMARandomAccesses.Add(int64(randDone))
+	telemetry.NMAQueueDepth.SetInt(int64(s.queuedCount))
+	telemetry.NMASPMUsedBytes.SetInt(int64(s.spmUsed))
 	if s.traceOn && len(s.winAcc) > 0 {
 		s.emitWindowSpans(group, now)
 	}
@@ -667,8 +665,8 @@ func (s *Sim) skipWindows(n int64) {
 	// Stepped windows publish these gauges every tREFI; across an idle
 	// range the values are constant, so one store reproduces every
 	// sample a stepped run would record.
-	gQueueDepth.SetInt(int64(s.queuedCount))
-	gSPMUsed.SetInt(int64(s.spmUsed))
+	telemetry.NMAQueueDepth.SetInt(int64(s.queuedCount))
+	telemetry.NMASPMUsedBytes.SetInt(int64(s.spmUsed))
 	if s.sampler != nil {
 		s.sampler.SimTickRange(int64(start), int64(s.cfg.Timings.TREFI), n, s.bulkAdvance)
 	} else {
@@ -690,10 +688,10 @@ func (s *Sim) advanceIdle(k int64) {
 	storms := s.inj.StormWindowsIn(s.window, s.window+k)
 	if storms > 0 {
 		s.stats.StormWindows += storms
-		mStormWindows.Add(storms)
+		telemetry.NMAStormWindows.Add(storms)
 	}
-	mWindows.Add(k)
-	mSlotsOffered.Add((k - storms) * s.slotsPerWin)
+	telemetry.NMAWindows.Add(k)
+	telemetry.NMASlotsOffered.Add((k - storms) * s.slotsPerWin)
 	s.stats.Windows += k
 	s.window += k
 }
@@ -852,10 +850,10 @@ func (s *Sim) writeBack(o *op, now dram.Ps, random bool) {
 	}
 	o.writeRand = random
 	s.stats.Completed++
-	mCompleted.Inc()
+	telemetry.NMARequestsCompleted.Inc()
 	lat := now + s.cfg.Timings.TRFC - o.req.Arrive
 	s.stats.SumLatencyPs += lat
-	hLatency.Observe(float64(lat))
+	telemetry.NMAOffloadLatencyPs.Observe(float64(lat))
 	if lat > s.stats.MaxLatencyPs {
 		s.stats.MaxLatencyPs = lat
 	}

@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"xfm/internal/telemetry"
 )
 
 // Workers resolves a worker-count request: values > 0 pass through,
@@ -49,11 +51,11 @@ func ForEach(n, workers int, fn func(i int)) {
 		for i := 0; i < n; i++ {
 			fn(i) //xfm:ignore hotpath-alloc the per-item body is the caller's zero-alloc contract, pinned by the allocs/op regression tests
 		}
-		mTasks.Add(int64(n))
+		telemetry.ParallelTasks.Add(int64(n))
 		return
 	}
-	mBatches.Inc()
-	mTasks.Add(int64(n))
+	telemetry.ParallelBatches.Inc()
+	telemetry.ParallelTasks.Add(int64(n))
 	// Chunked claiming: one atomic op hands out `chunk` consecutive
 	// indexes. ~8 chunks per worker keeps the contended-counter cost
 	// down (per-page claiming put one RMW on every 4 KiB page) while
@@ -76,7 +78,7 @@ func ForEach(n, workers int, fn func(i int)) {
 		defer wg.Done()
 		claimed := 0
 		defer func() {
-			hWorkerTasks.Observe(float64(claimed))
+			telemetry.ParallelWorkerTasks.Observe(float64(claimed))
 			if r := recover(); r != nil {
 				panicOnce.Do(func() { panicVal = r })
 			}

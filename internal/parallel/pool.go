@@ -3,6 +3,8 @@ package parallel
 import (
 	"sync"
 	"sync/atomic"
+
+	"xfm/internal/telemetry"
 )
 
 // Pool is a persistent worker pool for the batched swap pipeline. A
@@ -96,7 +98,7 @@ func (p *Pool) Run(n, limit int, fn func(worker, i int)) {
 		active = n
 	}
 	if active <= 1 || p.closed() {
-		mTasks.Add(int64(n))
+		telemetry.ParallelTasks.Add(int64(n))
 		for i := 0; i < n; i++ {
 			fn(0, i) //xfm:ignore hotpath-alloc the per-item body is the caller's zero-alloc contract, pinned by the allocs/op regression tests
 		}
@@ -105,8 +107,8 @@ func (p *Pool) Run(n, limit int, fn func(worker, i int)) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.spawn.Do(p.spawnWorkers)
-	mBatches.Inc()
-	mTasks.Add(int64(n))
+	telemetry.ParallelBatches.Inc()
+	telemetry.ParallelTasks.Add(int64(n))
 	j := &p.job
 	j.fn, j.n = fn, n
 	j.chunk = chunkFor(n, active)
@@ -157,7 +159,7 @@ func (p *Pool) runBody(id int) {
 	claimed := 0
 	//xfm:ignore hotpath-alloc one deferred closure per worker per batch, amortized over the worker's whole claimed share
 	defer func() {
-		hWorkerTasks.Observe(float64(claimed))
+		telemetry.ParallelWorkerTasks.Observe(float64(claimed))
 		if r := recover(); r != nil {
 			if j.panicked.CompareAndSwap(false, true) {
 				j.panicVal = r

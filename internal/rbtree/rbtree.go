@@ -183,34 +183,6 @@ func (t *Tree[K, V]) Max() (key K, val V, ok bool) {
 	return n.key, n.val, true
 }
 
-// Ascend calls fn on every entry in key order until fn returns false.
-func (t *Tree[K, V]) Ascend(fn func(key K, val V) bool) {
-	ascend(t.root, fn)
-}
-
-func ascend[K any, V any](n *node[K, V], fn func(K, V) bool) bool {
-	if n == nil {
-		return true
-	}
-	if !ascend(n.left, fn) {
-		return false
-	}
-	if !fn(n.key, n.val) {
-		return false
-	}
-	return ascend(n.right, fn)
-}
-
-// Keys returns all keys in ascending order.
-func (t *Tree[K, V]) Keys() []K {
-	out := make([]K, 0, t.size)
-	t.Ascend(func(k K, _ V) bool {
-		out = append(out, k)
-		return true
-	})
-	return out
-}
-
 func min[K any, V any](n *node[K, V]) *node[K, V] {
 	for n.left != nil {
 		n = n.left

@@ -1,3 +1,9 @@
+// Retired by the tooling diet (CHANGES.md, PR 17): no binary reaches
+// anything declared here, so it no longer ships. It survives in a
+// _test.go file only because its tests are on the suite's floor, which
+// one PR may shrink by a few tests at most; delete this file together
+// with agehist_test.go.
+
 package sfm
 
 import (

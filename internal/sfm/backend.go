@@ -14,6 +14,7 @@ import (
 	"xfm/internal/compress"
 	"xfm/internal/dram"
 	"xfm/internal/rbtree"
+	"xfm/internal/telemetry"
 	"xfm/internal/zsmalloc"
 )
 
@@ -234,8 +235,8 @@ func (b *CPUBackend) commitOut(id PageID, data []byte, p *outPlan) error {
 		b.stats.BytesOut += PageSize
 		b.stats.StoredPages++
 		b.stats.SameFilledPages++
-		cSwapOuts.Inc()
-		cSameFilled.Inc()
+		telemetry.SFMSwapOuts.Inc()
+		telemetry.SFMSameFilled.Inc()
 		return nil
 	}
 	stored := p.comp
@@ -246,7 +247,7 @@ func (b *CPUBackend) commitOut(id PageID, data []byte, p *outPlan) error {
 		stored = data
 		e.stored = false
 		b.stats.IncompressiblePages++
-		cIncompressible.Inc()
+		telemetry.SFMIncompressible.Inc()
 	}
 	h, err := b.alloc.Alloc(stored)
 	if err == zsmalloc.ErrCapacity {
@@ -254,7 +255,7 @@ func (b *CPUBackend) commitOut(id PageID, data []byte, p *outPlan) error {
 		// the SFM capacity limit is hit", then retries once.
 		b.alloc.Compact()
 		b.stats.CompactOnFull++
-		cCompactOnFull.Inc()
+		telemetry.SFMCompactOnFull.Inc()
 		h, err = b.alloc.Alloc(stored)
 	}
 	if err != nil {
@@ -270,8 +271,8 @@ func (b *CPUBackend) commitOut(id PageID, data []byte, p *outPlan) error {
 	b.stats.StoredPages++
 	b.stats.CompressedBytes += int64(len(stored))
 	b.stats.CPUCycles += b.codec.Info().CompressCyclesPerByte * PageSize
-	cSwapOuts.Inc()
-	hCompressedBytes.Observe(float64(len(stored)))
+	telemetry.SFMSwapOuts.Inc()
+	telemetry.SFMCompressedPageBytes.Observe(float64(len(stored)))
 	return nil
 }
 
@@ -379,7 +380,7 @@ func (b *CPUBackend) commitIn(id PageID, p *inPlan) error {
 		b.stats.SwapIns++
 		b.stats.BytesIn += PageSize
 		b.stats.StoredPages--
-		cSwapIns.Inc()
+		telemetry.SFMSwapIns.Inc()
 		return nil
 	}
 	if p.err != nil {
@@ -396,7 +397,7 @@ func (b *CPUBackend) commitIn(id PageID, p *inPlan) error {
 	b.stats.StoredPages--
 	b.stats.CompressedBytes -= int64(len(p.pinned))
 	b.stats.CPUCycles += b.codec.Info().DecompressCyclesPerByte * PageSize
-	cSwapIns.Inc()
+	telemetry.SFMSwapIns.Inc()
 	return nil
 }
 
@@ -425,10 +426,4 @@ func (b *CPUBackend) Stats() BackendStats {
 	s := b.stats
 	s.Region = b.alloc.Stats()
 	return s
-}
-
-// StoredPageIDs returns the ids currently in far memory in ascending
-// order (compaction and inspection helper).
-func (b *CPUBackend) StoredPageIDs() []PageID {
-	return b.index.Keys()
 }

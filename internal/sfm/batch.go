@@ -2,7 +2,7 @@ package sfm
 
 import (
 	"xfm/internal/dram"
-	"xfm/internal/trace"
+	"xfm/internal/telemetry"
 )
 
 // Batched swap APIs (§5–§6 of the paper): XFM's whole throughput story
@@ -42,7 +42,7 @@ func FirstError(errs []error) error {
 // serially — it owns one scratch buffer and one zsmalloc region, so
 // the batch is a loop. ShardedBackend supplies the parallel version.
 func (b *CPUBackend) SwapOutBatch(now dram.Ps, pages []PageOut) []error {
-	hBatchPages.Observe(float64(len(pages)))
+	telemetry.SFMBatchPages.Observe(float64(len(pages)))
 	errs := make([]error, len(pages))
 	for i, p := range pages {
 		errs[i] = b.SwapOut(now, p.ID, p.Data)
@@ -52,38 +52,10 @@ func (b *CPUBackend) SwapOutBatch(now dram.Ps, pages []PageOut) []error {
 
 // SwapInBatch implements Backend.
 func (b *CPUBackend) SwapInBatch(now dram.Ps, pages []PageIn, offload bool) []error {
-	hBatchPages.Observe(float64(len(pages)))
+	telemetry.SFMBatchPages.Observe(float64(len(pages)))
 	errs := make([]error, len(pages))
 	for i, p := range pages {
 		errs[i] = b.SwapIn(now, p.ID, p.Dst, offload)
-	}
-	return errs
-}
-
-// SwapOutBatch implements Backend: the batch is forwarded to the inner
-// backend and each successful page is recorded, matching the per-page
-// records a serial loop would produce.
-func (t *TracingBackend) SwapOutBatch(now dram.Ps, pages []PageOut) []error {
-	errs := t.inner.SwapOutBatch(now, pages)
-	for i, p := range pages {
-		if errs[i] == nil {
-			t.record(now, trace.SwapOut, p.ID)
-		}
-	}
-	return errs
-}
-
-// SwapInBatch implements Backend.
-func (t *TracingBackend) SwapInBatch(now dram.Ps, pages []PageIn, offload bool) []error {
-	errs := t.inner.SwapInBatch(now, pages, offload)
-	op := trace.SwapIn
-	if offload {
-		op = trace.Prefetch
-	}
-	for i, p := range pages {
-		if errs[i] == nil {
-			t.record(now, op, p.ID)
-		}
 	}
 	return errs
 }

@@ -7,6 +7,7 @@ import (
 
 	"xfm/internal/compress"
 	"xfm/internal/dram"
+	"xfm/internal/telemetry"
 )
 
 // batchClock feeds the lock-wait and stage-duration histograms.
@@ -104,9 +105,9 @@ func (e *batchEngine) init(s *ShardedBackend, codec compress.Codec) {
 // Stage-duration histogram handles, resolved once (label lookup takes
 // a registry lock).
 var (
-	hStageOut  = hStageNs.With("stage_out")
-	hStageGth  = hStageNs.With("gather")
-	hStageInDC = hStageNs.With("decompress_commit")
+	hStageOut  = telemetry.SFMBatchStageNs.With("stage_out")
+	hStageGth  = telemetry.SFMBatchStageNs.With("gather")
+	hStageInDC = telemetry.SFMBatchStageNs.With("decompress_commit")
 )
 
 // plan groups batch indexes by shard into pooled slices and arms the
@@ -158,7 +159,7 @@ func (e *batchEngine) swapOutBatch(now dram.Ps, pages []PageOut) []error {
 	}
 	e.outPlans = e.outPlans[:len(pages)]
 	e.plan(len(pages), func(i int) int { return ShardIndexFor(pages[i].ID, len(e.s.shards)) })
-	gPipelineDepth.SetInt(int64(len(e.active)))
+	telemetry.SFMBatchPipelineDepth.SetInt(int64(len(e.active)))
 	t0 := stageClock()
 	e.s.pool.Run(len(pages), e.s.workers, e.outStepFn)
 	hStageOut.Observe(float64(stageClock().Sub(t0)))
@@ -188,18 +189,18 @@ func (e *batchEngine) outStep(w, i int) {
 func (e *batchEngine) commitOutShard(si int) {
 	idxs, outs := e.byShard[si], e.outs //xfm:ignore guardedby worker side of one batch: e.mu is held by the batch owner; the pending counter ordered every stager's plan write before this read
 	plans, errs := e.outPlans, e.errs
-	hShardBatchPages.Observe(float64(len(idxs)))
+	telemetry.SFMShardBatchPages.Observe(float64(len(idxs)))
 	sh := &e.s.shards[si]
 	t0 := stageClock()
 	sh.mu.Lock()
-	hLockWaitNs.Observe(float64(stageClock().Sub(t0)))
+	telemetry.SFMShardLockWaitNs.Observe(float64(stageClock().Sub(t0)))
 	for _, i := range idxs {
 		pg := &outs[i]
 		errs[i] = sh.b.commitOut(pg.ID, pg.Data, &plans[i])
 	}
 	sh.stored.SetInt(sh.b.stats.StoredPages)
 	sh.mu.Unlock()
-	gPipelineDepth.Add(-1)
+	telemetry.SFMBatchPipelineDepth.Add(-1)
 }
 
 // swapInBatch runs the two-phase swap-in pipeline: gather/detach per
@@ -218,7 +219,7 @@ func (e *batchEngine) swapInBatch(now dram.Ps, pages []PageIn) []error {
 	}
 	e.inPlans = e.inPlans[:len(pages)]
 	e.plan(len(pages), func(i int) int { return ShardIndexFor(pages[i].ID, len(e.s.shards)) })
-	gPipelineDepth.SetInt(int64(len(e.active)))
+	telemetry.SFMBatchPipelineDepth.SetInt(int64(len(e.active)))
 	t0 := stageClock()
 	e.s.pool.Run(len(e.active), e.s.workers, e.gatherStepFn)
 	t1 := stageClock()
@@ -240,11 +241,11 @@ func (e *batchEngine) swapInBatch(now dram.Ps, pages []PageIn) []error {
 func (e *batchEngine) gatherStep(_, i int) {
 	si, ins, plans := e.active[i], e.ins, e.inPlans //xfm:ignore guardedby worker side of one batch: e.mu is held by the batch owner and workers own disjoint shards in this phase
 	idxs := e.byShard[si]
-	hShardBatchPages.Observe(float64(len(idxs)))
+	telemetry.SFMShardBatchPages.Observe(float64(len(idxs)))
 	sh := &e.s.shards[si]
 	t0 := stageClock()
 	sh.mu.Lock()
-	hLockWaitNs.Observe(float64(stageClock().Sub(t0)))
+	telemetry.SFMShardLockWaitNs.Observe(float64(stageClock().Sub(t0)))
 	for _, j := range idxs {
 		pg := &ins[j]
 		plans[j] = sh.b.gatherIn(pg.ID, pg.Dst)
@@ -274,11 +275,11 @@ func (e *batchEngine) commitInShard(si int) {
 	sh := &e.s.shards[si]
 	t0 := stageClock()
 	sh.mu.Lock()
-	hLockWaitNs.Observe(float64(stageClock().Sub(t0)))
+	telemetry.SFMShardLockWaitNs.Observe(float64(stageClock().Sub(t0)))
 	for _, i := range idxs {
 		errs[i] = sh.b.commitIn(ins[i].ID, &plans[i])
 	}
 	sh.stored.SetInt(sh.b.stats.StoredPages)
 	sh.mu.Unlock()
-	gPipelineDepth.Add(-1)
+	telemetry.SFMBatchPipelineDepth.Add(-1)
 }

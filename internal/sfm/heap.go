@@ -38,9 +38,6 @@ func NewHeap(b Backend) *Heap {
 	return &Heap{backend: b, pages: map[PageID]*pageInfo{}, next: 1}
 }
 
-// Backend returns the heap's backend.
-func (h *Heap) Backend() Backend { return h.backend }
-
 // Stats returns heap counters.
 func (h *Heap) Stats() HeapStats { return h.stats }
 
@@ -148,18 +145,11 @@ func (h *Heap) PageIDs() []PageID {
 	return out
 }
 
-// Controller is the SFM control plane: it selects cold pages and
-// initiates swap-outs (§6 "the SFM_Controller selects a cold page
-// based on an algorithm or set of heuristics").
-type Controller interface {
-	// Run applies the policy at time now and returns how many pages
-	// it swapped out.
-	Run(now dram.Ps) int
-}
-
-// ColdScanController implements Google-style cold page scanning (§2.1:
-// "Google's approach involves pre-emptively scanning for cold
-// pages"): any resident page idle for at least ColdAfter is demoted.
+// ColdScanController is the SFM control plane (§6 "the SFM_Controller
+// selects a cold page based on an algorithm or set of heuristics"),
+// implementing Google-style cold page scanning (§2.1: "Google's
+// approach involves pre-emptively scanning for cold pages"): any
+// resident page idle for at least ColdAfter is demoted.
 type ColdScanController struct {
 	Heap      *Heap
 	ColdAfter dram.Ps
@@ -167,7 +157,8 @@ type ColdScanController struct {
 	MaxPerRun int
 }
 
-// Run implements Controller.
+// Run applies the policy at time now and returns how many pages it
+// swapped out.
 func (c *ColdScanController) Run(now dram.Ps) int {
 	n := 0
 	for _, id := range c.Heap.PageIDs() {
@@ -182,52 +173,6 @@ func (c *ColdScanController) Run(now dram.Ps) int {
 			if c.Heap.SwapOut(now, id) == nil {
 				n++
 			}
-		}
-	}
-	return n
-}
-
-// PressureController implements Meta-style pressure-driven reclaim
-// (§2.1: "Meta utilizes pressure metrics exposed by the OS"): when
-// resident pages exceed TargetResidentPages, the least recently used
-// pages are demoted until the target is met.
-type PressureController struct {
-	Heap                *Heap
-	TargetResidentPages int64
-}
-
-// Run implements Controller.
-func (c *PressureController) Run(now dram.Ps) int {
-	over := c.Heap.Stats().ResidentPages - c.TargetResidentPages
-	if over <= 0 {
-		return 0
-	}
-	// Collect resident pages sorted by last access (oldest first).
-	type cand struct {
-		id   PageID
-		last dram.Ps
-	}
-	var cands []cand
-	for _, id := range c.Heap.PageIDs() {
-		if c.Heap.Resident(id) {
-			last, _ := c.Heap.LastAccess(id)
-			cands = append(cands, cand{id, last})
-		}
-	}
-	// Insertion sort by last-access time; candidate lists are small in
-	// the workloads and mostly sorted by allocation order.
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && cands[j].last < cands[j-1].last; j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
-	n := 0
-	for _, cd := range cands {
-		if int64(n) >= over {
-			break
-		}
-		if c.Heap.SwapOut(now, cd.id) == nil {
-			n++
 		}
 	}
 	return n

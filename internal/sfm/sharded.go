@@ -75,14 +75,11 @@ func NewShardedBackend(codec compress.Codec, regionBytes int64, nShards, workers
 		//xfm:ignore guardedby construction: the backend has not escaped to any other goroutine yet
 		s.shards[i].b = NewCPUBackend(codec, perShard)
 		//xfm:ignore guardedby construction: the backend has not escaped to any other goroutine yet
-		s.shards[i].stored = gShardStoredPages.With(strconv.Itoa(i))
+		s.shards[i].stored = telemetry.SFMShardStoredPages.With(strconv.Itoa(i))
 	}
 	s.eng.init(s, codec)
 	return s
 }
-
-// Shards returns the shard count.
-func (s *ShardedBackend) Shards() int { return len(s.shards) }
 
 // Close releases the backend's worker pool goroutines. Optional (idle
 // workers only park on a channel); batches after Close degrade to the
@@ -132,7 +129,7 @@ func (s *ShardedBackend) SwapIn(now dram.Ps, id PageID, dst []byte, offload bool
 // finish a shard's pages commits that shard in input order (see
 // batchEngine).
 func (s *ShardedBackend) SwapOutBatch(now dram.Ps, pages []PageOut) []error {
-	hBatchPages.Observe(float64(len(pages)))
+	telemetry.SFMBatchPages.Observe(float64(len(pages)))
 	return s.eng.swapOutBatch(now, pages)
 }
 
@@ -141,7 +138,7 @@ func (s *ShardedBackend) SwapOutBatch(now dram.Ps, pages []PageOut) []error {
 // per-shard free/stats commits (see batchEngine). The offload hint is
 // ignored, as in the serial CPU path.
 func (s *ShardedBackend) SwapInBatch(now dram.Ps, pages []PageIn, offload bool) []error {
-	hBatchPages.Observe(float64(len(pages)))
+	telemetry.SFMBatchPages.Observe(float64(len(pages)))
 	return s.eng.swapInBatch(now, pages)
 }
 

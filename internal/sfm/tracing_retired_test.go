@@ -1,3 +1,9 @@
+// Retired by the tooling diet (CHANGES.md, PR 17): no binary reaches
+// anything declared here, so it no longer ships. It survives in a
+// _test.go file only because its tests are on the suite's floor, which
+// one PR may shrink by a few tests at most; delete this file together
+// with tracing_test.go and TestTracingBatch.
+
 package sfm
 
 import (
@@ -115,3 +121,31 @@ func (t *TracingBackend) WriteTrace(w *trace.Writer) error {
 }
 
 var _ Backend = (*TracingBackend)(nil)
+
+// SwapOutBatch implements Backend: the batch is forwarded to the inner
+// backend and each successful page is recorded, matching the per-page
+// records a serial loop would produce.
+func (t *TracingBackend) SwapOutBatch(now dram.Ps, pages []PageOut) []error {
+	errs := t.inner.SwapOutBatch(now, pages)
+	for i, p := range pages {
+		if errs[i] == nil {
+			t.record(now, trace.SwapOut, p.ID)
+		}
+	}
+	return errs
+}
+
+// SwapInBatch implements Backend.
+func (t *TracingBackend) SwapInBatch(now dram.Ps, pages []PageIn, offload bool) []error {
+	errs := t.inner.SwapInBatch(now, pages, offload)
+	op := trace.SwapIn
+	if offload {
+		op = trace.Prefetch
+	}
+	for i, p := range pages {
+		if errs[i] == nil {
+			t.record(now, op, p.ID)
+		}
+	}
+	return errs
+}

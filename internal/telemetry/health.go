@@ -236,13 +236,6 @@ func (m *Monitor) SetGauge(g *Gauge) {
 	m.mu.Unlock()
 }
 
-// Rules returns a copy of the monitor's rule set.
-func (m *Monitor) Rules() []Rule {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Rule(nil), m.rules...)
-}
-
 // Evaluate runs every rule over the dump and returns the folded
 // verdict.
 func (m *Monitor) Evaluate(d *Dump) Health {
@@ -358,7 +351,6 @@ func DefaultRules() []Rule {
 var (
 	defaultMonitorOnce sync.Once
 	defaultMonitor     *Monitor
-	gHealthStatus      *Gauge
 )
 
 // DefaultMonitor returns the process-wide monitor over DefaultRules,
@@ -366,10 +358,8 @@ var (
 // (0 OK, 1 DEGRADED, 2 CRITICAL).
 func DefaultMonitor() *Monitor {
 	defaultMonitorOnce.Do(func() {
-		gHealthStatus = NewGauge("telemetry_health_status",
-			"Overall health verdict of the default monitor: 0 OK, 1 DEGRADED, 2 CRITICAL.")
 		defaultMonitor = NewMonitor()
-		defaultMonitor.SetGauge(gHealthStatus)
+		defaultMonitor.SetGauge(healthStatus)
 	})
 	return defaultMonitor
 }

@@ -260,3 +260,10 @@ func TestDefaultMonitorSingleton(t *testing.T) {
 		t.Fatal("default monitor has no rules")
 	}
 }
+
+// Rules returns a copy of the monitor's rule set.
+func (m *Monitor) Rules() []Rule {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]Rule(nil), m.rules...)
+}

@@ -85,7 +85,6 @@ func TestWritePrometheusEmptyHistogram(t *testing.T) {
 func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("golden_swaps_total", "Total swaps.").Add(42)
-	r.FloatCounter("golden_bytes_total", "Float counter.").Add(1.5)
 	r.Gauge("golden_depth", "Queue depth.").SetInt(7)
 	r.GaugeFunc("golden_rate", "Derived ratio.", func() float64 { return 0.754 })
 	h := r.Histogram("golden_lat_ps", "Latency.", []float64{10, 100, 1000})

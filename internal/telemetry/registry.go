@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -11,11 +12,10 @@ import (
 
 // Metric kinds held by a registry family.
 const (
-	kindCounter      = "counter"
-	kindFloatCounter = "floatcounter"
-	kindGauge        = "gauge"
-	kindGaugeFunc    = "gaugefunc"
-	kindHistogram    = "histogram"
+	kindCounter   = "counter"
+	kindGauge     = "gauge"
+	kindGaugeFunc = "gaugefunc"
+	kindHistogram = "histogram"
 )
 
 // family is one named metric family: an unlabeled metric or a set of
@@ -47,8 +47,6 @@ func (f *family) child(label string) interface{} {
 	switch f.kind {
 	case kindCounter:
 		m = &Counter{}
-	case kindFloatCounter:
-		m = &FloatCounter{}
 	case kindGauge:
 		m = &Gauge{}
 	case kindHistogram:
@@ -98,8 +96,9 @@ func validName(name string) bool {
 }
 
 // family returns the family, creating it on first use. Re-registering
-// an existing name with a different kind or label key panics: that is
-// a programming error, caught at init time.
+// an existing name with a different kind, label key or bucket layout,
+// or a derived gauge at all (a second fn would be dropped), panics:
+// that is a programming error, caught at init time.
 func (r *Registry) family(name, help, kind, labelKey string, buckets []float64, fn func() float64) *family {
 	if !validName(name) {
 		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
@@ -110,6 +109,13 @@ func (r *Registry) family(name, help, kind, labelKey string, buckets []float64, 
 		if f.kind != kind || f.labelKey != labelKey {
 			panic(fmt.Sprintf("telemetry: metric %q re-registered as %s/%q (was %s/%q)",
 				name, kind, labelKey, f.kind, f.labelKey))
+		}
+		if !slices.Equal(f.buckets, buckets) {
+			panic(fmt.Sprintf("telemetry: metric %q re-registered with buckets %v (was %v)",
+				name, buckets, f.buckets))
+		}
+		if fn != nil {
+			panic(fmt.Sprintf("telemetry: metric %q re-registered with a second gauge func", name))
 		}
 		return f
 	}
@@ -124,11 +130,6 @@ func (r *Registry) family(name, help, kind, labelKey string, buckets []float64, 
 // Counter returns the registered counter, creating it on first use.
 func (r *Registry) Counter(name, help string) *Counter {
 	return r.family(name, help, kindCounter, "", nil, nil).child("").(*Counter)
-}
-
-// FloatCounter returns the registered float counter.
-func (r *Registry) FloatCounter(name, help string) *FloatCounter {
-	return r.family(name, help, kindFloatCounter, "", nil, nil).child("").(*FloatCounter)
 }
 
 // Gauge returns the registered gauge.
@@ -187,8 +188,10 @@ func (v *HistogramVec) With(labelValue string) *Histogram {
 	return v.f.child(labelValue).(*Histogram)
 }
 
-// ResetAll zeroes every metric in the registry (tests and benchmark
-// isolation); families stay registered.
+// ResetAll zeroes every metric in the registry (test isolation);
+// families stay registered.
+//
+//xfm:ignore unreachable test seam: the nma engine/storm tests and TestTimeseriesBitDeterministic (internal/xfm) zero the default registry so two recordings start from the same gauges
 func (r *Registry) ResetAll() {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -197,8 +200,6 @@ func (r *Registry) ResetAll() {
 		for _, m := range f.children {
 			switch m := m.(type) {
 			case *Counter:
-				m.Reset()
-			case *FloatCounter:
 				m.Reset()
 			case *Gauge:
 				m.Reset()
@@ -256,10 +257,7 @@ func promFloat(v float64) string {
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, f := range r.sortedFamilies() {
 		typ := f.kind
-		switch f.kind {
-		case kindFloatCounter:
-			typ = "counter"
-		case kindGaugeFunc:
+		if f.kind == kindGaugeFunc {
 			typ = "gauge"
 		}
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, typ); err != nil {
@@ -281,8 +279,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			switch m := m.(type) {
 			case *Counter:
 				_, err = fmt.Fprintf(w, "%s%s %d\n", f.name, ls, m.Value())
-			case *FloatCounter:
-				_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, ls, promFloat(m.Value()))
 			case *Gauge:
 				_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, ls, promFloat(m.Value()))
 			case *Histogram:
@@ -372,8 +368,6 @@ func (r *Registry) Snapshot() Snapshot {
 			switch m := m.(type) {
 			case *Counter:
 				s.Counters[key] = m.Value()
-			case *FloatCounter:
-				s.Gauges[key] = m.Value()
 			case *Gauge:
 				s.Gauges[key] = m.Value()
 			case *Histogram:

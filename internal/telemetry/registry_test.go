@@ -55,6 +55,35 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.Gauge("dup", "help")
 }
 
+// TestReRegisterDifferentBucketsPanics: a caller must never be handed a
+// histogram whose bounds are not the ones it passed.
+func TestReRegisterDifferentBucketsPanics(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("lat", "help", []float64{1, 10})
+	if again := r.Histogram("lat", "help", []float64{1, 10}); again != h {
+		t.Error("re-registration with the same buckets should return the same histogram")
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, `"lat" re-registered with buckets`) {
+			t.Errorf("re-registering lat with other buckets should panic, got %q", msg)
+		}
+	}()
+	r.Histogram("lat", "help", []float64{1, 100})
+}
+
+// TestReRegisterGaugeFuncPanics: the second fn used to be dropped
+// silently.
+func TestReRegisterGaugeFuncPanics(t *testing.T) {
+	r := NewRegistry()
+	r.GaugeFunc("rate", "help", func() float64 { return 1 })
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, `"rate" re-registered with a second gauge func`) {
+			t.Errorf("re-registering rate should panic, got %q", msg)
+		}
+	}()
+	r.GaugeFunc("rate", "help", func() float64 { return 2 })
+}
+
 func TestHistogramQuantiles(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("h", "help", LinearBuckets(10, 10, 10))

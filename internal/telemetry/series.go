@@ -139,22 +139,6 @@ func NewSampler(reg *Registry, capacity int, metrics ...string) *Sampler {
 	return s
 }
 
-// SetMetrics replaces the selected metric families and clears any
-// recorded data.
-func (s *Sampler) SetMetrics(metrics ...string) {
-	s.mu.Lock()
-	s.names = append([]string(nil), metrics...)
-	s.resetLocked()
-	s.mu.Unlock()
-}
-
-// Metrics returns the selected metric family names.
-func (s *Sampler) Metrics() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.names...)
-}
-
 // SetSimEvery sets the simulated-time sampling period in refresh
 // windows (SimTick calls per sample); n ≤ 0 disables sim-domain
 // sampling.
@@ -247,7 +231,7 @@ func (s *Sampler) resetLocked() {
 			continue
 		}
 		switch f.kind {
-		case kindCounter, kindFloatCounter:
+		case kindCounter:
 			s.prevCtr[name] = f.counterTotal()
 		case kindHistogram:
 			s.prevHist[name] = f.mergedState()
@@ -347,15 +331,6 @@ func (s *Sampler) SimTickRange(startPs, stepPs, n int64, advance func(k int64)) 
 	}
 }
 
-// Sample takes one sample at timestamp t (simulated picoseconds or
-// wall nanoseconds, depending on the clock domain). Non-monotonic
-// timestamps are dropped.
-func (s *Sampler) Sample(t int64) {
-	s.mu.Lock()
-	s.sampleLocked(t)
-	s.mu.Unlock()
-}
-
 // FinalSample appends one last sample just past the end of the
 // recorded timeline, so short runs that never crossed a sampling
 // period still produce a non-empty artifact.
@@ -377,7 +352,7 @@ func (s *Sampler) sampleLocked(t int64) {
 			continue
 		}
 		switch f.kind {
-		case kindCounter, kindFloatCounter:
+		case kindCounter:
 			cur := f.counterTotal()
 			s.get(name, SeriesCounter, name).push(Point{T: t, V: cur - s.prevCtr[name]})
 			s.prevCtr[name] = cur
@@ -647,11 +622,8 @@ func (f *family) counterTotal() float64 {
 	defer f.mu.RUnlock()
 	total := 0.0
 	for _, m := range f.children {
-		switch m := m.(type) {
-		case *Counter:
-			total += float64(m.Value())
-		case *FloatCounter:
-			total += m.Value()
+		if c, ok := m.(*Counter); ok {
+			total += float64(c.Value())
 		}
 	}
 	return total
@@ -693,42 +665,6 @@ func (f *family) mergedState() HistogramState {
 		out.Sum += st.Sum
 	}
 	return out
-}
-
-// DefaultSeriesMetrics is the curated catalogue the default sampler
-// records: the windowed signals the health rules and xfmtop read. Every
-// entry is deterministic under the simulated clock (no wall-time
-// histograms), so sim-domain recordings are bit-identical for a fixed
-// seed at any worker count.
-func DefaultSeriesMetrics() []string {
-	return []string{
-		// Offload path volume.
-		"sfm_swap_outs_total", "sfm_swap_ins_total",
-		"sfm_same_filled_total", "sfm_incompressible_total",
-		"xfm_offloads_total", "xfm_fallbacks_total",
-		"xfm_ecc_corrected_total", "xfm_ecc_uncorrectable_total",
-		// Degradation ladder and fault plane (DESIGN §10).
-		"xfm_op_timeouts_total", "xfm_breaker_trips_total",
-		"fault_injected_total",
-		// NMA refresh-window machinery.
-		"nma_windows_total", "nma_busy_windows_total",
-		"nma_storm_windows_total",
-		"nma_requests_submitted_total", "nma_requests_rejected_total",
-		"nma_requests_completed_total",
-		"nma_conditional_accesses_total", "nma_random_accesses_total",
-		"nma_slots_offered_total",
-		// Memory controller pressure.
-		"memctrl_requests_total", "memctrl_queue_full_stalls_total",
-		// Instantaneous state and derived rates.
-		"xfm_degraded_mode", "xfm_quarantined_pages",
-		"xfm_fallback_rate", "nma_slot_utilization",
-		"nma_queue_depth", "nma_spm_used_bytes",
-		"memctrl_read_queue_depth", "memctrl_write_queue_depth",
-		"sfm_promotion_rate",
-		// Latency and size distributions (windowed quantiles).
-		"nma_offload_latency_ps", "memctrl_request_latency_ps",
-		"sfm_compressed_page_bytes",
-	}
 }
 
 var (

@@ -414,3 +414,12 @@ func TestDefaultSeriesMetricsResolve(t *testing.T) {
 		}
 	}
 }
+
+// Sample takes one sample at timestamp t (simulated picoseconds or
+// wall nanoseconds, depending on the clock domain). Non-monotonic
+// timestamps are dropped.
+func (s *Sampler) Sample(t int64) {
+	s.mu.Lock()
+	s.sampleLocked(t)
+	s.mu.Unlock()
+}

@@ -1,8 +1,8 @@
 package telemetry
 
-// Default is the process-wide registry every instrumented package
-// records into; CLIs export it with -metrics-out and serve it with
-// -pprof.
+// defaultRegistry is the process-wide registry every instrumented
+// package records into, through the handles catalogue.go declares;
+// CLIs export it with -metrics-out and serve it with -pprof.
 var defaultRegistry = NewRegistry()
 
 // DefaultRegistry returns the process-wide registry.
@@ -14,41 +14,3 @@ var defaultTracer = NewTracer()
 
 // DefaultTracer returns the process-wide span tracer.
 func DefaultTracer() *Tracer { return defaultTracer }
-
-// NewCounter registers (or fetches) a counter in the default registry.
-func NewCounter(name, help string) *Counter { return defaultRegistry.Counter(name, help) }
-
-// NewFloatCounter registers a float counter in the default registry.
-func NewFloatCounter(name, help string) *FloatCounter {
-	return defaultRegistry.FloatCounter(name, help)
-}
-
-// NewGauge registers a gauge in the default registry.
-func NewGauge(name, help string) *Gauge { return defaultRegistry.Gauge(name, help) }
-
-// NewGaugeFunc registers a derived gauge in the default registry.
-func NewGaugeFunc(name, help string, fn func() float64) {
-	defaultRegistry.GaugeFunc(name, help, fn)
-}
-
-// NewHistogram registers a histogram in the default registry.
-func NewHistogram(name, help string, buckets []float64) *Histogram {
-	return defaultRegistry.Histogram(name, help, buckets)
-}
-
-// NewCounterVec registers a labeled counter family in the default
-// registry.
-func NewCounterVec(name, help, labelKey string) *CounterVec {
-	return defaultRegistry.CounterVec(name, help, labelKey)
-}
-
-// NewGaugeVec registers a labeled gauge family in the default registry.
-func NewGaugeVec(name, help, labelKey string) *GaugeVec {
-	return defaultRegistry.GaugeVec(name, help, labelKey)
-}
-
-// NewHistogramVec registers a labeled histogram family in the default
-// registry.
-func NewHistogramVec(name, help, labelKey string, buckets []float64) *HistogramVec {
-	return defaultRegistry.HistogramVec(name, help, labelKey, buckets)
-}

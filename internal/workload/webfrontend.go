@@ -6,6 +6,7 @@ import (
 	"xfm/internal/corpus"
 	"xfm/internal/dram"
 	"xfm/internal/sfm"
+	"xfm/internal/telemetry"
 	"xfm/internal/trace"
 )
 
@@ -145,7 +146,7 @@ func (w WebFrontend) Run(backend sfm.Backend) (Result, error) {
 				}
 			}
 			if farCount > 0 {
-				gPromotionRate.Set(float64(promCount) / float64(farCount))
+				telemetry.SFMPromotionRate.Set(float64(promCount) / float64(farCount))
 			}
 		}
 	}

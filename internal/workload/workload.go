@@ -7,7 +7,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"xfm/internal/dram"
@@ -93,12 +92,6 @@ func (p PromotionTraffic) PagesPerSecondPerRank() float64 {
 	bytesPerSec := p.SFMCapacityGB * 1e9 * p.PromotionRate / 60
 	pagesPerSec := bytesPerSec / float64(p.PageBytes)
 	return 2 * pagesPerSec / float64(p.Ranks) // compress + decompress
-}
-
-// SwapGBps returns the total swap bandwidth (each direction) in GB/s,
-// the EQ1 rate: capacity × promotion / 60 s.
-func (p PromotionTraffic) SwapGBps() float64 {
-	return p.SFMCapacityGB * p.PromotionRate / 60
 }
 
 // Stream returns an iterator producing Poisson arrivals for `dur` of
@@ -265,16 +258,4 @@ func PromotionRateOfTrace(promotedBytes, farBytes int64) float64 {
 		return 0
 	}
 	return float64(promotedBytes) / float64(farBytes)
-}
-
-// ColdFraction implements the Google observation the paper cites
-// (§3.1): classifying pages cold after T seconds without access finds
-// a cold fraction that decays with T. The model fits the cited data
-// point (T = 120 s ⇒ ≈30% cold) with an exponential working-set
-// decay.
-func ColdFraction(coldAfterSec float64) float64 {
-	// exp(-t/τ) shaped idleness: fraction of pages idle ≥ t.
-	// Calibrated: ColdFraction(120) ≈ 0.30.
-	const tau = 100.0
-	return math.Exp(-coldAfterSec / tau)
 }

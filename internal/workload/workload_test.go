@@ -331,3 +331,21 @@ func TestBurstinessIncreasesFallbacks(t *testing.T) {
 		t.Errorf("bursty fallback rate %.4f below smooth %.4f", bursty, smooth)
 	}
 }
+
+// SwapGBps returns the total swap bandwidth (each direction) in GB/s,
+// the EQ1 rate: capacity × promotion / 60 s.
+func (p PromotionTraffic) SwapGBps() float64 {
+	return p.SFMCapacityGB * p.PromotionRate / 60
+}
+
+// ColdFraction implements the Google observation the paper cites
+// (§3.1): classifying pages cold after T seconds without access finds
+// a cold fraction that decays with T. The model fits the cited data
+// point (T = 120 s ⇒ ≈30% cold) with an exponential working-set
+// decay.
+func ColdFraction(coldAfterSec float64) float64 {
+	// exp(-t/τ) shaped idleness: fraction of pages idle ≥ t.
+	// Calibrated: ColdFraction(120) ≈ 0.30.
+	const tau = 100.0
+	return math.Exp(-coldAfterSec / tau)
+}

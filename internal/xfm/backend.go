@@ -228,7 +228,7 @@ func (b *Backend) offloadIn(now dram.Ps, pages []sfm.PageIn, errs []error, offlo
 // recordFallback charges one CPU-executed swap operation.
 func (b *Backend) recordFallback(kind nma.OpKind) {
 	b.fallbacks.Inc()
-	gmFallbacks.Inc()
+	telemetry.XFMFallbacks.Inc()
 	b.cpuCycles.Add(fallbackCycles(b.codec, kind))
 }
 
@@ -246,7 +246,7 @@ func (b *Backend) QuarantinedPages() int { return len(b.integ.quarantined) }
 
 // QuarantineServed returns how many quarantined swap-ins were re-served
 // from staging copies, process-wide.
-func QuarantineServed() int64 { return gmQuarantineServed.Value() }
+func QuarantineServed() int64 { return telemetry.XFMQuarantineServed.Value() }
 
 // submitOrFallback builds the offload request for a page moving from
 // address src to dst and runs the §6 submission protocol: lazy
@@ -272,7 +272,7 @@ func (b *Backend) submitOrFallback(now dram.Ps, kind nma.OpKind, src, dst int64)
 			return
 		}
 		b.offloads.Inc()
-		gmOffloads.Inc()
+		telemetry.XFMOffloads.Inc()
 		return
 	}
 	switch Mode(d.mode.Load()) {
@@ -288,9 +288,9 @@ func (b *Backend) submitOrFallback(now dram.Ps, kind nma.OpKind, src, dst int64)
 	case ModeRecovering:
 		// Canary probe: a real op, but one failure re-opens the
 		// breaker immediately instead of feeding the sliding window.
-		gmCanaryProbes.Inc()
+		telemetry.XFMCanaryProbes.Inc()
 		if ok, err := b.submitOnce(req); err != nil || !ok {
-			gmCanaryFailures.Inc()
+			telemetry.XFMCanaryFailures.Inc()
 			b.transition(ModeCPUOnly, now)
 			b.recordFallback(kind)
 			return
@@ -300,20 +300,20 @@ func (b *Backend) submitOrFallback(now dram.Ps, kind nma.OpKind, src, dst int64)
 			b.transition(ModeHealthy, now)
 		}
 		b.offloads.Inc()
-		gmOffloads.Inc()
+		telemetry.XFMOffloads.Inc()
 		return
 	}
 	ok, err := b.submitOnce(req)
 	if err == ErrOpTimeout {
-		gmOpTimeouts.Inc()
+		telemetry.XFMOpTimeouts.Inc()
 		if d.policy.RetryOnce {
 			// Per-op deadline policy: retry once (a fresh submission
 			// sequence number, so injection draws fresh), then fall
 			// back to the CPU.
-			gmOpRetries.Inc()
+			telemetry.XFMOpRetries.Inc()
 			ok, err = b.submitOnce(req)
 			if err == ErrOpTimeout {
-				gmOpTimeouts.Inc()
+				telemetry.XFMOpTimeouts.Inc()
 			}
 		}
 	}
@@ -340,7 +340,7 @@ func (b *Backend) submitOrFallback(now dram.Ps, kind nma.OpKind, src, dst int64)
 		return
 	}
 	b.offloads.Inc()
-	gmOffloads.Inc()
+	telemetry.XFMOffloads.Inc()
 }
 
 // submitOnce runs one §6 submission: lazy SPM occupancy check, MMIO
@@ -356,7 +356,7 @@ func (b *Backend) submitOnce(req nma.Request) (bool, error) {
 	if (outstanding+1)*int64(cfg.PageBytes) > int64(cfg.SPMBytes) {
 		b.completedSeen.Store(b.driver.PollCompletions())
 		b.spmSyncs.Inc()
-		gmSPMSyncs.Inc()
+		telemetry.XFMSPMSyncs.Inc()
 	}
 	return b.driver.Submit(req)
 }

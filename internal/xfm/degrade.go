@@ -79,18 +79,6 @@ type DegradePolicy struct {
 	RetryOnce bool
 }
 
-// DefaultDegradePolicy returns the policy the chaos gate runs with.
-func DefaultDegradePolicy() DegradePolicy {
-	return DegradePolicy{
-		Window:          32,
-		TripFailures:    8,
-		DegradeFailures: 3,
-		ReprobeAfter:    32,
-		CanarySuccesses: 4,
-		RetryOnce:       true,
-	}
-}
-
 // normalize clamps a policy into its valid domain.
 func (p *DegradePolicy) normalize() {
 	if p.Window < 1 {
@@ -182,7 +170,7 @@ func (b *Backend) EnableDegradation(p DegradePolicy) {
 	if b.integ.staging == nil {
 		b.integ.staging = map[sfm.PageID][]byte{}
 	}
-	gmDegradedMode.SetInt(int64(ModeHealthy))
+	telemetry.XFMDegradedMode.SetInt(int64(ModeHealthy))
 }
 
 // Mode returns the backend's degradation state; ModeHealthy when
@@ -212,19 +200,19 @@ func (b *Backend) transition(to Mode, now dram.Ps) {
 	if from == to {
 		return
 	}
-	gmDegradedMode.SetInt(int64(to))
-	gmModeTransitions.Inc()
+	telemetry.XFMDegradedMode.SetInt(int64(to))
+	telemetry.XFMModeTransitions.Inc()
 	switch to {
 	case ModeCPUOnly:
 		d.trips.Inc()
-		gmBreakerTrips.Inc()
+		telemetry.XFMBreakerTrips.Inc()
 		d.cpuOps = 0
 	case ModeRecovering:
 		d.canaryOK = 0
 	case ModeHealthy:
 		if from == ModeRecovering {
 			d.recoveries.Inc()
-			gmBreakerRecoveries.Inc()
+			telemetry.XFMBreakerRecoveries.Inc()
 			d.resetWindow()
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"xfm/internal/memctrl"
 	"xfm/internal/nma"
 	"xfm/internal/sfm"
+	"xfm/internal/telemetry"
 )
 
 func chaosBackend(t *testing.T, spec string, seed int64) (*Backend, *fault.Injector) {
@@ -92,7 +93,7 @@ func TestRetryOnceAbsorbsIsolatedTimeouts(t *testing.T) {
 	if trips != 0 {
 		t.Fatalf("isolated 5%% stalls tripped the breaker %d times", trips)
 	}
-	if gmOpRetries.Value() == 0 {
+	if telemetry.XFMOpRetries.Value() == 0 {
 		t.Fatal("no retries recorded despite injected stalls")
 	}
 }
@@ -235,5 +236,18 @@ func TestDriverQueueFullInjection(t *testing.T) {
 	s := b.Stats()
 	if s.Fallbacks < 10 {
 		t.Fatalf("fallbacks = %d, want >= 10 (one per spurious rejection)", s.Fallbacks)
+	}
+}
+
+// DefaultDegradePolicy is the mid-range breaker policy these tests and
+// the differential test arm (the chaos gate runs chaos.GatePolicy).
+func DefaultDegradePolicy() DegradePolicy {
+	return DegradePolicy{
+		Window:          32,
+		TripFailures:    8,
+		DegradeFailures: 3,
+		ReprobeAfter:    32,
+		CanarySuccesses: 4,
+		RetryOnce:       true,
 	}
 }

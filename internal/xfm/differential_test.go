@@ -103,12 +103,12 @@ type diffTarget struct {
 
 // diffState is everything a replica exposes; comparable with ==.
 type diffState struct {
-	stats                          sfm.BackendStats
-	parity, corrected, bad, spm    int64
-	quarantined                    int
-	mode                           Mode
-	trips, recoveries, frag, trace int64
-	nma                            [2]nma.Stats
+	stats                       sfm.BackendStats
+	parity, corrected, bad, spm int64
+	quarantined                 int
+	mode                        Mode
+	trips, recoveries, frag     int64
+	nma                         [2]nma.Stats
 }
 
 func (tg *diffTarget) state() diffState {
@@ -120,9 +120,6 @@ func (tg *diffTarget) state() diffState {
 	}
 	if tg.gb != nil {
 		s.frag = tg.gb.FragmentationBytes()
-	}
-	if tb, ok := tg.Backend.(*sfm.TracingBackend); ok {
-		s.trace = int64(len(tb.Trace()))
 	}
 	for i, sim := range tg.sims {
 		s.nma[i] = sim.Stats()
@@ -206,9 +203,6 @@ func TestDifferentialSingleVsBatch(t *testing.T) {
 			s := sfm.NewShardedBackend(compress.NewXDeflate(), 1<<30, 4, 0)
 			t.Cleanup(s.Close)
 			return &diffTarget{Backend: s}
-		}, false},
-		{"sfm.TracingBackend", func(*testing.T) *diffTarget {
-			return &diffTarget{Backend: sfm.NewTracingBackend(sfm.NewCPUBackend(compress.NewLZFast(), 1<<30))}
 		}, false},
 		{"xfm.NewBackend", func(t *testing.T) *diffTarget { return xfmTarget(t, 0, "") }, false},
 		{"xfm.NewBackend/chaos", func(t *testing.T) *diffTarget { return xfmTarget(t, 0, chaos) }, true},

@@ -51,13 +51,13 @@ type Driver struct {
 // mmioRead charges one register read.
 func (d *Driver) mmioRead() {
 	d.mmioReads.Inc()
-	gmMMIOReads.Inc()
+	telemetry.XFMMMIOReads.Inc()
 }
 
 // mmioWrite charges n register writes.
 func (d *Driver) mmioWrite(n int64) {
 	d.mmioWrites.Add(n)
-	gmMMIOWrites.Add(n)
+	telemetry.XFMMMIOWrites.Add(n)
 }
 
 // NewDriver builds a driver over one NMA rank simulator.
@@ -85,7 +85,7 @@ func (d *Driver) Paramset(base, size int64) error {
 		return fmt.Errorf("xfm: negative region base %d", base)
 	}
 	d.ioctls.Inc()
-	gmIoctls.Inc()
+	telemetry.XFMIoctls.Inc()
 	d.mmioWrite(2)
 	d.regionBase, d.regionBytes = base, size
 	d.paramSet = true
@@ -94,21 +94,6 @@ func (d *Driver) Paramset(base, size int64) error {
 
 // Region returns the configured SFM region.
 func (d *Driver) Region() (base, size int64) { return d.regionBase, d.regionBytes }
-
-// SPCapacity reads the SP_Capacity_Register: the free bytes in the
-// ScratchPad Memory. The read is an MMIO round trip, so callers track
-// occupancy lazily and only sync when their inferred bound hits zero
-// (§6).
-func (d *Driver) SPCapacity() int {
-	d.mmioRead()
-	return d.sim.Config().SPMBytes - d.sim.SPMUsed()
-}
-
-// QueueFree reads the free depth of the Compress_Request_Queue.
-func (d *Driver) QueueFree() int {
-	d.mmioRead()
-	return d.sim.Config().QueueDepth - d.sim.QueueLen()
-}
 
 // PollCompletions reads the completion counter register: the total
 // number of offloads the NMA has finished. The backend uses the delta

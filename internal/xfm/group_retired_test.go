@@ -1,3 +1,9 @@
+// Retired by the tooling diet (CHANGES.md, PR 17): no binary reaches
+// anything declared here, so it no longer ships. It survives in a
+// _test.go file only because its tests are on the suite's floor, which
+// one PR may shrink by a few tests at most; delete this file together
+// with group_test.go, TestGroupBatch* (batch_test.go) and the xfm.GroupBackend row of TestDifferentialSingleVsBatch.
+
 package xfm
 
 import (
@@ -244,3 +250,46 @@ func (g *GroupBackend) FragmentationBytes() int64 { return g.stats.fragBytes }
 func (g *GroupBackend) ReservedBytesPerDIMM() int64 { return g.reservedBytes }
 
 var _ sfm.Backend = (*GroupBackend)(nil)
+
+// SwapOutBatch implements sfm.Backend: the multi-channel
+// split-and-compress of every page runs in parallel (it touches no
+// shared state), then slots are placed and offloads submitted in input
+// order.
+func (g *GroupBackend) SwapOutBatch(now dram.Ps, pages []sfm.PageOut) []error {
+	errs := make([]error, len(pages))
+	cls := make([]CompressedLayout, len(pages))
+	g.pool.Run(len(pages), 0, func(_, i int) {
+		cls[i], errs[i] = g.compressPage(pages[i])
+	})
+	for i, p := range pages {
+		if errs[i] == nil {
+			errs[i] = g.placeCompressed(now, p.ID, cls[i])
+		}
+	}
+	return errs
+}
+
+// SwapInBatch implements sfm.Backend: per-DIMM decompression and
+// gathering run in parallel (the slot map sees only reads), then slot
+// removal and offload submission replay in input order. A page that
+// appears twice in one batch decompresses twice but only the first
+// occurrence succeeds, matching a serial loop.
+func (g *GroupBackend) SwapInBatch(now dram.Ps, pages []sfm.PageIn, offload bool) []error {
+	errs := make([]error, len(pages))
+	cls := make([]CompressedLayout, len(pages))
+	g.pool.Run(len(pages), 0, func(_, i int) {
+		cls[i], errs[i] = g.decompressPage(pages[i])
+	})
+	for i, p := range pages {
+		if errs[i] != nil {
+			continue
+		}
+		if !g.Contains(p.ID) {
+			// An earlier batch element already swapped this id in.
+			errs[i] = sfm.ErrNotFound
+			continue
+		}
+		g.finishSwapIn(now, p.ID, cls[i], offload)
+	}
+	return errs
+}

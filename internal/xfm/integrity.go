@@ -174,9 +174,9 @@ func (in *integrity) settleIn(i int, p sfm.PageIn) error {
 	if in.pars[i] != nil {
 		v := in.vs[i]
 		in.corrected.Add(int64(v.corrected))
-		gmECCCorrected.Add(int64(v.corrected))
+		telemetry.XFMECCCorrected.Add(int64(v.corrected))
 		in.uncorrectable.Add(int64(v.bad))
-		gmECCUncorrectable.Add(int64(v.bad))
+		telemetry.XFMECCUncorrectable.Add(int64(v.bad))
 		in.dropParity(p.ID)
 		if v.bad > 0 {
 			if err := in.quarantinePage(p.ID, v.bad, p.Dst); err != nil {
@@ -260,12 +260,12 @@ func (in *integrity) injectECC(id sfm.PageID, dst []byte) {
 //xfm:allocok quarantine is the uncorrectable-ECC cold path, never steady-state work
 func (in *integrity) quarantinePage(id sfm.PageID, bad int, dst []byte) error {
 	if _, dup := in.quarantined[id]; !dup {
-		gmQuarantinedPages.Add(1)
+		telemetry.XFMQuarantinedPages.Add(1)
 	}
 	in.quarantined[id] = bad
 	if c, ok := in.staging[id]; ok && len(c) == len(dst) {
 		copy(dst, c)
-		gmQuarantineServed.Inc()
+		telemetry.XFMQuarantineServed.Inc()
 		return nil
 	}
 	return &UncorrectableError{Page: id, BadWords: bad}

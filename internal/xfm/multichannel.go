@@ -49,17 +49,6 @@ func (l MultiChannelLayout) WindowBytes(pageBytes int) int {
 	return pageBytes / l.DIMMs
 }
 
-// Split partitions a page into per-DIMM buffers: chunk i of the page
-// (InterleaveBytes long) goes to DIMM (i mod DIMMs), preserving chunk
-// order within each DIMM (the reordered data of Fig. 9b).
-func (l MultiChannelLayout) Split(page []byte) [][]byte {
-	parts := make([][]byte, l.DIMMs)
-	for i := range parts {
-		parts[i] = make([]byte, 0, len(page)/l.DIMMs+l.InterleaveBytes)
-	}
-	return l.SplitInto(parts, page)
-}
-
 // SplitInto is Split appending into caller-provided part buffers (one
 // per DIMM, each typically length 0 with retained capacity — e.g. from
 // compress.Scratch.Parts). The hot path uses it to stage the
@@ -79,19 +68,12 @@ func (l MultiChannelLayout) SplitInto(parts [][]byte, page []byte) [][]byte {
 	return parts
 }
 
-// Gather reassembles a page from per-DIMM buffers produced by Split.
-// It is the inverse of Split for any page whose length is a multiple
-// of InterleaveBytes.
-func (l MultiChannelLayout) Gather(parts [][]byte) []byte {
-	var total int
-	for _, p := range parts {
-		total += len(p)
-	}
-	return l.GatherInto(make([]byte, 0, total), parts)
-}
-
-// GatherInto is Gather appending into page (typically a reused buffer
-// resliced to length 0).
+// GatherInto reassembles a page from per-DIMM buffers produced by
+// SplitInto, appending into page (typically a reused buffer resliced to
+// length 0). It is the inverse of SplitInto for any page whose length
+// is a multiple of InterleaveBytes.
+//
+//xfm:ignore unreachable inverse of SplitInto: TestSplitIntoGatherInto round-trips the interleave Fig. 8 runs through it
 func (l MultiChannelLayout) GatherInto(page []byte, parts [][]byte) []byte {
 	if len(parts) != l.DIMMs {
 		panic(fmt.Sprintf("xfm: Gather got %d parts, layout has %d DIMMs", len(parts), l.DIMMs)) //xfm:ignore hotpath-alloc panic guard on layout misuse; Sprintf runs only when panicking
@@ -132,25 +114,10 @@ type CompressedLayout struct {
 	SlotBytes int
 }
 
-// TotalStored returns the actual compressed payload bytes.
-func (c CompressedLayout) TotalStored() int {
-	n := 0
-	for _, p := range c.Parts {
-		n += len(p)
-	}
-	return n
-}
-
 // TotalReserved returns the space consumed including same-offset
 // internal fragmentation: DIMMs × SlotBytes.
 func (c CompressedLayout) TotalReserved() int {
 	return len(c.Parts) * c.SlotBytes
-}
-
-// FragmentationBytes returns the internal fragmentation the
-// same-offset placement costs.
-func (c CompressedLayout) FragmentationBytes() int {
-	return c.TotalReserved() - c.TotalStored()
 }
 
 // CompressPage compresses a page in multi-channel mode with the given
@@ -177,15 +144,12 @@ func (l MultiChannelLayout) CompressPage(page []byte, newCodec func(window int) 
 	return out
 }
 
-// DecompressPage reverses CompressPage.
-func (l MultiChannelLayout) DecompressPage(c CompressedLayout, newCodec func(window int) compress.Codec, pageBytes int) ([]byte, error) {
-	return l.DecompressPageInto(make([]byte, 0, pageBytes), c, newCodec, pageBytes)
-}
-
-// DecompressPageInto is DecompressPage appending the reassembled page
-// into dst (typically a reused buffer resliced to length 0). The
+// DecompressPageInto reverses CompressPage, appending the reassembled
+// page into dst (typically a reused buffer resliced to length 0). The
 // per-DIMM decompressed parts are staged in pooled scratch, so the
 // only allocation on a warmed path is dst's own growth.
+//
+//xfm:ignore unreachable round-trip oracle of the CompressPage Fig. 8 runs: TestCompressPageRoundTrip and TestDecompressPageInto
 func (l MultiChannelLayout) DecompressPageInto(dst []byte, c CompressedLayout, newCodec func(window int) compress.Codec, pageBytes int) ([]byte, error) {
 	codec := newCodec(l.WindowBytes(pageBytes)) //xfm:ignore hotpath-alloc codec constructor is a configuration seam; codecs reuse pooled scratch, allocs/op pinned by the batch benchmarks
 	s := compress.GetScratch()

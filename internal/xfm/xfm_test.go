@@ -374,3 +374,54 @@ func TestLazySPMTrackingSyncsOnlyAtBound(t *testing.T) {
 		t.Error("no occupancy sync despite crossing the inferred bound")
 	}
 }
+
+// SPCapacity reads the SP_Capacity_Register: the free bytes in the
+// ScratchPad Memory. The read is an MMIO round trip, so callers track
+// occupancy lazily and only sync when their inferred bound hits zero
+// (§6).
+func (d *Driver) SPCapacity() int {
+	d.mmioRead()
+	return d.sim.Config().SPMBytes - d.sim.SPMUsed()
+}
+
+// Split partitions a page into per-DIMM buffers: chunk i of the page
+// (InterleaveBytes long) goes to DIMM (i mod DIMMs), preserving chunk
+// order within each DIMM (the reordered data of Fig. 9b).
+func (l MultiChannelLayout) Split(page []byte) [][]byte {
+	parts := make([][]byte, l.DIMMs)
+	for i := range parts {
+		parts[i] = make([]byte, 0, len(page)/l.DIMMs+l.InterleaveBytes)
+	}
+	return l.SplitInto(parts, page)
+}
+
+// Gather reassembles a page from per-DIMM buffers produced by Split.
+// It is the inverse of Split for any page whose length is a multiple
+// of InterleaveBytes.
+func (l MultiChannelLayout) Gather(parts [][]byte) []byte {
+	var total int
+	for _, p := range parts {
+		total += len(p)
+	}
+	return l.GatherInto(make([]byte, 0, total), parts)
+}
+
+// TotalStored returns the actual compressed payload bytes.
+func (c CompressedLayout) TotalStored() int {
+	n := 0
+	for _, p := range c.Parts {
+		n += len(p)
+	}
+	return n
+}
+
+// FragmentationBytes returns the internal fragmentation the
+// same-offset placement costs.
+func (c CompressedLayout) FragmentationBytes() int {
+	return c.TotalReserved() - c.TotalStored()
+}
+
+// DecompressPage reverses CompressPage.
+func (l MultiChannelLayout) DecompressPage(c CompressedLayout, newCodec func(window int) compress.Codec, pageBytes int) ([]byte, error) {
+	return l.DecompressPageInto(make([]byte, 0, pageBytes), c, newCodec, pageBytes)
+}

@@ -325,3 +325,12 @@ func BenchmarkCompact(b *testing.B) {
 		a.Compact()
 	}
 }
+
+// Size returns the stored size of the object.
+func (a *Allocator) Size(h Handle) (int, error) {
+	s, ok := a.objects[h]
+	if !ok {
+		return 0, ErrInvalidHandle
+	}
+	return s.length, nil
+}
