@@ -109,6 +109,33 @@ func TestXDeflateEncoderBitIdentical(t *testing.T) {
 	}
 }
 
+// TestLZFastEncoderBitIdentical pins the same property for lzfast: the
+// chaos gate, cmd/dramsim and cmd/tracegen recordings are functions of
+// the exact bytes NewLZFast emits, so the encoder is held to a frozen
+// copy of itself at every window the experiments use, on the structural
+// inputs and on 64 pages of every corpus generator.
+func TestLZFastEncoderBitIdentical(t *testing.T) {
+	inputs := compatInputs()
+	for _, name := range corpus.Names() {
+		for i, p := range mixedCorpusPages(t, name)[:64] {
+			inputs[fmt.Sprintf("%s-%d", name, i)] = p
+		}
+	}
+	for _, window := range []int{lzfMaxOffset, 2048, 1024} {
+		nw := NewLZFastWindow(window)
+		ref := &refLZFastTwoSlot{maxOffset: window}
+		var got, want []byte
+		for name, in := range inputs {
+			got = nw.Compress(got[:0], in)
+			want = ref.Compress(want[:0], in)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s window %d: stream diverged: new %d bytes, reference %d bytes",
+					name, window, len(got), len(want))
+			}
+		}
+	}
+}
+
 // FuzzLZFastCompat fuzzes both stream directions of the lzfast format
 // against the reference implementation.
 func FuzzLZFastCompat(f *testing.F) {

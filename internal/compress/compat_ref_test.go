@@ -191,6 +191,78 @@ func refLzfReadExt(src []byte) (int, []byte, error) {
 	}
 }
 
+// --- reference LZFast encoder, two-slot (frozen at PR 18) ---
+//
+// refLZFast above pins the wire format; this pins the bytes. The chaos
+// gate, cmd/dramsim and cmd/tracegen all build on NewLZFast, so their
+// recordings are functions of exactly which matches the shipped encoder
+// picks: two hash slots per bucket probed most-recent first, a hash over
+// five bytes, a 4-byte verify, and the second slot skipped once the
+// first yields 32 bytes. The copy keeps those decisions and nothing of
+// how they are made fast.
+
+type refLZFastTwoSlot struct {
+	maxOffset int
+}
+
+func (z *refLZFastTwoSlot) Compress(dst, src []byte) []byte {
+	dst = appendUvarint(dst, uint64(len(src)))
+	if len(src) == 0 {
+		return dst
+	}
+	type bucket struct {
+		used bool
+		pos  [2]int
+	}
+	table := make([]bucket, 1<<13)
+	load := func(i, n int) uint64 {
+		v := uint64(0)
+		for k := 0; k < n; k++ {
+			v |= uint64(src[i+k]) << (8 * k)
+		}
+		return v
+	}
+	matchLen := func(a, b int) int {
+		n := 0
+		for b+n < len(src) && src[a+n] == src[b+n] {
+			n++
+		}
+		return n
+	}
+	anchor := 0
+	i := 0
+	for i+8 <= len(src) {
+		h := (load(i, 5) << 24) * 0x9E3779B185EBCA87 >> (64 - 13)
+		cand, mlen := -1, 0
+		b := &table[h]
+		if b.used {
+			s0, s1 := b.pos[0], b.pos[1]
+			if i-s0 <= z.maxOffset && load(s0, 4) == load(i, 4) {
+				cand, mlen = s0, matchLen(s0, i)
+			}
+			if mlen < 32 && s1 >= 0 && i-s1 <= z.maxOffset && load(s1, 4) == load(i, 4) {
+				if l := matchLen(s1, i); l > mlen {
+					cand, mlen = s1, l
+				}
+			}
+			b.pos[1], b.pos[0] = b.pos[0], i
+		} else {
+			*b = bucket{used: true, pos: [2]int{i, -1}}
+		}
+		if mlen >= lzfMinMatch {
+			dst = refLzfEmit(dst, src[anchor:i], i-cand, mlen)
+			i += mlen
+			anchor = i
+			continue
+		}
+		i++
+	}
+	if anchor < len(src) {
+		dst = refLzfEmitFinal(dst, src[anchor:])
+	}
+	return dst
+}
+
 // --- reference bit I/O (per-byte flush, bit-serial read) ---
 
 type refBitWriter struct {

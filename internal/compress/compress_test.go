@@ -535,7 +535,10 @@ func TestLZ77WindowRespected(t *testing.T) {
 // codecs' best case. That is why DESIGN §8 once read "xdeflate compress
 // 4K ≈ 18 µs" while the swap path paid ≈ 140 µs a page; the numbers
 // that track the swap path are BenchmarkXDeflate{Compress,Decompress}Mixed
-// in xdeflate_bench_test.go.
+// and BenchmarkLZFast{Compress,Decompress}Mixed in mixed_bench_test.go.
+
+// BenchmarkLZFastCompress4K is the best case: after the first line the
+// encoder finds one match and skips the rest of the page with it.
 func BenchmarkLZFastCompress4K(b *testing.B) {
 	in := bytes.Repeat([]byte("key=value;count=123;flag=true;\n"), 140)[:4096]
 	c := NewLZFast()
@@ -548,6 +551,9 @@ func BenchmarkLZFastCompress4K(b *testing.B) {
 	}
 }
 
+// BenchmarkLZFastDecompress4K is the best case: one line of literals
+// and one match that covers the rest of the page, so it times a single
+// long copy and none of the per-sequence work a real page is made of.
 func BenchmarkLZFastDecompress4K(b *testing.B) {
 	in := bytes.Repeat([]byte("key=value;count=123;flag=true;\n"), 140)[:4096]
 	c := NewLZFast()

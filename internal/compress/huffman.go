@@ -193,7 +193,7 @@ func reverseBits(v uint32, n uint) uint32 {
 
 // huffTableBits is the width of the first-level decode table: codes up
 // to 9 bits resolve with one peek + one lookup. DEFLATE-style litlen
-// trees put all frequent symbols well inside 9 bits, so the bit-serial
+// trees put all frequent symbols well inside 9 bits, so the canonical
 // walk below survives only as the cold fallback for 10–15 bit codes.
 const huffTableBits = 9
 
@@ -206,19 +206,26 @@ type huffDecoder struct {
 	count [huffMaxBits + 1]int
 	syms  []int
 	// table maps the next huffTableBits input bits (LSB-first, i.e.
-	// bit-reversed code prefixes) to sym<<4 | codeLen for codes of
-	// ≤ huffTableBits bits. A zero entry means "not decodable at this
-	// level": fall back to the bit-serial walk. (A real symbol 0 of
-	// length l encodes as the nonzero value l, so 0 is unambiguous.)
-	table [1 << huffTableBits]uint16
+	// bit-reversed code prefixes) to an entry for codes of
+	// ≤ huffTableBits bits:
+	//
+	//	sym<<16 | (codeLen+extra)<<8 | extra<<4 | codeLen
+	//
+	// where extra is the number of extra bits that follow the symbol's
+	// code, so a caller that takes the whole field in one step does not
+	// wait for a second table. A zero entry means "not decodable at
+	// this level": fall back to the canonical walk. (codeLen is never 0
+	// in a real entry, so 0 is unambiguous.)
+	table [1 << huffTableBits]uint32
 }
 
-// init rebuilds the decoder from a code-length table, reusing the
-// symbol buffer. Canonical order is (length, symbol): one counting pass
-// gives each length its first slot, and a second pass in ascending
-// symbol order drops every symbol into the next slot of its length — no
-// sort, no allocation in the steady state.
-func (d *huffDecoder) init(lengths []uint8) {
+// init rebuilds the decoder from a code-length table and the alphabet's
+// extra-bit counts (one per symbol), reusing the symbol buffer.
+// Canonical order is (length, symbol): one counting pass gives each
+// length its first slot, and a second pass in ascending symbol order
+// drops every symbol into the next slot of its length — no sort, no
+// allocation in the steady state.
+func (d *huffDecoder) init(lengths, extra []uint8) {
 	clear(d.count[:])
 	for _, l := range lengths {
 		d.count[l]++
@@ -240,14 +247,13 @@ func (d *huffDecoder) init(lengths []uint8) {
 			next[l]++
 		}
 	}
-	d.buildTable()
+	d.buildTable(extra)
 }
 
 // buildTable fills the first-level table from the canonical (count,
-// syms) form. Each ≤ huffTableBits code occupies every table index
+// syms) form. Each ≤ huffTableBits code ends up at every table index
 // whose low bits equal its bit-reversed pattern.
-func (d *huffDecoder) buildTable() {
-	clear(d.table[:])
+func (d *huffDecoder) buildTable(extra []uint8) {
 	// Over-subscribed length tables (possible only on corrupt input)
 	// break the canonical progression below: an overflowed code aliases
 	// earlier table slots after bit reversal. Leave the table empty in
@@ -257,27 +263,36 @@ func (d *huffDecoder) buildTable() {
 	for l := 1; l <= huffMaxBits; l++ {
 		kraft = kraft<<1 + uint32(d.count[l])
 		if kraft > 1<<l {
+			clear(d.table[:])
 			return
 		}
 	}
-	// Reconstruct the canonical code progression (same recurrence as
-	// huffCanonicalTableInto) over the symbols in canonical order.
-	code := uint32(0)
+	// The table grows one input bit at a time: table[:1<<l] is complete
+	// for the codes of up to l bits, so doubling it replicates every
+	// shorter code (and every hole, which reads zero) and each l-bit
+	// code then costs a single store — the work follows the number of
+	// codes, not the size of the table. Canonical codes count upwards
+	// within a length and gain a low zero bit at the next one (the
+	// recurrence of huffCanonicalTableInto); on the bit-reversed code
+	// that is an increment from the top bit down, and nothing at all
+	// between lengths.
+	d.table[0] = 0
+	rev := 0
 	idx := 0
-	for l := uint(1); l <= huffMaxBits; l++ {
-		code <<= 1
-		cnt := d.count[l]
-		if l > huffTableBits {
-			break
-		}
-		for k := 0; k < cnt; k++ {
-			rev := reverseBits(code, l)
-			entry := uint16(d.syms[idx])<<4 | uint16(l)
-			for j := rev; j < uint32(len(d.table)); j += 1 << l {
-				d.table[j] = entry
-			}
-			code++
+	for l := uint(1); l <= huffTableBits; l++ {
+		half := 1 << (l - 1)
+		copy(d.table[half:2*half], d.table[:half])
+		for k := d.count[l]; k > 0; k-- {
+			sym := d.syms[idx]
+			x := uint32(extra[sym])
+			d.table[rev] = uint32(sym)<<16 | (uint32(l)+x)<<8 | x<<4 | uint32(l)
 			idx++
+			bit := half
+			for rev&bit != 0 {
+				rev ^= bit
+				bit >>= 1
+			}
+			rev |= bit
 		}
 	}
 }
@@ -287,13 +302,13 @@ func (d *huffDecoder) buildTable() {
 //xfm:ignore unreachable entry point of TestHuffmanRoundTripCodes
 func newHuffDecoder(lengths []uint8) *huffDecoder {
 	d := &huffDecoder{}
-	d.init(lengths)
+	d.init(lengths, make([]uint8, len(lengths)))
 	return d
 }
 
 // decode reads one symbol from r. Returns -1 on corrupt input. The
 // fast path is one peek + one table lookup; codes longer than
-// huffTableBits fall back to the canonical bit-serial walk.
+// huffTableBits fall back to the canonical walk.
 func (d *huffDecoder) decode(r *bitReader) int {
 	if e := d.table[r.peek(huffTableBits)]; e != 0 {
 		if !r.consume(uint(e & 0x0f)) {
@@ -301,29 +316,32 @@ func (d *huffDecoder) decode(r *bitReader) int {
 			// more bits than the stream holds.
 			return -1
 		}
-		return int(e >> 4)
+		return int(e >> 16)
 	}
 	return d.decodeSlow(r)
 }
 
-// decodeSlow is the bit-serial canonical walk for codes longer than
-// huffTableBits (and the no-table corner cases).
+// decodeSlow is the canonical walk for codes longer than huffTableBits
+// (and the no-table corner cases): the code grows one bit per step, as
+// a bit-serial reader would grow it, but from a single peek — the next
+// huffMaxBits input bits turned MSB-first, zero-padded at the end of
+// the stream. A code that needs more bits than the stream holds fails
+// in consume.
 func (d *huffDecoder) decodeSlow(r *bitReader) int {
-	code := 0
+	window := int(bits.Reverse16(uint16(r.peek(huffMaxBits))) >> (16 - huffMaxBits))
 	first := 0
 	index := 0
-	for l := 1; l <= huffMaxBits; l++ {
-		code |= int(r.readBits(1))
-		if r.bad {
-			return -1
-		}
+	for l := uint(1); l <= huffMaxBits; l++ {
+		code := window >> (huffMaxBits - l)
 		count := d.count[l]
 		if code-first < count {
+			if !r.consume(l) {
+				return -1
+			}
 			return d.syms[index+code-first]
 		}
 		index += count
 		first = (first + count) << 1
-		code <<= 1
 	}
 	return -1
 }

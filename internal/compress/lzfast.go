@@ -46,6 +46,13 @@ const (
 	// slot is not probed. Recent candidates win ties anyway (shorter
 	// offsets), so the extra probe only pays off for short matches.
 	lzfAccept = 32
+	// lzfFastIn and lzfFastOut are the room the decoder's fast loop
+	// wants in front of a sequence. Input: the token, the ≤ 14 literals
+	// of a short run (read as two 8-byte words: 16 bytes), the offset
+	// and one match-length extension byte. Output: those literals, a
+	// short (≤ 18-byte) match and one word of store overshoot.
+	lzfFastIn  = 1 + 14 + 2 + 1
+	lzfFastOut = 14 + 18 + 8
 )
 
 // lzfEncState is the pooled per-call state of the compress hot path:
@@ -315,6 +322,81 @@ func (z *LZFast) Decompress(dst, src []byte) ([]byte, error) {
 	o := base
 	s := 0
 	for o < want {
+		// Fast loop: one whole sequence per iteration while it has the
+		// common shape and lzfFastIn/lzfFastOut bytes of room. It only
+		// ever declines — on anything else it stops with s and o still in
+		// front of the sequence, and the exact code below takes that one
+		// sequence (or rejects the stream) and hands back.
+		for s+lzfFastIn <= len(src) && o+lzfFastOut <= want {
+			token := src[s]
+			litLen := int(token >> 4)
+			p := s + 1 // first literal
+			if litLen < 15 {
+				// Two fixed 8-byte copies cover the ≤ 14 literals; the
+				// excess is overwritten by what follows.
+				copy16(out[o:], src[p:])
+			} else {
+				// A long run with a single extension byte, copied in
+				// 16-byte strides that may overshoot by 15 on both sides.
+				ext := int(src[p])
+				p++
+				litLen += ext
+				if ext == 255 || p+litLen+15 > len(src) || o+litLen+lzfFastOut > want {
+					break
+				}
+				for k := 0; k < litLen; k += 16 {
+					copy16(out[o+k:], src[p+k:])
+				}
+			}
+			q := p + litLen // offset field
+			offset := int(src[q]) | int(src[q+1])<<8
+			q += 2
+			m := o + litLen // match destination
+			start := m - offset
+			if offset == 0 || start < base {
+				break
+			}
+			mlen := int(token&0x0f) + lzfMinMatch
+			if token&0x0f < 15 {
+				switch {
+				case offset >= 16:
+					// Source and destination words cannot overlap: 16
+					// bytes unconditionally, so the common ≤ 16-byte
+					// match costs no length-dependent branch. One
+					// conversion bounds all three words.
+					from, to := (*[24]byte)(out[start:]), (*[24]byte)(out[m:])
+					copy16(to[:], from[:])
+					if mlen > 16 {
+						binary.LittleEndian.PutUint64(to[16:], binary.LittleEndian.Uint64(from[16:]))
+					}
+				case offset >= 8:
+					// Each word is loaded from bytes the previous store
+					// just wrote; copying only what the match needs keeps
+					// those loads forwardable.
+					for k := 0; k < mlen; k += 8 {
+						binary.LittleEndian.PutUint64(out[m+k:], binary.LittleEndian.Uint64(out[start+k:]))
+					}
+				default:
+					lzfFillPeriod(out, m, offset, mlen)
+				}
+			} else {
+				ext := int(src[q])
+				q++
+				mlen += ext
+				if ext == 255 || m+mlen+16 > want {
+					break
+				}
+				if offset >= 8 {
+					for k := 0; k < mlen; k += 16 {
+						copy16(out[m+k:], out[start+k:])
+					}
+				} else {
+					lzfFillPeriod(out, m, offset, mlen)
+				}
+			}
+			s = q
+			o = m + mlen
+		}
 		if s >= len(src) {
 			return dst, ErrCorrupt
 		}
@@ -406,6 +488,34 @@ func (z *LZFast) Decompress(dst, src []byte) ([]byte, error) {
 		return dst, ErrCorrupt
 	}
 	return out[:want], nil
+}
+
+// copy16 copies 16 bytes as two words in program order — the second is
+// loaded after the first is stored — so a source that overlaps the
+// destination 8 or more bytes back reads what it should. The slices
+// only need to be long enough: the conversions check len, not cap, so
+// a copy that would pass the end of a slice panics rather than landing
+// in spare capacity.
+func copy16(dst, src []byte) {
+	to, from := (*[16]byte)(dst), (*[16]byte)(src)
+	binary.LittleEndian.PutUint64(to[:8], binary.LittleEndian.Uint64(from[:8]))
+	binary.LittleEndian.PutUint64(to[8:], binary.LittleEndian.Uint64(from[8:]))
+}
+
+// lzfFillPeriod writes an mlen-byte match whose offset is below 8 — a
+// repeating period — at out[m:], overshooting by up to 7 bytes. The
+// period is replicated across a register; each store then advances by
+// the largest multiple of the period that fits a word, so no store is
+// read back.
+func lzfFillPeriod(out []byte, m, offset, mlen int) {
+	v := binary.LittleEndian.Uint64(out[m-offset:]) & (1<<(8*uint(offset)) - 1)
+	v |= v << (8 * uint(offset))
+	v |= v << (16 * uint(offset))
+	v |= v << (32 * uint(offset))
+	step := 8 - 8%offset
+	for k := 0; k < mlen; k += step {
+		binary.LittleEndian.PutUint64(out[m+k:], v)
+	}
 }
 
 // lzfReadExtAt reads an extension count at src[o:], returning the

@@ -6,7 +6,7 @@ import (
 	"xfm/internal/corpus"
 )
 
-// The mixed-corpus benchmarks time xdeflate on the pages the swap path
+// The mixed-corpus benchmarks time a codec on the pages the swap path
 // actually moves: 256 pages from each of the 16 corpus generators at
 // seed 1, the same spread benchmark/ builds its working set from. The
 // "all" sub-benchmark is the per-page mean over all 4 096 pages (a
@@ -42,8 +42,7 @@ func allMixedPages(tb testing.TB) [][]byte {
 	return pages
 }
 
-func benchCompressPages(b *testing.B, pages [][]byte) {
-	c := NewXDeflate()
+func benchCompressPages(b *testing.B, c Codec, pages [][]byte) {
 	dst := make([]byte, 0, c.MaxCompressedLen(4096))
 	total := 0
 	for _, p := range pages {
@@ -59,8 +58,7 @@ func benchCompressPages(b *testing.B, pages [][]byte) {
 	b.ReportMetric(float64(total)/float64(len(pages)), "bytes/page")
 }
 
-func benchDecompressPages(b *testing.B, pages [][]byte) {
-	c := NewXDeflate()
+func benchDecompressPages(b *testing.B, c Codec, pages [][]byte) {
 	streams := make([][]byte, len(pages))
 	total := 0
 	for i, p := range pages {
@@ -80,16 +78,27 @@ func benchDecompressPages(b *testing.B, pages [][]byte) {
 	b.ReportMetric(float64(total)/float64(len(pages)), "bytes/page")
 }
 
-func BenchmarkXDeflateCompressMixed(b *testing.B) {
-	b.Run("all", func(b *testing.B) { benchCompressPages(b, allMixedPages(b)) })
+// benchMixed runs one page benchmark over the whole corpus ("all") and
+// over each generator's pages.
+func benchMixed(b *testing.B, c Codec, bench func(*testing.B, Codec, [][]byte)) {
+	b.Run("all", func(b *testing.B) { bench(b, c, allMixedPages(b)) })
 	for _, name := range corpus.Names() {
-		b.Run(name, func(b *testing.B) { benchCompressPages(b, mixedCorpusPages(b, name)) })
+		b.Run(name, func(b *testing.B) { bench(b, c, mixedCorpusPages(b, name)) })
 	}
 }
 
+func BenchmarkXDeflateCompressMixed(b *testing.B) {
+	benchMixed(b, NewXDeflate(), benchCompressPages)
+}
+
 func BenchmarkXDeflateDecompressMixed(b *testing.B) {
-	b.Run("all", func(b *testing.B) { benchDecompressPages(b, allMixedPages(b)) })
-	for _, name := range corpus.Names() {
-		b.Run(name, func(b *testing.B) { benchDecompressPages(b, mixedCorpusPages(b, name)) })
-	}
+	benchMixed(b, NewXDeflate(), benchDecompressPages)
+}
+
+func BenchmarkLZFastCompressMixed(b *testing.B) {
+	benchMixed(b, NewLZFast(), benchCompressPages)
+}
+
+func BenchmarkLZFastDecompressMixed(b *testing.B) {
+	benchMixed(b, NewLZFast(), benchDecompressPages)
 }

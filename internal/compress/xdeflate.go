@@ -41,6 +41,22 @@ const (
 	xdEOB        = 256
 )
 
+// xdLitExtra and xdDistExtra give the number of extra bits that follow
+// each symbol's code.
+var (
+	xdLitExtra  [xdLitLenSyms]uint8
+	xdDistExtra [xdDistSyms]uint8
+)
+
+func init() {
+	for lc, x := range lengthExtra {
+		xdLitExtra[257+lc] = uint8(x)
+	}
+	for dc, x := range distExtra {
+		xdDistExtra[dc] = uint8(x)
+	}
+}
+
 // xdEncState is the pooled per-call state of the encoder hot path.
 type xdEncState struct {
 	lz       lz77Encoder
@@ -255,32 +271,26 @@ func (x *XDeflate) decodeHuffman(st *xdDecState, dst, src []byte, want, base int
 	if maxLit < xdEOB || maxLit >= xdLitLenSyms {
 		return dst, ErrCorrupt
 	}
-	litLens := st.litLens[:]
-	for i := range litLens {
-		litLens[i] = 0
-	}
+	// Symbols past maxLit / maxDist have no code: the decoders are built
+	// from the trimmed tables, so nothing needs zeroing first.
+	litLens := st.litLens[:maxLit+1]
 	var ok bool
-	src, ok = unpackNibbles(src, litLens[:maxLit+1])
+	src, ok = unpackNibbles(src, litLens)
 	if !ok || len(src) < 1 {
 		return dst, ErrCorrupt
 	}
 	maxDist := int(int8(src[0]))
 	src = src[1:]
-	distLens := st.distLens[:]
-	for i := range distLens {
-		distLens[i] = 0
+	if maxDist >= xdDistSyms {
+		return dst, ErrCorrupt
 	}
-	if maxDist >= 0 {
-		if maxDist >= xdDistSyms {
-			return dst, ErrCorrupt
-		}
-		src, ok = unpackNibbles(src, distLens[:maxDist+1])
-		if !ok {
-			return dst, ErrCorrupt
-		}
+	distLens := st.distLens[:max(maxDist+1, 0)]
+	src, ok = unpackNibbles(src, distLens)
+	if !ok {
+		return dst, ErrCorrupt
 	}
-	st.litDec.init(litLens)
-	st.distDec.init(distLens)
+	st.litDec.init(litLens, xdLitExtra[:])
+	st.distDec.init(distLens, xdDistExtra[:])
 	litDec, distDec := &st.litDec, &st.distDec
 	r := bitReader{src: src}
 	// Reserve the whole output once (bounded by the caller's expansion
@@ -352,11 +362,6 @@ func (x *XDeflate) decodeHuffman(st *xdDecState, dst, src []byte, want, base int
 	return out[:want], nil
 }
 
-// xdFastOutSlack is the output room one fast-loop iteration may use: a
-// literal, then a maximal match whose 8-byte wildcopy overshoots by up
-// to 7 bytes.
-const xdFastOutSlack = 1 + lz77MaxMatch + 7
-
 // decodeFast decodes tokens into out[o:] for as long as every step is
 // the common case, and returns the new o with r positioned in front of
 // the first token it did not take. One 64-bit refill (≥ 56 bits) covers
@@ -365,71 +370,70 @@ const xdFastOutSlack = 1 + lz77MaxMatch + 7
 // consuming the token, on a code the first-level table does not resolve
 // (longer than huffTableBits, or the empty table of an over-subscribed
 // length set), on end-of-block, on anything invalid, when fewer than 8
-// input bytes remain to refill from, and within xdFastOutSlack bytes of
-// the end of out — so every accept/reject decision stays with the
+// input bytes remain to refill from, and on a token out has no room
+// for — two literal stores at the top of an iteration, a match plus the
+// up to 15 bytes its two-word copy steps overshoot by before the match
+// is committed — so every accept/reject decision stays with the
 // caller's careful path.
 func (st *xdDecState) decodeFast(r *bitReader, out []byte, o, base int) int {
 	src := r.src
 	acc, nacc, pos := r.acc, r.nacc, r.pos
 	litTable, distTable := &st.litDec.table, &st.distDec.table
 	const tableMask = 1<<huffTableBits - 1
-	limit := len(out) - xdFastOutSlack
-	for o <= limit && pos+8 <= len(src) {
-		acc |= binary.LittleEndian.Uint64(src[pos:]) << nacc
+	for o+2 <= len(out) && pos+8 <= len(src) {
+		acc |= binary.LittleEndian.Uint64(src[pos:]) << (nacc & 63)
 		pos += int((63 - nacc) >> 3)
 		nacc |= 56
 		e := litTable[acc&tableMask]
-		if e>>4 < 256 {
+		if e>>16 < 256 {
 			if e == 0 {
 				break
 			}
 			acc >>= e & 15
 			nacc -= uint(e & 15)
-			out[o] = byte(e >> 4)
+			out[o] = byte(e >> 16)
 			o++
 			// The refill still holds a whole token.
 			e = litTable[acc&tableMask]
-			if e>>4 < 256 {
+			if e>>16 < 256 {
 				if e == 0 {
 					break
 				}
 				acc >>= e & 15
 				nacc -= uint(e & 15)
-				out[o] = byte(e >> 4)
+				out[o] = byte(e >> 16)
 				o++
 				continue
 			}
 		}
 		// A length code or end-of-block. Decode the match on copies of
 		// the accumulator and commit them only once it is known good.
-		lc := int(e>>4) - 257
+		lc := int(e>>16) - 257
 		if lc < 0 || lc >= len(lengthBase) {
 			break
 		}
-		a, n := acc>>(e&15), nacc-uint(e&15)
-		length := lengthBase[lc] + int(a&(1<<lengthExtra[lc]-1))
-		a >>= lengthExtra[lc]
-		n -= lengthExtra[lc]
+		// An entry carries its code length, the number of extra bits
+		// behind the code and their sum, so nothing the accumulator
+		// waits for is loaded from a second table.
+		length := lengthBase[lc] + int(acc>>(e&15)&(1<<(e>>4&15)-1))
+		a, n := acc>>(e>>8&63), nacc-uint(e>>8&63)
 		de := distTable[a&tableMask]
-		dc := int(de >> 4)
+		dc := int(de >> 16)
 		if de == 0 || dc >= len(distBase) {
 			break
 		}
-		a >>= de & 15
-		n -= uint(de & 15)
-		dist := distBase[dc] + int(a&(1<<distExtra[dc]-1))
-		a >>= distExtra[dc]
-		n -= distExtra[dc]
+		dist := distBase[dc] + int(a>>(de&15)&(1<<(de>>4&15)-1))
+		a >>= de >> 8 & 63
+		n -= uint(de >> 8 & 63)
 		start := o - dist
-		if start < base {
+		if start < base || o+length+16 > len(out) {
 			break
 		}
 		acc, nacc = a, n
 		if dist >= 8 {
-			// Non-self-overlapping at word granularity; the overshoot
-			// of up to 7 bytes is inside xdFastOutSlack.
-			for k := 0; k < length; k += 8 {
-				binary.LittleEndian.PutUint64(out[o+k:], binary.LittleEndian.Uint64(out[start+k:]))
+			// Most matches are done after one step.
+			for k := 0; k < length; k += 16 {
+				copy16(out[o+k:], out[start+k:])
 			}
 		} else {
 			overlapCopy(out[:o+length], o, dist)
@@ -499,48 +503,30 @@ func (st *xdEncState) packNibbles(dst []byte, lens []uint8) []byte {
 }
 
 // unpackNibbles fills out from src and returns the remaining source.
-//
-//xfm:allocok read closure does not escape and writes into caller scratch; zero allocs/op pinned by the compression benchmarks
 func unpackNibbles(src []byte, out []uint8) ([]byte, bool) {
 	pos := 0 // nibble index into src
-	read := func() (uint8, bool) {
-		if pos/2 >= len(src) {
-			return 0, false
-		}
-		b := src[pos/2]
-		var n uint8
-		if pos%2 == 0 {
-			n = b & 0x0f
-		} else {
-			n = b >> 4
-		}
-		pos++
-		return n, true
-	}
 	for i := 0; i < len(out); {
-		n, ok := read()
-		if !ok {
+		if pos>>1 >= len(src) {
 			return src, false
 		}
+		n := src[pos>>1] >> (4 * uint(pos&1)) & 0x0f
+		pos++
 		if n != 0 {
 			out[i] = n
 			i++
 			continue
 		}
-		r, ok := read()
-		if !ok {
+		if pos>>1 >= len(src) {
 			return src, false
 		}
-		run := int(r) + 1
+		run := int(src[pos>>1]>>(4*uint(pos&1))&0x0f) + 1
+		pos++
 		if i+run > len(out) {
 			return src, false
 		}
-		for k := 0; k < run; k++ {
-			out[i+k] = 0
-		}
+		clear(out[i : i+run])
 		i += run
 	}
 	// Consume padding up to a byte boundary.
-	used := (pos + 1) / 2
-	return src[used:], true
+	return src[(pos+1)/2:], true
 }

@@ -257,6 +257,7 @@ type craftedStream struct {
 	litLens  []uint8
 	distLens []uint8
 	plain    []byte // what the tokens decode to
+	corrupt  bool   // a match reaches before the output: no plain text
 }
 
 func craftStream(t *testing.T, tokens []lzToken) craftedStream {
@@ -264,6 +265,7 @@ func craftStream(t *testing.T, tokens []lzToken) craftedStream {
 	litFreq := make([]int, xdLitLenSyms)
 	distFreq := make([]int, xdDistSyms)
 	var plain []byte
+	corrupt := false
 	for _, tok := range tokens {
 		if tok.length == 0 {
 			litFreq[tok.lit]++
@@ -274,14 +276,18 @@ func craftStream(t *testing.T, tokens []lzToken) craftedStream {
 		distFreq[refDistCode(int(tok.dist))]++
 		start := len(plain) - int(tok.dist)
 		if start < 0 {
-			t.Fatalf("crafted match reaches before the output: dist %d at %d", tok.dist, len(plain))
+			// A match that reaches before the output: a stream both
+			// decoders must reject. The text only sizes the header.
+			corrupt = true
+			plain = append(plain, make([]byte, tok.length)...)
+			continue
 		}
 		for k := 0; k < int(tok.length); k++ {
 			plain = append(plain, plain[start+k])
 		}
 	}
 	litFreq[xdEOB]++
-	c := craftedStream{plain: plain, litLens: refHuffBuildLengths(litFreq), distLens: refHuffBuildLengths(distFreq)}
+	c := craftedStream{plain: plain, corrupt: corrupt, litLens: refHuffBuildLengths(litFreq), distLens: refHuffBuildLengths(distFreq)}
 	litCodes := huffCanonicalCodes(c.litLens)
 	distCodes := huffCanonicalCodes(c.distLens)
 	maxLit, maxDist := maxUsedSym(c.litLens), maxUsedSym(c.distLens)
@@ -344,9 +350,32 @@ func literalTokens(s string) []lzToken {
 	return tokens
 }
 
+// fibonacciLiterals returns literal tokens whose symbol counts are the
+// Fibonacci numbers 1, 2, 3, 5, … 233 (end-of-block supplies the other
+// 1): the smallest input whose Huffman tree is one long chain, so the
+// three rarest symbols carry codes longer than the 9-bit first-level
+// table in a stream of a few hundred bytes. The common symbols come back
+// shuffled, the six tokens of the rare ones separately.
+func fibonacciLiterals() (bulk, rare []lzToken) {
+	a, b := 1, 2
+	for s := 0; s < 12; s++ {
+		to := &bulk
+		if s < 3 {
+			to = &rare
+		}
+		for k := 0; k < a; k++ {
+			*to = append(*to, lzToken{lit: byte('a' + s)})
+		}
+		a, b = b, a+b
+	}
+	rand.New(rand.NewSource(22)).Shuffle(len(bulk), func(i, j int) { bulk[i], bulk[j] = bulk[j], bulk[i] })
+	return bulk, rare
+}
+
 // handOffStreams are streams built around the seam between the
-// decoder's fast loop and its careful path. The fast loop runs while
-// at least xdFastOutSlack bytes of output remain.
+// decoder's fast loop and its careful path. The fast loop takes a token
+// while out has room for it: two bytes for literals, the match plus 16
+// bytes of copy overshoot for a match.
 func handOffStreams(t *testing.T) map[string]craftedStream {
 	filler := func(n int) []lzToken {
 		return literalTokens(strings.Repeat("0123456789abcdef", n/16+1)[:n])
@@ -354,67 +383,89 @@ func handOffStreams(t *testing.T) map[string]craftedStream {
 	join := func(parts ...[]lzToken) []lzToken { return slices.Concat(parts...) }
 	// Bytes after end-of-block are ignored by both decoders; padding a
 	// stream keeps 8 input bytes available to the refill, so it is the
-	// output bound, not the input bound, that ends the fast loop.
+	// output bound, not the input bound, that ends the fast loop. Every
+	// proper prefix of a padded stream is decoded too, the unpadded
+	// stream among them.
 	padded := func(tokens []lzToken) craftedStream {
 		c := craftStream(t, tokens)
 		c.stream = append(c.stream, make([]byte, 16)...)
 		return c
 	}
-	long := lzToken{length: lz77MaxMatch, dist: 300}
 	streams := map[string]craftedStream{}
 	rareFirst, _ := skewedLiterals(true)
 	rareLast, _ := skewedLiterals(false)
-	// The only > 9-bit codes sit at the very start, deep inside the
-	// fast region, and at the very end, inside the careful tail.
-	streams["long-codes-in-fast-region"] = craftStream(t, rareFirst)
-	streams["long-codes-in-careful-tail"] = craftStream(t, rareLast)
-	// A maximal word-copied match around the end of the fast region:
-	// ending exactly at want (careful path), and as the second token
-	// of the last fast iteration with 5–8 bytes behind it, where the
-	// wildcopy's overshoot just fits, or does not and the careful path
-	// must take it.
-	for _, lits := range []int{600, 601} {
-		for _, tail := range []int{0, 5, 6, 7, 8} {
-			streams[fmt.Sprintf("long-match-after-%d-before-%d", lits, tail)] =
-				padded(join(filler(lits), []lzToken{long}, filler(tail)))
+	// The only > 9-bit codes sit at the very start, and at the very end
+	// where the input bound has already stopped the fast loop.
+	streams["long-codes-first"] = craftStream(t, rareFirst)
+	streams["long-codes-last"] = craftStream(t, rareLast)
+	// Everything the fast loop can meet at the end of the output lands
+	// at want−k, k = 0…20, on either side of every room test: a maximal
+	// word-copied match, RLE matches (dist < 8), and a run of > 9-bit
+	// codes — each as the first and as the second token of an
+	// iteration (an even or odd number of literals in front).
+	bulk, rare := fibonacciLiterals()
+	step := 1
+	if raceEnabled {
+		step = 4 // ≈ 15× slower, and nothing here is concurrent
+	}
+	for k := 0; k <= 20; k += step {
+		for odd := 0; odd <= 1; odd++ {
+			streams[fmt.Sprintf("long-match-%d-before-%d", odd, k)] =
+				padded(join(filler(600+odd), []lzToken{{length: lz77MaxMatch, dist: 300}}, filler(k)))
+			for _, dist := range []uint16{1, 3, 7} {
+				streams[fmt.Sprintf("rle-dist%d-%d-before-%d", dist, odd, k)] =
+					padded(join(filler(40+odd), []lzToken{{length: 200, dist: dist}}, filler(k)))
+			}
+			c := padded(join(literalTokens("l")[:odd], bulk[k:], rare, bulk[:k]))
+			for _, tok := range rare {
+				if c.litLens[tok.lit] <= huffTableBits {
+					t.Fatalf("symbol %q has a %d-bit code: the crafted tree is not deep enough", tok.lit, c.litLens[tok.lit])
+				}
+			}
+			streams[fmt.Sprintf("long-codes-%d-before-%d", odd, k)] = c
 		}
 	}
-	// RLE matches (dist < 8) that start in the fast region and end in
-	// the careful one, at the last fast position and one past it.
-	for _, dist := range []uint16{1, 3, 7} {
-		for _, before := range []int{xdFastOutSlack, xdFastOutSlack + 1} {
-			rle := lzToken{length: 200, dist: dist}
-			streams[fmt.Sprintf("rle-dist%d-crosses-%d", dist, before)] =
-				padded(join(filler(400), []lzToken{rle}, filler(before-200)))
-		}
+	// A match that reaches one byte before the output, with room on
+	// every side for the fast loop to take it: with a dst prefix in
+	// front the byte exists, but it is not the stream's to copy.
+	for odd := 0; odd <= 1; odd++ {
+		streams[fmt.Sprintf("match-before-base-%d", odd)] =
+			padded(join(filler(20+odd), []lzToken{{length: 10, dist: uint16(21 + odd)}}, filler(40)))
 	}
-	// Tokens alternate fast and careful all the way: a literal-match
-	// mix whose every match lands on or next to the boundary.
-	streams["match-each-side-of-boundary"] = padded(
-		join(filler(300), []lzToken{{length: 9, dist: 8}}, filler(xdFastOutSlack-10), []lzToken{{length: 10, dist: 7}}))
+	// Short matches back to back up to the last byte: each one is a
+	// fresh room test, and the last few must be declined.
+	short := []lzToken{{length: 9, dist: 8}, {length: 3, dist: 7}, {length: 10, dist: 40}}
+	streams["short-matches-to-the-end"] = padded(join(filler(300), short, short, short, short))
 	return streams
 }
 
 // TestDecoderHandOff decodes every hand-off stream with the new and the
 // reference decoder, and every proper prefix of each: same bytes on
-// accept, an error and an untouched dst on reject.
+// accept, an error and an untouched dst on reject — and never a byte
+// outside out[base:want] either way.
 func TestDecoderHandOff(t *testing.T) {
 	nw, ref := NewXDeflate(), newRefXDeflate()
+	prefix := []byte("dst-prefix")
 	for name, c := range handOffStreams(t) {
-		prefix := []byte("dst-prefix")
-		got, err := nw.Decompress(append([]byte(nil), prefix...), c.stream)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], c.plain) {
-			t.Fatalf("%s: decoded %d bytes, differ from the %d crafted", name, len(got)-len(prefix), len(c.plain))
-		}
-		if want, err := ref.Decompress(nil, c.stream); err != nil || !bytes.Equal(want, c.plain) {
-			t.Fatalf("%s: reference decoder disagrees with the crafted plain text: %v", name, err)
+		got, err := decodeInCanary(t, nw, prefix, c.stream)
+		want, refErr := ref.Decompress(nil, c.stream)
+		if c.corrupt {
+			if err != ErrCorrupt || refErr == nil || !bytes.Equal(got, prefix) {
+				t.Fatalf("%s: new err=%v with %d bytes of dst, reference err=%v: both must reject", name, err, len(got), refErr)
+			}
+		} else {
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], c.plain) {
+				t.Fatalf("%s: decoded %d bytes, differ from the %d crafted", name, len(got)-len(prefix), len(c.plain))
+			}
+			if refErr != nil || !bytes.Equal(want, c.plain) {
+				t.Fatalf("%s: reference decoder disagrees with the crafted plain text: %v", name, refErr)
+			}
 		}
 		for cut := 0; cut < len(c.stream); cut++ {
-			dst := append(make([]byte, 0, 64), prefix...)
-			got, err := nw.Decompress(dst, c.stream[:cut:cut])
+			got, err := decodeInCanary(t, nw, prefix, c.stream[:cut:cut])
 			_, refErr := ref.Decompress(nil, c.stream[:cut:cut])
 			if (err == nil) != (refErr == nil) {
 				t.Fatalf("%s: prefix [0:%d): new err=%v, reference err=%v", name, cut, err, refErr)
@@ -442,16 +493,20 @@ func TestDecodeFastStopsInFrontOfWhatItCannotTake(t *testing.T) {
 		}
 	}
 	var st xdDecState
-	st.litDec.init(c.litLens)
-	st.distDec.init(c.distLens)
+	st.litDec.init(c.litLens, xdLitExtra[:])
+	st.distDec.init(c.distLens, xdDistExtra[:])
 	out := make([]byte, len(c.plain))
-	r := bitReader{src: c.stream[c.bodyOff:]}
+	// Padding after end-of-block keeps the refill fed, so that it is the
+	// output bound that ends the fast loop.
+	body := append(append([]byte(nil), c.stream[c.bodyOff:]...), make([]byte, 16)...)
+	r := bitReader{src: body}
 	// The very first token has a long code: nothing is taken.
 	if o := st.decodeFast(&r, out, 0, 0); o != 0 {
 		t.Fatalf("fast loop took %d bytes in front of a long code", o)
 	}
 	// The careful path takes the long codes one at a time; after the
-	// last of them the fast loop runs to the edge of its region.
+	// last of them the fast loop runs until out has no room for two
+	// more literals.
 	o := 0
 	for ; bytes.IndexByte(rare, c.plain[o]) >= 0; o++ {
 		if o > 0 && st.decodeFast(&r, out, o, 0) != o {
@@ -463,25 +518,81 @@ func TestDecodeFastStopsInFrontOfWhatItCannotTake(t *testing.T) {
 		}
 		out[o] = byte(sym)
 	}
+	rest, restAt := r, o
 	o = st.decodeFast(&r, out, o, 0)
-	if limit := len(out) - xdFastOutSlack; o <= limit || o > limit+2 {
-		t.Fatalf("fast loop stopped at %d, want just past its limit %d", o, limit)
+	if o < len(out)-1 {
+		t.Fatalf("fast loop stopped at %d with room for two literals (%d bytes of output)", o, len(out))
 	}
 	if !bytes.Equal(out[:o], c.plain[:o]) {
 		t.Fatal("fast loop output differs from the crafted plain text")
 	}
-	if sym := st.litDec.decode(&r); sym != int(c.plain[o]) {
-		t.Fatalf("reader is not in front of token %d after the fast loop: decoded %d, want %d", o, sym, c.plain[o])
+	next := xdEOB
+	if o < len(out) {
+		next = int(c.plain[o])
+	}
+	if sym := st.litDec.decode(&r); sym != next {
+		t.Fatalf("reader is not in front of token %d after the fast loop: decoded %d, want %d", o, sym, next)
+	}
+	// Without the padding it is the input that runs out first: the loop
+	// stops with fewer than 8 bytes left to refill from.
+	rest.src = rest.src[:len(rest.src)-16]
+	if o := st.decodeFast(&rest, out, restAt, 0); len(rest.src)-rest.pos >= 8 || o >= len(out)-1 {
+		t.Fatalf("fast loop stopped at %d of %d with %d input bytes unread, want it to stop for lack of input",
+			o, len(out), len(rest.src)-rest.pos)
+	}
+
+	// The output bound, token by token. With input to spare (padding
+	// after end-of-block) a run of literals stops with less than two
+	// bytes of room, and resumes nowhere.
+	lits := craftStream(t, literalTokens(strings.Repeat("0123456789abcdef", 8)))
+	litsBody := append(append([]byte(nil), lits.stream[lits.bodyOff:]...), make([]byte, 16)...)
+	body = litsBody
+	st.litDec.init(lits.litLens, xdLitExtra[:])
+	st.distDec.init(lits.distLens, xdDistExtra[:])
+	for room := 0; room <= 5; room++ {
+		out := make([]byte, room)
+		r = bitReader{src: body}
+		if o := st.decodeFast(&r, out, 0, 0); o != room&^1 || !bytes.Equal(out[:o], lits.plain[:o]) {
+			t.Fatalf("fast loop wrote %d literals into %d bytes of room, want %d", o, room, room&^1)
+		}
+	}
+	// A match is taken when it fits with its copy's 15 bytes of overshoot
+	// and one to spare, and declined — reader in front of its length
+	// code — one byte short of that.
+	const lead, length = 16, 20
+	m := craftStream(t, slices.Concat(literalTokens("0123456789abcdef"), []lzToken{{length: length, dist: 12}}))
+	body = append(append([]byte(nil), m.stream[m.bodyOff:]...), make([]byte, 16)...)
+	st.litDec.init(m.litLens, xdLitExtra[:])
+	st.distDec.init(m.distLens, xdDistExtra[:])
+	for _, room := range []int{lead + length + 16, lead + length + 15, lead + length} {
+		out := make([]byte, room)
+		r = bitReader{src: body}
+		o := st.decodeFast(&r, out, 0, 0)
+		want := lead
+		if room >= lead+length+16 {
+			want = lead + length
+		}
+		if o != want || !bytes.Equal(out[:o], m.plain[:o]) {
+			t.Fatalf("fast loop stopped at %d with %d bytes of room for a %d-byte match after %d literals, want %d",
+				o, room, length, lead, want)
+		}
+		if o == lead {
+			if sym := st.litDec.decode(&r); sym != 257+refLengthCode(length) {
+				t.Fatalf("reader is not in front of the declined match: decoded %d", sym)
+			}
+		}
 	}
 
 	// An over-subscribed length set leaves the first-level table empty
 	// (the Kraft guard): the fast loop must take nothing at all.
+	// The table it replaces is one the input decodes through.
 	over := make([]uint8, xdLitLenSyms)
 	for s := 0; s < 8; s++ {
 		over[s] = 2
 	}
-	st.litDec.init(over)
-	r = bitReader{src: bytes.Repeat([]byte{0x1b}, 64)}
+	st.litDec.init(lits.litLens, xdLitExtra[:])
+	st.litDec.init(over, xdLitExtra[:])
+	r = bitReader{src: litsBody}
 	if o := st.decodeFast(&r, make([]byte, 4096), 0, 0); o != 0 || r.nacc > 63 {
 		t.Fatalf("fast loop took %d bytes through an empty table", o)
 	}
