@@ -5,8 +5,8 @@
 // Usage:
 //
 //	dramsim [-trace FILE] [-binary] [-channels N] [-ranks N] [-device 8|16|32]
-//	        [-metrics-out FILE] [-trace-out FILE] [-timeseries-out FILE]
-//	        [-sample-every N] [-sample-wall DUR] [-pprof ADDR]
+//	        [-queued] [-metrics-out FILE] [-trace-out FILE]
+//	        [-timeseries-out FILE] [-sample-every N]
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //
 // Without -trace it generates the default web front-end trace

@@ -16,10 +16,11 @@
 // every CI artifact. -require-nesting demands that the trace contains
 // at least one NMA compress/decompress span strictly nested inside a
 // refresh-window span on the same track (the paper's core claim,
-// rendered on the timeline). -timeseries validates a dump written by -timeseries-out:
-// schema version, strictly monotonic timestamps within each series,
-// non-negative counter-kind deltas, and (via -require-series) the
-// presence of named series with at least one point.
+// rendered on the timeline). -timeseries validates a dump written by
+// -timeseries-out: schema version, the sim-ps clock, strictly
+// monotonic timestamps within each series, non-negative counter-kind
+// deltas, and (via -require-series) the presence of named series with
+// at least one point.
 //
 // -diff A,B is timeseriesdiff mode: compare two -timeseries-out dumps
 // series-by-series and report the first divergent window of each,
@@ -206,7 +207,7 @@ type tsDump struct {
 }
 
 // checkTimeseries validates a flight-recorder dump: schema version 1,
-// a known clock domain, at least one sample, strictly monotonic
+// the simulated-time clock, at least one sample, strictly monotonic
 // timestamps within every series, and non-negative values on
 // counter-kind series (per-window deltas of monotone counters must
 // never run backwards). requireSeries lists series names that must be
@@ -223,8 +224,8 @@ func checkTimeseries(path, requireSeries string) {
 	if d.Schema != 1 {
 		fail("%s: unsupported schema %d, want 1", path, d.Schema)
 	}
-	if d.Clock != "sim-ps" && d.Clock != "wall-ns" {
-		fail("%s: unknown clock domain %q", path, d.Clock)
+	if d.Clock != "sim-ps" {
+		fail("%s: unknown clock %q, want sim-ps", path, d.Clock)
 	}
 	if d.Samples <= 0 {
 		fail("%s: no samples recorded", path)

@@ -1,13 +1,15 @@
 // Command xfmbench regenerates every table and figure of the paper's
 // evaluation. With no arguments it runs the full suite; pass
-// experiment ids (fig1 fig3 fig8 fig11 fig12 table1 table2 table3
-// sec32 energy capacity emulator) to run a subset.
+// experiment ids (fig1 fig3 fig6 fig8 fig11 fig11sim fig12 table1
+// table2 table3 sec32 energy capacity emulator ablations; -list prints
+// them) to run a subset.
 //
 // Usage:
 //
-//	xfmbench [-csv] [-list] [-j N] [-metrics-out FILE] [-trace-out FILE]
-//	         [-timeseries-out FILE] [-sample-every N] [-sample-wall DUR]
-//	         [-pprof ADDR] [-cpuprofile FILE] [-memprofile FILE]
+//	xfmbench [-csv] [-plot] [-list] [-out DIR] [-j N]
+//	         [-metrics-out FILE] [-trace-out FILE]
+//	         [-timeseries-out FILE] [-sample-every N]
+//	         [-cpuprofile FILE] [-memprofile FILE]
 //	         [-bench-json DIR] [-nma-stepped]
 //	         [-chaos SPEC] [-seed N] [-chaos-strict]
 //	         [experiment ...]
@@ -21,10 +23,10 @@
 // With -timeseries-out FILE the flight recorder samples the default
 // metric catalogue every -sample-every refresh windows of simulated
 // time and writes the recording (JSON, or CSV when FILE ends in .csv)
-// on exit; telemetryck validates it and xfmtop renders it. Under -j
-// each parallel simulator records into its own sampler and the per-sim
-// rings are merged at dump time, so no simulator's timeline is lost to
-// another's.
+// on exit; telemetryck validates it and xfmtop renders it. A recording
+// is one timeline over one registry, so while recording the
+// experiments run one after another whatever -j says, and the artifact
+// is bit-identical from run to run.
 //
 // With -chaos SPEC the experiments are skipped and the deterministic
 // fault-injection gate runs instead: the full seed corpus is swapped
@@ -58,7 +60,7 @@ func main() {
 	plot := flag.Bool("plot", false, "append an ASCII bar chart for experiments that provide one")
 	list := flag.Bool("list", false, "list available experiments and exit")
 	outDir := flag.String("out", "", "also write each experiment's table as CSV into this directory")
-	jobs := flag.Int("j", 0, "experiments to run in parallel (0 = GOMAXPROCS, 1 = serial); tables are identical at any setting")
+	jobs := flag.Int("j", 0, "experiments to run in parallel (0 = GOMAXPROCS, 1 = serial; always serial with -timeseries-out); tables are identical at any setting")
 	benchJSON := flag.String("bench-json", "", "run the swap-path bench scenarios and write BENCH_*.json artifacts into this directory (skips the experiments)")
 	nmaStepped := flag.Bool("nma-stepped", false, "disable the NMA idle fast-forward and step every refresh window (slow; for proving recordings are identical either way)")
 	chaosSpec := flag.String("chaos", "", "run the fault-injection gate with this chaos spec (preset, site=p[:max] fields, storm=period:len, or @plan.json) instead of the experiments")
@@ -76,12 +78,6 @@ func main() {
 	if err := tel.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-
-	// Multi-sim recording: with parallel experiments each simulator
-	// gets its own flight-recorder sampler, merged at dump time.
-	if *jobs != 1 {
-		telemetry.DefaultSampler().SetFanOut(true)
 	}
 
 	if *chaosSpec != "" {
@@ -154,7 +150,12 @@ func main() {
 
 	// Experiments run in parallel (pure functions of their inputs) but
 	// results print in the selected order, so the output is identical
-	// to a serial run modulo per-experiment timings.
+	// to a serial run modulo per-experiment timings. A recording is one
+	// timeline, in which simulators that ran concurrently would
+	// interleave their windows differently on every run: serial then.
+	if tel.TimeseriesOut != "" {
+		*jobs = 1
+	}
 	for _, r := range experiments.RunExperiments(selected, *jobs) {
 		e, tbl := r.Experiment, r.Table
 		if *outDir != "" {

@@ -1,35 +1,24 @@
-// Command xfmtop is a live terminal dashboard for the XFM telemetry
-// stack: it renders the flight recorder's time series as sparklines
-// and the health monitor's verdict as a panel, top-style, from either
-// a running process's debug server or a recorded artifact.
+// Command xfmtop renders a flight-recorder dump (written by
+// `xfmbench -timeseries-out`) as a terminal report: every recorded
+// series as a sparkline with its last/min/max, above the verdict of
+// the default health rules evaluated over the same dump.
 //
 // Usage:
 //
-//	xfmtop [-url http://localhost:6060] [-file timeseries.json]
-//	       [-refresh 1s] [-width 60] [-filter substr] [-once]
+//	xfmtop -file timeseries.json [-width 60] [-filter substr]
 //	       [-health-exit]
 //
-// With -url it polls /debug/timeseries and /debug/health every
-// -refresh and redraws in place (ANSI clear). With -file it reads a
-// recorded dump (written by `xfmbench -timeseries-out`), evaluates the
-// default health rules locally, and renders the same view. -once
-// renders a single frame without ANSI control codes and exits — the CI
-// smoke mode. -health-exit exits 3 when the health verdict is DEGRADED
-// or CRITICAL: with -once that is the rendered frame's verdict, in
-// live mode the first such poll ends the session, so a script can
-// leave xfmtop watching a benchmark and fail the moment health
-// degrades.
+// -health-exit exits 3 when the health verdict is DEGRADED or
+// CRITICAL, so a script can gate on a recording's health.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
-	"net/http"
 	"os"
 	"strings"
-	"time"
 
 	"xfm/internal/telemetry"
 )
@@ -101,8 +90,8 @@ func seriesStats(pts []telemetry.Point) (last, min, max float64) {
 	return last, min, max
 }
 
-// render writes one full frame.
-func render(w *strings.Builder, d *telemetry.Dump, h telemetry.Health, src string, width int, filter string) {
+// render writes the report.
+func render(w io.Writer, d *telemetry.Dump, h telemetry.Health, src string, width int, filter string) {
 	clockDesc := d.Clock
 	if d.SimEvery > 0 {
 		clockDesc = fmt.Sprintf("%s · every %d windows", d.Clock, d.SimEvery)
@@ -126,7 +115,7 @@ func render(w *strings.Builder, d *telemetry.Dump, h telemetry.Health, src strin
 		}
 		fmt.Fprintf(w, "  %-4s %-28s %s\n", mark, c.Rule, detail)
 	}
-	w.WriteString("\n")
+	fmt.Fprintln(w)
 
 	fmt.Fprintf(w, "%-34s %10s %10s %10s  %s\n", "SERIES", "last", "min", "max", "trajectory")
 	for _, s := range d.Series {
@@ -142,101 +131,32 @@ func render(w *strings.Builder, d *telemetry.Dump, h telemetry.Health, src strin
 	}
 }
 
-// fetchJSON GETs url into v.
-func fetchJSON(client *http.Client, url string, v interface{}) error {
-	resp, err := client.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	// /debug/health answers 503 on CRITICAL; the body is still the
-	// verdict we want to render.
-	return json.NewDecoder(resp.Body).Decode(v)
-}
-
 func main() {
-	url := flag.String("url", "", "poll a live debug server at this base URL (e.g. http://localhost:6060)")
-	file := flag.String("file", "", "render a recorded time-series dump instead of polling")
-	refresh := flag.Duration("refresh", time.Second, "redraw interval in live mode")
+	file := flag.String("file", "", "recorded time-series dump to render")
 	width := flag.Int("width", 60, "sparkline width in samples")
 	filter := flag.String("filter", "", "only show series whose name contains this substring")
-	once := flag.Bool("once", false, "render one frame without ANSI control codes and exit (CI mode)")
-	healthExit := flag.Bool("health-exit", false, "exit 3 when the health verdict is DEGRADED or CRITICAL (first poll in live mode, the rendered frame with -once)")
+	healthExit := flag.Bool("health-exit", false, "exit 3 when the health verdict is DEGRADED or CRITICAL")
 	flag.Parse()
 
-	if (*url == "") == (*file == "") {
-		fmt.Fprintln(os.Stderr, "xfmtop: pass exactly one of -url or -file")
+	if *file == "" {
+		fmt.Fprintln(os.Stderr, "xfmtop: pass -file FILE")
 		os.Exit(2)
 	}
-
-	client := &http.Client{Timeout: 5 * time.Second}
-	monitor := telemetry.NewMonitor() // default rules, local evaluation
-
-	frame := func() (string, telemetry.Health, error) {
-		var d *telemetry.Dump
-		var h telemetry.Health
-		var src string
-		if *file != "" {
-			f, err := os.Open(*file)
-			if err != nil {
-				return "", h, err
-			}
-			d, err = telemetry.ReadDump(f)
-			f.Close()
-			if err != nil {
-				return "", h, err
-			}
-			h = monitor.Evaluate(d)
-			src = *file
-		} else {
-			d = &telemetry.Dump{}
-			if err := fetchJSON(client, *url+"/debug/timeseries", d); err != nil {
-				return "", h, err
-			}
-			if err := fetchJSON(client, *url+"/debug/health", &h); err != nil {
-				// A server predating /debug/health still has series;
-				// evaluate locally rather than failing.
-				h = monitor.Evaluate(d)
-			}
-			src = *url
-		}
-		var b strings.Builder
-		render(&b, d, h, src, *width, *filter)
-		return b.String(), h, nil
+	f, err := os.Open(*file)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "xfmtop:", err)
+		os.Exit(1)
 	}
-
-	if *once {
-		out, h, err := frame()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xfmtop:", err)
-			os.Exit(1)
-		}
-		fmt.Print(out)
-		if *healthExit && h.Code != 0 {
-			fmt.Fprintf(os.Stderr, "xfmtop: health %s (-health-exit)\n", h.Status)
-			os.Exit(3)
-		}
-		return
+	d, err := telemetry.ReadDump(f)
+	f.Close()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "xfmtop:", err)
+		os.Exit(1)
 	}
-
-	for {
-		out, h, err := frame()
-		// ANSI: home cursor, clear to end of screen (less flicker than
-		// a full clear).
-		fmt.Print("\x1b[H\x1b[2J\x1b[3J")
-		if err != nil {
-			fmt.Printf("xfmtop: %v (retrying every %v)\n", err, *refresh)
-		} else {
-			fmt.Print(out)
-		}
-		// Live watchdog mode: the first DEGRADED/CRITICAL poll ends the
-		// session with the same exit code -once uses, so a CI step can
-		// leave xfmtop watching a benchmark and fail the build the
-		// moment health degrades instead of inspecting one final frame.
-		if *healthExit && err == nil && h.Code != 0 {
-			fmt.Fprintf(os.Stderr, "xfmtop: health %s (-health-exit)\n", h.Status)
-			os.Exit(3)
-		}
-		time.Sleep(*refresh)
+	h := telemetry.DefaultMonitor().Evaluate(d)
+	render(os.Stdout, d, h, *file, *width, *filter)
+	if *healthExit && h.Code != 0 {
+		fmt.Fprintf(os.Stderr, "xfmtop: health %s (-health-exit)\n", h.Status)
+		os.Exit(3)
 	}
 }

@@ -30,7 +30,7 @@ import (
 //   - calls through function values (unknown callees) are findings —
 //     the walk cannot certify what it cannot see — suppressible at
 //     the call site with //xfm:ignore when the callee contract is
-//     enforced elsewhere (e.g. parallel.ForEach's per-item body,
+//     enforced elsewhere (e.g. parallel.Pool.Run's per-item body,
 //     covered by allocs/op regression tests);
 //   - out-of-module callees have no bodies here and are assumed
 //     allocation-free except package fmt, exactly as in PR 4; the

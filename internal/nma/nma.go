@@ -376,10 +376,7 @@ func NewSim(cfg Config) *Sim {
 		completedByGroup: make([]refFIFO, groups+1),
 		tracer:           telemetry.DefaultTracer(),
 		track:            -1,
-		// SimSampler is the default recorder itself in single-sim runs
-		// and a private per-sim child when fan-out is on (xfmbench -j),
-		// so parallel sims stop losing samples to first-writer-wins.
-		sampler: telemetry.DefaultSampler().SimSampler(),
+		sampler:          telemetry.DefaultSampler(),
 	}
 	s.bulkAdvance = s.advanceIdle
 	return s

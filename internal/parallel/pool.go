@@ -150,8 +150,7 @@ func (p *Pool) work(id int) {
 }
 
 // runBody claims index chunks off the shared counter until the batch
-// is exhausted — the same claiming discipline as ForEach, so fast
-// workers steal from slow ones near the tail.
+// is exhausted, so fast workers steal from slow ones near the tail.
 //
 //xfm:hotpath
 func (p *Pool) runBody(id int) {

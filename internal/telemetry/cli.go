@@ -2,26 +2,21 @@ package telemetry
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 )
 
 // CLI bundles the observability flags shared by cmd/xfmbench and
-// cmd/dramsim: metrics/trace/time-series file export, a debug HTTP
-// server, and wall-clock CPU/heap profiling that composes with
-// simulated-time tracing.
+// cmd/dramsim: metrics/trace/time-series file export and wall-clock
+// CPU/heap profiling that composes with simulated-time tracing.
 type CLI struct {
 	MetricsOut    string
 	TraceOut      string
 	TraceBuf      int
 	TimeseriesOut string
 	SampleEvery   int
-	SampleWall    time.Duration
-	PprofAddr     string
 	CPUProfile    string
 	MemProfile    string
 
@@ -35,29 +30,23 @@ func (c *CLI) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.TraceBuf, "trace-buf", DefaultTraceCapacity, "span ring-buffer capacity for -trace-out (oldest spans drop when exceeded)")
 	fs.StringVar(&c.TimeseriesOut, "timeseries-out", "", "record metric time series and write the flight-recorder dump to this file at exit (.csv extension switches to long-format CSV)")
 	fs.IntVar(&c.SampleEvery, "sample-every", DefaultSimEvery, "simulated-time sampling period for -timeseries-out, in refresh windows (tREFI intervals)")
-	fs.DurationVar(&c.SampleWall, "sample-wall", 0, "sample on the wall clock at this interval instead of on refresh windows (e.g. 250ms; for server runs)")
-	fs.StringVar(&c.PprofAddr, "pprof", "", "serve /metrics, /debug/vars, /debug/trace, /debug/timeseries, /debug/health and /debug/pprof on this address (e.g. :6060)")
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a runtime/pprof CPU profile to this file")
 	fs.StringVar(&c.MemProfile, "memprofile", "", "write a runtime/pprof heap profile to this file at exit")
 }
 
-// Start enables tracing and the flight recorder, starts profiling, and
-// launches the debug server as requested by the parsed flags.
+// Start enables tracing and the flight recorder and starts profiling
+// as requested by the parsed flags.
 func (c *CLI) Start() error {
 	if c.TraceOut != "" {
 		tr := DefaultTracer()
 		tr.SetCapacity(c.TraceBuf)
 		tr.SetEnabled(true)
 	}
-	if c.TimeseriesOut != "" || c.PprofAddr != "" {
+	if c.TimeseriesOut != "" {
 		s := DefaultSampler()
 		s.Reset()
-		if c.SampleWall > 0 {
-			s.StartWall(c.SampleWall)
-		} else {
-			s.SetSimEvery(c.SampleEvery)
-			s.SetEnabled(true)
-		}
+		s.SetSimEvery(c.SampleEvery)
+		s.SetEnabled(true)
 	}
 	if c.CPUProfile != "" {
 		f, err := os.Create(c.CPUProfile)
@@ -69,14 +58,6 @@ func (c *CLI) Start() error {
 			return err
 		}
 		c.cpuFile = f
-	}
-	if c.PprofAddr != "" {
-		go func() {
-			if err := ListenAndServe(c.PprofAddr, DefaultRegistry(), DefaultTracer(),
-				DefaultSampler(), DefaultMonitor()); err != nil {
-				fmt.Fprintf(os.Stderr, "telemetry: debug server: %v\n", err)
-			}
-		}()
 	}
 	return nil
 }
@@ -126,7 +107,7 @@ func (c *CLI) Finish() error {
 			// the run's totals as a single window.
 			s.FinalSample()
 		}
-		s.Stop()
+		s.SetEnabled(false)
 		f, err := os.Create(c.TimeseriesOut)
 		if err != nil {
 			return err

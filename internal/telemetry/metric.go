@@ -3,8 +3,8 @@
 // gauges, and fixed-bucket latency histograms with estimated
 // p50/p95/p99), a lock-cheap span tracer that records simulated-time
 // spans into a bounded ring buffer, and exporters for the Prometheus
-// text exposition format, Chrome trace-event JSON
-// (chrome://tracing / Perfetto), and an expvar-style JSON snapshot.
+// text exposition format and Chrome trace-event JSON
+// (chrome://tracing / Perfetto).
 //
 // Every package of the offload path (sfm, xfm, nma, dram, memctrl,
 // parallel) records into the process-wide Default registry and
@@ -155,6 +155,8 @@ func (h *Histogram) Max() float64 {
 }
 
 // Mean returns Sum/Count, or 0 when empty.
+//
+//xfm:ignore unreachable a Snapshot field: compared by the nma fast-forward equivalence tests through Registry.Snapshot, checked by TestHistogramQuantiles
 func (h *Histogram) Mean() float64 {
 	n := h.count.Load()
 	if n == 0 {
@@ -257,6 +259,8 @@ func (s HistogramState) Count() int64 {
 }
 
 // Mean returns Sum/Count, or 0 when empty.
+//
+//xfm:ignore unreachable the windowed mean TestHistogramStateDelta checks a Delta against
 func (s HistogramState) Mean() float64 {
 	n := s.Count()
 	if n == 0 {

@@ -324,6 +324,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 // HistogramSnapshot is the exported view of one histogram.
+//
+//xfm:ignore unreachable element of Snapshot: the one view that carries a histogram's min and max, which engineRun/stormRun (internal/nma) compare
 type HistogramSnapshot struct {
 	Count  int64     `json:"count"`
 	Sum    float64   `json:"sum"`
@@ -337,9 +339,10 @@ type HistogramSnapshot struct {
 	Counts []int64   `json:"counts,omitempty"`
 }
 
-// Snapshot is a point-in-time expvar-style view of a registry. Metric
-// keys include the label suffix (`name{key="value"}`) for labeled
-// children.
+// Snapshot is a point-in-time view of a registry. Metric keys include
+// the label suffix (`name{key="value"}`) for labeled children.
+//
+//xfm:ignore unreachable result of Registry.Snapshot: TestFastForwardEquivalence and TestStormFastForwardEquivalence (internal/nma) compare two of them
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]float64           `json:"gauges"`
@@ -349,6 +352,8 @@ type Snapshot struct {
 // Snapshot captures every metric. Values observed while writers are
 // running are approximate (each field is read atomically but the set
 // is not a consistent cut).
+//
+//xfm:ignore unreachable test seam: the nma engine/storm tests prove fast-forward ≡ stepped by comparing whole-registry snapshots, histogram min/max included (Prometheus text has neither)
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]int64{},

@@ -4,10 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // The flight recorder: a Sampler periodically snapshots selected
@@ -16,18 +14,20 @@ import (
 // slot-utilization collapse, queue-full stall storms — are visible as
 // trajectories instead of end-of-run totals.
 //
-// Two clock domains exist. In the simulated-time domain (the default)
-// nma.Sim drives the recorder by calling SimTick at the end of every
-// refresh window; the sampler takes one sample every SimEvery ticks,
-// so each sample is a tREFI epoch and the recorded series are
-// bit-deterministic for a fixed seed at any worker count (samples are
-// taken on the serial window-stepping path, after all parallel-phase
-// counter bumps have completed). In the wall-clock domain (StartWall)
-// a goroutine samples every interval, for long-running servers and
-// benches. The disabled fast path of SimTick is one atomic load.
+// The recorder has one clock: simulated time. nma.Sim drives it by
+// calling SimTick at the end of every refresh window; the sampler
+// takes one sample every SimEvery ticks, so each sample is a tREFI
+// epoch and the recorded series are bit-deterministic for a fixed seed
+// (samples are taken on the serial window-stepping path, after all
+// parallel-phase counter bumps have completed). A sampler owns one
+// strictly monotonic timeline over one shared registry, so a recording
+// is of simulators that run one after another: a second simulator
+// running concurrently would lose its ticks to the first and leak its
+// counter bumps into the first's windows, which is why xfmbench runs
+// its experiments serially while recording. The disabled fast path of
+// SimTick is one atomic load.
 
-// Point is one sample of one series: T is simulated picoseconds in
-// the sim domain or Unix nanoseconds in the wall domain.
+// Point is one sample of one series: T is simulated picoseconds.
 type Point struct {
 	T int64   `json:"t"`
 	V float64 `json:"v"`
@@ -86,13 +86,12 @@ const DefaultSimEvery = 64
 type Sampler struct {
 	reg     *Registry
 	enabled atomic.Bool
-	// simEvery is the sim-domain sampling period in ticks; 0 routes
-	// around SimTick entirely (wall domain or recorder unused).
+	// simEvery is the sampling period in ticks; 0 routes around SimTick
+	// entirely.
 	simEvery atomic.Int64
 	ticks    atomic.Int64
 
 	mu       sync.Mutex
-	wall     bool // true after StartWall: timestamps are wall nanoseconds
 	names    []string
 	capacity int
 	order    []*series
@@ -102,19 +101,6 @@ type Sampler struct {
 	samples  int
 	lastT    int64
 	haveLast bool
-	stop     chan struct{}
-
-	// Per-sim fan-out (multi-sim recording). One sampler owns one
-	// strictly monotonic timeline, so when several simulators run in
-	// parallel (xfmbench -j) and share the recorder, only the first to
-	// reach a timestamp records it. With fan-out enabled, SimSampler
-	// hands each new simulator a private child sampler (own tick clock
-	// and rings, same registry and catalogue) and Dump merges the
-	// per-sim rings afterwards. children has its own mutex so no
-	// Sampler.mu ever nests inside another Sampler.mu.
-	fanOut   atomic.Bool
-	childMu  sync.Mutex
-	children []*Sampler
 }
 
 // NewSampler builds a disabled sampler over reg recording the given
@@ -139,9 +125,8 @@ func NewSampler(reg *Registry, capacity int, metrics ...string) *Sampler {
 	return s
 }
 
-// SetSimEvery sets the simulated-time sampling period in refresh
-// windows (SimTick calls per sample); n ≤ 0 disables sim-domain
-// sampling.
+// SetSimEvery sets the sampling period in refresh windows (SimTick
+// calls per sample); n ≤ 0 disables sampling.
 func (s *Sampler) SetSimEvery(n int) {
 	if n < 0 {
 		n = 0
@@ -149,74 +134,17 @@ func (s *Sampler) SetSimEvery(n int) {
 	s.simEvery.Store(int64(n))
 }
 
-// SetEnabled turns the recorder on or off (children included).
-// Enabling does not re-baseline; call Reset first when starting a
-// fresh recording.
-func (s *Sampler) SetEnabled(on bool) {
-	s.enabled.Store(on)
-	for _, c := range s.childrenSnapshot() {
-		c.SetEnabled(on)
-	}
-}
-
-// Enabled reports whether the recorder is on.
-func (s *Sampler) Enabled() bool { return s.enabled.Load() }
+// SetEnabled turns the recorder on or off; recorded series stay
+// readable. Enabling does not re-baseline; call Reset first when
+// starting a fresh recording.
+func (s *Sampler) SetEnabled(on bool) { s.enabled.Store(on) }
 
 // Reset clears every recorded series and re-baselines the counter and
 // histogram snapshots at the metrics' current values, so the first
-// recorded window holds only activity after the reset. Fan-out
-// children are detached: simulators built before a Reset belong to the
-// previous recording.
+// recorded window holds only activity after the reset.
 func (s *Sampler) Reset() {
 	s.mu.Lock()
-	s.resetLocked()
-	s.mu.Unlock()
-	s.childMu.Lock()
-	s.children = nil
-	s.childMu.Unlock()
-}
-
-// SetFanOut enables (or disables) per-sim fan-out: while on, each
-// SimSampler call returns a fresh child sampler instead of s itself.
-// Existing children stay attached until Reset.
-func (s *Sampler) SetFanOut(on bool) { s.fanOut.Store(on) }
-
-// SimSampler returns the sampler a newly built simulator should tick.
-// In the default single-recorder mode that is s itself — zero behavior
-// change, one dump, bit-deterministic. With fan-out enabled it is a
-// fresh child sampler over the same registry and catalogue, with its
-// own tick clock and rings, baselined at the current registry state;
-// Dump() merges the per-sim rings so no simulator's timeline is lost
-// to another's first-writer-wins timestamp collision. Note the
-// registry itself stays shared: under -j a child's windowed deltas
-// include concurrent activity from sibling sims, so merged parallel
-// recordings are full-coverage but not per-sim-exact.
-func (s *Sampler) SimSampler() *Sampler {
-	if !s.fanOut.Load() {
-		return s
-	}
-	s.mu.Lock()
-	capacity := s.capacity
-	names := append([]string(nil), s.names...)
-	s.mu.Unlock()
-	c := NewSampler(s.reg, capacity, names...)
-	c.simEvery.Store(s.simEvery.Load())
-	c.Reset()
-	c.enabled.Store(s.enabled.Load())
-	s.childMu.Lock()
-	s.children = append(s.children, c)
-	s.childMu.Unlock()
-	return c
-}
-
-// childrenSnapshot returns the attached fan-out children.
-func (s *Sampler) childrenSnapshot() []*Sampler {
-	s.childMu.Lock()
-	defer s.childMu.Unlock()
-	return append([]*Sampler(nil), s.children...)
-}
-
-func (s *Sampler) resetLocked() {
+	defer s.mu.Unlock()
 	s.order = nil
 	s.byName = map[string]*series{}
 	s.prevCtr = map[string]float64{}
@@ -239,16 +167,11 @@ func (s *Sampler) resetLocked() {
 	}
 }
 
-// Samples returns the number of samples taken since the last Reset,
-// including samples recorded by fan-out children.
+// Samples returns the number of samples taken since the last Reset.
 func (s *Sampler) Samples() int {
 	s.mu.Lock()
-	n := s.samples
-	s.mu.Unlock()
-	for _, c := range s.childrenSnapshot() {
-		n += c.Samples()
-	}
-	return n
+	defer s.mu.Unlock()
+	return s.samples
 }
 
 // SimTick is the simulated-time clock input, called by nma.Sim at the
@@ -270,9 +193,7 @@ func (s *Sampler) SimTick(nowPs int64) {
 		return
 	}
 	s.mu.Lock()
-	if !s.wall {
-		s.sampleLocked(nowPs)
-	}
+	s.sampleLocked(nowPs)
 	s.mu.Unlock()
 }
 
@@ -297,8 +218,8 @@ func (s *Sampler) SimTickRange(startPs, stepPs, n int64, advance func(k int64)) 
 		advance = func(int64) {}
 	}
 	// Disabled recorders do not count ticks (SimTick returns before its
-	// ticks.Add), and neither does a sampler with sim-domain sampling
-	// off; mirror both fast paths.
+	// ticks.Add), and neither does a sampler with sampling off; mirror
+	// both fast paths.
 	if !s.enabled.Load() {
 		advance(n)
 		return
@@ -321,12 +242,10 @@ func (s *Sampler) SimTickRange(startPs, stepPs, n int64, advance func(k int64)) 
 		advance(rem)
 		s.ticks.Add(rem)
 		done += rem
+		// The sample lands on the rem-th skipped window, whose execution
+		// time is its position in the range.
 		s.mu.Lock()
-		if !s.wall {
-			// The sample lands on the rem-th skipped window, whose
-			// execution time is its position in the range.
-			s.sampleLocked(startPs + (done-1)*stepPs)
-		}
+		s.sampleLocked(startPs + (done-1)*stepPs)
 		s.mu.Unlock()
 	}
 }
@@ -384,66 +303,8 @@ func (s *Sampler) get(name, kind, metric string) *series {
 	return sr
 }
 
-// StartWall switches the sampler to the wall-clock domain and starts a
-// goroutine sampling every interval until Stop. Sim ticks are ignored
-// while the wall clock runs.
-func (s *Sampler) StartWall(interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	s.mu.Lock()
-	if s.stop != nil {
-		s.mu.Unlock()
-		return
-	}
-	s.wall = true
-	s.simEvery.Store(0)
-	stop := make(chan struct{})
-	s.stop = stop
-	s.mu.Unlock()
-	s.enabled.Store(true)
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case now := <-t.C:
-				// A tick can win the select against a closed stop;
-				// Stop clears s.stop under mu, so checking it here
-				// guarantees no sample lands after Stop returns.
-				s.mu.Lock()
-				if s.stop == stop {
-					s.sampleLocked(now.UnixNano())
-				}
-				s.mu.Unlock()
-			}
-		}
-	}()
-}
-
-// Stop halts a wall-clock sampling goroutine (no-op otherwise) and
-// disables the recorder, fan-out children included. Recorded series
-// stay readable.
-func (s *Sampler) Stop() {
-	s.enabled.Store(false)
-	s.mu.Lock()
-	if s.stop != nil {
-		close(s.stop)
-		s.stop = nil
-	}
-	s.mu.Unlock()
-	for _, c := range s.childrenSnapshot() {
-		c.Stop()
-	}
-}
-
-// Clock names used in dumps.
-const (
-	ClockSimPs  = "sim-ps"
-	ClockWallNs = "wall-ns"
-)
+// ClockSimPs is the clock name in dumps: simulated picoseconds.
+const ClockSimPs = "sim-ps"
 
 // SeriesDump is the exported view of one recorded series.
 type SeriesDump struct {
@@ -455,14 +316,13 @@ type SeriesDump struct {
 }
 
 // Dump is the time-series artifact schema (written by -timeseries-out,
-// served on /debug/timeseries, validated by telemetryck, rendered by
-// xfmtop).
+// validated by telemetryck, rendered by xfmtop).
 type Dump struct {
 	Schema   int    `json:"schema"`
 	Clock    string `json:"clock"`
 	SimEvery int64  `json:"sim_every,omitempty"`
 	Samples  int    `json:"samples"`
-	// Ticks counts clock inputs seen (sim domain: refresh windows).
+	// Ticks counts clock inputs seen (refresh windows).
 	Ticks  int64        `json:"ticks,omitempty"`
 	Series []SeriesDump `json:"series"`
 }
@@ -470,40 +330,16 @@ type Dump struct {
 // DumpSchemaVersion is the current Dump schema.
 const DumpSchemaVersion = 1
 
-// Dump snapshots every recorded series. When fan-out children are
-// attached (multi-sim recording), their rings are merged in: series
-// are matched by name and points merged by timestamp, with the earlier
-// source (parent first, then children in creation order) winning a
-// timestamp collision, so every merged series stays strictly
-// monotonic.
+// Dump snapshots every recorded series.
 func (s *Sampler) Dump() *Dump {
-	d := s.dumpOwn()
-	kids := s.childrenSnapshot()
-	if len(kids) == 0 {
-		return d
-	}
-	dumps := make([]*Dump, 0, len(kids)+1)
-	dumps = append(dumps, d)
-	for _, c := range kids {
-		dumps = append(dumps, c.dumpOwn())
-	}
-	return mergeDumps(dumps)
-}
-
-// dumpOwn snapshots this sampler's own rings, ignoring children.
-func (s *Sampler) dumpOwn() *Dump {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	d := &Dump{
-		Schema:  DumpSchemaVersion,
-		Clock:   ClockSimPs,
-		Samples: s.samples,
-		Ticks:   s.ticks.Load(),
-	}
-	if s.wall {
-		d.Clock = ClockWallNs
-	} else {
-		d.SimEvery = s.simEvery.Load()
+		Schema:   DumpSchemaVersion,
+		Clock:    ClockSimPs,
+		SimEvery: s.simEvery.Load(),
+		Samples:  s.samples,
+		Ticks:    s.ticks.Load(),
 	}
 	for _, sr := range s.order {
 		d.Series = append(d.Series, SeriesDump{
@@ -512,57 +348,6 @@ func (s *Sampler) dumpOwn() *Dump {
 		})
 	}
 	return d
-}
-
-// mergeDumps combines per-sim dumps into one artifact: Samples and
-// Ticks sum, series match by name in first-seen order, and each
-// series' points merge sorted by timestamp with the earlier source
-// winning ties. Sources are passed in a deterministic order, so the
-// merged dump is bit-reproducible whenever the inputs are.
-func mergeDumps(dumps []*Dump) *Dump {
-	out := &Dump{
-		Schema:   DumpSchemaVersion,
-		Clock:    dumps[0].Clock,
-		SimEvery: dumps[0].SimEvery,
-	}
-	var names []string
-	byName := map[string][]SeriesDump{}
-	for _, d := range dumps {
-		out.Samples += d.Samples
-		out.Ticks += d.Ticks
-		for _, sr := range d.Series {
-			if _, ok := byName[sr.Name]; !ok {
-				names = append(names, sr.Name)
-			}
-			byName[sr.Name] = append(byName[sr.Name], sr)
-		}
-	}
-	for _, name := range names {
-		srcs := byName[name]
-		m := SeriesDump{Name: name, Kind: srcs[0].Kind, Metric: srcs[0].Metric}
-		n := 0
-		for _, sr := range srcs {
-			m.Dropped += sr.Dropped
-			n += len(sr.Points)
-		}
-		pts := make([]Point, 0, n)
-		for _, sr := range srcs {
-			pts = append(pts, sr.Points...)
-		}
-		// Stable sort keeps the earlier source's point first among equal
-		// timestamps; the dedupe below then drops the later ones.
-		sort.SliceStable(pts, func(i, j int) bool { return pts[i].T < pts[j].T })
-		merged := pts[:0]
-		for _, p := range pts {
-			if len(merged) > 0 && merged[len(merged)-1].T == p.T {
-				continue
-			}
-			merged = append(merged, p)
-		}
-		m.Points = merged
-		out.Series = append(out.Series, m)
-	}
-	return out
 }
 
 // WriteJSON writes the dump as indented JSON.

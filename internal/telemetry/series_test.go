@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestHistogramStateDelta(t *testing.T) {
@@ -362,39 +361,6 @@ func TestSamplerDumpRoundTripAndCSV(t *testing.T) {
 	}
 }
 
-func TestSamplerWallClock(t *testing.T) {
-	reg := NewRegistry()
-	reg.Gauge("test_depth", "depth").Set(1)
-	s := NewSampler(reg, 8, "test_depth")
-	s.Reset()
-	s.StartWall(time.Millisecond)
-	defer s.Stop()
-
-	deadline := time.Now().Add(2 * time.Second)
-	for s.Samples() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if s.Samples() == 0 {
-		t.Fatal("wall sampler took no samples within 2s")
-	}
-	// Sim ticks are ignored in the wall domain.
-	before := s.Dump()
-	s.SimTick(1)
-	s.SimTick(2)
-	if d := s.Dump(); d.Clock != ClockWallNs {
-		t.Fatalf("Clock = %q, want %q", d.Clock, ClockWallNs)
-	} else if d.SimEvery != 0 {
-		t.Fatalf("SimEvery = %d in wall mode, want 0", d.SimEvery)
-	}
-	_ = before
-	s.Stop()
-	n := s.Samples()
-	time.Sleep(10 * time.Millisecond)
-	if got := s.Samples(); got != n {
-		t.Fatalf("sampler kept sampling after Stop: %d -> %d", n, got)
-	}
-}
-
 func TestDefaultSeriesMetricsResolve(t *testing.T) {
 	// Every catalogue entry must stay a registered family name once the
 	// instrumented packages are linked in; here we only check the list
@@ -415,9 +381,8 @@ func TestDefaultSeriesMetricsResolve(t *testing.T) {
 	}
 }
 
-// Sample takes one sample at timestamp t (simulated picoseconds or
-// wall nanoseconds, depending on the clock domain). Non-monotonic
-// timestamps are dropped.
+// Sample takes one sample at timestamp t (simulated picoseconds).
+// Non-monotonic timestamps are dropped.
 func (s *Sampler) Sample(t int64) {
 	s.mu.Lock()
 	s.sampleLocked(t)

@@ -57,7 +57,7 @@ func recordTimeseries(t *testing.T, workers int) []byte {
 		now += 50 * dram.Microsecond
 	}
 	smp.FinalSample()
-	smp.Stop()
+	smp.SetEnabled(false)
 
 	var buf bytes.Buffer
 	if err := smp.WriteJSON(&buf); err != nil {
