@@ -137,7 +137,11 @@ func TestLZFastEncoderBitIdentical(t *testing.T) {
 }
 
 // FuzzLZFastCompat fuzzes both stream directions of the lzfast format
-// against the reference implementation.
+// against the reference implementation, plus encoder stream identity
+// with the frozen two-slot encoder at every window the experiments use.
+// Each input is compressed twice in a row, so the second call probes the
+// table the first one left full of its own prefixes (lzfEncState is
+// never cleared between calls; the pool hands the same state back).
 func FuzzLZFastCompat(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("hello hello hello"))
@@ -146,16 +150,23 @@ func FuzzLZFastCompat(f *testing.F) {
 	for _, p := range compatCorpusPages() {
 		f.Add(p)
 	}
-	nw := NewLZFast()
 	ref := newRefLZFast()
 	f.Fuzz(func(t *testing.T, in []byte) {
-		newStream := nw.Compress(nil, in)
-		out, err := ref.Decompress(nil, newStream)
-		if err != nil || !bytes.Equal(out, in) {
-			t.Fatalf("reference decoder on new stream: err=%v", err)
+		for _, window := range lzfWindows {
+			nw := NewLZFastWindow(window)
+			want := (&refLZFastTwoSlot{maxOffset: window}).Compress(nil, in)
+			for call := 1; call <= 2; call++ {
+				if got := nw.Compress(nil, in); !bytes.Equal(got, want) {
+					t.Fatalf("window %d, call %d: encoder stream diverged from reference", window, call)
+				}
+			}
+			out, err := ref.Decompress(nil, want)
+			if err != nil || !bytes.Equal(out, in) {
+				t.Fatalf("window %d: reference decoder on new stream: err=%v", window, err)
+			}
 		}
 		refStream := ref.Compress(nil, in)
-		out, err = nw.Decompress(nil, refStream)
+		out, err := NewLZFast().Decompress(nil, refStream)
 		if err != nil || !bytes.Equal(out, in) {
 			t.Fatalf("new decoder on reference stream: err=%v", err)
 		}

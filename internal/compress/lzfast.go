@@ -55,30 +55,24 @@ const (
 	lzfFastOut = 14 + 18 + 8
 )
 
-// lzfEncState is the pooled per-call state of the compress hot path:
-// a two-slot hash table validated by a per-call generation stamp, so
-// no per-call table clearing is needed (the byte-serial kernel zeroed
-// 32 KiB of table per 4 KiB page).
+// lzfEncState is the pooled state of the compress hot path: a two-slot
+// hash table that is never cleared between calls. A slot is
+// stamp<<32 | first four bytes ^ salt, stamp = base + 1 + position.
+// Every call takes the next len(src)+1 stamps and a salt that is a
+// bijection of its base, so a slot an earlier call left behind fails the
+// prefix compare just as an empty one does — the probe rejects a
+// position from the bucket alone, with no load from src — and the one
+// stale slot in 2³² whose salted prefix does coincide has a stamp that
+// is not above base (an empty slot's is 0).
 type lzfEncState struct {
-	gen  uint32
-	tag  [1 << lzfHashLog]uint32
-	slot [1 << lzfHashLog][2]int32
+	base uint32 // the last stamp handed out
+	tab  [1 << lzfHashLog][2]uint64
 }
 
 var lzfEncPool = sync.Pool{New: func() any { return new(lzfEncState) }}
 
-// next advances the generation stamp, clearing the tag table only on
-// the (once per 2³² calls) wraparound.
-func (st *lzfEncState) next() uint32 {
-	st.gen++
-	if st.gen == 0 {
-		for i := range st.tag {
-			st.tag[i] = 0
-		}
-		st.gen = 1
-	}
-	return st.gen
-}
+// lzfSalt is odd-multiplicative, hence distinct for distinct bases.
+func lzfSalt(base uint32) uint32 { return base * 0x9E3779B1 }
 
 // NewLZFast returns the default LZFast codec with a 64 KiB window.
 func NewLZFast() *LZFast { return &LZFast{maxOffset: lzfMaxOffset} }
@@ -152,61 +146,81 @@ func lzfExtendMatch(src []byte, a, b int) int {
 //
 //xfm:hotpath
 func (z *LZFast) Compress(dst, src []byte) []byte {
-	dst = appendUvarint(dst, uint64(len(src)))
-	if len(src) == 0 {
-		return dst
-	}
 	st := lzfEncPool.Get().(*lzfEncState)
-	gen := st.next()
+	dst = st.compress(dst, src, z.maxOffset)
+	lzfEncPool.Put(st)
+	return dst
+}
+
+// compress appends src's stream to dst. What st compressed before does
+// not show in the stream; the table is cleared only when the 32-bit
+// stamps run out (every ≈ 10⁶ pages).
+func (st *lzfEncState) compress(dst, src []byte, maxOffset int) []byte {
+	dst = appendUvarint(dst, uint64(len(src)))
+	if uint64(st.base)+uint64(len(src)) >= 1<<32-1 {
+		*st = lzfEncState{}
+	}
+	base := st.base
+	st.base += uint32(len(src)) + 1
 	anchor := 0 // start of pending literal run
-	i := 0
-	// Word probes need an 8-byte load at i; the (< 8 byte) tail is
-	// emitted as literals.
-	probeLimit := len(src) - 8
-	for i <= probeLimit {
-		v := binary.LittleEndian.Uint64(src[i:])
-		h := lzfHash8(v)
-		cand := -1
-		mlen := 0
-		if st.tag[h] == gen {
-			// Prefer-recent: slot 0 holds the most recent position with
-			// this hash. Only when its match is short is the older slot
-			// worth probing for a longer one.
-			s0, s1 := int(st.slot[h][0]), int(st.slot[h][1])
-			if i-s0 <= z.maxOffset &&
-				binary.LittleEndian.Uint32(src[s0:]) == uint32(v) {
-				cand = s0
-				mlen = lzfMinMatch + lzfExtendMatch(src, s0+lzfMinMatch, i+lzfMinMatch)
-			}
-			if mlen < lzfAccept && s1 >= 0 && i-s1 <= z.maxOffset &&
-				binary.LittleEndian.Uint32(src[s1:]) == uint32(v) {
-				if l := lzfMinMatch + lzfExtendMatch(src, s1+lzfMinMatch, i+lzfMinMatch); l > mlen {
-					cand = s1
-					mlen = l
-				}
-			}
-			st.slot[h][1] = st.slot[h][0]
-			st.slot[h][0] = int32(i)
-		} else {
-			st.tag[h] = gen
-			st.slot[h][0] = int32(i)
-			st.slot[h][1] = -1
+	for {
+		i, off, mlen := st.nextMatch(src, anchor, base, maxOffset)
+		if mlen == 0 {
+			break
 		}
-		if mlen >= lzfMinMatch {
-			dst = lzfEmit(dst, src[anchor:i], i-cand, mlen)
-			i += mlen
-			anchor = i
-			continue
-		}
-		i++
+		dst = lzfEmit(dst, src[anchor:i], off, mlen)
+		anchor = i + mlen
 	}
 	// Trailing literals-only sequence, omitted when a match consumed
 	// the input exactly.
 	if anchor < len(src) {
 		dst = lzfEmitFinal(dst, src[anchor:])
 	}
-	lzfEncPool.Put(st)
 	return dst
+}
+
+// nextMatch probes and inserts every position from i on and returns the
+// first that has a match — position, offset, length; length 0 means the
+// input ran out (word probes need an 8-byte load, so the < 8-byte tail
+// is never probed). It is a function of its own so that nothing of the
+// output side — dst, anchor — is live in the literal-run loop: that
+// loop's state fits the registers, and s shrinking instead of an index
+// growing is what lets the compiler drop its bounds checks.
+func (st *lzfEncState) nextMatch(src []byte, i int, base uint32, maxOffset int) (int, int, int) {
+	salt := lzfSalt(base)
+	stamp := uint64(base+1+uint32(i)) << 32
+	for s := src[i:]; len(s) >= 8; s, stamp = s[1:], stamp+1<<32 {
+		v := binary.LittleEndian.Uint64(s)
+		b := &st.tab[lzfHash8(v)]
+		e0, e1 := b[0], b[1]
+		key := uint32(v) ^ salt
+		b[1] = e0
+		b[0] = stamp + uint64(key) // an or, but LEA leaves stamp in its register
+		if uint32(e0) != key && uint32(e1) != key {
+			continue
+		}
+		// A slot with this salted prefix is this call's, and its four
+		// bytes are s[:4], unless its stamp is not above base — which
+		// reads as a distance beyond i. Prefer-recent: slot 0 holds the
+		// most recent position with this hash; only when its match is
+		// short is the older slot worth probing for a longer one.
+		i := len(src) - len(s)
+		reach := uint32(min(i, maxOffset))
+		off, mlen := 0, 0
+		if d := uint32(stamp>>32) - uint32(e0>>32); uint32(e0) == key && d <= reach {
+			off = int(d)
+			mlen = lzfMinMatch + lzfExtendMatch(src, i-off+lzfMinMatch, i+lzfMinMatch)
+		}
+		if d := uint32(stamp>>32) - uint32(e1>>32); mlen < lzfAccept && uint32(e1) == key && d <= reach {
+			if l := lzfMinMatch + lzfExtendMatch(src, i-int(d)+lzfMinMatch, i+lzfMinMatch); l > mlen {
+				off, mlen = int(d), l
+			}
+		}
+		if mlen != 0 {
+			return i, off, mlen
+		}
+	}
+	return 0, 0, 0
 }
 
 // lzfEmit appends one (literals, match) sequence. Capacity for the
