@@ -52,8 +52,9 @@ func (s Status) String() string {
 // the ECC bytes of its set bits. A data bit at position p toggles the
 // check bits named by the set bits of p, and the overall parity once
 // for itself and once per toggled check bit, so its ECC byte is
-// p | (1+popcount(p))&1<<7. XORing those per byte value gives encTab,
-// and Encode is eight lookups instead of a walk over 72 positions.
+// p | (1+popcount(p))&1<<7. XORing those per slice value gives encTab,
+// and Encode is six lookups — the word cut into 11/11/11/11/10/10-bit
+// slices, 10 KiB of tables — instead of a walk over 72 positions.
 // The same linearity makes the syndrome a re-encode: Encode(data) XOR
 // the stored byte is the ECC byte of the error pattern alone, whose
 // low seven bits are the flipped codeword position.
@@ -64,9 +65,26 @@ const (
 	posOutside = -2 // beyond position 71: no single flip produces it
 )
 
+// The slices of a data word, low bit first: four of 11 bits, two of 10.
+// Every index below is masked (or shifted) into its table's length, so
+// a lookup carries no bounds check.
+const (
+	wideBits, wide     = 11, 1 << wideBits
+	narrowBits, narrow = 10, 1 << narrowBits
+
+	shift1 = wideBits
+	shift2 = 2 * wideBits
+	shift3 = 3 * wideBits
+	shift4 = 4 * wideBits
+	shift5 = 4*wideBits + narrowBits
+)
+
 var (
-	// encTab[b][v] is the ECC byte of the word with byte b set to v.
-	encTab [8][256]uint8
+	// encTab.sN[v] is the ECC byte of the word with slice N set to v.
+	encTab struct {
+		s0, s1, s2, s3 [wide]uint8
+		s4, s5         [narrow]uint8
+	}
 	// posBit maps a codeword position to its data bit index, or to
 	// posCheck/posOutside.
 	posBit [128]int8
@@ -86,10 +104,16 @@ func init() {
 			i++
 		}
 	}
-	for b := range encTab {
-		for v := 1; v < 256; v++ {
+	for _, s := range []struct {
+		tab   []uint8
+		shift int
+	}{
+		{encTab.s0[:], 0}, {encTab.s1[:], shift1}, {encTab.s2[:], shift2},
+		{encTab.s3[:], shift3}, {encTab.s4[:], shift4}, {encTab.s5[:], shift5},
+	} {
+		for v := 1; v < len(s.tab); v++ {
 			low := bits.TrailingZeros(uint(v))
-			encTab[b][v] = encTab[b][v&(v-1)] ^ unit[b*8+low]
+			s.tab[v] = s.tab[v&(v-1)] ^ unit[s.shift+low]
 		}
 	}
 }
@@ -100,10 +124,9 @@ func init() {
 //
 //xfm:hotpath
 func Encode(data uint64) uint8 {
-	return encTab[0][uint8(data)] ^ encTab[1][uint8(data>>8)] ^
-		encTab[2][uint8(data>>16)] ^ encTab[3][uint8(data>>24)] ^
-		encTab[4][uint8(data>>32)] ^ encTab[5][uint8(data>>40)] ^
-		encTab[6][uint8(data>>48)] ^ encTab[7][uint8(data>>56)]
+	return encTab.s0[data%wide] ^ encTab.s1[data>>shift1%wide] ^
+		encTab.s2[data>>shift2%wide] ^ encTab.s3[data>>shift3%wide] ^
+		encTab.s4[data>>shift4%narrow] ^ encTab.s5[data>>shift5]
 }
 
 // correct resolves a syndrome byte s = Encode(data) ^ stored parity:
@@ -142,6 +165,27 @@ func PageParity(data []byte) []byte {
 	return out
 }
 
+// The page kernels take one 64-byte line — eight words, the eight ECC
+// bytes of one 8-byte group of parity — per step: the array conversion
+// proves every word load in bounds at once, and the group's ECC bytes
+// are formed in a register, so parity moves as one word per line.
+const lineBytes, groupBytes = 64, 8
+
+// lineECC returns the ECC bytes of a line's eight words, word i's in
+// byte i.
+//
+//xfm:hotpath
+func lineECC(line *[lineBytes]byte) uint64 {
+	return uint64(Encode(binary.LittleEndian.Uint64(line[0:]))) |
+		uint64(Encode(binary.LittleEndian.Uint64(line[8:])))<<8 |
+		uint64(Encode(binary.LittleEndian.Uint64(line[16:])))<<16 |
+		uint64(Encode(binary.LittleEndian.Uint64(line[24:])))<<24 |
+		uint64(Encode(binary.LittleEndian.Uint64(line[32:])))<<32 |
+		uint64(Encode(binary.LittleEndian.Uint64(line[40:])))<<40 |
+		uint64(Encode(binary.LittleEndian.Uint64(line[48:])))<<48 |
+		uint64(Encode(binary.LittleEndian.Uint64(line[56:])))<<56
+}
+
 // PageParityInto is PageParity into a caller-owned buffer of exactly
 // len(data)/8 bytes.
 //
@@ -149,6 +193,10 @@ func PageParity(data []byte) []byte {
 func PageParityInto(dst, data []byte) {
 	if len(data)%8 != 0 || len(dst) != len(data)/8 {
 		panic("ecc: mismatched data/parity lengths")
+	}
+	for len(data) >= lineBytes && len(dst) >= groupBytes {
+		binary.LittleEndian.PutUint64(dst, lineECC((*[lineBytes]byte)(data)))
+		data, dst = data[lineBytes:], dst[groupBytes:]
 	}
 	for i := range dst {
 		dst[i] = Encode(binary.LittleEndian.Uint64(data[i*8:]))
@@ -164,15 +212,32 @@ func VerifyPage(data, parity []byte) (corrected, uncorrectable int) {
 	if len(data)%8 != 0 || len(parity) != len(data)/8 {
 		panic("ecc: mismatched data/parity lengths")
 	}
-	for i, p := range parity {
-		word := binary.LittleEndian.Uint64(data[i*8:])
-		s := Encode(word) ^ p
-		if s == 0 {
-			continue // clean word: the common case
+	for len(data) >= lineBytes && len(parity) >= groupBytes {
+		line := (*[lineBytes]byte)(data)
+		// Byte i of the difference is word i's syndrome.
+		if s := lineECC(line) ^ binary.LittleEndian.Uint64(parity); s != 0 {
+			c, u := correctWords(line[:], s)
+			corrected, uncorrectable = corrected+c, uncorrectable+u
 		}
-		switch fixed, st := correct(word, s); st {
+		data, parity = data[lineBytes:], parity[groupBytes:]
+	}
+	for i, p := range parity {
+		if s := Encode(binary.LittleEndian.Uint64(data[i*8:])) ^ p; s != 0 {
+			c, u := correctWords(data[i*8:], uint64(s))
+			corrected, uncorrectable = corrected+c, uncorrectable+u
+		}
+	}
+	return corrected, uncorrectable
+}
+
+// correctWords resolves the syndromes of up to eight consecutive words
+// (word i's in byte i of syndromes; a zero byte is a clean word),
+// repairing single-bit errors in place.
+func correctWords(words []byte, syndromes uint64) (corrected, uncorrectable int) {
+	for off := 0; syndromes != 0; off, syndromes = off+8, syndromes>>8 {
+		switch fixed, st := correct(binary.LittleEndian.Uint64(words[off:]), uint8(syndromes)); st {
 		case Corrected:
-			binary.LittleEndian.PutUint64(data[i*8:], fixed)
+			binary.LittleEndian.PutUint64(words[off:], fixed)
 			corrected++
 		case DoubleError:
 			uncorrectable++

@@ -1,6 +1,9 @@
 package ecc
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -139,10 +142,33 @@ func TestEncodeMatchesRef(t *testing.T) {
 		if got, want := Encode(a), encodeRef(a); got != want {
 			t.Fatalf("Encode(%#x) = %#02x, reference %#02x", a, got, want)
 		}
-		// Linearity is what makes the byte-sliced tables exact.
+		// Linearity is what makes the sliced tables exact.
 		if Encode(a^b) != Encode(a)^Encode(b) {
 			t.Fatalf("Encode is not linear on %#x, %#x", a, b)
 		}
+	}
+}
+
+// TestEncodeMatchesRefAcrossSlices covers what a sliced table can get
+// wrong and a byte table cannot: a bit attributed to the wrong side of
+// a slice boundary. Per boundary, every run of 0-4 bits below it joined
+// to 0-4 bits above it: alone, inverted, and laid over random words.
+func TestEncodeMatchesRefAcrossSlices(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, b := range []uint{shift1, shift2, shift3, shift4, shift5} {
+		for lo := uint(0); lo <= 4; lo++ {
+			for hi := uint(0); hi <= 4; hi++ {
+				run := (uint64(1)<<(lo+hi) - 1) << (b - lo) // bits [b-lo, b+hi)
+				for _, w := range []uint64{run, ^run, run ^ rng.Uint64(), run & rng.Uint64()} {
+					if got, want := Encode(w), encodeRef(w); got != want {
+						t.Fatalf("boundary %d/%d, run %#x: Encode(%#x) = %#02x, reference %#02x", b-1, b, run, w, got, want)
+					}
+				}
+			}
+		}
+	}
+	if shift5+narrowBits != 64 {
+		t.Fatalf("slices cover %d bits, want 64", shift5+narrowBits)
 	}
 }
 
@@ -322,6 +348,198 @@ func TestPageDoubleBitDetected(t *testing.T) {
 	}
 }
 
+// parityWordwise and verifyWordwise are the page kernels one word at a
+// time through Encode and Decode: what the line-at-a-time kernels must
+// equal on every input, stored parity of any content included.
+func parityWordwise(dst, data []byte) {
+	for i := range dst {
+		dst[i] = Encode(binary.LittleEndian.Uint64(data[i*8:]))
+	}
+}
+
+func verifyWordwise(data, parity []byte) (corrected, uncorrectable int) {
+	for i, p := range parity {
+		fixed, st := Decode(binary.LittleEndian.Uint64(data[i*8:]), p)
+		switch st {
+		case Corrected:
+			binary.LittleEndian.PutUint64(data[i*8:], fixed)
+			corrected++
+		case DoubleError:
+			uncorrectable++
+		}
+	}
+	return corrected, uncorrectable
+}
+
+// checkKernels runs both page kernels on data (and VerifyPage against
+// the given stored parity) beside the word-at-a-time oracle. The
+// kernels work on copies placed off bytes into canary-filled buffers,
+// so a store outside the slices they were handed is caught too.
+func checkKernels(t *testing.T, data, stored []byte, off int) {
+	t.Helper()
+	const canary = 0xa5
+	place := func(b []byte) (buf, window []byte) {
+		buf = bytes.Repeat([]byte{canary}, off+len(b)+lineBytes)
+		window = buf[off : off+len(b) : off+len(b)]
+		copy(window, b)
+		return buf, window
+	}
+	intact := func(what string, buf []byte, n int) {
+		t.Helper()
+		for i, c := range buf {
+			if (i < off || i >= off+n) && c != canary {
+				t.Fatalf("len %d off %d: %s wrote byte %d, outside its %d-byte slice", len(data), off, what, i-off, n)
+			}
+		}
+	}
+
+	wantPar := make([]byte, len(data)/8)
+	parityWordwise(wantPar, data)
+	dataBuf, d := place(data)
+	parBuf, par := place(wantPar)
+	clear(par)
+	PageParityInto(par, d)
+	if !bytes.Equal(par, wantPar) || !bytes.Equal(d, data) {
+		t.Fatalf("len %d off %d: PageParityInto differs from word-at-a-time Encode", len(data), off)
+	}
+	intact("PageParityInto", parBuf, len(par))
+	intact("PageParityInto", dataBuf, len(d))
+
+	wantData := append([]byte(nil), data...)
+	wantC, wantU := verifyWordwise(wantData, stored)
+	storedBuf, st := place(stored)
+	gotC, gotU := VerifyPage(d, st)
+	if gotC != wantC || gotU != wantU {
+		t.Fatalf("len %d off %d: VerifyPage = (%d, %d), word-at-a-time Decode (%d, %d)", len(data), off, gotC, gotU, wantC, wantU)
+	}
+	if !bytes.Equal(d, wantData) {
+		t.Fatalf("len %d off %d: VerifyPage left different data than word-at-a-time Decode", len(data), off)
+	}
+	if !bytes.Equal(st, stored) {
+		t.Fatalf("len %d off %d: VerifyPage changed the stored parity", len(data), off)
+	}
+	intact("VerifyPage", dataBuf, len(d))
+	intact("VerifyPage", storedBuf, len(st))
+}
+
+// TestPageKernelsMatchWordwise walks every length from empty to a page
+// and a line, at each of the eight alignments of the slice start, with
+// a few flips of every kind scattered over data and stored parity.
+func TestPageKernelsMatchWordwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for n := 0; n <= 4096+lineBytes; n += 8 {
+		data := make([]byte, n)
+		rng.Read(data)
+		stored := make([]byte, n/8)
+		parityWordwise(stored, data)
+		for k := 0; n > 0 && k < 1+n/512; k++ {
+			w := rng.Intn(n / 8)
+			switch rng.Intn(4) {
+			case 0: // one data bit
+				data[w*8+rng.Intn(8)] ^= 1 << uint(rng.Intn(8))
+			case 1: // two data bits of one word
+				data[w*8] ^= 0x41
+			case 2: // one bit of the stored ECC byte
+				stored[w] ^= 1 << uint(rng.Intn(8))
+			case 3: // any stored byte at all
+				stored[w] = uint8(rng.Intn(256))
+			}
+		}
+		for off := 0; off < 8; off++ {
+			checkKernels(t, data, stored, off)
+		}
+	}
+}
+
+// TestPageKernelFlipMatrix puts each kind of damage in each lane of a
+// group — first, middle and last group — and in each word of the tail:
+// one data bit, two data bits of the word, one bit of its ECC byte, and
+// flips in two different words of the same group (both must be
+// repaired: the lanes of a group do not share a verdict).
+func TestPageKernelFlipMatrix(t *testing.T) {
+	const groups, tailWords = 3, 5
+	rng := rand.New(rand.NewSource(8))
+	clean := make([]byte, groups*lineBytes+tailWords*8)
+	rng.Read(clean)
+	cleanPar := PageParity(clean)
+
+	run := func(name string, wantC, wantU int, damage func(data, par []byte)) {
+		t.Helper()
+		data := append([]byte(nil), clean...)
+		par := append([]byte(nil), cleanPar...)
+		damage(data, par)
+		checkKernels(t, data, par, 3)
+		c, u := VerifyPage(data, par)
+		if c != wantC || u != wantU {
+			t.Fatalf("%s: VerifyPage = (%d, %d), want (%d, %d)", name, c, u, wantC, wantU)
+		}
+		if wantU == 0 && !bytes.Equal(data, clean) {
+			t.Fatalf("%s: data not restored", name)
+		}
+	}
+	words := len(clean) / 8
+	for w := 0; w < words; w++ {
+		// The words that share w's group (or, past the groups, the tail).
+		first, n := w/8*8, 8
+		if first == groups*8 {
+			n = tailWords
+		}
+		bit := uint(rng.Intn(64))
+		name := func(kind string) string { return fmt.Sprintf("word %d (lane %d) %s", w, w%8, kind) }
+		run(name("one data bit"), 1, 0, func(data, _ []byte) {
+			data[w*8+int(bit/8)] ^= 1 << (bit % 8)
+		})
+		run(name("two data bits"), 0, 1, func(data, _ []byte) {
+			data[w*8+int(bit/8)] ^= 1 << (bit % 8)
+			other := (bit + 1 + uint(rng.Intn(63))) % 64
+			data[w*8+int(other/8)] ^= 1 << (other % 8)
+		})
+		run(name("one parity bit"), 0, 0, func(_, par []byte) {
+			par[w] ^= 1 << (bit % 8)
+		})
+		for k := 1; k < n; k++ {
+			v := first + (w-first+k)%n
+			run(name(fmt.Sprintf("and word %d", v)), 2, 0, func(data, _ []byte) {
+				data[w*8+int(bit/8)] ^= 1 << (bit % 8)
+				data[v*8] ^= 0x80
+			})
+		}
+		v := first + (w-first+1)%n
+		run(name("one data bit, neighbour two"), 1, 1, func(data, _ []byte) {
+			data[w*8+int(bit/8)] ^= 1 << (bit % 8)
+			data[v*8+7] ^= 0x03
+		})
+	}
+}
+
+// FuzzPageKernelsMatchWordwise: any data, any stored parity (the true
+// one XOR the fuzzer's bytes, so clean groups stay common), any flips
+// (byte pairs: a bit index into data).
+func FuzzPageKernelsMatchWordwise(f *testing.F) {
+	page := make([]byte, 4096)
+	rand.New(rand.NewSource(9)).Read(page)
+	f.Add([]byte{}, []byte{}, []byte{})
+	f.Add(page[:64], []byte{}, []byte{0, 0})
+	f.Add(page[:200], []byte{0, 0, 0, 0x10, 0, 0, 0, 0, 0xff}, []byte{1, 2, 3, 4, 1, 3})
+	f.Add(page, []byte{}, []byte{0x12, 0x34})
+	f.Add(page[:4096-8], []byte{0x03}, []byte{0x7f, 0xff, 0x7f, 0xfe})
+	f.Fuzz(func(t *testing.T, data, parity, flips []byte) {
+		data = append([]byte(nil), data[:len(data)&^7]...)
+		stored := make([]byte, len(data)/8)
+		parityWordwise(stored, data)
+		for i := range stored {
+			if i < len(parity) {
+				stored[i] ^= parity[i]
+			}
+		}
+		for ; len(flips) >= 2 && len(data) > 0; flips = flips[2:] {
+			bit := int(binary.LittleEndian.Uint16(flips)) % (len(data) * 8)
+			data[bit/8] ^= 1 << uint(bit%8)
+		}
+		checkKernels(t, data, stored, len(parity)%8)
+	})
+}
+
 func TestPanicsOnMisalignedInput(t *testing.T) {
 	for _, f := range []func(){
 		func() { PageParity(make([]byte, 7)) },
@@ -413,7 +631,11 @@ func BenchmarkVerifyPage4K(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
 		stride int // flip one bit every stride bytes; 0 = none
-	}{{"clean", 0}, {"one-flip-per-line", 64}} {
+	}{
+		{"clean", 0},
+		{"one-flip-per-page", 4096}, // what the chaos plan's ecc-single produces
+		{"one-flip-per-line", 64},   // every group takes the lane path
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.SetBytes(4096)
 			b.ReportAllocs()

@@ -108,15 +108,24 @@ func (t *Tree[K, V]) put(n *node[K, V], key K, val V) (*node[K, V], bool) {
 
 // Delete removes key and reports whether it was present.
 func (t *Tree[K, V]) Delete(key K) bool {
-	if _, ok := t.Get(key); !ok {
-		return false
+	_, ok := t.Take(key)
+	return ok
+}
+
+// Take removes key and returns the value it held: a Get and a Delete
+// in the two descents Delete alone needs (the LLRB delete restructures
+// on the way down, so it must know the key is there before it starts).
+func (t *Tree[K, V]) Take(key K) (V, bool) {
+	val, ok := t.Get(key)
+	if !ok {
+		return val, false
 	}
 	t.root = t.delete(t.root, key)
 	if t.root != nil {
 		t.root.red = false
 	}
 	t.size--
-	return true
+	return val, true
 }
 
 func (t *Tree[K, V]) delete(n *node[K, V], key K) *node[K, V] {

@@ -193,6 +193,84 @@ func checkInvariants[K any, V any](n *node[K, V]) (int, bool) {
 	return lh, true
 }
 
+// checkFreeList walks the node free list: every node on it must be
+// zeroed (a recycled node retains no key, value or left child) and
+// there must be exactly want of them.
+func checkFreeList(t *testing.T, tr *Tree[int, int], want int) {
+	t.Helper()
+	n := 0
+	for f := tr.free; f != nil; f = f.right {
+		if f.key != 0 || f.val != 0 || f.left != nil {
+			t.Fatalf("free node %d not zeroed: key=%d val=%d left=%p", n, f.key, f.val, f.left)
+		}
+		if n++; n > want {
+			t.Fatalf("free list holds more than %d nodes (or cycles)", want)
+		}
+	}
+	if n != want {
+		t.Fatalf("free list holds %d nodes, want %d", n, want)
+	}
+}
+
+// TestTakeAgainstMap drives random Put/Take/Delete sequences against a
+// map oracle. After every op: Take returned what the oracle held, the
+// red-black invariants hold, Len matches, and the free list holds
+// exactly the nodes the tree has shed — Put allocates only when the
+// list is empty, so that is the high-water size minus the live size.
+func TestTakeAgainstMap(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		keys := 1 + rng.Intn(1<<uint(2+seed)) // spaces of up to 8 … 1 024 keys: takes hit often in the small ones
+		tr := New[int, int](intLess)
+		ref := map[int]int{}
+		highWater := 0
+		for op := 0; op < 4000; op++ {
+			k := rng.Intn(keys)
+			switch rng.Intn(4) {
+			case 0, 1:
+				v := 1 + rng.Int() // never the zero value a miss returns
+				tr.Put(k, v)
+				ref[k] = v
+			case 2:
+				gv, gok := tr.Take(k)
+				wv, wok := ref[k]
+				if gok != wok || gv != wv {
+					t.Fatalf("seed %d op %d: Take(%d) = %d,%v; want %d,%v", seed, op, k, gv, gok, wv, wok)
+				}
+				delete(ref, k)
+			case 3:
+				_, want := ref[k]
+				if got := tr.Delete(k); got != want {
+					t.Fatalf("seed %d op %d: Delete(%d) = %v, want %v", seed, op, k, got, want)
+				}
+				delete(ref, k)
+			}
+			if _, ok := tr.Get(k); ok != (ref[k] != 0) {
+				t.Fatalf("seed %d op %d: key %d present = %v after the op", seed, op, k, ok)
+			}
+			if tr.Len() != len(ref) {
+				t.Fatalf("seed %d op %d: Len = %d, want %d", seed, op, tr.Len(), len(ref))
+			}
+			if _, ok := checkInvariants(tr.root); !ok || isRed(tr.root) {
+				t.Fatalf("seed %d op %d: red-black invariants violated", seed, op)
+			}
+			if len(ref) > highWater {
+				highWater = len(ref)
+			}
+			checkFreeList(t, tr, highWater-len(ref))
+		}
+		got := tr.Keys()
+		if len(got) != len(ref) || !sort.IntsAreSorted(got) {
+			t.Fatalf("seed %d: final keys %v do not match the oracle's %d", seed, got, len(ref))
+		}
+		for _, k := range got {
+			if v, _ := tr.Get(k); v != ref[k] {
+				t.Fatalf("seed %d: Get(%d) = %d, want %d", seed, k, v, ref[k])
+			}
+		}
+	}
+}
+
 // Property: inserting any key set then iterating yields the sorted
 // deduplicated keys.
 func TestPropertyKeysSorted(t *testing.T) {

@@ -302,9 +302,10 @@ type inPlan struct {
 	detached bool
 }
 
-// gatherIn detaches one swap-in page under the shard lock: it looks
-// up the entry, removes it from the index (so concurrent single-page
-// ops cannot double-claim it), and pins the compressed object so
+// gatherIn detaches one swap-in page under the shard lock: it takes
+// the entry out of the index (so concurrent single-page ops cannot
+// double-claim it; one lookup, not a Get and then a Delete that looks
+// again), and pins the compressed object so
 // compact-on-full from another batch cannot move the bytes while
 // decompressIn reads them without the lock. It mutates only the index
 // and the pin bit — all stats settle in commitIn.
@@ -315,19 +316,18 @@ func (b *CPUBackend) gatherIn(id PageID, dst []byte) inPlan {
 		//xfm:ignore hotpath-alloc cold validation path, only reachable by a caller bug
 		return inPlan{err: fmt.Errorf("sfm: dst has %d bytes, want %d", len(dst), PageSize)}
 	}
-	e, ok := b.index.Get(id)
+	e, ok := b.index.Take(id)
 	if !ok {
 		return inPlan{err: ErrNotFound}
 	}
 	if e.sameFilled {
-		b.index.Delete(id)
 		return inPlan{e: e, detached: true}
 	}
 	raw, err := b.alloc.Pin(e.handle)
 	if err != nil {
+		b.index.Put(id, e) // a page that cannot be pinned stays stored
 		return inPlan{err: err}
 	}
-	b.index.Delete(id)
 	return inPlan{e: e, pinned: raw, detached: true}
 }
 

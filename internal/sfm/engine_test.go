@@ -2,12 +2,14 @@ package sfm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"xfm/internal/compress"
+	"xfm/internal/zsmalloc"
 )
 
 // mixedBatchOut builds a batch exercising every stage class: ordinary
@@ -212,6 +214,47 @@ func TestBatchDecompressFailureLeavesStored(t *testing.T) {
 	}
 	if !bytes.Equal(dst, randomPage(victim)) {
 		t.Fatal("repaired page corrupted")
+	}
+}
+
+// TestSwapInPinFailureLeavesStored points a page's index entry at a
+// handle the allocator does not know, so gatherIn's Pin fails after
+// the entry has already been taken out of the index: the entry must be
+// back, unchanged, when SwapIn returns, and the page must swap in once
+// the handle is repaired.
+func TestSwapInPinFailureLeavesStored(t *testing.T) {
+	b := NewCPUBackend(compress.NewLZFast(), 0)
+	for id := PageID(1); id <= 3; id++ {
+		if err := b.SwapOut(0, id, randomPage(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const victim = PageID(2)
+	good, _ := b.index.Get(victim)
+	bad := good
+	bad.handle = ^good.handle
+	b.index.Put(victim, bad)
+
+	dst := make([]byte, PageSize)
+	if err := b.SwapIn(0, victim, dst, false); !errors.Is(err, zsmalloc.ErrInvalidHandle) {
+		t.Fatalf("SwapIn with a dangling handle: %v, want ErrInvalidHandle", err)
+	}
+	if e, ok := b.index.Get(victim); !ok || e != bad {
+		t.Fatalf("index entry after the failed swap-in = %+v, %v; want it back unchanged", e, ok)
+	}
+	if got := b.index.Len(); got != 3 {
+		t.Fatalf("index holds %d entries, want 3", got)
+	}
+	if got := b.Stats().StoredPages; got != 3 {
+		t.Fatalf("StoredPages = %d, want 3", got)
+	}
+
+	b.index.Put(victim, good)
+	if err := b.SwapIn(0, victim, dst, false); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst, randomPage(victim)) {
+		t.Fatal("page corrupted by the failed swap-in")
 	}
 }
 

@@ -171,13 +171,15 @@ func (in *integrity) stageIn(pages []sfm.PageIn, errs []error) {
 // swap-in is re-served from the staging copy when one exists, else the
 // error is a *UncorrectableError.
 func (in *integrity) settleIn(i int, p sfm.PageIn) error {
-	if in.pars[i] != nil {
+	if par := in.pars[i]; par != nil {
+		in.retireParity(p.ID, par) // stageIn already looked the entry up
 		v := in.vs[i]
-		in.corrected.Add(int64(v.corrected))
-		telemetry.XFMECCCorrected.Add(int64(v.corrected))
-		in.uncorrectable.Add(int64(v.bad))
-		telemetry.XFMECCUncorrectable.Add(int64(v.bad))
-		in.dropParity(p.ID)
+		if v != (eccVerdict{}) { // a clean page adds four zeros
+			in.corrected.Add(int64(v.corrected))
+			telemetry.XFMECCCorrected.Add(int64(v.corrected))
+			in.uncorrectable.Add(int64(v.bad))
+			telemetry.XFMECCUncorrectable.Add(int64(v.bad))
+		}
 		if v.bad > 0 {
 			if err := in.quarantinePage(p.ID, v.bad, p.Dst); err != nil {
 				return err
@@ -207,9 +209,15 @@ func (in *integrity) parityBuf(id sfm.PageID) []byte {
 // dropParity forgets id's parity, if any, and recycles its buffer.
 func (in *integrity) dropParity(id sfm.PageID) {
 	if p, ok := in.parity[id]; ok {
-		delete(in.parity, id)
-		in.parityFree = append(in.parityFree, p)
+		in.retireParity(id, p)
 	}
+}
+
+// retireParity removes id's parity entry, whose buffer is p, and
+// recycles the buffer.
+func (in *integrity) retireParity(id sfm.PageID, p []byte) {
+	delete(in.parity, id)
+	in.parityFree = append(in.parityFree, p)
 }
 
 // stageCopy keeps an uncompressed staging copy of a swapped-out page:
