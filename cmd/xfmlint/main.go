@@ -1,8 +1,9 @@
 // Command xfmlint runs the repository's domain static-analysis suite:
-// atomic-field, guardedby, hotpath-alloc, lock-order, unreachable and
-// sim-determinism, plus //xfm: directive validation. It is wired into
-// CI as a failing gate; see DESIGN.md §9 for the rule catalogue and
-// suppression syntax.
+// lock-order, sim-determinism and unreachable, plus validation of the
+// //xfm:ignore directives that suppress them. It is wired into CI as a
+// failing gate; see DESIGN.md §9 for the rule catalogue, the
+// suppression syntax and which other gate owns data races, allocations
+// and atomic access.
 //
 // Usage:
 //

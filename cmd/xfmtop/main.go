@@ -142,6 +142,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xfmtop: pass -file FILE")
 		os.Exit(2)
 	}
+	if *width < 1 {
+		fmt.Fprintln(os.Stderr, "xfmtop: -width must be at least 1")
+		os.Exit(2)
+	}
 	f, err := os.Open(*file)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "xfmtop:", err)

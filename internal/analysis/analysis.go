@@ -12,20 +12,14 @@ import (
 
 // Rule names, used in diagnostics and //xfm:ignore directives.
 const (
-	RuleAtomicField  = "atomic-field"
-	RuleGuardedBy    = "guardedby"
-	RuleHotpathAlloc = "hotpath-alloc"
-	RuleDeterminism  = "sim-determinism"
-	RuleDirective    = "directive"
-	RuleLockOrder    = "lock-order"
-	RuleUnreachable  = "unreachable"
+	RuleDeterminism = "sim-determinism"
+	RuleDirective   = "directive"
+	RuleLockOrder   = "lock-order"
+	RuleUnreachable = "unreachable"
 )
 
 // KnownRules lists every rule an //xfm:ignore directive may name.
-var KnownRules = []string{
-	RuleAtomicField, RuleGuardedBy, RuleHotpathAlloc, RuleDeterminism, RuleDirective,
-	RuleLockOrder, RuleUnreachable,
-}
+var KnownRules = []string{RuleDeterminism, RuleDirective, RuleLockOrder, RuleUnreachable}
 
 func knownRule(name string) bool {
 	for _, r := range KnownRules {
@@ -57,8 +51,9 @@ func (d Diagnostic) String() string {
 }
 
 // Rule is one domain check run over the whole program. Rules see every
-// loaded package at once because several invariants are cross-package
-// (a field made atomic in one package must stay atomic in all).
+// loaded package at once because the invariants are cross-package (two
+// packages taking the same pair of locks in opposite orders; a function
+// no package's main reaches).
 type Rule interface {
 	Name() string
 	Check(p *Program) []Diagnostic
@@ -69,9 +64,6 @@ type Rule interface {
 func DefaultRules() []Rule {
 	return []Rule{
 		NewDirectiveRule(),
-		NewAtomicFieldRule(),
-		NewGuardedByRule(),
-		NewHotpathAllocRule(),
 		NewDeterminismRule(),
 		NewLockOrderRule(),
 		NewUnreachableRule(),
@@ -80,11 +72,13 @@ func DefaultRules() []Rule {
 
 // SelectRules filters rules down to the comma-separated names in spec
 // (the CLI's -rules flag). An empty spec selects everything; an
-// unknown name is an error so a typo cannot silently skip a gate.
+// unknown name, or a spec that names no rule at all (","), is an error
+// so a typo cannot silently skip a gate.
 func SelectRules(rules []Rule, spec string) ([]Rule, error) {
 	if spec == "" {
 		return rules, nil
 	}
+	known := "known: " + strings.Join(KnownRules, ", ")
 	want := map[string]bool{}
 	for _, name := range strings.Split(spec, ",") {
 		name = strings.TrimSpace(name)
@@ -92,9 +86,12 @@ func SelectRules(rules []Rule, spec string) ([]Rule, error) {
 			continue
 		}
 		if !knownRule(name) {
-			return nil, fmt.Errorf("unknown rule %q (known: %s)", name, strings.Join(KnownRules, ", "))
+			return nil, fmt.Errorf("unknown rule %q (%s)", name, known)
 		}
 		want[name] = true
+	}
+	if len(want) == 0 {
+		return nil, fmt.Errorf("rule list %q names no rule (%s)", spec, known)
 	}
 	var out []Rule
 	for _, r := range rules {

@@ -105,39 +105,6 @@ func checkAgainstMarkers(t *testing.T, fixture string, diags []Diagnostic) {
 	}
 }
 
-func TestAtomicFieldRule(t *testing.T) {
-	diags := loadFixture(t, "atomicfix", []Rule{NewAtomicFieldRule()})
-	checkAgainstMarkers(t, "atomicfix", diags)
-	for _, d := range diags {
-		if !strings.Contains(d.Message, "Counter.n") {
-			t.Errorf("diagnostic should name the field Counter.n: %s", d)
-		}
-		if !strings.Contains(d.Message, "atomicfix.go:") {
-			t.Errorf("diagnostic should cite the first atomic use site: %s", d)
-		}
-	}
-}
-
-func TestGuardedByRule(t *testing.T) {
-	diags := loadFixture(t, "guardfix", []Rule{NewGuardedByRule()})
-	checkAgainstMarkers(t, "guardfix", diags)
-	for _, d := range diags {
-		if !strings.Contains(d.Message, `guarded by "mu"`) {
-			t.Errorf("diagnostic should name the guarding mutex: %s", d)
-		}
-	}
-}
-
-func TestHotpathAllocRule(t *testing.T) {
-	diags := loadFixture(t, "hotfix", []Rule{NewHotpathAllocRule()})
-	checkAgainstMarkers(t, "hotfix", diags)
-	for _, d := range diags {
-		if !strings.Contains(d.Message, "Describe") {
-			t.Errorf("every seeded violation lives in Describe: %s", d)
-		}
-	}
-}
-
 func TestDeterminismRule(t *testing.T) {
 	// The rule is configured for the fixture's sim package only; the
 	// wall-clock read in detfix/other must stay silent.
@@ -168,12 +135,11 @@ func TestDeterminismDefaultPackages(t *testing.T) {
 
 func TestSuppressions(t *testing.T) {
 	rules := []Rule{
-		NewDirectiveRule(), NewAtomicFieldRule(), NewGuardedByRule(),
-		NewHotpathAllocRule(), NewDeterminismRule("suppressfix"),
+		NewDirectiveRule(), NewDeterminismRule("suppressfix"), NewLockOrderRule(), NewUnreachableRule(),
 	}
 	diags := loadFixture(t, "suppressfix", rules)
-	if len(diags) != 4 {
-		t.Fatalf("want 4 suppressed diagnostics (one per rule), got %d: %v", len(diags), diags)
+	if len(diags) != 3 {
+		t.Fatalf("want 3 suppressed diagnostics (one per suppressible rule), got %d: %v", len(diags), diags)
 	}
 	rulesSeen := map[string]bool{}
 	for _, d := range diags {
@@ -185,7 +151,7 @@ func TestSuppressions(t *testing.T) {
 		}
 		rulesSeen[d.Rule] = true
 	}
-	for _, r := range []string{RuleAtomicField, RuleGuardedBy, RuleHotpathAlloc, RuleDeterminism} {
+	for _, r := range []string{RuleDeterminism, RuleLockOrder, RuleUnreachable} {
 		if !rulesSeen[r] {
 			t.Errorf("fixture should exercise a suppressed %s violation", r)
 		}

@@ -7,23 +7,20 @@ import (
 	"sort"
 )
 
-// This file builds the static call graph the interprocedural rules
-// (transitive hotpath-alloc, lock-order) walk. Nodes are the module's
-// own functions and methods — out-of-module callees have no bodies
-// here, so edges stop at the module boundary and the rules treat the
-// standard library by reputation (fmt allocates, sync/atomic does
-// not). Edge resolution, in decreasing order of confidence:
+// This file builds the static call graph lock-order walks. Nodes are
+// the module's own functions and methods — out-of-module callees have
+// no bodies here, so edges stop at the module boundary. Edge
+// resolution:
 //
 //   - direct calls and method calls with a concrete receiver resolve
 //     through go/types to exactly one callee;
 //   - interface method calls resolve conservatively to every
 //     module-local concrete type that implements the interface (the
-//     call MAY land on any of them, so every one becomes an edge,
-//     annotated "via interface I.M");
+//     call MAY land on any of them, so every one becomes an edge);
 //   - calls through function values (locals, parameters, struct
-//     fields, method values) have an unknown callee; the call site is
-//     recorded as dynamic so rules that need a closed world can refuse
-//     to certify past it.
+//     fields, method values) have an unknown callee and add no edge, so
+//     a lock taken inside a closure handed to parallel.Pool.Run is not
+//     ordered after the locks its submitter holds (DESIGN §9, seed L1).
 //
 // Immediately-invoked function literals are inlined: their bodies
 // belong to the enclosing function's node.
@@ -32,37 +29,30 @@ import (
 type CallEdge struct {
 	Callee *FuncNode
 	Pos    token.Pos
-	Via    string // "" for static dispatch, "interface I.M" for conservative resolution
 }
 
 // FuncNode is one module-local function in the call graph.
 type FuncNode struct {
-	Fn   *types.Func
 	Decl *ast.FuncDecl
 	Pkg  *Package
 
-	Calls   []CallEdge  // module-local callees, in source order, deduplicated
-	Dynamic []token.Pos // call sites whose callee is a function value (unknown)
+	Calls []CallEdge // module-local callees, in source order, deduplicated
 }
 
 // Name renders the node's diagnostic name: "pkgname.Func" or
-// "pkgname.(*Recv).Method".
+// "pkgname.*Recv.Method".
 func (n *FuncNode) Name() string {
-	name := funcName(n.Decl)
-	if n.Pkg != nil && n.Pkg.Types != nil {
-		return n.Pkg.Types.Name() + "." + name
+	name := n.Decl.Name.Name
+	if n.Decl.Recv != nil && len(n.Decl.Recv.List) == 1 {
+		name = types.ExprString(n.Decl.Recv.List[0].Type) + "." + name
 	}
-	return name
+	return n.Pkg.Types.Name() + "." + name
 }
 
 // CallGraph indexes every module-local function declaration.
 type CallGraph struct {
-	Nodes  map[*types.Func]*FuncNode
-	byDecl map[*ast.FuncDecl]*FuncNode
+	Nodes map[*types.Func]*FuncNode
 }
-
-// NodeFor returns the node for a function declaration, or nil.
-func (g *CallGraph) NodeFor(fd *ast.FuncDecl) *FuncNode { return g.byDecl[fd] }
 
 // SortedNodes returns every node ordered by source position, so
 // whole-graph iterations are deterministic.
@@ -81,10 +71,7 @@ func (p *Program) CallGraph() *CallGraph {
 	if p.callgraph != nil {
 		return p.callgraph
 	}
-	g := &CallGraph{
-		Nodes:  map[*types.Func]*FuncNode{},
-		byDecl: map[*ast.FuncDecl]*FuncNode{},
-	}
+	g := &CallGraph{Nodes: map[*types.Func]*FuncNode{}}
 	// Pass 1: index every declared function.
 	for _, pkg := range p.Packages {
 		for _, file := range pkg.Files {
@@ -97,9 +84,7 @@ func (p *Program) CallGraph() *CallGraph {
 				if !ok {
 					continue
 				}
-				node := &FuncNode{Fn: fn, Decl: fd, Pkg: pkg}
-				g.Nodes[fn] = node
-				g.byDecl[fd] = node
+				g.Nodes[fn] = &FuncNode{Decl: fd, Pkg: pkg}
 			}
 		}
 	}
@@ -140,104 +125,66 @@ func moduleImplementers(p *Program) []*types.Named {
 func resolveCalls(g *CallGraph, node *FuncNode, impls []*types.Named) {
 	pkg := node.Pkg
 	seen := map[*FuncNode]bool{}
-	addEdge := func(callee *FuncNode, pos token.Pos, via string) {
+	addEdge := func(callee *FuncNode, pos token.Pos) {
 		if callee == nil || callee == node || seen[callee] {
 			return
 		}
 		seen[callee] = true
-		node.Calls = append(node.Calls, CallEdge{Callee: callee, Pos: pos, Via: via})
+		node.Calls = append(node.Calls, CallEdge{Callee: callee, Pos: pos})
 	}
 	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		fun := ast.Unparen(call.Fun)
-		// Conversions are not calls.
-		if tv, ok := pkg.Info.Types[call.Fun]; ok && tv.IsType() {
+		var id *ast.Ident
+		switch fun := ast.Unparen(call.Fun).(type) {
+		case *ast.Ident:
+			id = fun
+		case *ast.SelectorExpr:
+			id = fun.Sel
+		default:
+			// An immediately-invoked literal is already part of this
+			// node's walk; anything else is a function value.
 			return true
 		}
-		switch fun := fun.(type) {
-		case *ast.Ident:
-			switch obj := pkg.Info.Uses[fun].(type) {
-			case *types.Func:
-				addEdge(g.Nodes[obj], call.Pos(), "")
-			case *types.Builtin, *types.TypeName, *types.Nil:
-				// builtins and conversions: not call-graph edges
-			case *types.Var:
-				node.Dynamic = append(node.Dynamic, call.Pos())
-			}
-		case *ast.SelectorExpr:
-			switch obj := pkg.Info.Uses[fun.Sel].(type) {
-			case *types.Func:
-				if iface, iname, mname := interfaceCall(obj); iface != nil {
-					resolveInterfaceCall(g, node, addEdge, call.Pos(), iface, iname, mname, impls)
-					return true
+		// Builtins, conversions and function-valued variables resolve
+		// to something other than a *types.Func: no edge.
+		fn, ok := pkg.Info.Uses[id].(*types.Func)
+		if !ok {
+			return true
+		}
+		iface := interfaceOf(fn)
+		if iface == nil {
+			addEdge(g.Nodes[fn], call.Pos())
+			return true
+		}
+		// An interface method call may dispatch to any module-local
+		// concrete type that implements the interface.
+		for _, named := range impls {
+			var recv types.Type = named
+			if !types.Implements(recv, iface) {
+				recv = types.NewPointer(named)
+				if !types.Implements(recv, iface) {
+					continue
 				}
-				addEdge(g.Nodes[obj], call.Pos(), "")
-			case *types.Var:
-				// Function-valued struct field or package variable.
-				node.Dynamic = append(node.Dynamic, call.Pos())
 			}
-		case *ast.FuncLit:
-			// Immediately-invoked literal: its body is already part of
-			// this node's walk.
-		default:
-			// Anything else producing a function value (a call
-			// returning a func, an index into a []func) is dynamic.
-			if tv, ok := pkg.Info.Types[fun]; ok {
-				if _, isSig := tv.Type.Underlying().(*types.Signature); isSig {
-					node.Dynamic = append(node.Dynamic, call.Pos())
-				}
+			obj, _, _ := types.LookupFieldOrMethod(recv, true, named.Obj().Pkg(), fn.Name())
+			if m, ok := obj.(*types.Func); ok {
+				addEdge(g.Nodes[m], call.Pos())
 			}
 		}
 		return true
 	})
 }
 
-// interfaceCall reports whether fn is an interface method (abstract,
-// no body anywhere) and returns its interface type, display name, and
-// method name.
-func interfaceCall(fn *types.Func) (*types.Interface, string, string) {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil, "", ""
+// interfaceOf returns the interface fn is an abstract method of, or nil
+// when fn is a function or a concrete method.
+func interfaceOf(fn *types.Func) *types.Interface {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
 	}
-	recv := sig.Recv().Type()
-	if ptr, ok := recv.Underlying().(*types.Pointer); ok {
-		recv = ptr.Elem()
-	}
-	name := "interface{...}"
-	if named, ok := recv.(*types.Named); ok {
-		name = named.Obj().Name()
-		if pkg := named.Obj().Pkg(); pkg != nil {
-			name = pkg.Name() + "." + name
-		}
-	}
-	if iface, ok := recv.Underlying().(*types.Interface); ok {
-		return iface, name, fn.Name()
-	}
-	return nil, "", ""
-}
-
-// resolveInterfaceCall adds an edge to every module-local concrete
-// method that the call may dispatch to.
-func resolveInterfaceCall(g *CallGraph, node *FuncNode, addEdge func(*FuncNode, token.Pos, string),
-	pos token.Pos, iface *types.Interface, iname, mname string, impls []*types.Named) {
-	via := "interface " + iname + "." + mname
-	for _, named := range impls {
-		var recv types.Type = named
-		if !types.Implements(recv, iface) {
-			recv = types.NewPointer(named)
-			if !types.Implements(recv, iface) {
-				continue
-			}
-		}
-		obj, _, _ := types.LookupFieldOrMethod(recv, true, named.Obj().Pkg(), mname)
-		m, ok := obj.(*types.Func)
-		if !ok {
-			continue
-		}
-		addEdge(g.Nodes[m], pos, via)
-	}
+	iface, _ := recv.Type().Underlying().(*types.Interface)
+	return iface
 }

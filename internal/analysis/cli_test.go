@@ -8,16 +8,17 @@ import (
 )
 
 // TestCLIGateFailsOnViolations is the CI-gate proof: xfmlint run over
-// the deliberately broken hotfix fixture must exit non-zero and print
-// the violations, exactly as the workflow step would fail the build.
+// the deliberately broken unreachfix fixture must exit non-zero and
+// print the violations, exactly as the workflow step would fail the
+// build.
 func TestCLIGateFailsOnViolations(t *testing.T) {
 	var stdout, stderr strings.Builder
-	code := CLIMain([]string{"-C", filepath.Join("testdata", "src", "hotfix")}, &stdout, &stderr)
+	code := CLIMain([]string{"-C", filepath.Join("testdata", "src", "unreachfix")}, &stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "hotpath-alloc") {
-		t.Errorf("stdout should list hotpath-alloc findings:\n%s", stdout.String())
+	if !strings.Contains(stdout.String(), "unreachable") {
+		t.Errorf("stdout should list unreachable findings:\n%s", stdout.String())
 	}
 	if !strings.Contains(stderr.String(), "diagnostics") {
 		t.Errorf("stderr should print the summary line:\n%s", stderr.String())
@@ -42,7 +43,7 @@ func TestCLIGatePassesOnSuppressedTree(t *testing.T) {
 // as the audit trail.
 func TestCLIJSON(t *testing.T) {
 	var stdout, stderr strings.Builder
-	code := CLIMain([]string{"-json", "-C", filepath.Join("testdata", "src", "hotfix")}, &stdout, &stderr)
+	code := CLIMain([]string{"-json", "-C", filepath.Join("testdata", "src", "unreachfix")}, &stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\nstderr:\n%s", code, stderr.String())
 	}
@@ -60,11 +61,18 @@ func TestCLIJSON(t *testing.T) {
 	}
 }
 
-// TestCLIBadFlag: usage errors exit 2, distinct from lint findings.
+// TestCLIBadFlag: usage errors exit 2, distinct from lint findings —
+// and a -rules spec that selects nothing is one of them, even over a
+// fixture full of violations.
 func TestCLIBadFlag(t *testing.T) {
 	var stdout, stderr strings.Builder
 	if code := CLIMain([]string{"-no-such-flag"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("exit code = %d, want 2", code)
+	}
+	stderr.Reset()
+	code := CLIMain([]string{"-rules", ",", "-C", filepath.Join("testdata", "src", "unreachfix")}, &stdout, &stderr)
+	if code != 2 || !strings.Contains(stderr.String(), "known: ") {
+		t.Fatalf("-rules , : exit code = %d, want 2 with the known-rules message\nstderr:\n%s", code, stderr.String())
 	}
 }
 
@@ -77,7 +85,7 @@ func TestCLIShowSuppressed(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0\nstderr:\n%s", code, stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "atomic-field") {
+	if !strings.Contains(stdout.String(), "lock-order") || !strings.Contains(stdout.String(), "unreachable") {
 		t.Errorf("suppressed findings should appear with -show-suppressed:\n%s", stdout.String())
 	}
 }

@@ -2,228 +2,56 @@ package analysis
 
 import (
 	"go/ast"
-	"go/types"
 	"strings"
 )
 
-// The //xfm: directive namespace.
+// The //xfm: directive namespace has one verb:
 //
 //	//xfm:ignore <rule> <reason...>   suppress <rule> on this line and the next
-//	//xfm:hotpath                     (on a func decl) forbid allocation-prone constructs
-//	//xfm:allocok <reason...>         (on a func decl) treat as allocation-free in the
-//	                                  transitive hotpath-alloc walk (pooled/warm paths)
-//	//xfm:guardedby <mu>              (on a struct field) field requires sibling mutex <mu>
 //
-// Malformed directives — unknown verbs, unknown rule names, a missing
-// ignore reason, guardedby naming a nonexistent or non-mutex sibling,
-// hotpath/guardedby floating away from a declaration — are themselves
-// diagnostics (rule "directive"), so a typo can never silently turn a
-// check off.
-
-// attachment records which declaration a comment group documents.
-type attachment struct {
-	fn     *ast.FuncDecl
-	field  *ast.Field
-	strct  *ast.StructType
-	isLine bool // field line comment (after the field) vs doc
-}
+// Malformed directives — any other verb, an unknown rule name, a
+// missing reason — are themselves diagnostics (rule "directive"), so a
+// typo can never silently turn a check off and an annotation for a
+// rule that no longer exists cannot linger.
 
 // scanDirectives parses every //xfm: comment in pkg, populating
-// prog.hotpath, prog.guards, prog.suppressions, and
-// prog.directiveDiags.
+// prog.suppressions and prog.directiveDiags.
 func scanDirectives(prog *Program, pkg *Package) {
 	for _, file := range pkg.Files {
-		attached := map[*ast.Comment]attachment{}
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Doc != nil {
-					for _, c := range n.Doc.List {
-						attached[c] = attachment{fn: n}
-					}
-				}
-			case *ast.StructType:
-				for _, f := range n.Fields.List {
-					for _, g := range []*ast.CommentGroup{f.Doc, f.Comment} {
-						if g == nil {
-							continue
-						}
-						for _, c := range g.List {
-							attached[c] = attachment{field: f, strct: n, isLine: g == f.Comment}
-						}
-					}
-				}
-			}
-			return true
-		})
 		for _, group := range file.Comments {
 			for _, c := range group.List {
-				text, ok := strings.CutPrefix(c.Text, "//xfm:")
-				if !ok {
-					continue
+				if text, ok := strings.CutPrefix(c.Text, "//xfm:"); ok {
+					parseDirective(prog, c, text)
 				}
-				parseDirective(prog, pkg, c, text, attached[c])
 			}
 		}
 	}
 }
 
-func parseDirective(prog *Program, pkg *Package, c *ast.Comment, text string, at attachment) {
+func parseDirective(prog *Program, c *ast.Comment, text string) {
+	bad := func(format string, args ...any) {
+		prog.directiveDiags = append(prog.directiveDiags, prog.diag(c.Pos(), RuleDirective, format, args...))
+	}
 	fields := strings.Fields(text)
-	if len(fields) == 0 {
-		prog.directiveDiags = append(prog.directiveDiags,
-			prog.diag(c.Pos(), RuleDirective, "empty //xfm: directive"))
-		return
-	}
-	verb, args := fields[0], fields[1:]
-	switch verb {
-	case "ignore":
-		parseIgnore(prog, c, args)
-	case "hotpath":
-		parseHotpath(prog, c, args, at)
-	case "allocok":
-		parseAllocOK(prog, c, args, at)
-	case "guardedby":
-		parseGuardedBy(prog, pkg, c, args, at)
+	switch {
+	case len(fields) == 0:
+		bad("empty //xfm: directive")
+	case fields[0] != "ignore":
+		bad("unknown directive //xfm:%s (the only verb is ignore)", fields[0])
+	case len(fields) == 1:
+		bad("//xfm:ignore needs a rule name and a reason")
+	case !knownRule(fields[1]):
+		bad("//xfm:ignore names unknown rule %q (known: %s)", fields[1], strings.Join(KnownRules, ", "))
+	case len(fields) == 2:
+		bad("//xfm:ignore %s is missing a reason — every suppression must say why", fields[1])
 	default:
-		prog.directiveDiags = append(prog.directiveDiags,
-			prog.diag(c.Pos(), RuleDirective,
-				"unknown directive //xfm:%s (want ignore, hotpath, allocok, or guardedby)", verb))
+		prog.suppressions = append(prog.suppressions, suppression{
+			file:   prog.relFile(c.Pos()),
+			line:   prog.Fset.Position(c.Pos()).Line,
+			rule:   fields[1],
+			reason: strings.Join(fields[2:], " "),
+		})
 	}
-}
-
-func parseIgnore(prog *Program, c *ast.Comment, args []string) {
-	if len(args) == 0 {
-		prog.directiveDiags = append(prog.directiveDiags,
-			prog.diag(c.Pos(), RuleDirective, "//xfm:ignore needs a rule name and a reason"))
-		return
-	}
-	rule := args[0]
-	if !knownRule(rule) {
-		prog.directiveDiags = append(prog.directiveDiags,
-			prog.diag(c.Pos(), RuleDirective,
-				"//xfm:ignore names unknown rule %q (known: %s)", rule, strings.Join(KnownRules, ", ")))
-		return
-	}
-	if len(args) < 2 {
-		prog.directiveDiags = append(prog.directiveDiags,
-			prog.diag(c.Pos(), RuleDirective,
-				"//xfm:ignore %s is missing a reason — every suppression must say why", rule))
-		return
-	}
-	prog.suppressions = append(prog.suppressions, suppression{
-		file:   prog.relFile(c.Pos()),
-		line:   prog.Fset.Position(c.Pos()).Line,
-		rule:   rule,
-		reason: strings.Join(args[1:], " "),
-	})
-}
-
-func parseHotpath(prog *Program, c *ast.Comment, args []string, at attachment) {
-	if len(args) != 0 {
-		prog.directiveDiags = append(prog.directiveDiags,
-			prog.diag(c.Pos(), RuleDirective, "//xfm:hotpath takes no arguments"))
-		return
-	}
-	if at.fn == nil {
-		prog.directiveDiags = append(prog.directiveDiags,
-			prog.diag(c.Pos(), RuleDirective,
-				"//xfm:hotpath is not attached to a function declaration"))
-		return
-	}
-	prog.hotpath[at.fn] = true
-}
-
-// parseAllocOK handles //xfm:allocok <reason...>: the annotated
-// function is treated as allocation-free by the transitive
-// hotpath-alloc walk (neither its body nor its callees are followed).
-// The escape hatch exists for pooled and warm paths whose allocations
-// are provably cold — the reason is mandatory so every exemption
-// records why the static walk may stand down.
-func parseAllocOK(prog *Program, c *ast.Comment, args []string, at attachment) {
-	if at.fn == nil {
-		prog.directiveDiags = append(prog.directiveDiags,
-			prog.diag(c.Pos(), RuleDirective,
-				"//xfm:allocok is not attached to a function declaration"))
-		return
-	}
-	if len(args) == 0 {
-		prog.directiveDiags = append(prog.directiveDiags,
-			prog.diag(c.Pos(), RuleDirective,
-				"//xfm:allocok is missing a reason — every exemption must say why the function cannot allocate steady-state"))
-		return
-	}
-	prog.allocok[at.fn] = true
-}
-
-func parseGuardedBy(prog *Program, pkg *Package, c *ast.Comment, args []string, at attachment) {
-	if len(args) != 1 {
-		prog.directiveDiags = append(prog.directiveDiags,
-			prog.diag(c.Pos(), RuleDirective, "//xfm:guardedby takes exactly one argument: the sibling mutex field"))
-		return
-	}
-	if at.field == nil {
-		prog.directiveDiags = append(prog.directiveDiags,
-			prog.diag(c.Pos(), RuleDirective,
-				"//xfm:guardedby is not attached to a struct field"))
-		return
-	}
-	muName := args[0]
-	muIdent := findFieldIdent(at.strct, muName)
-	if muIdent == nil {
-		prog.directiveDiags = append(prog.directiveDiags,
-			prog.diag(c.Pos(), RuleDirective,
-				"//xfm:guardedby names nonexistent sibling field %q", muName))
-		return
-	}
-	muVar, _ := pkg.Info.Defs[muIdent].(*types.Var)
-	if muVar == nil || !isMutexType(muVar.Type()) {
-		prog.directiveDiags = append(prog.directiveDiags,
-			prog.diag(c.Pos(), RuleDirective,
-				"//xfm:guardedby field %q is not a sync.Mutex or sync.RWMutex", muName))
-		return
-	}
-	if len(at.field.Names) == 0 {
-		prog.directiveDiags = append(prog.directiveDiags,
-			prog.diag(c.Pos(), RuleDirective,
-				"//xfm:guardedby cannot annotate an embedded field"))
-		return
-	}
-	for _, name := range at.field.Names {
-		fv, _ := pkg.Info.Defs[name].(*types.Var)
-		if fv == nil {
-			continue
-		}
-		prog.guards[fv] = &Guard{Field: fv, Mu: muVar, MuName: muName}
-	}
-}
-
-func findFieldIdent(st *ast.StructType, name string) *ast.Ident {
-	for _, f := range st.Fields.List {
-		for _, n := range f.Names {
-			if n.Name == name {
-				return n
-			}
-		}
-	}
-	return nil
-}
-
-// isMutexType reports whether t is sync.Mutex, sync.RWMutex, or a
-// pointer to one.
-func isMutexType(t types.Type) bool {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
 }
 
 // directiveRule surfaces the malformed-directive diagnostics collected

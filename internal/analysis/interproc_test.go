@@ -7,51 +7,6 @@ import (
 	"testing"
 )
 
-// TestHotpathTransitive drives the interprocedural rule over interfix:
-// clean root bodies, allocations one and two hops down, one behind an
-// interface dispatch, and an //xfm:allocok subtree the walk must not
-// enter.
-func TestHotpathTransitive(t *testing.T) {
-	diags := loadFixture(t, "interfix", []Rule{NewHotpathAllocRule()})
-	checkAgainstMarkers(t, "interfix", diags)
-	byFile := map[string]Diagnostic{}
-	for _, d := range diags {
-		byFile[d.File] = d
-	}
-	deep := byFile["interfix.go"]
-	if !strings.Contains(deep.Message, "via call chain interfix.Hot → interfix.helper → interfix.deeper") {
-		t.Errorf("transitive finding should carry the full chain, got: %s", deep.Message)
-	}
-	if len(deep.Witness) == 0 ||
-		!strings.Contains(deep.Witness[len(deep.Witness)-1], "map literal allocates at interfix.go:") {
-		t.Errorf("witness should end at the allocation site, got: %v", deep.Witness)
-	}
-	iface := byFile["dep/dep.go"]
-	if !strings.Contains(iface.Message, "interfix.HotIface → dep.*MapSink.Put") {
-		t.Errorf("interface dispatch should resolve to MapSink, got: %s", iface.Message)
-	}
-	found := false
-	for _, hop := range iface.Witness {
-		if strings.Contains(hop, "via interface dep.Sink.Put") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("witness should annotate the interface edge, got: %v", iface.Witness)
-	}
-}
-
-// TestShallowRuleMissesTransitiveChain is the regression proof the
-// issue demands: the PR 4 intraprocedural semantics (shallow mode)
-// report nothing on interfix, while the want markers above show the
-// interprocedural rule catches the hotpath → helper → alloc chains.
-func TestShallowRuleMissesTransitiveChain(t *testing.T) {
-	diags := loadFixture(t, "interfix", []Rule{hotpathAllocRule{shallow: true}})
-	if len(diags) != 0 {
-		t.Errorf("shallow rule should miss every transitive chain, got: %v", diags)
-	}
-}
-
 // TestLockOrderRule drives lockfix: package one takes A then B,
 // package two takes B then reaches A through a helper, and the rule
 // must report the cycle once with a witness chain for each direction.
@@ -106,7 +61,7 @@ func TestUnreachableRule(t *testing.T) {
 
 func TestSelectRules(t *testing.T) {
 	all := DefaultRules()
-	got, err := SelectRules(all, "lock-order,hotpath-alloc")
+	got, err := SelectRules(all, "lock-order, unreachable,")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +70,9 @@ func TestSelectRules(t *testing.T) {
 	}
 	if _, err := SelectRules(all, "no-such-rule"); err == nil {
 		t.Error("unknown rule name must error, not silently skip")
+	}
+	if _, err := SelectRules(all, " , "); err == nil {
+		t.Error("a spec of only commas and blanks selects nothing and must error")
 	}
 	if got, err := SelectRules(all, ""); err != nil || len(got) != len(all) {
 		t.Errorf("empty spec selects everything: %v, %d rules", err, len(got))
@@ -141,7 +99,7 @@ func TestCLILockOrderGate(t *testing.T) {
 	// The same tree is clean under every other rule: -rules filters.
 	stdout.Reset()
 	stderr.Reset()
-	code = CLIMain([]string{"-rules", "hotpath-alloc,atomic-field",
+	code = CLIMain([]string{"-rules", "sim-determinism,unreachable",
 		"-C", filepath.Join("testdata", "src", "lockfix")}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0 with lock-order filtered out\nstdout:\n%s",

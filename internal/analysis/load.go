@@ -3,13 +3,14 @@
 // go/types (stdlib dependencies come from the source importer), and
 // runs domain rules over the typed ASTs. The rules encode invariants
 // the rest of this repository relies on but the compiler cannot see:
-// atomic counters must be atomic everywhere (atomic-field), mutex-
-// guarded fields must be touched under their lock (guardedby),
-// annotated hot paths must not allocate (hotpath-alloc), the simulator
-// packages must stay bit-deterministic (sim-determinism), and nothing
-// ships that no binary reaches (unreachable).
+// two mutex classes are never taken in opposite orders (lock-order),
+// the simulator packages stay bit-deterministic (sim-determinism), and
+// nothing ships that no binary reaches (unreachable). Data races,
+// steady-state allocations and atomic access are owned by other gates —
+// the race detector, the AllocsPerRun tests and the typed sync/atomic
+// API; DESIGN §9 has the table.
 //
-// Directives use the //xfm: comment namespace; see directive.go.
+// Suppressions use the //xfm:ignore comment directive; see directive.go.
 package analysis
 
 import (
@@ -43,23 +44,11 @@ type Program struct {
 	Packages []*Package // the packages matched by the load patterns
 
 	// Directive state, populated by scanDirectives during Load.
-	hotpath        map[*ast.FuncDecl]bool
-	allocok        map[*ast.FuncDecl]bool
 	suppressions   []suppression
-	guards         map[*types.Var]*Guard
 	directiveDiags []Diagnostic
 
-	// Interprocedural state, built lazily by the first rule that asks.
+	// The call graph, built lazily by the first rule that asks.
 	callgraph *CallGraph
-	summaries map[*FuncNode]*summary
-}
-
-// Guard records one //xfm:guardedby annotation: Field may only be
-// accessed while Mu (a sibling sync.Mutex/RWMutex field) is held.
-type Guard struct {
-	Field  *types.Var
-	Mu     *types.Var
-	MuName string
 }
 
 // Context owns the FileSet and the (expensive) source importer for
@@ -129,14 +118,7 @@ func (c *Context) Load(dir string, patterns ...string) (*Program, error) {
 		}
 	}
 	sort.Strings(dirs)
-	prog := &Program{
-		Fset:    c.Fset,
-		ModPath: modPath,
-		ModDir:  modDir,
-		hotpath: map[*ast.FuncDecl]bool{},
-		allocok: map[*ast.FuncDecl]bool{},
-		guards:  map[*types.Var]*Guard{},
-	}
+	prog := &Program{Fset: c.Fset, ModPath: modPath, ModDir: modDir}
 	for _, d := range dirs {
 		ip, err := ld.importPathFor(d)
 		if err != nil {

@@ -27,18 +27,18 @@ func TestLoadImportCycle(t *testing.T) {
 // what keeps the fixture suite fast and positions comparable.
 func TestContextSharedAcrossLoads(t *testing.T) {
 	ctx := sharedCtx()
-	p1, err := ctx.Load(filepath.Join("testdata", "src", "hotfix"))
+	p1, err := ctx.Load(filepath.Join("testdata", "src", "detfix"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := ctx.Load(filepath.Join("testdata", "src", "interfix"))
+	p2, err := ctx.Load(filepath.Join("testdata", "src", "lockfix"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p1.Fset != p2.Fset || p1.Fset != ctx.Fset {
 		t.Error("loads from one Context must share its FileSet")
 	}
-	if p1.ModPath != "hotfix" || p2.ModPath != "interfix" {
+	if p1.ModPath != "detfix" || p2.ModPath != "lockfix" {
 		t.Errorf("module identities must stay per-load: %q, %q", p1.ModPath, p2.ModPath)
 	}
 }

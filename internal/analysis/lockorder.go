@@ -10,17 +10,16 @@ import (
 )
 
 // lockOrderRule detects potential deadlocks: two mutexes acquired in
-// opposite orders on different code paths. Locks are identified the
-// atomic-field way — by the canonical struct field (or package-level
-// variable) of type sync.Mutex/RWMutex, not by instance — so
-// `shardA.mu` and `shardB.mu` are one lock class and an AB/BA inversion
-// between two *classes* is reported wherever the two paths live, even
-// in different packages.
+// opposite orders on different code paths. Locks are identified by the
+// canonical struct field (or package-level variable) of type
+// sync.Mutex/RWMutex, not by instance — so `shardA.mu` and `shardB.mu`
+// are one lock class and an AB/BA inversion between two *classes* is
+// reported wherever the two paths live, even in different packages.
 //
-// Per function, a linear position-ordered scan (the guardedby bar:
-// deliberately simpler than a CFG lockset analysis) tracks the held
-// set: `m.Lock()`/`m.RLock()` acquires, `m.Unlock()`/`m.RUnlock()`
-// releases, and a deferred unlock holds to the end of the function.
+// Per function, a linear position-ordered scan (deliberately simpler
+// than a CFG lockset analysis) tracks the held set:
+// `m.Lock()`/`m.RLock()` acquires, `m.Unlock()`/`m.RUnlock()` releases,
+// and a deferred unlock holds to the end of the function.
 // Acquiring B while holding A records the edge A→B; calling a function
 // that (transitively, through the call graph) acquires B while holding
 // A records the same edge with the call chain as its witness. Any
@@ -260,6 +259,38 @@ func resolveMutexVar(pkg *Package, expr ast.Expr) *types.Var {
 	return nil
 }
 
+// fieldOf resolves a selector expression to the struct field it
+// denotes, or nil when it denotes anything else (a method, a package
+// member, a qualified identifier).
+func fieldOf(pkg *Package, sel *ast.SelectorExpr) *types.Var {
+	s, ok := pkg.Info.Selections[sel]
+	if !ok || s.Kind() != types.FieldVal {
+		return nil
+	}
+	v, ok := s.Obj().(*types.Var)
+	if !ok || !v.IsField() {
+		return nil
+	}
+	return v
+}
+
+// isMutexType reports whether t is sync.Mutex, sync.RWMutex, or a
+// pointer to one.
+func isMutexType(t types.Type) bool {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
+		return false
+	}
+	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
+}
+
 // recordLockKeyName renders the canonical display name for a lock
 // class the first time it is seen: "pkg.Struct.field" for fields,
 // "pkg.var" otherwise.
@@ -376,6 +407,11 @@ func renderLockWitness(p *Program, e [2]*types.Var, w lockEdgeWitness,
 	return fmt.Sprintf("%s → %s: %s holds %s (acquired at %s) and calls %s at %s, which acquires %s at %s",
 		from, to, w.holder.Name(), from, p.posString(w.heldPos),
 		strings.Join(hops, " → "), p.posString(w.site), to, p.posString(w.acqPos))
+}
+
+// posString renders "file:line" relative to the module root.
+func (p *Program) posString(pos token.Pos) string {
+	return fmt.Sprintf("%s:%d", p.relFile(pos), p.Fset.Position(pos).Line)
 }
 
 // tarjanSCC returns the strongly connected components of the

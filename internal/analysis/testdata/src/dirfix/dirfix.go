@@ -5,26 +5,23 @@ package dirfix
 
 import "sync"
 
-// Box carries three broken guardedby annotations.
+// Box carries an annotation for a rule that no longer exists.
 type Box struct {
-	mu   sync.Mutex
-	name string
-	a    int //xfm:guardedby lock
-	b    int //xfm:guardedby name
-	c    int //xfm:guardedby
+	mu sync.Mutex
+	a  int //xfm:guardedby mu
 }
 
-//xfm:hotpth
+//xfm:hotpath
+func Stale() {}
+
+//xfm:ignor lock-order misspelt verb
 func Typo() {}
 
-//xfm:hotpath now
-func Args() {}
-
-//xfm:hotpath
-var floating int
+//xfm:ignore
+func IgnoreBare() {}
 
 //xfm:ignore no-such-rule because reasons
 func IgnoreUnknown() {}
 
-//xfm:ignore hotpath-alloc
+//xfm:ignore lock-order
 func IgnoreNoReason() {}

@@ -1,45 +1,45 @@
-// Package suppressfix seeds one violation per rule and suppresses
-// every one of them with a reasoned //xfm:ignore, both trailing and
-// standalone: the tree must report zero unsuppressed diagnostics.
-package suppressfix
+// Command suppressfix seeds one violation per suppressible rule and
+// suppresses every one of them with a reasoned //xfm:ignore, both
+// trailing and standalone: the tree must report zero unsuppressed
+// diagnostics.
+package main
 
 import (
-	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Pair mixes atomic and plain access to n, suppressed at the plain
-// read.
-type Pair struct {
-	mu    sync.Mutex
-	n     int64
-	table map[int]int //xfm:guardedby mu
+var a, b sync.Mutex
+
+// ab takes a before b, standalone suppression form.
+func ab() {
+	a.Lock()
+	defer a.Unlock()
+	//xfm:ignore lock-order ba runs once at start-up, before any goroutine that calls ab exists
+	b.Lock()
+	b.Unlock()
 }
 
-// Inc marks n atomic.
-func (p *Pair) Inc() { atomic.AddInt64(&p.n, 1) }
-
-// Peek is a deliberately racy read with a recorded justification.
-func (p *Pair) Peek() int64 {
-	return p.n //xfm:ignore atomic-field approximate read is fine for a progress log
+// ba takes them the other way round.
+func ba() {
+	b.Lock()
+	defer b.Unlock()
+	a.Lock()
+	a.Unlock()
 }
 
-// Scan walks the guarded table lock-free, standalone suppression form.
-func (p *Pair) Scan() int {
-	//xfm:ignore guardedby snapshot taken before any writer goroutine starts
-	return len(p.table)
-}
-
-// Label is hot but formats once per call, suppressed.
-//
-//xfm:hotpath
-func Label(v int64) string {
-	return fmt.Sprintf("v=%d", v) //xfm:ignore hotpath-alloc called once per report, not per page
-}
-
-// Stamp reads the clock with a recorded justification.
-func Stamp() time.Time {
+// stamp reads the clock with a recorded justification, trailing form.
+func stamp() time.Time {
 	return time.Now() //xfm:ignore sim-determinism display-only timestamp, never folded into tables
+}
+
+// refStamp is what a test compares stamp against.
+//
+//xfm:ignore unreachable reference of TestStampMatchesRef
+func refStamp() time.Time { return time.Time{} }
+
+func main() {
+	ba()
+	ab()
+	println(stamp().Unix())
 }

@@ -143,8 +143,6 @@ func lzfExtendMatch(src []byte, a, b int) int {
 }
 
 // Compress implements Codec.
-//
-//xfm:hotpath
 func (z *LZFast) Compress(dst, src []byte) []byte {
 	st := lzfEncPool.Get().(*lzfEncState)
 	dst = st.compress(dst, src, z.maxOffset)
@@ -303,8 +301,6 @@ func growSlack(dst []byte, n int) []byte {
 }
 
 // Decompress implements Codec.
-//
-//xfm:hotpath
 func (z *LZFast) Decompress(dst, src []byte) ([]byte, error) {
 	origLen, n, ok := readUvarint(src)
 	if !ok {

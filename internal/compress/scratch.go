@@ -46,8 +46,6 @@ func (s *Scratch) Release() { scratchPool.Put(s) }
 // Compress runs c.Compress over src into the reusable Comp buffer and
 // returns it. The result is invalidated by the next Compress call on
 // the same Scratch.
-//
-//xfm:hotpath
 func (s *Scratch) Compress(c Codec, src []byte) []byte {
 	s.Comp = c.Compress(s.Comp[:0], src)
 	return s.Comp
@@ -56,8 +54,6 @@ func (s *Scratch) Compress(c Codec, src []byte) []byte {
 // Decompress runs c.Decompress over src into the reusable Page buffer
 // and returns it. The result is invalidated by the next Decompress
 // call on the same Scratch.
-//
-//xfm:hotpath
 func (s *Scratch) Decompress(c Codec, src []byte) ([]byte, error) {
 	out, err := c.Decompress(s.Page[:0], src)
 	s.Page = out[:0]
@@ -86,8 +82,6 @@ func (s *Scratch) Parts(n int) [][]byte {
 // allocation when capacity suffices, returning the extended slice.
 // It is the append-friendly replacement for `make([]byte, n)` staging
 // buffers.
-//
-//xfm:hotpath
 func Grow(buf []byte, n int) []byte {
 	if cap(buf)-len(buf) >= n {
 		return buf[:len(buf)+n]

@@ -154,7 +154,7 @@ func (s *StreamReader) nextBlock() error {
 		return err
 	}
 	if clen > uint64(DefaultBlockSize)*2+64 {
-		return fmt.Errorf("%w: frame length %d", ErrCorrupt, clen) //xfm:ignore hotpath-alloc corrupt-frame error path, not steady-state
+		return fmt.Errorf("%w: frame length %d", ErrCorrupt, clen)
 	}
 	if cap(s.comp) < int(clen) {
 		s.comp = make([]byte, clen)

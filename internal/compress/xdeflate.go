@@ -132,8 +132,6 @@ func (x *XDeflate) MaxCompressedLen(n int) int {
 }
 
 // Compress implements Codec.
-//
-//xfm:hotpath
 func (x *XDeflate) Compress(dst, src []byte) []byte {
 	dst = appendUvarint(dst, uint64(len(src)))
 	if len(src) == 0 {
@@ -224,8 +222,6 @@ func (x *XDeflate) encodeHuffman(st *xdEncState, src []byte) []byte {
 }
 
 // Decompress implements Codec.
-//
-//xfm:hotpath
 func (x *XDeflate) Decompress(dst, src []byte) ([]byte, error) {
 	origLen, n, ok := readUvarint(src)
 	if !ok {

@@ -121,8 +121,6 @@ func init() {
 // Encode computes the 8 ECC bits for one 64-bit data word: bits 0-6
 // are the Hamming check bits, bit 7 is the overall parity of the full
 // 72-bit codeword.
-//
-//xfm:hotpath
 func Encode(data uint64) uint8 {
 	return encTab.s0[data%wide] ^ encTab.s1[data>>shift1%wide] ^
 		encTab.s2[data>>shift2%wide] ^ encTab.s3[data>>shift3%wide] ^
@@ -173,8 +171,6 @@ const lineBytes, groupBytes = 64, 8
 
 // lineECC returns the ECC bytes of a line's eight words, word i's in
 // byte i.
-//
-//xfm:hotpath
 func lineECC(line *[lineBytes]byte) uint64 {
 	return uint64(Encode(binary.LittleEndian.Uint64(line[0:]))) |
 		uint64(Encode(binary.LittleEndian.Uint64(line[8:])))<<8 |
@@ -188,8 +184,6 @@ func lineECC(line *[lineBytes]byte) uint64 {
 
 // PageParityInto is PageParity into a caller-owned buffer of exactly
 // len(data)/8 bytes.
-//
-//xfm:hotpath
 func PageParityInto(dst, data []byte) {
 	if len(data)%8 != 0 || len(dst) != len(data)/8 {
 		panic("ecc: mismatched data/parity lengths")
@@ -206,8 +200,6 @@ func PageParityInto(dst, data []byte) {
 // VerifyPage checks data against its parity bytes, correcting any
 // single-bit errors in place. It returns the number of corrected
 // words and the number of uncorrectable words.
-//
-//xfm:hotpath
 func VerifyPage(data, parity []byte) (corrected, uncorrectable int) {
 	if len(data)%8 != 0 || len(parity) != len(data)/8 {
 		panic("ecc: mismatched data/parity lengths")

@@ -95,7 +95,7 @@ func (m Mapping) Validate() error {
 // rank per channel.
 func (m Mapping) Decompose(addr int64) Coord {
 	if addr < 0 || addr >= m.TotalBytes() {
-		panic(fmt.Sprintf("memctrl: address %#x out of range [0, %#x)", addr, m.TotalBytes())) //xfm:ignore hotpath-alloc panic guard on out-of-range address; Sprintf runs only when panicking
+		panic(fmt.Sprintf("memctrl: address %#x out of range [0, %#x)", addr, m.TotalBytes()))
 	}
 	off := int(addr % int64(m.BankInterleave))
 	chunk := addr / int64(m.BankInterleave)

@@ -447,7 +447,7 @@ func (s *Sim) Submit(req Request) bool {
 	s.stats.Submitted++
 	telemetry.NMARequestsSubmitted.Inc()
 	if req.SrcGroup < 0 || req.SrcGroup >= s.groups || req.DstGroup < -1 || req.DstGroup >= s.groups {
-		panic(fmt.Sprintf("nma: refresh group out of range in %+v", req)) //xfm:ignore hotpath-alloc panic guard on malformed request; Sprintf runs only when panicking
+		panic(fmt.Sprintf("nma: refresh group out of range in %+v", req))
 	}
 	if s.queuedCount >= s.cfg.QueueDepth {
 		s.stats.Fallbacks++
@@ -667,7 +667,7 @@ func (s *Sim) skipWindows(n int64) {
 	if s.sampler != nil {
 		s.sampler.SimTickRange(int64(start), int64(s.cfg.Timings.TREFI), n, s.bulkAdvance)
 	} else {
-		s.bulkAdvance(n) //xfm:ignore hotpath-alloc bulkAdvance is fixed at construction to the advanceIdle method value; the indirect call allocates nothing
+		s.bulkAdvance(n)
 	}
 }
 
@@ -711,8 +711,6 @@ func (s *Sim) AdvanceTo(now dram.Ps) {
 // "refresh-window" span and tiles the accesses it performed across the
 // tRFC as nested compress/decompress spans, so the Chrome trace shows
 // compression bursts packed inside refresh windows (Fig. 10).
-//
-//xfm:allocok span emission runs only with a tracer attached (diagnostic runs), not in steady-state benchmarks
 func (s *Sim) emitWindowSpans(group int, start dram.Ps) {
 	if s.track < 0 {
 		s.track = s.tracer.NewTrack("nma")

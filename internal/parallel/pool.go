@@ -100,7 +100,7 @@ func (p *Pool) Run(n, limit int, fn func(worker, i int)) {
 	if active <= 1 || p.closed() {
 		telemetry.ParallelTasks.Add(int64(n))
 		for i := 0; i < n; i++ {
-			fn(0, i) //xfm:ignore hotpath-alloc the per-item body is the caller's zero-alloc contract, pinned by the allocs/op regression tests
+			fn(0, i)
 		}
 		return
 	}
@@ -151,12 +151,9 @@ func (p *Pool) work(id int) {
 
 // runBody claims index chunks off the shared counter until the batch
 // is exhausted, so fast workers steal from slow ones near the tail.
-//
-//xfm:hotpath
 func (p *Pool) runBody(id int) {
 	j := &p.job
 	claimed := 0
-	//xfm:ignore hotpath-alloc one deferred closure per worker per batch, amortized over the worker's whole claimed share
 	defer func() {
 		telemetry.ParallelWorkerTasks.Observe(float64(claimed))
 		if r := recover(); r != nil {
@@ -177,7 +174,7 @@ func (p *Pool) runBody(id int) {
 		}
 		claimed += end - start
 		for i := start; i < end; i++ {
-			j.fn(id, i) //xfm:ignore hotpath-alloc the per-item body is the caller's zero-alloc contract, pinned by the allocs/op regression tests
+			j.fn(id, i)
 		}
 	}
 }

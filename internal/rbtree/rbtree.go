@@ -66,8 +66,6 @@ func (t *Tree[K, V]) Put(key K, val V) {
 
 // newNode takes a node off the free list (or allocates) and
 // initializes it as a fresh red leaf.
-//
-//xfm:hotpath
 func (t *Tree[K, V]) newNode(key K, val V) *node[K, V] {
 	n := t.free
 	if n == nil {

@@ -133,8 +133,6 @@ func NewCPUBackend(codec compress.Codec, regionBytes int64) *CPUBackend {
 // so the common early-mismatch case (an ordinary page) exits after one
 // cache line and the all-same case (a zero page) runs four loads per
 // branch instead of one.
-//
-//xfm:hotpath
 func sameFilledWord(data []byte) (uint64, bool) {
 	w0 := binary.LittleEndian.Uint64(data)
 	off := 8
@@ -190,11 +188,8 @@ type outPlan struct {
 // per-worker buffer); the returned plan's comp slice aliases it, and
 // stays valid across later appends even if the arena's backing array
 // is reallocated by growth.
-//
-//xfm:hotpath
 func stageOut(codec compress.Codec, id PageID, data []byte, arena []byte) (outPlan, []byte) {
 	if len(data) != PageSize {
-		//xfm:ignore hotpath-alloc cold validation path, only reachable by a caller bug
 		err := fmt.Errorf("sfm: page %d has %d bytes, want %d", id, len(data), PageSize)
 		return outPlan{class: classError, err: err}, arena
 	}
@@ -218,8 +213,6 @@ func stageOut(codec compress.Codec, id PageID, data []byte, arena []byte) (outPl
 // mutates backend state; under a ShardedBackend it runs holding the
 // shard lock, in input order within the shard, which keeps batch
 // results bit-identical to a serial loop.
-//
-//xfm:hotpath
 func (b *CPUBackend) commitOut(id PageID, data []byte, p *outPlan) error {
 	if p.class == classError {
 		return p.err
@@ -277,8 +270,6 @@ func (b *CPUBackend) commitOut(id PageID, data []byte, p *outPlan) error {
 }
 
 // SwapOut implements Backend.
-//
-//xfm:hotpath
 func (b *CPUBackend) SwapOut(now dram.Ps, id PageID, data []byte) error {
 	var p outPlan
 	p, b.scratch.Comp = stageOut(b.codec, id, data, b.scratch.Comp[:0])
@@ -309,11 +300,8 @@ type inPlan struct {
 // compact-on-full from another batch cannot move the bytes while
 // decompressIn reads them without the lock. It mutates only the index
 // and the pin bit — all stats settle in commitIn.
-//
-//xfm:hotpath
 func (b *CPUBackend) gatherIn(id PageID, dst []byte) inPlan {
 	if len(dst) != PageSize {
-		//xfm:ignore hotpath-alloc cold validation path, only reachable by a caller bug
 		return inPlan{err: fmt.Errorf("sfm: dst has %d bytes, want %d", len(dst), PageSize)}
 	}
 	e, ok := b.index.Take(id)
@@ -335,8 +323,6 @@ func (b *CPUBackend) gatherIn(id PageID, dst []byte) inPlan {
 // It is pure modulo dst and the plan's err field: no backend state is
 // touched, so any worker may run it without a lock (the pinned slice
 // is protected by the pin, not the lock).
-//
-//xfm:hotpath
 func decompressIn(codec compress.Codec, id PageID, p *inPlan, dst []byte) {
 	if !p.detached {
 		return
@@ -355,7 +341,6 @@ func decompressIn(codec compress.Codec, id PageID, p *inPlan, dst []byte) {
 			return
 		}
 		if len(out) != PageSize {
-			//xfm:ignore hotpath-alloc cold corruption path; a short page is already a data-loss event
 			p.err = fmt.Errorf("sfm: page %d decompressed to %d bytes", id, len(out))
 			return
 		}
@@ -369,8 +354,6 @@ func decompressIn(codec compress.Codec, id PageID, p *inPlan, dst []byte) {
 // on a decompression failure it restores the entry to the index and
 // unpins, so the page stays stored — the same end state a serial
 // SwapIn leaves after a failed decompress.
-//
-//xfm:hotpath
 func (b *CPUBackend) commitIn(id PageID, p *inPlan) error {
 	if !p.detached {
 		return p.err
@@ -404,8 +387,6 @@ func (b *CPUBackend) commitIn(id PageID, p *inPlan) error {
 // SwapIn implements Backend. The CPU backend ignores the offload hint:
 // every swap-in runs on the CPU. Decompression reads the pinned
 // zsmalloc slot directly — no staging copy of the compressed bytes.
-//
-//xfm:hotpath
 func (b *CPUBackend) SwapIn(now dram.Ps, id PageID, dst []byte, offload bool) error {
 	p := b.gatherIn(id, dst)
 	decompressIn(b.codec, id, &p, dst)

@@ -24,7 +24,7 @@ import (
 // bookkeeping and the per-page backend calls.
 type ConcurrentHeap struct {
 	mu   sync.Mutex
-	heap *Heap //xfm:guardedby mu
+	heap *Heap
 }
 
 // NewConcurrentHeap wraps heap.

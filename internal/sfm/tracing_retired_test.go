@@ -53,8 +53,6 @@ func (t *TracingBackend) SetTracer(tr *telemetry.Tracer) {
 }
 
 // record appends one swap record and mirrors it into the span tracer.
-//
-//xfm:allocok tracing mirror allocates span args only in traced diagnostic runs, never in steady-state benchmarks
 func (t *TracingBackend) record(now dram.Ps, op trace.Op, id PageID) {
 	t.recs = append(t.recs, trace.Record{
 		AtPs: int64(now), Op: op, PageID: int64(id), Bytes: PageSize,

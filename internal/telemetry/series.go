@@ -179,8 +179,6 @@ func (s *Sampler) Samples() int {
 // picoseconds. Every SimEvery-th tick takes a sample. Ticks that do
 // not advance the recorded timeline (a second simulator running behind
 // the first) are dropped, keeping timestamps strictly monotonic.
-//
-//xfm:allocok sampling is amortized to once per sim_every ticks and writes into preallocated rings
 func (s *Sampler) SimTick(nowPs int64) {
 	if !s.enabled.Load() {
 		return
@@ -208,8 +206,6 @@ func (s *Sampler) SimTick(nowPs int64) {
 // chunks and every sample reads exactly the registry state a stepped
 // run would have produced. advance is always called with chunk counts
 // summing to n, even when the recorder is disabled.
-//
-//xfm:allocok sampling is amortized to once per sim_every ticks and writes into preallocated rings
 func (s *Sampler) SimTickRange(startPs, stepPs, n int64, advance func(k int64)) {
 	if n <= 0 {
 		return

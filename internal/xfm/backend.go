@@ -153,8 +153,6 @@ func (b *Backend) regionAddr(id sfm.PageID) int64 {
 // read from its local rows (source group) and its compressed form is
 // written into the SFM region (destination group). If the NMA rejects
 // the request the CPU performs the compression (CPU_Fallback).
-//
-//xfm:hotpath
 func (b *Backend) SwapOut(now dram.Ps, id sfm.PageID, data []byte) error {
 	if err := b.inner.SwapOut(now, id, data); err != nil {
 		return err
@@ -170,8 +168,6 @@ func (b *Backend) SwapOut(now dram.Ps, id sfm.PageID, data []byte) error {
 // default unless the do_offload parameter is asserted" (§6) — because
 // the NMA datapath adds at least 2×tREFI of latency (Fig. 10).
 // Prefetches (offload=true) go to the NMA.
-//
-//xfm:hotpath
 func (b *Backend) SwapIn(now dram.Ps, id sfm.PageID, dst []byte, offload bool) error {
 	if err := b.inner.SwapIn(now, id, dst, offload); err != nil {
 		return err
@@ -253,8 +249,6 @@ func QuarantineServed() int64 { return telemetry.XFMQuarantineServed.Value() }
 // occupancy check, MMIO sync when the inferred SPM bound is exhausted,
 // then an MMIO write into the request queue; on rejection the CPU
 // performs the operation.
-//
-//xfm:hotpath
 func (b *Backend) submitOrFallback(now dram.Ps, kind nma.OpKind, src, dst int64) {
 	b.nextReq++
 	req := nma.Request{
@@ -345,8 +339,6 @@ func (b *Backend) submitOrFallback(now dram.Ps, kind nma.OpKind, src, dst int64)
 
 // submitOnce runs one §6 submission: lazy SPM occupancy check, MMIO
 // sync when the inferred bound is exhausted, then the queue doorbell.
-//
-//xfm:hotpath
 func (b *Backend) submitOnce(req nma.Request) (bool, error) {
 	cfg := b.driver.Sim().Config()
 	// Upper bound: every submitted-but-unobserved offload may still

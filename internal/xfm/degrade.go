@@ -192,8 +192,6 @@ func (b *Backend) BreakerStats() (trips, recoveries int64) {
 
 // transition moves the breaker to mode `to`, publishing the gauge, the
 // transition counters, and a trace instant on the backend's track.
-//
-//xfm:allocok mode transitions are rare breaker events (a handful per chaos run), not steady-state work
 func (b *Backend) transition(to Mode, now dram.Ps) {
 	d := b.deg
 	from := Mode(d.mode.Swap(int32(to)))

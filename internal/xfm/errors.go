@@ -22,8 +22,7 @@ var ErrOpTimeout = errors.New("xfm: offload op deadline exceeded")
 // UncorrectableError reports which page failed ECC verification and
 // how many words were uncorrectable. The struct is plain data: no fmt
 // call happens until Error() renders it, so constructing one on the
-// swap-in path allocates only the (cold, error-path) struct itself and
-// needs no hotpath-alloc suppression.
+// swap-in path allocates only the (cold, error-path) struct itself.
 type UncorrectableError struct {
 	Page     sfm.PageID
 	BadWords int

@@ -111,7 +111,7 @@ func (g *GroupBackend) regionGroup(id sfm.PageID) int {
 // SwapOutBatch on the pool.
 func (g *GroupBackend) compressPage(p sfm.PageOut) (CompressedLayout, error) {
 	if len(p.Data) != sfm.PageSize {
-		return CompressedLayout{}, fmt.Errorf("xfm: page %d has %d bytes, want %d", p.ID, len(p.Data), sfm.PageSize) //xfm:ignore hotpath-alloc cold validation path: wrong page size is a caller bug, never taken steady-state
+		return CompressedLayout{}, fmt.Errorf("xfm: page %d has %d bytes, want %d", p.ID, len(p.Data), sfm.PageSize)
 	}
 	return g.layout.CompressPage(p.Data, g.newCodec), nil
 }
@@ -155,7 +155,7 @@ func (g *GroupBackend) placeCompressed(now dram.Ps, id sfm.PageID, cl Compressed
 // inline, SwapInBatch on the pool.
 func (g *GroupBackend) decompressPage(p sfm.PageIn) (CompressedLayout, error) {
 	if len(p.Dst) != sfm.PageSize {
-		return CompressedLayout{}, fmt.Errorf("xfm: dst has %d bytes, want %d", len(p.Dst), sfm.PageSize) //xfm:ignore hotpath-alloc cold validation path: wrong buffer size is a caller bug, never taken steady-state
+		return CompressedLayout{}, fmt.Errorf("xfm: dst has %d bytes, want %d", len(p.Dst), sfm.PageSize)
 	}
 	cl, ok := g.slots[p.ID]
 	if !ok {

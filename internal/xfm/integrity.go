@@ -83,14 +83,12 @@ func (in *integrity) reset(n int) {
 	}
 }
 
-//xfm:hotpath
 func (in *integrity) parityStep(_, i int) {
 	if p := in.pars[i]; p != nil {
 		ecc.PageParityInto(p, in.outs[i].Data)
 	}
 }
 
-//xfm:hotpath
 func (in *integrity) verifyStep(_, i int) {
 	if p := in.pars[i]; p != nil {
 		c, bad := ecc.VerifyPage(in.ins[i].Dst, p)
@@ -224,8 +222,6 @@ func (in *integrity) retireParity(id sfm.PageID, p []byte) {
 // the CPU-side backstop that lets a later uncorrectable ECC hit be
 // re-served intact instead of surfacing data loss. Buffers recycle per
 // page ID across swap cycles.
-//
-//xfm:allocok staging copies exist only with degradation armed (chaos runs), never in steady-state benchmarks
 func (in *integrity) stageCopy(id sfm.PageID, data []byte) {
 	buf := in.staging[id]
 	if cap(buf) < len(data) {
@@ -264,8 +260,6 @@ func (in *integrity) injectECC(id sfm.PageID, dst []byte) {
 // bytes exists, the swap-in is re-served intact from it. Only when no
 // copy is available does the caller surface data loss, as a typed
 // *UncorrectableError.
-//
-//xfm:allocok quarantine is the uncorrectable-ECC cold path, never steady-state work
 func (in *integrity) quarantinePage(id sfm.PageID, bad int, dst []byte) error {
 	if _, dup := in.quarantined[id]; !dup {
 		telemetry.XFMQuarantinedPages.Add(1)

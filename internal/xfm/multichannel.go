@@ -55,7 +55,7 @@ func (l MultiChannelLayout) WindowBytes(pageBytes int) int {
 // interleave split without allocating.
 func (l MultiChannelLayout) SplitInto(parts [][]byte, page []byte) [][]byte {
 	if len(parts) != l.DIMMs {
-		panic(fmt.Sprintf("xfm: SplitInto got %d parts, layout has %d DIMMs", len(parts), l.DIMMs)) //xfm:ignore hotpath-alloc panic guard on layout misuse; Sprintf runs only when panicking
+		panic(fmt.Sprintf("xfm: SplitInto got %d parts, layout has %d DIMMs", len(parts), l.DIMMs))
 	}
 	for off, i := 0, 0; off < len(page); off, i = off+l.InterleaveBytes, i+1 {
 		end := off + l.InterleaveBytes
@@ -76,7 +76,7 @@ func (l MultiChannelLayout) SplitInto(parts [][]byte, page []byte) [][]byte {
 //xfm:ignore unreachable inverse of SplitInto: TestSplitIntoGatherInto round-trips the interleave Fig. 8 runs through it
 func (l MultiChannelLayout) GatherInto(page []byte, parts [][]byte) []byte {
 	if len(parts) != l.DIMMs {
-		panic(fmt.Sprintf("xfm: Gather got %d parts, layout has %d DIMMs", len(parts), l.DIMMs)) //xfm:ignore hotpath-alloc panic guard on layout misuse; Sprintf runs only when panicking
+		panic(fmt.Sprintf("xfm: Gather got %d parts, layout has %d DIMMs", len(parts), l.DIMMs))
 	}
 	// Real layouts interleave over 1-4 DIMMs; keep the cursor array on
 	// the stack so GatherInto stays allocation-free.
@@ -133,7 +133,7 @@ func (l MultiChannelLayout) CompressPage(page []byte, newCodec func(window int) 
 	if window < 1 {
 		window = 1
 	}
-	codec := newCodec(window) //xfm:ignore hotpath-alloc codec constructor is a configuration seam; codecs reuse pooled scratch, allocs/op pinned by the batch benchmarks
+	codec := newCodec(window)
 	out := CompressedLayout{Parts: make([][]byte, len(parts))}
 	for i, p := range parts {
 		out.Parts[i] = codec.Compress(nil, p)
@@ -151,7 +151,7 @@ func (l MultiChannelLayout) CompressPage(page []byte, newCodec func(window int) 
 //
 //xfm:ignore unreachable round-trip oracle of the CompressPage Fig. 8 runs: TestCompressPageRoundTrip and TestDecompressPageInto
 func (l MultiChannelLayout) DecompressPageInto(dst []byte, c CompressedLayout, newCodec func(window int) compress.Codec, pageBytes int) ([]byte, error) {
-	codec := newCodec(l.WindowBytes(pageBytes)) //xfm:ignore hotpath-alloc codec constructor is a configuration seam; codecs reuse pooled scratch, allocs/op pinned by the batch benchmarks
+	codec := newCodec(l.WindowBytes(pageBytes))
 	s := compress.GetScratch()
 	defer s.Release()
 	parts := s.Parts(len(c.Parts))
@@ -163,7 +163,7 @@ func (l MultiChannelLayout) DecompressPageInto(dst []byte, c CompressedLayout, n
 		parts[i] = out
 	}
 	if len(parts) != l.DIMMs {
-		return dst, fmt.Errorf("xfm: layout has %d DIMMs, compressed page has %d parts", l.DIMMs, len(parts)) //xfm:ignore hotpath-alloc corrupt-page error path, not steady-state
+		return dst, fmt.Errorf("xfm: layout has %d DIMMs, compressed page has %d parts", l.DIMMs, len(parts))
 	}
 	return l.GatherInto(dst, parts), nil
 }

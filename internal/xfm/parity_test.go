@@ -69,7 +69,9 @@ func TestNoStaleParityAfterECCToggle(t *testing.T) {
 
 // TestECCAddsNoAllocations pins the parity path's buffer recycling: a
 // warm swap cycle with ECC on allocates no more than the same cycle
-// with ECC off.
+// with ECC off — and no more than two allocations either way (a batch
+// cycle's two result slices), which makes it the allocation gate of
+// SwapOut, SwapIn, submitOrFallback and submitOnce.
 func TestECCAddsNoAllocations(t *testing.T) {
 	if raceEnabled || testing.CoverMode() != "" {
 		t.Skip("alloc counts are not meaningful under race/coverage instrumentation")
@@ -140,6 +142,9 @@ func TestECCAddsNoAllocations(t *testing.T) {
 			on, off := measure(true), measure(false)
 			if on > off {
 				t.Fatalf("ECC on: %.0f allocs/cycle, ECC off: %.0f", on, off)
+			}
+			if on > 2 {
+				t.Fatalf("ECC on: %.0f allocs/cycle, want <= 2", on)
 			}
 			t.Logf("allocs/cycle: ECC on %.0f, off %.0f", on, off)
 		})

@@ -303,8 +303,6 @@ func (a *Allocator) releasePage(p *zpage) {
 // sparsely used pages into denser ones, releasing emptied pages. It
 // returns the number of bytes moved (the memcpy cost the paper's
 // xfm_compact() interface exposes, §6).
-//
-//xfm:allocok compact-on-full is a rare slow path (counted by sfm_compact_on_full_total), not per-page steady state
 func (a *Allocator) Compact() int64 {
 	var moved int64
 	for _, c := range a.classes {
