@@ -91,6 +91,8 @@ func (a *Array) Stats() Stats {
 		out.WriteRand += st.WriteRand
 		out.SumLatencyPs += st.SumLatencyPs
 		out.Windows += st.Windows
+		out.BusyWindows += st.BusyWindows
+		out.StormWindows += st.StormWindows
 		if st.MaxLatencyPs > out.MaxLatencyPs {
 			out.MaxLatencyPs = st.MaxLatencyPs
 		}

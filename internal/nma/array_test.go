@@ -3,6 +3,8 @@ package nma
 import (
 	"math/rand"
 	"testing"
+
+	"xfm/internal/fault"
 )
 
 func TestArrayStagger(t *testing.T) {
@@ -60,6 +62,8 @@ func TestArrayExplicitRankAndPanic(t *testing.T) {
 
 func TestArrayAdvanceCompletesWork(t *testing.T) {
 	a := NewArray(cfg32(), 4)
+	// Storms on one rank only: the aggregate must still count them.
+	a.Rank(2).SetInjector(fault.NewInjector(fault.Plan{Seed: 1, Storm: fault.StormSpec{Period: 777, Len: 64}}))
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 40; i++ {
 		a.Submit(-1, Request{
@@ -72,6 +76,18 @@ func TestArrayAdvanceCompletesWork(t *testing.T) {
 	st := a.Stats()
 	if st.Completed != 40 {
 		t.Errorf("completed = %d, want 40", st.Completed)
+	}
+	var busy, storms int64
+	for i := 0; i < 4; i++ {
+		busy += a.Rank(i).Stats().BusyWindows
+		storms += a.Rank(i).Stats().StormWindows
+	}
+	if busy == 0 || storms == 0 {
+		t.Fatalf("ranks recorded busy=%d storm=%d windows, want both > 0", busy, storms)
+	}
+	if st.BusyWindows != busy || st.StormWindows != storms {
+		t.Errorf("aggregate busy/storm windows = %d/%d, want per-rank totals %d/%d",
+			st.BusyWindows, st.StormWindows, busy, storms)
 	}
 }
 

@@ -186,9 +186,120 @@ func TestPendingOnlySkip(t *testing.T) {
 	}
 }
 
+// checkLists verifies the engine's container invariants: every queued
+// op is on its SrcGroup list and the age-ordered queue, every COMPLETED
+// op on its DstGroup list (or the trailing -1 list) and completedFIFO,
+// links are symmetric and every tail is the last op, list lengths equal
+// the counters, pending ops are PENDING, freed ops are unlinked, and the
+// SPM holds one page per pending or COMPLETED op.
+func checkLists(t *testing.T, s *Sim) {
+	t.Helper()
+	walk := func(name string, l *opList, k int, ok func(*op) bool) int {
+		n := 0
+		var prev *op
+		for o := l.head; o != nil; o = o.links[k].next {
+			if o.links[k].prev != prev {
+				t.Fatalf("%s: op %d prev link asymmetric", name, o.req.ID)
+			}
+			if !ok(o) {
+				t.Fatalf("%s: op %d (state %d, src %d, dst %d) does not belong", name, o.req.ID, o.state, o.req.SrcGroup, o.req.DstGroup)
+			}
+			prev = o
+			n++
+		}
+		if l.tail != prev {
+			t.Fatalf("%s: tail is not the last op", name)
+		}
+		return n
+	}
+	var queued, completed int
+	for g := range s.queuedByGroup {
+		queued += walk("queuedByGroup", &s.queuedByGroup[g], byGroup, func(o *op) bool {
+			return o.state == opQueued && o.req.SrcGroup == g
+		})
+	}
+	for b := range s.completedByGroup {
+		completed += walk("completedByGroup", &s.completedByGroup[b], byGroup, func(o *op) bool {
+			return o.state == opCompleted && s.completedBucket(o.req.DstGroup) == &s.completedByGroup[b]
+		})
+	}
+	age := walk("queued", &s.queued, byAge, func(o *op) bool { return o.state == opQueued })
+	if queued != s.queuedCount || age != s.queuedCount {
+		t.Fatalf("queued lists hold %d by group, %d by age; queuedCount %d", queued, age, s.queuedCount)
+	}
+	age = walk("completedFIFO", &s.completedFIFO, byAge, func(o *op) bool { return o.state == opCompleted })
+	if completed != s.completedCount || age != s.completedCount {
+		t.Fatalf("completed lists hold %d by group, %d by age; completedCount %d", completed, age, s.completedCount)
+	}
+	for _, o := range s.pending {
+		if o.state != opPending {
+			t.Fatalf("pending op %d in state %d", o.req.ID, o.state)
+		}
+	}
+	for _, o := range s.free {
+		if o.state != opDone || o.links != [2]link{} {
+			t.Fatalf("freed op %d still linked (state %d)", o.req.ID, o.state)
+		}
+	}
+	if want := s.cfg.PageBytes * (len(s.pending) + s.completedCount); s.spmUsed != want {
+		t.Fatalf("spmUsed = %d, want %d", s.spmUsed, want)
+	}
+}
+
+// TestListInvariants checks the container invariants after every
+// window of randomized runs that keep the queue-full, SPM-full and
+// random-access paths busy: shallow queues, an 8-page SPM, and
+// same-source-group double submits, so conditional service unlinks ops
+// from the middle of the age lists and the random path unlinks them
+// from group lists ahead of their group's window.
+func TestListInvariants(t *testing.T) {
+	for _, depth := range []int{8, 16, 32, 64} {
+		c := cfg32()
+		c.QueueDepth = depth
+		c.SPMBytes = 8 * c.PageBytes
+		s := NewSim(c)
+		s.SetSampler(nil)
+		s.SetTracer(nil)
+		rng := rand.New(rand.NewSource(int64(depth)))
+		id := int64(0)
+		for round := 0; round < 400; round++ {
+			for n := rng.Intn(6); n > 0; n-- {
+				g := int(s.window+int64(rng.Intn(16))) % s.groups
+				for j := 0; j < 2; j++ {
+					dst := (g + 1 + rng.Intn(512)) % s.groups
+					if rng.Intn(4) == 0 {
+						dst = -1
+					}
+					id++
+					s.Submit(Request{ID: id, Kind: OpKind(rng.Intn(2)), SrcGroup: g, DstGroup: dst, Arrive: s.Now()})
+				}
+			}
+			for w := 1 + rng.Intn(6); w > 0; w-- {
+				s.StepWindow()
+				checkLists(t, s)
+			}
+			if rng.Intn(16) == 0 {
+				s.AdvanceTo(s.Now() + dram.Ps(rng.Intn(256))*c.Timings.TREFI)
+				checkLists(t, s)
+			}
+		}
+		st := s.Stats()
+		// A full SPM records one page short: under SPM pressure phase C
+		// writes a page back before the window's occupancy is taken.
+		if st.Fallbacks == 0 || st.ReadRand == 0 || st.WriteRand == 0 || st.MaxSPMOccupancy < c.SPMBytes-c.PageBytes {
+			t.Fatalf("depth %d: run missed a path: %+v", depth, st)
+		}
+		s.AdvanceTo(s.Now() + 2*c.Timings.Retention)
+		checkLists(t, s)
+		if st := s.Stats(); st.Completed != st.Submitted-st.Fallbacks {
+			t.Fatalf("depth %d: conservation broken: %+v", depth, st)
+		}
+	}
+}
+
 // TestSteadyStateZeroAllocs is the pooled-op regression gate: once the
-// free list and container arrays are warm, a Submit + AdvanceTo cycle
-// allocates nothing.
+// free list and the pending and span slices are warm, a Submit +
+// AdvanceTo cycle allocates nothing.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	c := cfg32()
 	s := NewSim(c)
@@ -200,9 +311,9 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		s.Submit(Request{Kind: CompressOp, SrcGroup: g, DstGroup: -1, Arrive: s.Now() - trefi})
 		s.AdvanceTo(s.Now() + 4*trefi)
 	}
-	// Warm until every group bucket has backing capacity: each cycle
-	// advances 5 windows (gcd(5, 8192) = 1), so 8192 cycles touch every
-	// group at least once; run two laps for margin.
+	// Warm over every refresh group: each cycle advances 5 windows
+	// (gcd(5, 8192) = 1), so 8192 cycles touch every group's lists at
+	// least once; run two laps for margin.
 	for i := 0; i < 2*8192; i++ {
 		cycle()
 	}
@@ -211,9 +322,9 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestOpPoolRecycling checks the generation-stamp reclaim: structs
-// recycle through the free list, and stale references left in lazy
-// buckets never resurrect a previous incarnation.
+// TestOpPoolRecycling checks the reclaim path: structs recycle through
+// the free list, the pool stays bounded by peak in-flight ops, and every
+// accepted request still completes across recycling.
 func TestOpPoolRecycling(t *testing.T) {
 	c := cfg32()
 	c.QueueDepth = 8
@@ -222,7 +333,8 @@ func TestOpPoolRecycling(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		g := int(s.window % int64(s.groups))
 		// Same source group twice: the random path may serve one of
-		// them, leaving a tombstone in the group bucket.
+		// them before its group's window, unlinking it from both lists
+		// while the other stays queued.
 		s.Submit(Request{ID: int64(2 * round), Kind: CompressOp, SrcGroup: g, DstGroup: -1})
 		s.Submit(Request{ID: int64(2*round + 1), Kind: DecompressOp, SrcGroup: g, DstGroup: -1})
 		s.AdvanceTo(s.Now() + 6*c.Timings.TREFI)

@@ -130,7 +130,7 @@ func (c Config) Validate() error {
 	return c.Device.Validate()
 }
 
-// fastForwardEnabled gates the idle fast-forward globally. It exists
+// fastForwardDisabled gates the idle fast-forward globally. It exists
 // so the equivalence of the event-driven engine to brute window
 // stepping can be *demonstrated*, not just trusted: `xfmbench
 // -nma-stepped` records a run with it off and `telemetryck -diff`
@@ -154,64 +154,53 @@ const (
 	opDone                     // written back to DRAM
 )
 
+// An op is on at most two intrusive lists at once, one through each of
+// its links: a group list (queuedByGroup[SrcGroup] while queued,
+// completedByGroup[DstGroup] while COMPLETED) and an age list (queued,
+// then completedFIFO).
+const (
+	byGroup = iota
+	byAge
+)
+
+// link is an op's position on one list; both pointers are nil off it.
+type link struct{ prev, next *op }
+
 type op struct {
-	req   Request
-	state opState
-	// gen is the op's incarnation, bumped when the op is recycled into
-	// the free list. References left behind in lazily-compacted FIFOs
-	// and buckets carry the gen at insertion time; a mismatch marks the
-	// reference stale even after the struct is reused for a new request.
-	gen       uint64
-	readAt    dram.Ps // when the page was read into the SPM
-	doneAt    dram.Ps // when the engine finishes
-	wroteAt   dram.Ps
-	spmBytes  int // SPM bytes charged while resident
-	readRand  bool
-	writeRand bool
+	req    Request
+	state  opState
+	doneAt dram.Ps // when the engine finishes
+	links  [2]link // indexed by byGroup / byAge
 }
 
-// opRef is one container entry: the op plus the incarnation it had
-// when inserted. live() distinguishes a current reference from a
-// tombstone left by a lazy removal or a recycled struct.
-type opRef struct {
-	o   *op
-	gen uint64
-}
+// opList is an intrusive FIFO threaded through link k of its ops. Every
+// push appends and every removal unlinks in O(1), so the head is always
+// the oldest op on the list and nothing allocates.
+type opList struct{ head, tail *op }
 
-func (r opRef) live(want opState) bool {
-	return r.gen == r.o.gen && r.o.state == want
-}
-
-// refFIFO is a head-indexed FIFO of op references. Pops advance the
-// head instead of re-slicing so the backing array keeps its capacity;
-// once the dead prefix dominates, the live tail is copied down in
-// place. Steady-state pushes are therefore allocation-free — the
-// structure behind both the request queue and every group bucket.
-type refFIFO struct {
-	refs []opRef
-	head int
-}
-
-func (f *refFIFO) push(r opRef) { f.refs = append(f.refs, r) }
-
-func (f *refFIFO) empty() bool { return f.head >= len(f.refs) }
-
-func (f *refFIFO) peek() opRef { return f.refs[f.head] }
-
-// pop drops the head entry and compacts the dead prefix when it is
-// both large and the majority of the slice (amortized O(1), in place).
-func (f *refFIFO) pop() {
-	f.head++
-	if f.head >= len(f.refs) {
-		f.refs = f.refs[:0]
-		f.head = 0
-		return
+func (l *opList) push(o *op, k int) {
+	o.links[k].prev = l.tail
+	if l.tail != nil {
+		l.tail.links[k].next = o
+	} else {
+		l.head = o
 	}
-	if f.head > 64 && f.head > len(f.refs)/2 {
-		n := copy(f.refs, f.refs[f.head:])
-		f.refs = f.refs[:n]
-		f.head = 0
+	l.tail = o
+}
+
+func (l *opList) remove(o *op, k int) {
+	ln := &o.links[k]
+	if ln.prev != nil {
+		ln.prev.links[k].next = ln.next
+	} else {
+		l.head = ln.next
 	}
+	if ln.next != nil {
+		ln.next.links[k].prev = ln.prev
+	} else {
+		l.tail = ln.prev
+	}
+	*ln = link{}
 }
 
 // Stats aggregates simulation results; it maps to Fig. 12's panels.
@@ -291,13 +280,15 @@ func (s Stats) MeanLatencyMs() float64 {
 // refresh window, ingesting requests and scheduling conditional and
 // random accesses.
 //
-// Internally the queue and the completed set are indexed by refresh
-// group so each window's conditional matching costs O(budget), not
-// O(queue), and the group index is a flat slice (one bucket per
-// refresh group) so the hot loop performs no map hashing. Windows in
-// which no op is queued, completing, or awaiting write-back are
-// fast-forwarded in bulk — the Fig. 12 sensitivity sweeps run tens of
-// thousands of windows per configuration, most of them idle.
+// Internally every queued and every COMPLETED op sits on two intrusive
+// lists, one for its refresh group (a flat slice of lists, so the hot
+// loop performs no map hashing) and one in age order. A served op is
+// unlinked from both at once, so every list head is the oldest op
+// still waiting and each window's conditional matching costs
+// O(budget), not O(queue). Windows in which no op is queued,
+// completing, or awaiting write-back are fast-forwarded in bulk — the
+// Fig. 12 sensitivity sweeps run tens of thousands of windows per
+// configuration, most of them idle.
 type Sim struct {
 	cfg    Config
 	groups int
@@ -306,25 +297,23 @@ type Sim struct {
 	slotsPerWin int64
 	bulkAdvance func(k int64)
 
-	window  int64   // next window index
-	queued  refFIFO // Compress_Request_Queue FIFO (reads not yet done)
+	window  int64  // next window index
+	queued  opList // Compress_Request_Queue in arrival order (reads not yet done)
 	spmUsed int
 
-	// queuedByGroup buckets queued ops by SrcGroup; completedByGroup
-	// buckets COMPLETED ops by DstGroup (the extra trailing bucket
-	// holds flexible destinations, key -1). Entries are removed
-	// lazily: an op may linger in a bucket or FIFO after being served
-	// and is skipped on pop via its generation stamp.
-	queuedByGroup    []refFIFO
-	completedByGroup []refFIFO
-	completedFIFO    refFIFO
-	pending          []*op // PENDING ops awaiting engine completion
-	queuedCount      int   // live (unserved) queue entries
-	completedCount   int   // live COMPLETED ops awaiting write-back
+	// queuedByGroup lists queued ops by SrcGroup; completedByGroup lists
+	// COMPLETED ops by DstGroup (the extra trailing list holds flexible
+	// destinations, key -1). An op leaves its group list and its age
+	// list (queued / completedFIFO) together when it is served.
+	queuedByGroup    []opList
+	completedByGroup []opList
+	completedFIFO    opList // COMPLETED ops in completion order
+	pending          []*op  // PENDING ops awaiting engine completion
+	queuedCount      int    // ops on queued
+	completedCount   int    // ops on completedFIFO
 
-	// free recycles op structs once they are written back: every
-	// container reference is tombstoned by the generation bump, so the
-	// struct can back a future Submit without allocation.
+	// free recycles op structs once they are written back and unlinked
+	// from every list, so a future Submit needs no allocation.
 	free []*op
 
 	stats Stats
@@ -372,8 +361,8 @@ func NewSim(cfg Config) *Sim {
 		cfg:              cfg,
 		groups:           groups,
 		slotsPerWin:      int64(cfg.AccessesPerTRFC + cfg.RandomPerTRFC),
-		queuedByGroup:    make([]refFIFO, groups),
-		completedByGroup: make([]refFIFO, groups+1),
+		queuedByGroup:    make([]opList, groups),
+		completedByGroup: make([]opList, groups+1),
 		tracer:           telemetry.DefaultTracer(),
 		track:            -1,
 		sampler:          telemetry.DefaultSampler(),
@@ -414,9 +403,9 @@ func (s *Sim) SPMUsed() int { return s.spmUsed }
 //xfm:ignore unreachable observer: TestSPMPressureBlocksReads and TestConservation check the queue drains; the retired RegisterFile (internal/xfm/mmio_retired_test.go) reads it
 func (s *Sim) QueueLen() int { return s.queuedCount }
 
-// completedBucket maps a destination group key to its bucket index
-// (key -1, a flexible destination, lives in the trailing bucket).
-func (s *Sim) completedBucket(key int) *refFIFO {
+// completedBucket maps a destination group key to its list (key -1, a
+// flexible destination, lives in the trailing list).
+func (s *Sim) completedBucket(key int) *opList {
 	if key < 0 {
 		return &s.completedByGroup[s.groups]
 	}
@@ -424,13 +413,12 @@ func (s *Sim) completedBucket(key int) *refFIFO {
 }
 
 // newOp takes an op from the free list (or allocates the pool's next
-// struct) and initializes it for req. The recycled struct keeps its
-// bumped generation so references from its previous life stay stale.
+// struct) and initializes it for req.
 func (s *Sim) newOp(req Request) *op {
 	if n := len(s.free); n > 0 {
 		o := s.free[n-1]
 		s.free = s.free[:n-1]
-		*o = op{gen: o.gen, req: req}
+		*o = op{req: req}
 		return o
 	}
 	return &op{req: req}
@@ -455,30 +443,19 @@ func (s *Sim) Submit(req Request) bool {
 		return false
 	}
 	o := s.newOp(req)
-	r := opRef{o: o, gen: o.gen}
-	s.queued.push(r)
+	s.queued.push(o, byAge)
+	s.queuedByGroup[req.SrcGroup].push(o, byGroup)
 	s.queuedCount++
-	s.queuedByGroup[req.SrcGroup].push(r)
 	return true
 }
 
-// spmFootprint returns the SPM bytes an operation occupies while
-// resident: a compress op stages the uncompressed page then shrinks
-// logically to its output; we charge the larger (input) size for the
-// whole residency, an upper bound consistent with the driver's lazy
-// tracking. A decompress op stages the compressed input and produces
-// a full page; we charge the output size.
-func (s *Sim) spmFootprint(k OpKind) int {
-	if k == CompressOp {
-		return s.cfg.PageBytes
-	}
-	return s.cfg.PageBytes // output buffer dominates
-}
-
-// spmHasRoom reports whether a read of the given kind fits in the SPM
-// right now.
-func (s *Sim) spmHasRoom(k OpKind) bool {
-	return s.spmUsed+s.spmFootprint(k) <= s.cfg.SPMBytes
+// spmHasRoom reports whether one more page read fits in the SPM right
+// now. Every op is charged a full page while resident: a compress op
+// stages the uncompressed page (the larger of its input and output, an
+// upper bound consistent with the driver's lazy tracking), and a
+// decompress op's output buffer is a full page.
+func (s *Sim) spmHasRoom() bool {
+	return s.spmUsed+s.cfg.PageBytes <= s.cfg.SPMBytes
 }
 
 // StepWindow advances the simulation by one refresh window, performing
@@ -510,9 +487,8 @@ func (s *Sim) StepWindow() int {
 		if o.state == opPending && o.doneAt <= now {
 			o.state = opCompleted
 			s.completedCount++
-			r := opRef{o: o, gen: o.gen}
-			s.completedBucket(o.req.DstGroup).push(r) // -1 bucket holds flexible destinations
-			s.completedFIFO.push(r)
+			s.completedBucket(o.req.DstGroup).push(o, byGroup) // -1 list holds flexible destinations
+			s.completedFIFO.push(o, byAge)
 		} else {
 			keep = append(keep, o)
 		}
@@ -524,9 +500,9 @@ func (s *Sim) StepWindow() int {
 	// flexible (DstGroup < 0, a group-aware allocator) — go back at no
 	// activation cost.
 	for cond > 0 {
-		o := s.popCompletedGroup(group)
+		o := s.completedByGroup[group].head
 		if o == nil {
-			o = s.popCompletedGroup(-1)
+			o = s.completedBucket(-1).head
 		}
 		if o == nil {
 			break
@@ -537,11 +513,10 @@ func (s *Sim) StepWindow() int {
 	// Phase B: conditional reads. Queued requests whose source row is
 	// being refreshed now are read into the SPM, space permitting.
 	for cond > 0 {
-		o := s.peekQueuedGroup(group)
-		if o == nil || !s.spmHasRoom(o.req.Kind) {
+		o := s.queuedByGroup[group].head
+		if o == nil || !s.spmHasRoom() {
 			break
 		}
-		s.popQueuedGroup(group)
 		s.startRead(o, now, false)
 		cond--
 	}
@@ -559,21 +534,21 @@ func (s *Sim) StepWindow() int {
 		queuePressure := s.queuedCount > s.cfg.QueueDepth*3/4
 		switch {
 		case spmPressure:
-			victim = s.oldestCompleted()
+			victim = s.completedFIFO.head
 		case queuePressure:
-			victim = s.oldestQueued()
+			victim = s.queued.head
 		}
 		if victim == nil {
 			// Age-based rescue, oldest first across both stages.
-			if o := s.oldestCompleted(); o != nil && o.doneAt <= aged {
+			if o := s.completedFIFO.head; o != nil && o.doneAt <= aged {
 				victim = o
-			} else if o := s.oldestQueued(); o != nil && o.req.Arrive <= aged {
+			} else if o := s.queued.head; o != nil && o.req.Arrive <= aged {
 				victim = o
 			}
 		}
-		if victim != nil && victim.state == opQueued && !s.spmHasRoom(victim.req.Kind) {
+		if victim != nil && victim.state == opQueued && !s.spmHasRoom() {
 			// A blocked read cannot proceed; try draining instead.
-			victim = s.oldestCompleted()
+			victim = s.completedFIFO.head
 		}
 		if victim == nil {
 			break
@@ -739,76 +714,14 @@ func (s *Sim) emitWindowSpans(group int, start dram.Ps) {
 	}
 }
 
-// popCompletedGroup removes and returns the oldest COMPLETED op whose
-// destination bucket is key, dropping tombstones left by random
-// write-backs and recycled incarnations.
-func (s *Sim) popCompletedGroup(key int) *op {
-	b := s.completedBucket(key)
-	for !b.empty() {
-		r := b.peek()
-		b.pop()
-		if r.live(opCompleted) {
-			return r.o
-		}
-	}
-	return nil
-}
-
-// peekQueuedGroup returns (without removing) the oldest queued op with
-// the given source group, compacting tombstones.
-func (s *Sim) peekQueuedGroup(group int) *op {
-	b := &s.queuedByGroup[group]
-	for !b.empty() {
-		r := b.peek()
-		if r.live(opQueued) {
-			return r.o
-		}
-		b.pop()
-	}
-	return nil
-}
-
-func (s *Sim) popQueuedGroup(group int) {
-	b := &s.queuedByGroup[group]
-	if !b.empty() {
-		b.pop()
-	}
-}
-
-// oldestQueued returns the longest-waiting queued op, trimming served
-// entries off the FIFO head.
-func (s *Sim) oldestQueued() *op {
-	for !s.queued.empty() {
-		r := s.queued.peek()
-		if r.live(opQueued) {
-			return r.o
-		}
-		s.queued.pop()
-	}
-	return nil
-}
-
-// oldestCompleted returns the longest-completed op awaiting
-// write-back, trimming the FIFO head.
-func (s *Sim) oldestCompleted() *op {
-	for !s.completedFIFO.empty() {
-		r := s.completedFIFO.peek()
-		if r.live(opCompleted) {
-			return r.o
-		}
-		s.completedFIFO.pop()
-	}
-	return nil
-}
-
-// startRead moves a queued op into the SPM and starts its engine run.
+// startRead unlinks a queued op from both of its lists, moves it into
+// the SPM and starts its engine run.
 func (s *Sim) startRead(o *op, now dram.Ps, random bool) {
-	o.state = opPending
-	o.readAt = now
-	o.readRand = random
-	o.spmBytes = s.spmFootprint(o.req.Kind)
-	s.spmUsed += o.spmBytes
+	s.queuedByGroup[o.req.SrcGroup].remove(o, byGroup)
+	s.queued.remove(o, byAge)
 	s.queuedCount--
+	o.state = opPending
+	s.spmUsed += s.cfg.PageBytes
 	gbps := s.cfg.CompressGBps
 	if o.req.Kind == DecompressOp {
 		gbps = s.cfg.DecompressGBps
@@ -827,23 +740,22 @@ func (s *Sim) startRead(o *op, now dram.Ps, random bool) {
 	}
 }
 
-// writeBack finishes an op: its output leaves the SPM and the struct
-// returns to the free list. The generation bump tombstones every
-// reference still sitting in a lazily-compacted FIFO or bucket; the
-// struct itself is not reused before the next Submit, so same-window
-// readers (span emission) still see its request fields.
+// writeBack finishes an op: it is unlinked from both of its lists, its
+// output leaves the SPM and the struct returns to the free list. The
+// struct is not reused before the next Submit, so same-window readers
+// (span emission) still see its request fields.
 func (s *Sim) writeBack(o *op, now dram.Ps, random bool) {
-	o.state = opDone
-	o.wroteAt = now
-	s.spmUsed -= o.spmBytes
+	s.completedBucket(o.req.DstGroup).remove(o, byGroup)
+	s.completedFIFO.remove(o, byAge)
 	s.completedCount--
+	o.state = opDone
+	s.spmUsed -= s.cfg.PageBytes
 	s.countAccess(random)
 	if random {
 		s.stats.WriteRand++
 	} else {
 		s.stats.WriteCond++
 	}
-	o.writeRand = random
 	s.stats.Completed++
 	telemetry.NMARequestsCompleted.Inc()
 	lat := now + s.cfg.Timings.TRFC - o.req.Arrive
@@ -855,7 +767,6 @@ func (s *Sim) writeBack(o *op, now dram.Ps, random bool) {
 	if s.traceOn {
 		s.winAcc = append(s.winAcc, windowAccess{o: o, random: random, write: true})
 	}
-	o.gen++
 	s.free = append(s.free, o)
 }
 

@@ -410,6 +410,7 @@ func BenchmarkStepWindow(b *testing.B) {
 	c := cfg32()
 	s := NewSim(c)
 	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if s.QueueLen() < c.QueueDepth {
 			s.Submit(Request{

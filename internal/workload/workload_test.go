@@ -332,6 +332,37 @@ func TestBurstinessIncreasesFallbacks(t *testing.T) {
 	}
 }
 
+// TestSaturatedStatsPinned pins nma.Stats for the saturated Fig. 12
+// regime (the nma_saturated benchmark's traffic at the default 4096-entry
+// queue): the queue-full and SPM-full paths and the random reads and
+// write-backs all run, so any change in the engine's order of service
+// moves some field. The fast-forward equivalence tests compare the
+// engine with itself and cannot see such a change; this test can.
+func TestSaturatedStatsPinned(t *testing.T) {
+	cfg := nma.DefaultConfig(dram.Device32Gb)
+	sim := nma.NewSim(cfg)
+	sim.SetSampler(nil)
+	p := PromotionTraffic{
+		SFMCapacityGB: 512, PromotionRate: 1,
+		Ranks: 10, PageBytes: cfg.PageBytes, Groups: cfg.Device.RefreshGroups(), Seed: 1,
+		PagesPerGroup: 2, RestartProb: 1.0 / 256,
+		DstAheadGroups: 5000, TREFI: cfg.Timings.TREFI,
+	}
+	windows := 4 * 8192
+	sim.RunWindows(windows, p.Stream(dram.Ps(windows)*cfg.Timings.TREFI))
+	want := nma.Stats{
+		Submitted: 53401, Fallbacks: 23557, Completed: 25364,
+		Conditional: 20332, Random: 30781,
+		ReadCond: 18462, ReadRand: 7287, WriteCond: 1870, WriteRand: 23494,
+		MaxSPMOccupancy: 2093056,
+		SumLatencyPs:    496445612112162, MaxLatencyPs: 40570506613,
+		Windows: 32768, BusyWindows: 30932, StormWindows: 0,
+	}
+	if got := sim.Stats(); got != want {
+		t.Fatalf("saturated Stats moved:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // SwapGBps returns the total swap bandwidth (each direction) in GB/s,
 // the EQ1 rate: capacity × promotion / 60 s.
 func (p PromotionTraffic) SwapGBps() float64 {
