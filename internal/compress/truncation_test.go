@@ -12,9 +12,9 @@ import (
 // must be rejected with an error — never a panic, never a silent
 // partial page. The fault plane (internal/fault corrupt-stream site)
 // and the swap-in path both lean on this: a torn or truncated far
-// memory read surfaces as a typed decode error the degradation ladder
-// can route to the CPU staging copy, so the property is a load-bearing
-// robustness invariant, not just decoder hygiene.
+// memory read surfaces as a typed decode error that leaves the page
+// stored for a retry, so the property is a load-bearing robustness
+// invariant, not just decoder hygiene.
 
 // truncationInputs is the page spread used for the all-prefix sweep:
 // structural shapes plus real experiment-corpus pages.

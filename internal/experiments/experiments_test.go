@@ -75,8 +75,8 @@ func TestFig6Derivation(t *testing.T) {
 		t.Errorf("conditional read latency = %.1f ns, paper: ~110", r.Latency110ns)
 	}
 	for name, want := range map[string]int{"8Gb": 2, "16Gb": 3, "32Gb": 4} {
-		if r.Budgets[name] != want {
-			t.Errorf("%s budget = %d, want %d", name, r.Budgets[name], want)
+		if r.MaxAccesses[name] != want {
+			t.Errorf("%s budget = %d, want %d", name, r.MaxAccesses[name], want)
 		}
 	}
 }

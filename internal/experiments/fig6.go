@@ -12,9 +12,9 @@ type Fig6Result struct {
 	// Latency110ns is the derived single-page conditional read latency
 	// at DDR5-3200 (paper: ~110 ns).
 	Latency110ns float64
-	// Budgets maps device name to the derived max conditional accesses
+	// MaxAccesses maps device name to the derived max conditional accesses
 	// per tRFC (paper: 4/3/2 for 32/16/8 Gb).
-	Budgets map[string]int
+	MaxAccesses map[string]int
 }
 
 // Fig6 derives the Fig. 6b conditional-access timing from the DRAM
@@ -24,10 +24,10 @@ func Fig6() *Fig6Result {
 	tm := dram.DDR5_3200()
 	res := &Fig6Result{
 		Latency110ns: float64(dram.ConditionalReadLatency(tm, 4096)) / float64(dram.Nanosecond),
-		Budgets:      map[string]int{},
+		MaxAccesses:  map[string]int{},
 	}
 	for _, dev := range dram.Table1Devices() {
-		res.Budgets[dev.Name] = dram.DeriveConditionalBudget(dev)
+		res.MaxAccesses[dev.Name] = dram.DeriveConditionalBudget(dev)
 	}
 	return res
 }
@@ -41,7 +41,7 @@ func (r *Fig6Result) Table() *stats.Table {
 	for _, name := range []string{"8Gb", "16Gb", "32Gb"} {
 		want := map[string]string{"8Gb": "2", "16Gb": "3", "32Gb": "4"}[name]
 		t.AddRow(fmt.Sprintf("max conditional accesses/tRFC (%s)", name),
-			fmt.Sprintf("%d", r.Budgets[name]), want)
+			fmt.Sprintf("%d", r.MaxAccesses[name]), want)
 	}
 	ab, sb := dram.CompareRefreshModes(dram.Device32Gb, dram.DDR5_3200())
 	t.AddRow("", "", "")

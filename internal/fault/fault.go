@@ -1,9 +1,9 @@
 // Package fault is the deterministic fault-injection plane for the XFM
-// emulator: a seeded Plan schedules NMA op stalls, spurious queue-full
-// rejections, ECC bit flips on stored pages, corrupt compressed
-// streams, and refresh-storm windows (the RogueRFM shape) at sim-time
-// points, and an Injector answers "does this event fire here?" with a
-// pure function of (plan seed, injection site, event key).
+// emulator: a seeded Plan schedules spurious queue-full rejections,
+// ECC bit flips on stored pages, corrupt compressed streams, and
+// refresh-storm windows (the RogueRFM shape) at sim-time points, and
+// an Injector answers "does this event fire here?" with a pure function
+// of (plan seed, injection site, event key).
 //
 // Determinism is the load-bearing property. Every draw is a splitmix64
 // hash of a per-site sub-seed (derived once from the plan seed via
@@ -13,8 +13,6 @@
 // callers can present keys in any order and still see the same
 // per-event decisions, so a chaos run records bit-identical telemetry
 // across repeats (CI diffs two same-seed runs with telemetryck -diff).
-// The only order-sensitive state is the per-site budget counter, which
-// must therefore only guard sites drawn on serial paths.
 //
 // All Injector methods are safe on a nil receiver and return "no
 // fault", so production code threads an injector through
@@ -33,13 +31,9 @@ import (
 type Site int
 
 const (
-	// SiteNMAStall makes Driver.Submit report a per-op deadline
-	// violation (ErrOpTimeout): the accelerator accepted the MMIO
-	// doorbell but never completed the op in time.
-	SiteNMAStall Site = iota
 	// SiteQueueFull makes Driver.Submit report a spuriously full
 	// Compress_Request_Queue even though the simulator has room.
-	SiteQueueFull
+	SiteQueueFull Site = iota
 	// SiteECCSingle flips one bit in a page image read back from far
 	// memory, before side-band ECC verification (correctable).
 	SiteECCSingle
@@ -60,8 +54,6 @@ const (
 // String returns the spec-grammar name of the site.
 func (s Site) String() string {
 	switch s {
-	case SiteNMAStall:
-		return "nma-stall"
 	case SiteQueueFull:
 		return "queue-full"
 	case SiteECCSingle:
@@ -80,12 +72,9 @@ func (s Site) String() string {
 // methods are concurrency-safe and deterministic in the sense described
 // in the package comment.
 type Injector struct {
-	plan  Plan
-	seeds [NumSites]uint64
-	// drawn counts probability passes (budget accounting); injected
-	// counts faults actually fired.
-	drawn    [NumSites]atomic.Int64
-	injected [NumSites]atomic.Int64
+	plan     Plan
+	seeds    [NumSites]uint64
+	injected [NumSites]atomic.Int64 // faults fired per site
 	counts   [NumSites]*telemetry.Counter
 
 	mu   sync.Mutex
@@ -94,7 +83,7 @@ type Injector struct {
 
 // NewInjector builds an injector for the plan. Per-site sub-seeds are
 // drawn here, once, from rand.New(rand.NewSource(plan.Seed)); after
-// construction no injector state depends on call order except budgets.
+// construction no injector state depends on call order.
 func NewInjector(p Plan) *Injector {
 	p.normalize()
 	in := &Injector{plan: p, once: make(map[uint64]struct{})}
@@ -108,29 +97,12 @@ func NewInjector(p Plan) *Injector {
 
 // Hit reports whether the fault at site fires for the event identified
 // by key, and records the injection when it does. The decision is a
-// pure function of (plan, site, key) unless the site carries a budget,
-// in which case draws are additionally capped in call order — budgeted
-// sites must only be drawn on serial paths or determinism is lost.
+// pure function of (plan, site, key).
 func (in *Injector) Hit(site Site, key uint64) bool {
-	if in == nil {
+	if in == nil || !in.draw(site, key) {
 		return false
 	}
-	p := in.plan.Probs[site]
-	if p <= 0 {
-		return false
-	}
-	if p < 1 && unit(splitmix64(in.seeds[site]^key)) >= p {
-		return false
-	}
-	if max := in.plan.Budgets[site]; max > 0 {
-		if in.drawn[site].Add(1) > max {
-			return false
-		}
-	} else {
-		in.drawn[site].Add(1)
-	}
-	in.injected[site].Add(1)
-	in.counts[site].Inc()
+	in.record(site)
 	return true
 }
 
@@ -138,29 +110,32 @@ func (in *Injector) Hit(site Site, key uint64) bool {
 // that fires never fires again. The set of firing keys is a pure
 // function of (plan, site, key) — the first-occurrence filter only
 // deduplicates, so concurrent callers racing on the same key still
-// produce a deterministic total. Budgets are ignored (once-sites are
-// self-limiting per key).
+// produce a deterministic total.
 func (in *Injector) OnceHit(site Site, key uint64) bool {
-	if in == nil {
-		return false
-	}
-	p := in.plan.Probs[site]
-	if p <= 0 {
-		return false
-	}
-	if p < 1 && unit(splitmix64(in.seeds[site]^key)) >= p {
+	if in == nil || !in.draw(site, key) {
 		return false
 	}
 	in.mu.Lock()
-	if _, dup := in.once[key]; dup {
-		in.mu.Unlock()
-		return false
-	}
+	_, dup := in.once[key]
 	in.once[key] = struct{}{}
 	in.mu.Unlock()
+	if dup {
+		return false
+	}
+	in.record(site)
+	return true
+}
+
+// draw is the seeded coin: site's probability against a hash of key.
+func (in *Injector) draw(site Site, key uint64) bool {
+	p := in.plan.Probs[site]
+	return p >= 1 || p > 0 && unit(splitmix64(in.seeds[site]^key)) < p
+}
+
+// record counts one fired fault at site.
+func (in *Injector) record(site Site) {
 	in.injected[site].Add(1)
 	in.counts[site].Inc()
-	return true
 }
 
 // Injected returns how many faults have fired at site so far.

@@ -2,26 +2,21 @@ package fault
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"xfm/internal/compress"
 )
 
 func TestParseSpecFields(t *testing.T) {
-	p, err := ParseSpec("nma-stall=0.2,ecc-multi=1:8,storm=4096:512:64", 7)
+	p, err := ParseSpec("queue-full=0.2,ecc-multi=1,storm=4096:512:64", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Seed != 7 {
 		t.Fatalf("seed = %d, want 7", p.Seed)
 	}
-	if p.Probs[SiteNMAStall] != 0.2 || p.Probs[SiteECCMulti] != 1 {
+	if p.Probs[SiteQueueFull] != 0.2 || p.Probs[SiteECCMulti] != 1 {
 		t.Fatalf("probs = %v", p.Probs)
-	}
-	if p.Budgets[SiteECCMulti] != 8 || p.Budgets[SiteNMAStall] != 0 {
-		t.Fatalf("budgets = %v", p.Budgets)
 	}
 	if p.Storm != (StormSpec{Period: 4096, Len: 512, Phase: 64}) {
 		t.Fatalf("storm = %+v", p.Storm)
@@ -46,7 +41,7 @@ func TestParseSpecPresetAndOverride(t *testing.T) {
 	if over.Probs[SiteCorruptStream] != 0 {
 		t.Fatal("override did not apply")
 	}
-	if over.Probs[SiteNMAStall] != base.Probs[SiteNMAStall] {
+	if over.Probs[SiteQueueFull] != base.Probs[SiteQueueFull] {
 		t.Fatal("override clobbered unrelated site")
 	}
 	off, err := ParseSpec("off", 1)
@@ -57,10 +52,12 @@ func TestParseSpecPresetAndOverride(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	for _, spec := range []string{
-		"", "bogus-preset", "nma-stall=1.5", "nma-stall=x",
-		"unknown-site=0.5", "storm=12", "storm=a:b",
-		"refresh-storm=0.5", "nma-stall=0.5,ci-default",
-		"nma-stall=0.5:-2",
+		"", "bogus-preset", "queue-full=1.5", "queue-full=x",
+		"unknown-site=0.5", "nma-stall=0.5", "storm=12", "storm=a:b",
+		"refresh-storm=0.5", "queue-full=0.5,ci-default",
+		"queue-full=0.5:3", // no budget suffix
+		// A malformed storm must not silently mean "no storms".
+		"storm=-2048:256", "storm=2048:0", "storm=0:256", "storm=2048:256:-1",
 	} {
 		if _, err := ParseSpec(spec, 1); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", spec)
@@ -68,39 +65,8 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 }
 
-func TestParseSpecJSONFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "plan.json")
-	body := `{"seed": 42,
-		"sites": {"nma-stall": {"p": 0.25, "max": 3}, "ecc-single": {"p": 1}},
-		"storm": {"period": 1024, "len": 128}}`
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	p, err := ParseSpec("@"+path, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Seed != 42 {
-		t.Fatalf("file seed should win: got %d", p.Seed)
-	}
-	if p.Probs[SiteNMAStall] != 0.25 || p.Budgets[SiteNMAStall] != 3 || p.Probs[SiteECCSingle] != 1 {
-		t.Fatalf("sites mis-parsed: %+v", p)
-	}
-	if p.Storm.Period != 1024 || p.Storm.Len != 128 {
-		t.Fatalf("storm mis-parsed: %+v", p.Storm)
-	}
-
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"sites": {"nope": {"p": 1}}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseSpec("@"+bad, 1); err == nil {
-		t.Fatal("unknown site in JSON plan accepted")
-	}
-}
-
 func TestHitDeterministicAndOrderIndependent(t *testing.T) {
-	plan, err := ParseSpec("nma-stall=0.3", 99)
+	plan, err := ParseSpec("queue-full=0.3", 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +74,11 @@ func TestHitDeterministicAndOrderIndependent(t *testing.T) {
 	const n = 4096
 	fireA := make([]bool, n)
 	for k := 0; k < n; k++ {
-		fireA[k] = a.Hit(SiteNMAStall, uint64(k))
+		fireA[k] = a.Hit(SiteQueueFull, uint64(k))
 	}
 	// Same plan, keys drawn in reverse order: identical per-key result.
 	for k := n - 1; k >= 0; k-- {
-		if got := b.Hit(SiteNMAStall, uint64(k)); got != fireA[k] {
+		if got := b.Hit(SiteQueueFull, uint64(k)); got != fireA[k] {
 			t.Fatalf("key %d: order-dependent decision", k)
 		}
 	}
@@ -125,8 +91,8 @@ func TestHitDeterministicAndOrderIndependent(t *testing.T) {
 	if fired < n/5 || fired > n/2 {
 		t.Fatalf("p=0.3 fired %d/%d times", fired, n)
 	}
-	if a.Injected(SiteNMAStall) != int64(fired) {
-		t.Fatalf("Injected = %d, want %d", a.Injected(SiteNMAStall), fired)
+	if a.Injected(SiteQueueFull) != int64(fired) {
+		t.Fatalf("Injected = %d, want %d", a.Injected(SiteQueueFull), fired)
 	}
 	// A different seed produces a different fire set.
 	plan2 := plan
@@ -134,29 +100,12 @@ func TestHitDeterministicAndOrderIndependent(t *testing.T) {
 	c := NewInjector(plan2)
 	same := 0
 	for k := 0; k < n; k++ {
-		if c.Hit(SiteNMAStall, uint64(k)) == fireA[k] {
+		if c.Hit(SiteQueueFull, uint64(k)) == fireA[k] {
 			same++
 		}
 	}
 	if same == n {
 		t.Fatal("seed change did not move the fire set")
-	}
-}
-
-func TestHitBudget(t *testing.T) {
-	plan, err := ParseSpec("ecc-multi=1:5", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := NewInjector(plan)
-	fired := 0
-	for k := 0; k < 100; k++ {
-		if in.Hit(SiteECCMulti, uint64(k)) {
-			fired++
-		}
-	}
-	if fired != 5 {
-		t.Fatalf("budget 5, fired %d", fired)
 	}
 }
 
@@ -184,10 +133,10 @@ func TestOnceHitFiresOncePerKey(t *testing.T) {
 
 func TestNilInjectorIsInert(t *testing.T) {
 	var in *Injector
-	if in.Hit(SiteNMAStall, 1) || in.OnceHit(SiteCorruptStream, 1) || in.StormWindow(0) {
+	if in.Hit(SiteQueueFull, 1) || in.OnceHit(SiteCorruptStream, 1) || in.StormWindow(0) {
 		t.Fatal("nil injector fired")
 	}
-	if in.StormWindowsIn(0, 100) != 0 || in.Injected(SiteNMAStall) != 0 {
+	if in.StormWindowsIn(0, 100) != 0 || in.Injected(SiteQueueFull) != 0 {
 		t.Fatal("nil injector counted")
 	}
 	if in.Plan().Enabled() {

@@ -1,9 +1,7 @@
 package fault
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 )
@@ -14,9 +12,7 @@ import (
 // slots). Period <= 0 or Len <= 0 disables storms; Len is clamped to
 // Period.
 type StormSpec struct {
-	Period int64 `json:"period"`
-	Len    int64 `json:"len"`
-	Phase  int64 `json:"phase"`
+	Period, Len, Phase int64
 }
 
 // active reports whether window w is a storm window.
@@ -51,15 +47,13 @@ func (s StormSpec) countIn(lo, hi int64) int64 {
 	return upTo(hi-s.Phase) - upTo(lo-s.Phase)
 }
 
-// Plan is one chaos schedule: a seed, a firing probability and optional
-// budget (max fires, 0 = unlimited) per injection site, and a refresh
-// storm schedule. Plans are parsed from the -chaos CLI spec (ParseSpec)
-// or a JSON file, and evaluated by an Injector.
+// Plan is one chaos schedule: a seed, a firing probability per
+// injection site, and a refresh storm schedule. Plans are parsed from
+// the -chaos CLI spec (ParseSpec) and evaluated by an Injector.
 type Plan struct {
-	Seed    int64
-	Probs   [NumSites]float64
-	Budgets [NumSites]int64
-	Storm   StormSpec
+	Seed  int64
+	Probs [NumSites]float64
+	Storm StormSpec
 }
 
 // normalize clamps the plan into its valid domain.
@@ -70,9 +64,6 @@ func (p *Plan) normalize() {
 		}
 		if p.Probs[i] > 1 {
 			p.Probs[i] = 1
-		}
-		if p.Budgets[i] < 0 {
-			p.Budgets[i] = 0
 		}
 	}
 	if p.Storm.Period > 0 && p.Storm.Len > p.Storm.Period {
@@ -93,24 +84,6 @@ func (p Plan) Enabled() bool {
 	return p.Storm.Period > 0 && p.Storm.Len > 0
 }
 
-// planJSON is the file form of a Plan: sites are keyed by their spec
-// names so the file reads like the CLI grammar.
-//
-//	{"seed": 1,
-//	 "sites": {"nma-stall": {"p": 0.15, "max": 0},
-//	           "ecc-multi": {"p": 1, "max": 8}},
-//	 "storm": {"period": 2048, "len": 256, "phase": 0}}
-type planJSON struct {
-	Seed  int64               `json:"seed"`
-	Sites map[string]siteJSON `json:"sites"`
-	Storm StormSpec           `json:"storm"`
-}
-
-type siteJSON struct {
-	P   float64 `json:"p"`
-	Max int64   `json:"max"`
-}
-
 // siteByName maps a spec-grammar name back to its Site.
 func siteByName(name string) (Site, bool) {
 	for i := Site(0); i < NumSites; i++ {
@@ -129,26 +102,19 @@ func siteByName(name string) (Site, bool) {
 //	                  "off"/"none" (empty plan); a preset may only be
 //	                  the first field and later fields override it
 //	site=p            firing probability in [0,1] for an injection
-//	                  site: nma-stall, queue-full, ecc-single,
-//	                  ecc-multi, corrupt-stream
-//	site=p:max        same, capped at max fires (serial sites only)
+//	                  site: queue-full, ecc-single, ecc-multi,
+//	                  corrupt-stream
 //	storm=period:len  refresh storms: every period windows, len storm
-//	                  windows; an optional third :phase field delays
-//	                  the first storm
-//	@file.json        load the whole plan from a JSON file (see
-//	                  planJSON); must be the only field. A nonzero
-//	                  "seed" in the file overrides the CLI seed.
+//	                  windows (both positive); an optional third
+//	                  :phase field (non-negative) delays the first storm
 //
-// Example: -chaos "nma-stall=0.2,ecc-multi=1:8,storm=4096:512"
+// Example: -chaos "queue-full=0.2,ecc-multi=0.05,storm=4096:512"
 func ParseSpec(spec string, seed int64) (Plan, error) {
 	var p Plan
 	p.Seed = seed
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
 		return p, fmt.Errorf("fault: empty chaos spec")
-	}
-	if strings.HasPrefix(spec, "@") {
-		return parseFile(spec[1:], seed)
 	}
 	fields := strings.Split(spec, ",")
 	for i, f := range fields {
@@ -196,74 +162,24 @@ func (p *Plan) applyField(k, v string) error {
 		if len(nums) == 3 {
 			p.Storm.Phase = nums[2]
 		}
+		if p.Storm.Period <= 0 || p.Storm.Len <= 0 || p.Storm.Phase < 0 {
+			return fmt.Errorf("fault: storm spec %q wants a positive period and len and a non-negative phase", v)
+		}
 		return nil
 	}
 	site, ok := siteByName(k)
 	if !ok || site == SiteRefreshStorm {
 		return fmt.Errorf("fault: unknown injection site %q", k)
 	}
-	prob, budget, _ := strings.Cut(v, ":")
-	f, err := strconv.ParseFloat(prob, 64)
+	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
-		return fmt.Errorf("fault: bad probability %q for site %s: %v", prob, k, err)
+		return fmt.Errorf("fault: bad probability %q for site %s: %v", v, k, err)
 	}
 	if f < 0 || f > 1 {
 		return fmt.Errorf("fault: probability %g for site %s outside [0,1]", f, k)
 	}
 	p.Probs[site] = f
-	if budget != "" {
-		n, err := strconv.ParseInt(budget, 10, 64)
-		if err != nil || n < 0 {
-			return fmt.Errorf("fault: bad budget %q for site %s", budget, k)
-		}
-		p.Budgets[site] = n
-	}
 	return nil
-}
-
-// parseFile loads a Plan from a JSON file (the planJSON schema).
-func parseFile(path string, seed int64) (Plan, error) {
-	var p Plan
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return p, fmt.Errorf("fault: reading chaos plan: %v", err)
-	}
-	var pj planJSON
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&pj); err != nil {
-		return p, fmt.Errorf("fault: parsing chaos plan %s: %v", path, err)
-	}
-	p.Seed = seed
-	if pj.Seed != 0 {
-		p.Seed = pj.Seed
-	}
-	p.Storm = pj.Storm
-	// Iterate sites by index (not by ranging the map) so this package
-	// stays clean under xfmlint's sim-determinism rule.
-	for i := Site(0); i < NumSites; i++ {
-		s, ok := pj.Sites[i.String()]
-		if !ok {
-			continue
-		}
-		if i == SiteRefreshStorm {
-			return p, fmt.Errorf("fault: refresh-storm is scheduled via \"storm\", not a probability site")
-		}
-		if s.P < 0 || s.P > 1 {
-			return p, fmt.Errorf("fault: probability %g for site %s outside [0,1]", s.P, i)
-		}
-		p.Probs[i] = s.P
-		if s.Max > 0 {
-			p.Budgets[i] = s.Max
-		}
-	}
-	for name := range pj.Sites { //xfm:ignore sim-determinism validation only rejects unknown keys; order does not matter
-		if _, ok := siteByName(name); !ok {
-			return p, fmt.Errorf("fault: unknown injection site %q in %s", name, path)
-		}
-	}
-	p.normalize()
-	return p, nil
 }
 
 // preset returns a named canned plan.
@@ -274,13 +190,7 @@ func preset(name string) (Plan, bool) {
 		return p, true
 	case "ci-default":
 		// The CI chaos gate: every site fires and storms recur a
-		// handful of times per retention period. The stall site runs a
-		// budgeted outage — every submission times out until the budget
-		// drains — so the gate deterministically trips the circuit
-		// breaker and then closes it again via canary probes, for any
-		// seed.
-		p.Probs[SiteNMAStall] = 1
-		p.Budgets[SiteNMAStall] = 40
+		// handful of times per retention period.
 		p.Probs[SiteQueueFull] = 0.10
 		p.Probs[SiteECCSingle] = 0.04
 		p.Probs[SiteECCMulti] = 0.02

@@ -61,7 +61,7 @@ func (t *TracingBackend) record(now dram.Ps, op trace.Op, id PageID) {
 		if t.track < 0 {
 			t.track = t.tracer.NewTrack("swap")
 		}
-		t.tracer.Instant(t.track, "swap-"+op.String(), "swap", int64(now), map[string]int64{
+		t.tracer.Span(t.track, "swap-"+op.String(), "swap", int64(now), int64(now), map[string]int64{
 			"page":  int64(id),
 			"bytes": PageSize,
 		})

@@ -116,7 +116,7 @@ func TestTracingBackendEmitsTelemetrySpans(t *testing.T) {
 	if len(spans) != 2 {
 		t.Fatalf("spans = %d, want 2", len(spans))
 	}
-	if spans[0].Name != "swap-"+trace.SwapOut.String() || !spans[0].Instant {
+	if spans[0].Name != "swap-"+trace.SwapOut.String() || spans[0].Dur != 0 {
 		t.Errorf("span[0] = %+v", spans[0])
 	}
 	if spans[0].Args["page"] != int64(id) || spans[0].Args["bytes"] != PageSize {

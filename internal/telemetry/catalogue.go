@@ -208,36 +208,6 @@ var (
 	XFMBatchPages = histogram(layerXFM, "xfm_batch_pages",
 		"Pages per SwapOutBatch/SwapInBatch call through an XFM backend.",
 		ExpBuckets(1, 2, 13), 0)
-
-	// Degradation ladder (xfm/degrade.go). The mode gauge is the health
-	// monitor's primary signal: 0 HEALTHY, 1 DEGRADED, 2 RECOVERING,
-	// 3 CPU_ONLY. With several backends in one process the gauge
-	// reflects the most recent transition; per-backend state is exact
-	// via Backend.Mode().
-	XFMDegradedMode = gauge(layerXFM, "xfm_degraded_mode",
-		"Current degradation mode (0 HEALTHY, 1 DEGRADED, 2 RECOVERING, 3 CPU_ONLY).",
-		sampled|requiredMetric|requiredSeries)
-	XFMModeTransitions = counter(layerXFM, "xfm_mode_transitions_total",
-		"Degradation-ladder mode transitions across all backends.", 0)
-	XFMBreakerTrips = counter(layerXFM, "xfm_breaker_trips_total",
-		"Circuit-breaker trips to CPU_ONLY (N submit failures inside the sliding window).", sampled)
-	XFMBreakerRecoveries = counter(layerXFM, "xfm_breaker_recoveries_total",
-		"Breaker closes: canary probes proved the NMA healthy again.", 0)
-	XFMOpTimeouts = counter(layerXFM, "xfm_op_timeouts_total",
-		"Offload submissions that blew their per-op deadline (ErrOpTimeout).", sampled)
-	XFMOpRetries = counter(layerXFM, "xfm_op_retries_total",
-		"Timed-out submissions retried once before falling back to the CPU.", 0)
-	XFMCanaryProbes = counter(layerXFM, "xfm_canary_probes_total",
-		"Real ops routed to the NMA as canaries while RECOVERING.", 0)
-	XFMCanaryFailures = counter(layerXFM, "xfm_canary_failures_total",
-		"Canary probes that failed and re-opened the breaker.", 0)
-
-	// ECC quarantine (§4.1 integrity + graceful degradation): pages
-	// whose side-band verification found uncorrectable words.
-	XFMQuarantinedPages = gauge(layerXFM, "xfm_quarantined_pages",
-		"Pages currently quarantined after uncorrectable ECC verification.", sampled)
-	XFMQuarantineServed = counter(layerXFM, "xfm_quarantine_served_total",
-		"Quarantined swap-ins re-served intact from the CPU staging copy.", 0)
 )
 
 // xfm_fallback_rate is derived at export time; it is the §7 number

@@ -286,23 +286,7 @@ func DefaultRules() []Rule {
 			SeriesExpr("nma_random_accesses_total", AggSum, healthWindow)),
 		SeriesExpr("nma_slots_offered_total", AggSum, healthWindow))
 	promotion := SeriesExpr("sfm_promotion_rate", AggLast, 1)
-	// The degradation-ladder gauge orders by severity (HEALTHY 0,
-	// DEGRADED 1, RECOVERING 2, CPU_ONLY 3; DESIGN §10), so the mode
-	// rules are plain thresholds on its last sample.
-	degMode := SeriesExpr("xfm_degraded_mode", AggLast, 1)
 	return []Rule{
-		{
-			Name: "degraded-cpu-only", Severity: SevCritical,
-			Help: "The XFM circuit breaker is open (CPU_ONLY): every swap runs on the CPU until " +
-				"canary probes close it again (DESIGN §10).",
-			Value: degMode, Above: true, Threshold: 2.5,
-		},
-		{
-			Name: "degraded-recovering", Severity: SevDegraded,
-			Help: "The XFM backend sits above HEALTHY on the degradation ladder (DEGRADED or " +
-				"probing recovery canaries; DESIGN §10).",
-			Value: degMode, Above: true, Threshold: 0.5,
-		},
 		{
 			Name: "fallback-rate-spike", Severity: SevDegraded,
 			Help:  "Windowed CPU-fallback share of swap traffic; the NMA is shedding load (§6 back-pressure).",

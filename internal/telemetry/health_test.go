@@ -207,25 +207,6 @@ func TestDefaultRulesScenarios(t *testing.T) {
 		t.Fatalf("uncorrectable ECC = %+v, want CRITICAL", h)
 	}
 
-	// Degradation-ladder gauge: CPU_ONLY (3) is CRITICAL, any mode
-	// above HEALTHY is DEGRADED, and HEALTHY (0) fires nothing.
-	open := healthyBase()
-	open["xfm_degraded_mode"] = []float64{0, 1, 3}
-	if h := evalDefault(t, open); h.Status != "CRITICAL" || !firing(h, "degraded-cpu-only") {
-		t.Fatalf("open breaker = %+v, want CRITICAL via degraded-cpu-only", h)
-	}
-	recovering := healthyBase()
-	recovering["xfm_degraded_mode"] = []float64{3, 3, 2}
-	if h := evalDefault(t, recovering); h.Status != "DEGRADED" || !firing(h, "degraded-recovering") ||
-		firing(h, "degraded-cpu-only") {
-		t.Fatalf("recovering breaker = %+v, want DEGRADED via degraded-recovering only", h)
-	}
-	closed := healthyBase()
-	closed["xfm_degraded_mode"] = []float64{3, 2, 0}
-	if h := evalDefault(t, closed); firing(h, "degraded-recovering") || firing(h, "degraded-cpu-only") {
-		t.Fatalf("closed breaker = %+v, want mode rules quiet", h)
-	}
-
 	low := healthyBase()
 	low["sfm_promotion_rate"] = []float64{0.2, 0.15, 0.1}
 	if h := evalDefault(t, low); !firing(h, "promotion-rate-low") {

@@ -8,18 +8,15 @@ import (
 	"sync/atomic"
 )
 
-// Span is one recorded simulated-time interval (or instant). Start and
-// Dur are in picoseconds (dram.Ps); the Chrome exporter converts to
-// microseconds.
+// Span is one recorded simulated-time interval. Start and Dur are in
+// picoseconds (dram.Ps); the Chrome exporter converts to microseconds.
 type Span struct {
 	Name  string
 	Cat   string
 	Track int
 	Start int64
-	Dur   int64 // 0 with Instant=true for point events
-	// Instant marks a zero-duration point event (Chrome "i" phase).
-	Instant bool
-	Args    map[string]int64
+	Dur   int64
+	Args  map[string]int64
 }
 
 // End returns Start+Dur.
@@ -113,11 +110,6 @@ func (t *Tracer) Span(track int, name, cat string, start, end int64, args map[st
 	t.record(Span{Name: name, Cat: cat, Track: track, Start: start, Dur: end - start, Args: args})
 }
 
-// Instant records a point event at time at.
-func (t *Tracer) Instant(track int, name, cat string, at int64, args map[string]int64) {
-	t.record(Span{Name: name, Cat: cat, Track: track, Start: at, Instant: true, Args: args})
-}
-
 // Len returns the number of live spans in the ring.
 func (t *Tracer) Len() int {
 	t.mu.Lock()
@@ -161,7 +153,6 @@ type chromeEvent struct {
 	Dur  *float64               `json:"dur,omitempty"`
 	Pid  int                    `json:"pid"`
 	Tid  int                    `json:"tid"`
-	S    string                 `json:"s,omitempty"` // instant scope
 	Args map[string]interface{} `json:"args,omitempty"`
 }
 
@@ -205,10 +196,13 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		}
 	}
 	for _, s := range spans {
+		dur := float64(s.Dur) / psPerMicrosecond
 		e := chromeEvent{
 			Name: s.Name,
 			Cat:  s.Cat,
+			Ph:   "X",
 			Ts:   float64(s.Start) / psPerMicrosecond,
+			Dur:  &dur,
 			Tid:  s.Track,
 		}
 		if len(s.Args) > 0 {
@@ -216,14 +210,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			for k, v := range s.Args {
 				e.Args[k] = v
 			}
-		}
-		if s.Instant {
-			e.Ph = "i"
-			e.S = "t"
-		} else {
-			e.Ph = "X"
-			dur := float64(s.Dur) / psPerMicrosecond
-			e.Dur = &dur
 		}
 		if err := emit(e); err != nil {
 			return err

@@ -11,7 +11,6 @@ func TestTracerDisabledRecordsNothing(t *testing.T) {
 	tr := NewTracer()
 	tk := tr.NewTrack("t")
 	tr.Span(tk, "a", "c", 0, 10, nil)
-	tr.Instant(tk, "b", "c", 5, nil)
 	if tr.Len() != 0 {
 		t.Errorf("disabled tracer recorded %d spans", tr.Len())
 	}
@@ -22,7 +21,7 @@ func TestTracerRecordsAndResets(t *testing.T) {
 	tr.SetEnabled(true)
 	tk := tr.NewTrack("t")
 	tr.Span(tk, "a", "c", 100, 200, map[string]int64{"k": 1})
-	tr.Instant(tk, "b", "c", 150, nil)
+	tr.Span(tk, "b", "c", 150, 150, nil)
 	if tr.Len() != 2 {
 		t.Fatalf("len = %d, want 2", tr.Len())
 	}
@@ -30,8 +29,8 @@ func TestTracerRecordsAndResets(t *testing.T) {
 	if spans[0].Name != "a" || spans[0].Start != 100 || spans[0].Dur != 100 {
 		t.Errorf("span[0] = %+v", spans[0])
 	}
-	if !spans[1].Instant {
-		t.Errorf("span[1] should be instant: %+v", spans[1])
+	if spans[1].Name != "b" || spans[1].Start != 150 || spans[1].Dur != 0 {
+		t.Errorf("span[1] = %+v", spans[1])
 	}
 	tr.Reset()
 	if tr.Len() != 0 || tr.Dropped() != 0 {
@@ -78,7 +77,7 @@ func TestWriteChromeTraceJSON(t *testing.T) {
 	outer := tr.NewTrack("nma")
 	tr.Span(outer, "refresh-window", "dram", 0, 1_000_000, nil)
 	tr.Span(outer, "compress", "nma", 100_000, 400_000, map[string]int64{"req": 1})
-	tr.Instant(tr.NewTrack("swap"), "swap-out", "swap", 500_000, nil)
+	tr.Span(tr.NewTrack("swap"), "swap-out", "swap", 500_000, 500_000, nil)
 
 	var b strings.Builder
 	if err := tr.WriteChromeTrace(&b); err != nil {
@@ -96,13 +95,16 @@ func TestWriteChromeTraceJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(b.String()), &tf); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, b.String())
 	}
-	var win, comp, inst, meta int
+	var win, comp, swap, meta int
 	for _, ev := range tf.TraceEvents {
 		switch {
 		case ev.Ph == "M":
 			meta++
-		case ev.Ph == "i" || ev.Ph == "I":
-			inst++
+		case ev.Name == "swap-out":
+			swap++
+			if ev.Ph != "X" || ev.Ts != 0.5 || ev.Dur != 0 {
+				t.Errorf("swap-out ph/ts/dur = %s/%v/%v, want X/0.5/0", ev.Ph, ev.Ts, ev.Dur)
+			}
 		case ev.Name == "refresh-window":
 			win++
 			if ev.Ts != 0 || ev.Dur != 1 { // 1e6 ps = 1 µs
@@ -115,8 +117,8 @@ func TestWriteChromeTraceJSON(t *testing.T) {
 			}
 		}
 	}
-	if win != 1 || comp != 1 || inst != 1 {
-		t.Errorf("events: %d windows, %d compress, %d instants", win, comp, inst)
+	if win != 1 || comp != 1 || swap != 1 {
+		t.Errorf("events: %d windows, %d compress, %d swap-outs", win, comp, swap)
 	}
 	if meta == 0 {
 		t.Error("expected process/thread metadata events")

@@ -45,11 +45,9 @@ type Backend struct {
 	cpuCycles telemetry.FloatCounter
 	codec     compress.Codec
 
-	// integ is the side-band ECC, fault-injection and quarantine state
-	// (integrity.go); deg is the circuit breaker (degrade.go), nil
-	// unless armed, so the default backend pays one nil check per op.
+	// integ is the side-band ECC and fault-injection state
+	// (integrity.go).
 	integ *integrity
-	deg   *degrader
 
 	// one is the single-page calls' batch of one: the backend is
 	// single-owner on the serial path (see nextReq), so SwapOut/SwapIn
@@ -193,16 +191,15 @@ func (b *Backend) offloadOut(now dram.Ps, pages []sfm.PageOut, errs []error) {
 		if errs[i] != nil {
 			continue
 		}
-		b.integ.settleOut(i, p)
+		b.integ.settleOut(i)
 		b.submitOrFallback(now, nma.CompressOp, b.localAddr(p.ID), b.regionAddr(p.ID))
 	}
 }
 
 // offloadIn is the XFM half of xfm_swap_in(): parity verification of
 // every page the inner store returned, then per page in input order the
-// verdict (an uncorrectable page with no staging copy fails here, into
-// errs[i]) and either the CPU charge of a demand fault or an offload
-// submission.
+// verdict (an uncorrectable page fails here, into errs[i]) and either
+// the CPU charge of a demand fault or an offload submission.
 func (b *Backend) offloadIn(now dram.Ps, pages []sfm.PageIn, errs []error, offload bool) {
 	b.integ.stageIn(pages, errs)
 	b.driver.AdvanceTo(now)
@@ -210,7 +207,7 @@ func (b *Backend) offloadIn(now dram.Ps, pages []sfm.PageIn, errs []error, offlo
 		if errs[i] != nil {
 			continue
 		}
-		if errs[i] = b.integ.settleIn(i, p); errs[i] != nil {
+		if errs[i] = b.integ.settleIn(i, p.ID); errs[i] != nil {
 			continue
 		}
 		if !offload {
@@ -237,18 +234,14 @@ func fallbackCycles(c compress.Codec, kind nma.OpKind) float64 {
 	return c.Info().DecompressCyclesPerByte * sfm.PageSize
 }
 
-// QuarantinedPages returns how many pages are on the quarantine list.
-func (b *Backend) QuarantinedPages() int { return len(b.integ.quarantined) }
-
-// QuarantineServed returns how many quarantined swap-ins were re-served
-// from staging copies, process-wide.
-func QuarantineServed() int64 { return telemetry.XFMQuarantineServed.Value() }
-
 // submitOrFallback builds the offload request for a page moving from
 // address src to dst and runs the §6 submission protocol: lazy
 // occupancy check, MMIO sync when the inferred SPM bound is exhausted,
-// then an MMIO write into the request queue; on rejection the CPU
-// performs the operation.
+// then an MMIO write into the request queue. This is the backend's
+// whole policy for a failed offload: whatever the reason the NMA did
+// not take the op (a full request queue or SPM, or a driver error), the
+// CPU performs it, once, and the next op tries the NMA again — §6's
+// stateless CPU_Fallback.
 func (b *Backend) submitOrFallback(now dram.Ps, kind nma.OpKind, src, dst int64) {
 	b.nextReq++
 	req := nma.Request{
@@ -258,78 +251,7 @@ func (b *Backend) submitOrFallback(now dram.Ps, kind nma.OpKind, src, dst int64)
 		DstGroup: pageGroup(b.mapp, dst),
 		Arrive:   now,
 	}
-	d := b.deg
-	if d == nil {
-		// Default path: §6's stateless per-op fallback, no breaker.
-		if ok, err := b.submitOnce(req); err != nil || !ok {
-			b.recordFallback(kind)
-			return
-		}
-		b.offloads.Inc()
-		telemetry.XFMOffloads.Inc()
-		return
-	}
-	switch Mode(d.mode.Load()) {
-	case ModeCPUOnly:
-		// Breaker open: skip the MMIO round trip entirely; after
-		// ReprobeAfter absorbed ops, start probing with canaries.
-		d.cpuOps++
-		if d.cpuOps >= d.policy.ReprobeAfter {
-			b.transition(ModeRecovering, now)
-		}
-		b.recordFallback(kind)
-		return
-	case ModeRecovering:
-		// Canary probe: a real op, but one failure re-opens the
-		// breaker immediately instead of feeding the sliding window.
-		telemetry.XFMCanaryProbes.Inc()
-		if ok, err := b.submitOnce(req); err != nil || !ok {
-			telemetry.XFMCanaryFailures.Inc()
-			b.transition(ModeCPUOnly, now)
-			b.recordFallback(kind)
-			return
-		}
-		d.canaryOK++
-		if d.canaryOK >= d.policy.CanarySuccesses {
-			b.transition(ModeHealthy, now)
-		}
-		b.offloads.Inc()
-		telemetry.XFMOffloads.Inc()
-		return
-	}
-	ok, err := b.submitOnce(req)
-	if err == ErrOpTimeout {
-		telemetry.XFMOpTimeouts.Inc()
-		if d.policy.RetryOnce {
-			// Per-op deadline policy: retry once (a fresh submission
-			// sequence number, so injection draws fresh), then fall
-			// back to the CPU.
-			telemetry.XFMOpRetries.Inc()
-			ok, err = b.submitOnce(req)
-			if err == ErrOpTimeout {
-				telemetry.XFMOpTimeouts.Inc()
-			}
-		}
-	}
-	// Only op-deadline failures feed the breaker window: a queue
-	// rejection is §6's designed backpressure path (one CPU fallback),
-	// not a hardware-health signal, so sustained storms or spurious
-	// queue-fulls degrade throughput without opening the breaker.
-	fail := err != nil
-	d.recordOutcome(fail)
-	if fail {
-		if d.failures >= d.policy.TripFailures {
-			b.transition(ModeCPUOnly, now)
-		} else if d.failures >= d.policy.DegradeFailures {
-			b.transition(ModeDegraded, now)
-		}
-		b.recordFallback(kind)
-		return
-	}
-	if Mode(d.mode.Load()) == ModeDegraded && d.failures < d.policy.DegradeFailures {
-		b.transition(ModeHealthy, now)
-	}
-	if !ok {
+	if ok, err := b.submitOnce(req); err != nil || !ok {
 		b.recordFallback(kind)
 		return
 	}

@@ -40,10 +40,10 @@ type Driver struct {
 	ioctls     telemetry.Counter
 
 	// Fault injection (nil unless a chaos plan is armed). submitSeq
-	// serializes submissions so each Submit — including the backend's
-	// retry of a stalled op — draws a fresh, deterministic injection
-	// decision. Submissions are serial by design (the batch paths
-	// replay them in input order), so the sequence is reproducible.
+	// numbers submissions so each Submit draws its own deterministic
+	// injection decision. Submissions are serial by design (the batch
+	// paths replay them in input order), so the sequence is
+	// reproducible.
 	inj       *fault.Injector
 	submitSeq uint64
 }
@@ -66,9 +66,8 @@ func NewDriver(sim *nma.Sim) *Driver {
 }
 
 // SetInjector arms fault injection on the driver and its NMA sim (nil
-// disarms): submissions can stall past their deadline or bounce off a
-// spuriously full queue, and the sim's refresh windows can be starved
-// by storms.
+// disarms): submissions can bounce off a spuriously full queue, and the
+// sim's refresh windows can be starved by storms.
 func (d *Driver) SetInjector(in *fault.Injector) {
 	d.inj = in
 	d.sim.SetInjector(in)
@@ -106,14 +105,10 @@ func (d *Driver) PollCompletions() int64 {
 
 // Submit pushes one offload request into the Compress_Request_Queue
 // with an MMIO write. It returns false when the hardware rejected the
-// request and the caller must run the operation on the CPU; a
-// (false, ErrOpTimeout) return means the queue accepted the doorbell
-// but the op blew its completion deadline (injected stalls model this
-// — the op is treated as never having run).
+// request and the caller must run the operation on the CPU.
 //
-// Both injected faults fire before the sim sees the request, so a
-// stalled or spuriously rejected op leaves no trace in the NMA
-// accounting — exactly like hardware that dropped the op on the floor.
+// An injected queue-full fires before the sim sees the request, so a
+// spuriously rejected op leaves no trace in the NMA accounting.
 func (d *Driver) Submit(req nma.Request) (bool, error) {
 	if !d.paramSet {
 		return false, errNotInitialized
@@ -121,9 +116,6 @@ func (d *Driver) Submit(req nma.Request) (bool, error) {
 	d.mmioWrite(1)
 	if d.inj != nil {
 		d.submitSeq++
-		if d.inj.Hit(fault.SiteNMAStall, d.submitSeq) {
-			return false, ErrOpTimeout
-		}
 		if d.inj.Hit(fault.SiteQueueFull, d.submitSeq) {
 			return false, nil
 		}

@@ -12,13 +12,6 @@ import (
 // 64-bit word defeats SECDED.
 var ErrUncorrectable = errors.New("xfm: uncorrectable ECC words")
 
-// ErrOpTimeout is the per-op deadline error for a submitted offload
-// the NMA accepted but never completed in time (an injected stall, or
-// real hardware wedging). It is a static sentinel — Submit sits on the
-// swap hot path and must not construct an error per rejection — and
-// the backend's policy on seeing it is retry once, then CPU fallback.
-var ErrOpTimeout = errors.New("xfm: offload op deadline exceeded")
-
 // UncorrectableError reports which page failed ECC verification and
 // how many words were uncorrectable. The struct is plain data: no fmt
 // call happens until Error() renders it, so constructing one on the

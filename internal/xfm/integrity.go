@@ -11,19 +11,19 @@ import (
 // integrity is everything ECC-shaped about a Backend: the side-band
 // parity of every stored page (§4.1: the NMA regenerates the x72 parity
 // bytes when writing data back so the host memory controller can keep
-// performing SECDED on later reads), its verification on swap-in, the
-// chaos plan's bit flips, and the quarantine list with the CPU staging
-// copies that re-serve a poisoned page.
+// performing SECDED on later reads), its verification on swap-in, and
+// the chaos plan's bit flips.
 //
 // Each direction is a stage/settle pair around the offload core's
 // driver.AdvanceTo: stage walks the batch once serially (parity map,
 // free list, injection draws) and fans the pure per-page math out on
-// the pool; settle folds page i's result into the counters and maps,
-// in input order. A parity entry exists exactly while a page swapped
-// out with ECC on is stored; its 512-byte buffer comes from and returns
-// to parityFree. Maps, free list and scratch are touched only on the
-// serial phases; the fan-outs see disjoint slots. The counters are
-// atomic because ECCStats() may be read while a batch is in flight.
+// the pool; settle folds page i's result into the counters and the
+// parity map, in input order. A parity entry exists exactly while a
+// page swapped out with ECC on is stored; its 512-byte buffer comes
+// from and returns to parityFree. Map, free list and scratch are
+// touched only on the serial phases; the fan-outs see disjoint slots.
+// The counters are atomic because ECCStats() may be read while a batch
+// is in flight.
 type integrity struct {
 	on         bool // SetECC
 	parity     map[sfm.PageID][]byte
@@ -44,13 +44,8 @@ type integrity struct {
 	parityFn, verifyFn func(w, i int)
 
 	// inj schedules deterministic bit flips on swap-in images (nil
-	// unless armed); staging holds raw page copies that back quarantine
-	// re-serves (nil unless degradation is armed); quarantined lists
-	// pages whose verification found uncorrectable words (bad-word
-	// count).
-	inj         *fault.Injector
-	staging     map[sfm.PageID][]byte
-	quarantined map[sfm.PageID]int
+	// unless armed).
+	inj *fault.Injector
 
 	parityBytes   telemetry.Counter
 	corrected     telemetry.Counter
@@ -61,10 +56,9 @@ type eccVerdict struct{ corrected, bad int }
 
 func newIntegrity() *integrity {
 	in := &integrity{
-		on:          true,
-		parity:      map[sfm.PageID][]byte{},
-		quarantined: map[sfm.PageID]int{},
-		pool:        parallel.NewPool(0),
+		on:     true,
+		parity: map[sfm.PageID][]byte{},
+		pool:   parallel.NewPool(0),
 	}
 	in.parityFn = in.parityStep
 	in.verifyFn = in.verifyStep
@@ -118,22 +112,16 @@ func (in *integrity) stageOut(pages []sfm.PageOut, errs []error) {
 	}
 }
 
-// settleOut accounts page i's regenerated parity and, with degradation
-// armed, keeps the staging copy.
-func (in *integrity) settleOut(i int, p sfm.PageOut) {
+// settleOut accounts page i's regenerated parity.
+func (in *integrity) settleOut(i int) {
 	if par := in.pars[i]; par != nil {
 		in.parityBytes.Add(int64(len(par)))
 	}
-	if in.staging != nil {
-		in.stageCopy(p.ID, p.Data)
-	}
 }
 
-// stageIn looks up the parity of every page the store returned and
-// verifies the images on the pool. Scheduled bit flips are drawn and
-// applied here, serially and in input order, not in the fan-out: the
-// draws are keyed by page ID but budget accounting is call-ordered, and
-// determinism of budgeted plans must not depend on worker scheduling.
+// stageIn looks up the parity of every page the store returned, applies
+// the scheduled bit flips (drawn by page ID) and verifies the images on
+// the pool.
 func (in *integrity) stageIn(pages []sfm.PageIn, errs []error) {
 	in.reset(len(pages))
 	verify := false
@@ -164,27 +152,26 @@ func (in *integrity) stageIn(pages []sfm.PageIn, errs []error) {
 	}
 }
 
-// settleIn folds page i's verdict into the counters, retires its parity
-// entry and staging copy, and quarantines it on uncorrectable words: the
-// swap-in is re-served from the staging copy when one exists, else the
-// error is a *UncorrectableError.
-func (in *integrity) settleIn(i int, p sfm.PageIn) error {
-	if par := in.pars[i]; par != nil {
-		in.retireParity(p.ID, par) // stageIn already looked the entry up
-		v := in.vs[i]
-		if v != (eccVerdict{}) { // a clean page adds four zeros
-			in.corrected.Add(int64(v.corrected))
-			telemetry.XFMECCCorrected.Add(int64(v.corrected))
-			in.uncorrectable.Add(int64(v.bad))
-			telemetry.XFMECCUncorrectable.Add(int64(v.bad))
-		}
-		if v.bad > 0 {
-			if err := in.quarantinePage(p.ID, v.bad, p.Dst); err != nil {
-				return err
-			}
-		}
+// settleIn folds page i's verdict into the counters and retires its
+// parity entry; a page with uncorrectable words fails with a
+// *UncorrectableError.
+func (in *integrity) settleIn(i int, id sfm.PageID) error {
+	par := in.pars[i]
+	if par == nil {
+		return nil
 	}
-	delete(in.staging, p.ID)
+	in.retireParity(id, par) // stageIn already looked the entry up
+	v := in.vs[i]
+	if v == (eccVerdict{}) { // a clean page adds four zeros
+		return nil
+	}
+	in.corrected.Add(int64(v.corrected))
+	telemetry.XFMECCCorrected.Add(int64(v.corrected))
+	in.uncorrectable.Add(int64(v.bad))
+	telemetry.XFMECCUncorrectable.Add(int64(v.bad))
+	if v.bad > 0 {
+		return &UncorrectableError{Page: id, BadWords: v.bad}
+	}
 	return nil
 }
 
@@ -218,20 +205,6 @@ func (in *integrity) retireParity(id sfm.PageID, p []byte) {
 	in.parityFree = append(in.parityFree, p)
 }
 
-// stageCopy keeps an uncompressed staging copy of a swapped-out page:
-// the CPU-side backstop that lets a later uncorrectable ECC hit be
-// re-served intact instead of surfacing data loss. Buffers recycle per
-// page ID across swap cycles.
-func (in *integrity) stageCopy(id sfm.PageID, data []byte) {
-	buf := in.staging[id]
-	if cap(buf) < len(data) {
-		buf = make([]byte, len(data))
-	}
-	buf = buf[:len(data)]
-	copy(buf, data)
-	in.staging[id] = buf
-}
-
 // injectECC applies the chaos plan's scheduled bit flips to the page
 // image read back from far memory, before parity verification. The
 // draw is keyed by page ID, so which pages get hit is independent of
@@ -253,22 +226,4 @@ func (in *integrity) injectECC(id sfm.PageID, dst []byte) {
 		w := int((uint64(id) * 0xbf58476d1ce4e5b9 >> 17) % uint64(words))
 		dst[w*8] ^= 0x01
 	}
-}
-
-// quarantinePage handles an uncorrectable ECC verification: the page
-// joins the quarantine list and, when a staging copy of the original
-// bytes exists, the swap-in is re-served intact from it. Only when no
-// copy is available does the caller surface data loss, as a typed
-// *UncorrectableError.
-func (in *integrity) quarantinePage(id sfm.PageID, bad int, dst []byte) error {
-	if _, dup := in.quarantined[id]; !dup {
-		telemetry.XFMQuarantinedPages.Add(1)
-	}
-	in.quarantined[id] = bad
-	if c, ok := in.staging[id]; ok && len(c) == len(dst) {
-		copy(dst, c)
-		telemetry.XFMQuarantineServed.Inc()
-		return nil
-	}
-	return &UncorrectableError{Page: id, BadWords: bad}
 }

@@ -14,15 +14,15 @@ import (
 // batch the store accepted in full, as offloadOut/offloadIn do.
 func integrityOut(in *integrity, pages []sfm.PageOut, errs []error) {
 	in.stageOut(pages, errs)
-	for i, p := range pages {
-		in.settleOut(i, p)
+	for i := range pages {
+		in.settleOut(i)
 	}
 }
 
 func integrityIn(in *integrity, pages []sfm.PageIn, errs []error) {
 	in.stageIn(pages, errs)
 	for i, p := range pages {
-		errs[i] = in.settleIn(i, p)
+		errs[i] = in.settleIn(i, p.ID)
 	}
 }
 
@@ -56,8 +56,8 @@ func TestIntegrityECCToggleLeavesNoStaleParity(t *testing.T) {
 	if c, u := in.corrected.Value(), in.uncorrectable.Value(); c != 0 || u != 0 {
 		t.Fatalf("corrected=%d uncorrectable=%d, want 0/0", c, u)
 	}
-	if len(in.parity) != 0 || len(in.quarantined) != 0 {
-		t.Fatalf("parity entries=%d quarantined=%d, want 0/0", len(in.parity), len(in.quarantined))
+	if len(in.parity) != 0 {
+		t.Fatalf("parity entries=%d, want 0", len(in.parity))
 	}
 }
 
@@ -78,21 +78,8 @@ func TestIntegrityUncorrectableWords(t *testing.T) {
 		if !errors.As(errs[0], &ue) || ue.Page != 9 || ue.BadWords != 1 {
 			t.Fatalf("err = %v, want *UncorrectableError{Page: 9, BadWords: 1}", errs[0])
 		}
-		if len(in.quarantined) != 1 || in.uncorrectable.Value() != 1 {
-			t.Fatalf("quarantined=%d uncorrectable=%d, want 1/1", len(in.quarantined), in.uncorrectable.Value())
-		}
-	})
-	t.Run("staging copy re-serves", func(t *testing.T) {
-		in, errs := newIntegrity(), make([]error, 1)
-		in.staging = map[sfm.PageID][]byte{} // as EnableDegradation arms it
-		integrityOut(in, []sfm.PageOut{{ID: 9, Data: orig}}, errs)
-		dst := poisoned()
-		integrityIn(in, []sfm.PageIn{{ID: 9, Dst: dst}}, errs)
-		if errs[0] != nil || !bytes.Equal(dst, orig) {
-			t.Fatalf("err=%v, original bytes restored=%v", errs[0], bytes.Equal(dst, orig))
-		}
-		if len(in.quarantined) != 1 || len(in.staging) != 0 {
-			t.Fatalf("quarantined=%d staging copies=%d, want 1/0", len(in.quarantined), len(in.staging))
+		if in.uncorrectable.Value() != 1 || len(in.parity) != 0 {
+			t.Fatalf("uncorrectable=%d parity entries=%d, want 1/0", in.uncorrectable.Value(), len(in.parity))
 		}
 	})
 }

@@ -30,8 +30,8 @@ func TestNoStaleParityAfterECCToggle(t *testing.T) {
 		if _, corrected, bad := b.ECCStats(); corrected != 0 || bad != 0 {
 			t.Fatalf("corrected=%d bad=%d, want 0/0", corrected, bad)
 		}
-		if b.QuarantinedPages() != 0 || len(b.integ.parity) != 0 {
-			t.Fatalf("quarantined=%d parity entries=%d, want 0/0", b.QuarantinedPages(), len(b.integ.parity))
+		if len(b.integ.parity) != 0 {
+			t.Fatalf("parity entries=%d, want 0", len(b.integ.parity))
 		}
 	}
 	t.Run("single", func(t *testing.T) {
