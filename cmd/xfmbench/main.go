@@ -31,8 +31,8 @@
 // With -chaos SPEC the experiments are skipped and the deterministic
 // fault-injection gate runs instead: the full seed corpus is swapped
 // through a backend wired to the injected fault plane (spurious
-// queue-fulls, ECC flips, corrupt streams, refresh storms; see
-// internal/fault) and every page is byte-verified on the way back.
+// queue-fulls, ECC flips, refresh storms; see internal/fault) and
+// every page is byte-verified on the way back.
 // SPEC is a preset ("ci-default", "off"), "site=p" fields and
 // "storm=period:len[:phase]"; -seed fixes the schedule (two runs with
 // the same spec and seed are bit-identical, recordings included). The

@@ -1,7 +1,7 @@
 // Command xfmtop renders a flight-recorder dump (written by
 // `xfmbench -timeseries-out`) as a terminal report: every recorded
-// series as a sparkline with its last/min/max, above the verdict of
-// the default health rules evaluated over the same dump.
+// series as a sparkline with its last/min/max, below the verdict of
+// the health rules evaluated over the same dump.
 //
 // Usage:
 //
@@ -157,7 +157,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xfmtop:", err)
 		os.Exit(1)
 	}
-	h := telemetry.DefaultMonitor().Evaluate(d)
+	h := telemetry.Evaluate(d)
 	render(os.Stdout, d, h, *file, *width, *filter)
 	if *healthExit && h.Code != 0 {
 		fmt.Fprintf(os.Stderr, "xfmtop: health %s (-health-exit)\n", h.Status)

@@ -2,10 +2,9 @@
 // corpus through an XFM backend wired to a deterministic fault.Injector
 // and verifies zero silent corruption end to end. Every page swapped
 // out must come back byte-identical despite injected spurious
-// queue-fulls, single-bit ECC flips, corrupt compressed streams and
-// refresh storms; the one fault SECDED cannot repair, a double-bit flip,
-// must fail its page with a typed *xfm.UncorrectableError, and nothing
-// else may (DESIGN §10).
+// queue-fulls, single-bit ECC flips and refresh storms; the one fault
+// SECDED cannot repair, a double-bit flip, must fail its page with a
+// typed *xfm.UncorrectableError, and nothing else may (DESIGN §10).
 //
 // Runs are bit-reproducible: for a fixed spec and seed two runs produce
 // identical Results and identical flight-recorder dumps, which CI
@@ -28,6 +27,9 @@ import (
 	"xfm/internal/xfm"
 )
 
+// batchPages is the batch size of the run's swap-out and swap-in calls.
+const batchPages = 16
+
 // Config parameterizes one chaos run.
 type Config struct {
 	// Spec is the fault schedule in fault.ParseSpec grammar (a preset
@@ -38,11 +40,6 @@ type Config struct {
 	// PagesPerCorpus is how many 4 KiB pages of each corpus to swap
 	// (default 64).
 	PagesPerCorpus int
-	// BatchPages is the batch size for the batched swap paths
-	// (default 16). The final short batch of a corpus retries any
-	// corrupt-stream failures through the serial path, so both paths
-	// are exercised.
-	BatchPages int
 }
 
 // Result summarizes one chaos run. All fields are deterministic for a
@@ -53,9 +50,6 @@ type Result struct {
 	// anything but an uncorrectable ECC error — the gate's
 	// zero-silent-corruption invariant is Mismatches == 0.
 	Mismatches int
-	// Retries counts corrupt-stream swap-in failures that succeeded on
-	// the per-page retry.
-	Retries int
 	// Uncorrectable counts pages that failed with *xfm.UncorrectableError:
 	// one per injected double-bit flip.
 	Uncorrectable int
@@ -70,8 +64,8 @@ type Result struct {
 // String renders the run report.
 func (r *Result) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "chaos: %d corpora, %d pages, %d mismatches, %d uncorrectable, %d corrupt-stream retries\n",
-		r.Corpora, r.Pages, r.Mismatches, r.Uncorrectable, r.Retries)
+	fmt.Fprintf(&sb, "chaos: %d corpora, %d pages, %d mismatches, %d uncorrectable\n",
+		r.Corpora, r.Pages, r.Mismatches, r.Uncorrectable)
 	fmt.Fprintf(&sb, "chaos: injected")
 	for s := fault.Site(0); s < fault.NumSites; s++ {
 		if s == fault.SiteRefreshStorm {
@@ -113,17 +107,11 @@ func (r *Result) Gate() error {
 
 // Run executes one chaos run: every corpus is generated, swapped out
 // through the batched path, aged a few refresh windows, swapped back in
-// and byte-verified against the original. Swap-ins that fail with an
-// injected compress.ErrCorrupt are retried once through the serial path
-// (the injector corrupts each unique stream only once, so the retry
-// must succeed); a swap-in that fails with *xfm.UncorrectableError is
-// counted, not retried.
+// and byte-verified against the original. A swap-in that fails with
+// *xfm.UncorrectableError is counted; any other failure is a mismatch.
 func Run(cfg Config) (*Result, error) {
 	if cfg.PagesPerCorpus <= 0 {
 		cfg.PagesPerCorpus = 64
-	}
-	if cfg.BatchPages <= 0 {
-		cfg.BatchPages = 16
 	}
 	plan, err := fault.ParseSpec(cfg.Spec, cfg.Seed)
 	if err != nil {
@@ -134,7 +122,7 @@ func Run(cfg Config) (*Result, error) {
 	sim := nma.NewSim(nma.DefaultConfig(dram.Device32Gb))
 	drv := xfm.NewDriver(sim)
 	m := memctrl.SkylakeMapping(4, 2, dram.Device32Gb)
-	b, err := xfm.NewShardedBackend(fault.WrapCodec(compress.NewLZFast(), inj), 1<<30, 4, 0, drv, m)
+	b, err := xfm.NewShardedBackend(compress.NewLZFast(), 1<<30, 4, 0, drv, m)
 	if err != nil {
 		return nil, err
 	}
@@ -151,8 +139,8 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		pages := corpus.Pages(gen(cfg.Seed, cfg.PagesPerCorpus*sfm.PageSize), sfm.PageSize)
-		for start := 0; start < len(pages); start += cfg.BatchPages {
-			end := start + cfg.BatchPages
+		for start := 0; start < len(pages); start += batchPages {
+			end := start + batchPages
 			if end > len(pages) {
 				end = len(pages)
 			}
@@ -176,12 +164,6 @@ func Run(cfg Config) (*Result, error) {
 			now += 4 * trefi
 			for i, err := range b.SwapInBatch(now, ins, true) {
 				res.Pages++
-				if err != nil && errors.Is(err, compress.ErrCorrupt) {
-					// Transient injected corruption: the stream is intact
-					// in the store, a retry must decode it.
-					res.Retries++
-					err = b.SwapIn(now, ins[i].ID, ins[i].Dst, true)
-				}
 				var ue *xfm.UncorrectableError
 				if errors.As(err, &ue) {
 					res.Uncorrectable++

@@ -56,13 +56,13 @@ func TestOffSpecIsLossless(t *testing.T) {
 	if err := res.Gate(); err != nil {
 		t.Fatal(err)
 	}
-	if res.Injected != [fault.NumSites]int64{} || res.StormWindows != 0 || res.Retries != 0 || res.Uncorrectable != 0 {
+	if res.Injected != [fault.NumSites]int64{} || res.StormWindows != 0 || res.Uncorrectable != 0 {
 		t.Fatalf("off spec injected faults: %+v", res)
 	}
 }
 
 func TestGateRejectsLoss(t *testing.T) {
-	plan, err := fault.ParseSpec("ecc-multi=0.1,corrupt-stream=0.1,storm=8:1", 1)
+	plan, err := fault.ParseSpec("ecc-multi=0.1,queue-full=0.1,storm=8:1", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestGateRejectsLoss(t *testing.T) {
 	fired := func() *Result {
 		r := &Result{Pages: 10, Uncorrectable: 2, StormWindows: 1, plan: plan}
 		r.Injected[fault.SiteECCMulti] = 2
-		r.Injected[fault.SiteCorruptStream] = 1
+		r.Injected[fault.SiteQueueFull] = 1
 		return r
 	}
 	if err := fired().Gate(); err != nil {
@@ -81,7 +81,7 @@ func TestGateRejectsLoss(t *testing.T) {
 	silent := fired()
 	silent.Uncorrectable = 1 // one double flip served without an error
 	inert := fired()
-	inert.Injected[fault.SiteCorruptStream] = 0
+	inert.Injected[fault.SiteQueueFull] = 0
 	calm := fired()
 	calm.StormWindows = 0
 	for name, r := range map[string]*Result{

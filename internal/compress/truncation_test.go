@@ -10,9 +10,8 @@ import (
 
 // Truncation tests: a compressed stream cut short at ANY byte boundary
 // must be rejected with an error — never a panic, never a silent
-// partial page. The fault plane (internal/fault corrupt-stream site)
-// and the swap-in path both lean on this: a torn or truncated far
-// memory read surfaces as a typed decode error that leaves the page
+// partial page. The swap-in path leans on this: a torn or truncated
+// far memory read surfaces as a typed decode error that leaves the page
 // stored for a retry, so the property is a load-bearing robustness
 // invariant, not just decoder hygiene.
 

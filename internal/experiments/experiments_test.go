@@ -298,6 +298,12 @@ func TestEmulatorComparison(t *testing.T) {
 	if r.CPUCycleReduction <= 0 {
 		t.Errorf("XFM did not reduce host cycles: %.3f", r.CPUCycleReduction)
 	}
+	// §2.1's validated promotion-rate band.
+	for name, rate := range map[string]float64{"CPU": r.CPU.PromotionRate, "XFM": r.XFM.PromotionRate} {
+		if rate < 0.30 || rate > 0.90 {
+			t.Errorf("%s promotion rate = %.3f, want within [0.30, 0.90]", name, rate)
+		}
+	}
 	out := r.Table().String()
 	if !strings.Contains(out, "offload rate") {
 		t.Error("table missing offload rate row")

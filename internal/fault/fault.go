@@ -1,18 +1,18 @@
 // Package fault is the deterministic fault-injection plane for the XFM
 // emulator: a seeded Plan schedules spurious queue-full rejections,
-// ECC bit flips on stored pages, corrupt compressed streams, and
-// refresh-storm windows (the RogueRFM shape) at sim-time points, and
-// an Injector answers "does this event fire here?" with a pure function
-// of (plan seed, injection site, event key).
+// ECC bit flips on stored pages and refresh-storm windows (the
+// RogueRFM shape) at sim-time points, and an Injector answers "does
+// this event fire here?" with a pure function of (plan seed, injection
+// site, event key).
 //
 // Determinism is the load-bearing property. Every draw is a splitmix64
 // hash of a per-site sub-seed (derived once from the plan seed via
 // rand.New(rand.NewSource(seed))) and a caller-chosen event key — a
-// submission sequence number, a page ID, a stream hash, a window
-// index. Because the draw depends only on (site, key), concurrent
-// callers can present keys in any order and still see the same
-// per-event decisions, so a chaos run records bit-identical telemetry
-// across repeats (CI diffs two same-seed runs with telemetryck -diff).
+// submission sequence number, a page ID, a window index. Because the
+// draw depends only on (site, key), concurrent callers can present
+// keys in any order and still see the same per-event decisions, so a
+// chaos run records bit-identical telemetry across repeats (CI diffs
+// two same-seed runs with telemetryck -diff).
 //
 // All Injector methods are safe on a nil receiver and return "no
 // fault", so production code threads an injector through
@@ -21,7 +21,6 @@ package fault
 
 import (
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"xfm/internal/telemetry"
@@ -40,10 +39,6 @@ const (
 	// SiteECCMulti flips two bits in one 64-bit word of a page image
 	// read back from far memory (uncorrectable under SECDED).
 	SiteECCMulti
-	// SiteCorruptStream hands a corrupted compressed stream to the
-	// decompressor (which must error, never panic or over-read) and
-	// fails the first real decode of that stream transiently.
-	SiteCorruptStream
 	// SiteRefreshStorm marks whole refresh windows in which refresh
 	// management owns the DRAM and the NMA is offered zero slots.
 	SiteRefreshStorm
@@ -60,8 +55,6 @@ func (s Site) String() string {
 		return "ecc-single"
 	case SiteECCMulti:
 		return "ecc-multi"
-	case SiteCorruptStream:
-		return "corrupt-stream"
 	case SiteRefreshStorm:
 		return "refresh-storm"
 	}
@@ -76,9 +69,6 @@ type Injector struct {
 	seeds    [NumSites]uint64
 	injected [NumSites]atomic.Int64 // faults fired per site
 	counts   [NumSites]*telemetry.Counter
-
-	mu   sync.Mutex
-	once map[uint64]struct{} // keys already fired by OnceHit
 }
 
 // NewInjector builds an injector for the plan. Per-site sub-seeds are
@@ -86,7 +76,7 @@ type Injector struct {
 // construction no injector state depends on call order.
 func NewInjector(p Plan) *Injector {
 	p.normalize()
-	in := &Injector{plan: p, once: make(map[uint64]struct{})}
+	in := &Injector{plan: p}
 	rng := rand.New(rand.NewSource(p.Seed))
 	for i := Site(0); i < NumSites; i++ {
 		in.seeds[i] = rng.Uint64()
@@ -99,43 +89,17 @@ func NewInjector(p Plan) *Injector {
 // by key, and records the injection when it does. The decision is a
 // pure function of (plan, site, key).
 func (in *Injector) Hit(site Site, key uint64) bool {
-	if in == nil || !in.draw(site, key) {
+	if in == nil {
 		return false
 	}
-	in.record(site)
-	return true
-}
-
-// OnceHit is Hit restricted to the first occurrence of each key: a key
-// that fires never fires again. The set of firing keys is a pure
-// function of (plan, site, key) — the first-occurrence filter only
-// deduplicates, so concurrent callers racing on the same key still
-// produce a deterministic total.
-func (in *Injector) OnceHit(site Site, key uint64) bool {
-	if in == nil || !in.draw(site, key) {
-		return false
-	}
-	in.mu.Lock()
-	_, dup := in.once[key]
-	in.once[key] = struct{}{}
-	in.mu.Unlock()
-	if dup {
-		return false
-	}
-	in.record(site)
-	return true
-}
-
-// draw is the seeded coin: site's probability against a hash of key.
-func (in *Injector) draw(site Site, key uint64) bool {
+	// The seeded coin: site's probability against a hash of key.
 	p := in.plan.Probs[site]
-	return p >= 1 || p > 0 && unit(splitmix64(in.seeds[site]^key)) < p
-}
-
-// record counts one fired fault at site.
-func (in *Injector) record(site Site) {
+	if fire := p >= 1 || p > 0 && unit(splitmix64(in.seeds[site]^key)) < p; !fire {
+		return false
+	}
 	in.injected[site].Add(1)
 	in.counts[site].Inc()
+	return true
 }
 
 // Injected returns how many faults have fired at site so far.
@@ -179,16 +143,4 @@ func splitmix64(x uint64) uint64 {
 // unit maps a 64-bit hash onto [0, 1) with 53-bit resolution.
 func unit(x uint64) float64 {
 	return float64(x>>11) / (1 << 53)
-}
-
-// HashBytes is FNV-1a over b: the event key for content-addressed
-// sites (corrupt compressed streams), so the draw is independent of
-// the order concurrent decompressors present streams in.
-func HashBytes(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -1,11 +1,6 @@
 package fault
 
-import (
-	"errors"
-	"testing"
-
-	"xfm/internal/compress"
-)
+import "testing"
 
 func TestParseSpecFields(t *testing.T) {
 	p, err := ParseSpec("queue-full=0.2,ecc-multi=1,storm=4096:512:64", 7)
@@ -21,9 +16,6 @@ func TestParseSpecFields(t *testing.T) {
 	if p.Storm != (StormSpec{Period: 4096, Len: 512, Phase: 64}) {
 		t.Fatalf("storm = %+v", p.Storm)
 	}
-	if !p.Enabled() {
-		t.Fatal("plan should be enabled")
-	}
 }
 
 func TestParseSpecPresetAndOverride(t *testing.T) {
@@ -31,21 +23,21 @@ func TestParseSpecPresetAndOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !base.Enabled() || base.Probs[SiteCorruptStream] <= 0 || base.Storm.Period <= 0 {
+	if base.Probs[SiteECCSingle] <= 0 || base.Storm.Period <= 0 {
 		t.Fatalf("ci-default not fully populated: %+v", base)
 	}
-	over, err := ParseSpec("ci-default,corrupt-stream=0", 1)
+	over, err := ParseSpec("ci-default,ecc-single=0", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if over.Probs[SiteCorruptStream] != 0 {
+	if over.Probs[SiteECCSingle] != 0 {
 		t.Fatal("override did not apply")
 	}
 	if over.Probs[SiteQueueFull] != base.Probs[SiteQueueFull] {
 		t.Fatal("override clobbered unrelated site")
 	}
 	off, err := ParseSpec("off", 1)
-	if err != nil || off.Enabled() {
+	if err != nil || off != (Plan{Seed: 1}) {
 		t.Fatalf("off preset: %+v, %v", off, err)
 	}
 }
@@ -54,7 +46,7 @@ func TestParseSpecErrors(t *testing.T) {
 	for _, spec := range []string{
 		"", "bogus-preset", "queue-full=1.5", "queue-full=x",
 		"unknown-site=0.5", "nma-stall=0.5", "storm=12", "storm=a:b",
-		"refresh-storm=0.5", "queue-full=0.5,ci-default",
+		"refresh-storm=0.5", "corrupt-stream=0.1", "queue-full=0.5,ci-default",
 		"queue-full=0.5:3", // no budget suffix
 		// A malformed storm must not silently mean "no storms".
 		"storm=-2048:256", "storm=2048:0", "storm=0:256", "storm=2048:256:-1",
@@ -109,38 +101,16 @@ func TestHitDeterministicAndOrderIndependent(t *testing.T) {
 	}
 }
 
-func TestOnceHitFiresOncePerKey(t *testing.T) {
-	plan, err := ParseSpec("corrupt-stream=1", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := NewInjector(plan)
-	if !in.OnceHit(SiteCorruptStream, 7) {
-		t.Fatal("first occurrence should fire at p=1")
-	}
-	for i := 0; i < 3; i++ {
-		if in.OnceHit(SiteCorruptStream, 7) {
-			t.Fatal("repeat occurrence fired")
-		}
-	}
-	if !in.OnceHit(SiteCorruptStream, 8) {
-		t.Fatal("distinct key should fire")
-	}
-	if got := in.Injected(SiteCorruptStream); got != 2 {
-		t.Fatalf("Injected = %d, want 2", got)
-	}
-}
-
 func TestNilInjectorIsInert(t *testing.T) {
 	var in *Injector
-	if in.Hit(SiteQueueFull, 1) || in.OnceHit(SiteCorruptStream, 1) || in.StormWindow(0) {
+	if in.Hit(SiteQueueFull, 1) || in.StormWindow(0) {
 		t.Fatal("nil injector fired")
 	}
 	if in.StormWindowsIn(0, 100) != 0 || in.Injected(SiteQueueFull) != 0 {
 		t.Fatal("nil injector counted")
 	}
-	if in.Plan().Enabled() {
-		t.Fatal("nil injector plan enabled")
+	if in.Plan() != (Plan{}) {
+		t.Fatal("nil injector has a plan")
 	}
 }
 
@@ -169,38 +139,6 @@ func TestStormCountMatchesActive(t *testing.T) {
 				t.Fatalf("storm %+v range %v: countIn = %d, want %d", spec, r, got, want)
 			}
 		}
-	}
-}
-
-func TestWrapCodecTransientCorrupt(t *testing.T) {
-	plan, err := ParseSpec("corrupt-stream=1", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := NewInjector(plan)
-	inner := compress.NewLZFast()
-	c := WrapCodec(inner, in)
-	src := make([]byte, 4096)
-	for i := range src {
-		src[i] = byte(i * 31)
-	}
-	stream := c.Compress(nil, src)
-	if _, err := c.Decompress(nil, stream); !errors.Is(err, compress.ErrCorrupt) {
-		t.Fatalf("first decode: err = %v, want injected ErrCorrupt", err)
-	}
-	out, err := c.Decompress(nil, stream)
-	if err != nil {
-		t.Fatalf("second decode of the same stream should pass: %v", err)
-	}
-	if string(out) != string(src) {
-		t.Fatal("second decode corrupted data")
-	}
-	if in.Injected(SiteCorruptStream) != 1 {
-		t.Fatalf("Injected = %d, want 1", in.Injected(SiteCorruptStream))
-	}
-	// Nil injector: wrapper elides itself.
-	if WrapCodec(inner, nil) != compress.Codec(inner) {
-		t.Fatal("WrapCodec(nil) should return the inner codec")
 	}
 }
 

@@ -74,16 +74,6 @@ func (p *Plan) normalize() {
 	}
 }
 
-// Enabled reports whether the plan injects anything at all.
-func (p Plan) Enabled() bool {
-	for i := range p.Probs {
-		if p.Probs[i] > 0 {
-			return true
-		}
-	}
-	return p.Storm.Period > 0 && p.Storm.Len > 0
-}
-
 // siteByName maps a spec-grammar name back to its Site.
 func siteByName(name string) (Site, bool) {
 	for i := Site(0); i < NumSites; i++ {
@@ -102,8 +92,7 @@ func siteByName(name string) (Site, bool) {
 //	                  "off"/"none" (empty plan); a preset may only be
 //	                  the first field and later fields override it
 //	site=p            firing probability in [0,1] for an injection
-//	                  site: queue-full, ecc-single, ecc-multi,
-//	                  corrupt-stream
+//	                  site: queue-full, ecc-single, ecc-multi
 //	storm=period:len  refresh storms: every period windows, len storm
 //	                  windows (both positive); an optional third
 //	                  :phase field (non-negative) delays the first storm
@@ -194,7 +183,6 @@ func preset(name string) (Plan, bool) {
 		p.Probs[SiteQueueFull] = 0.10
 		p.Probs[SiteECCSingle] = 0.04
 		p.Probs[SiteECCMulti] = 0.02
-		p.Probs[SiteCorruptStream] = 0.03
 		p.Storm = StormSpec{Period: 2048, Len: 256}
 		return p, true
 	}

@@ -18,15 +18,14 @@ import (
 type layer string
 
 const (
-	layerDRAM      layer = "dram"
-	layerFault     layer = "fault"
-	layerMemctrl   layer = "memctrl"
-	layerNMA       layer = "nma"
-	layerParallel  layer = "parallel"
-	layerSFM       layer = "sfm"
-	layerTelemetry layer = "telemetry"
-	layerWorkload  layer = "workload"
-	layerXFM       layer = "xfm"
+	layerDRAM     layer = "dram"
+	layerFault    layer = "fault"
+	layerMemctrl  layer = "memctrl"
+	layerNMA      layer = "nma"
+	layerParallel layer = "parallel"
+	layerSFM      layer = "sfm"
+	layerWorkload layer = "workload"
+	layerXFM      layer = "xfm"
 )
 
 // attrs says which consumers read a row.
@@ -59,7 +58,7 @@ var (
 	catalogue []row
 	// metricNameRE is the naming convention: a layer prefix, then
 	// lower_snake.
-	metricNameRE = regexp.MustCompile(`^(xfm|sfm|nma|dram|memctrl|parallel|telemetry|fault)_[a-z0-9_]+$`)
+	metricNameRE = regexp.MustCompile(`^(xfm|sfm|nma|dram|memctrl|parallel|fault)_[a-z0-9_]+$`)
 )
 
 // declare appends a row. A name off the convention or declared twice
@@ -178,9 +177,9 @@ var (
 
 // Workload: the promotion-rate gauge is updated as the synthetic
 // applications run (each cold-scan epoch of the web front-end), so the
-// flight recorder sees the §2.1 promotion rate as a trajectory and the
-// health monitor can flag drift outside the validated band, not just
-// the end-of-run figure.
+// flight recorder sees the §2.1 promotion rate as a trajectory, not
+// just the end-of-run figure (TestEmulatorComparison holds that figure
+// to the validated band).
 var SFMPromotionRate = gauge(layerWorkload, "sfm_promotion_rate",
 	"Observed far-memory promotion rate (§2.1): distinct bytes promoted over distinct bytes ever far, so far.",
 	sampled|requiredSeries)
@@ -320,7 +319,3 @@ var (
 // hot submit path never does a label lookup.
 var FaultInjected = counterVec(layerFault, "fault_injected_total",
 	"Faults fired by the chaos injection plane, by injection site.", "site", sampled)
-
-// healthStatus mirrors the default monitor's verdict.
-var healthStatus = gauge(layerTelemetry, "telemetry_health_status",
-	"Overall health verdict of the default monitor: 0 OK, 1 DEGRADED, 2 CRITICAL.", 0)
