@@ -1,9 +1,9 @@
 // Command xfmlint runs the repository's domain static-analysis suite:
-// lock-order, sim-determinism and unreachable, plus validation of the
-// //xfm:ignore directives that suppress them. It is wired into CI as a
-// failing gate; see DESIGN.md §9 for the rule catalogue, the
-// suppression syntax and which other gate owns data races, allocations
-// and atomic access.
+// unreachable, plus directive, the validation of the //xfm:ignore
+// comments that suppress it. It is wired into CI as a failing gate; see
+// DESIGN.md §9 for the rule catalogue, the suppression syntax and which
+// other gate owns data races, lock order, determinism, allocations and
+// atomic access.
 //
 // Usage:
 //

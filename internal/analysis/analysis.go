@@ -12,14 +12,12 @@ import (
 
 // Rule names, used in diagnostics and //xfm:ignore directives.
 const (
-	RuleDeterminism = "sim-determinism"
 	RuleDirective   = "directive"
-	RuleLockOrder   = "lock-order"
 	RuleUnreachable = "unreachable"
 )
 
 // KnownRules lists every rule an //xfm:ignore directive may name.
-var KnownRules = []string{RuleDeterminism, RuleDirective, RuleLockOrder, RuleUnreachable}
+var KnownRules = []string{RuleDirective, RuleUnreachable}
 
 func knownRule(name string) bool {
 	for _, r := range KnownRules {
@@ -31,18 +29,15 @@ func knownRule(name string) bool {
 }
 
 // Diagnostic is one finding at a source position. File is relative to
-// the module root so output is stable across checkouts. Interprocedural
-// findings carry a Witness: the full call or acquisition chain, one
-// rendered hop per line, proving how the violation is reached.
+// the module root so output is stable across checkouts.
 type Diagnostic struct {
-	File           string   `json:"file"`
-	Line           int      `json:"line"`
-	Col            int      `json:"col"`
-	Rule           string   `json:"rule"`
-	Message        string   `json:"message"`
-	Witness        []string `json:"witness,omitempty"`
-	Suppressed     bool     `json:"suppressed,omitempty"`
-	SuppressReason string   `json:"suppress_reason,omitempty"`
+	File           string `json:"file"`
+	Line           int    `json:"line"`
+	Col            int    `json:"col"`
+	Rule           string `json:"rule"`
+	Message        string `json:"message"`
+	Suppressed     bool   `json:"suppressed,omitempty"`
+	SuppressReason string `json:"suppress_reason,omitempty"`
 }
 
 // String renders the go-vet-style "file:line:col: rule: message" form.
@@ -51,9 +46,8 @@ func (d Diagnostic) String() string {
 }
 
 // Rule is one domain check run over the whole program. Rules see every
-// loaded package at once because the invariants are cross-package (two
-// packages taking the same pair of locks in opposite orders; a function
-// no package's main reaches).
+// loaded package at once because the invariants are cross-package (a
+// function no package's main reaches).
 type Rule interface {
 	Name() string
 	Check(p *Program) []Diagnostic
@@ -64,8 +58,6 @@ type Rule interface {
 func DefaultRules() []Rule {
 	return []Rule{
 		NewDirectiveRule(),
-		NewDeterminismRule(),
-		NewLockOrderRule(),
 		NewUnreachableRule(),
 	}
 }
@@ -197,17 +189,6 @@ func Unsuppressed(diags []Diagnostic) []Diagnostic {
 func WriteText(w io.Writer, diags []Diagnostic) {
 	for _, d := range diags {
 		fmt.Fprintln(w, d.String())
-	}
-}
-
-// WriteTextWitness prints diagnostics in vet style with each witness
-// chain hop on its own indented line below its finding.
-func WriteTextWitness(w io.Writer, diags []Diagnostic) {
-	for _, d := range diags {
-		fmt.Fprintln(w, d.String())
-		for _, hop := range d.Witness {
-			fmt.Fprintf(w, "\t%s\n", hop)
-		}
 	}
 }
 

@@ -105,55 +105,68 @@ func checkAgainstMarkers(t *testing.T, fixture string, diags []Diagnostic) {
 	}
 }
 
-func TestDeterminismRule(t *testing.T) {
-	// The rule is configured for the fixture's sim package only; the
-	// wall-clock read in detfix/other must stay silent.
-	diags := loadFixture(t, "detfix", []Rule{NewDeterminismRule("detfix/sim")})
-	checkAgainstMarkers(t, "detfix", diags)
+// TestUnreachableRule drives unreachfix: dead funcs, types and methods
+// are reported once each (a dead type's methods are not), while
+// everything main, an init or a package-level initialiser mentions —
+// by call, by function value, through an interface, by name only —
+// stays quiet, and a suppressed test oracle is suppressed.
+func TestUnreachableRule(t *testing.T) {
+	diags := loadFixture(t, "unreachfix", []Rule{NewUnreachableRule()})
+	checkAgainstMarkers(t, "unreachfix", Unsuppressed(diags))
+	suppressed := 0
 	for _, d := range diags {
-		if strings.HasPrefix(d.File, "other/") {
-			t.Errorf("package other is outside the covered set: %s", d)
+		if d.Suppressed {
+			suppressed++
+			if !strings.Contains(d.Message, "refParse") {
+				t.Errorf("only the oracle refParse is suppressed: %s", d)
+			}
 		}
 	}
-}
-
-// TestDeterminismDefaultPackages pins the covered set: removing a
-// simulator package from the list must be a reviewed, deliberate act.
-func TestDeterminismDefaultPackages(t *testing.T) {
-	want := []string{
-		"xfm/internal/chaos", "xfm/internal/corpus", "xfm/internal/costmodel",
-		"xfm/internal/dram", "xfm/internal/experiments", "xfm/internal/fault",
-		"xfm/internal/memctrl", "xfm/internal/nma", "xfm/internal/sfm",
-		"xfm/internal/workload", "xfm/internal/xfm",
-	}
-	got := append([]string(nil), DefaultDeterminismPackages...)
-	sort.Strings(got)
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Errorf("DefaultDeterminismPackages = %v, want %v", got, want)
+	if suppressed != 1 {
+		t.Errorf("want 1 suppressed oracle, got %d", suppressed)
 	}
 }
 
+func TestSelectRules(t *testing.T) {
+	all := DefaultRules()
+	got, err := SelectRules(all, "unreachable, directive,")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("want 2 rules, got %d", len(got))
+	}
+	for _, spec := range []string{"no-such-rule", "lock-order"} {
+		if _, err := SelectRules(all, spec); err == nil {
+			t.Errorf("unknown rule name %q must error, not silently skip", spec)
+		}
+	}
+	if _, err := SelectRules(all, " , "); err == nil {
+		t.Error("a spec of only commas and blanks selects nothing and must error")
+	}
+	if got, err := SelectRules(all, ""); err != nil || len(got) != len(all) {
+		t.Errorf("empty spec selects everything: %v, %d rules", err, len(got))
+	}
+}
+
+// TestSuppressions: suppressfix's two unreachable oracles carry a
+// reasoned //xfm:ignore, one standalone above the declaration and one
+// trailing it, and both are suppressed.
 func TestSuppressions(t *testing.T) {
-	rules := []Rule{
-		NewDirectiveRule(), NewDeterminismRule("suppressfix"), NewLockOrderRule(), NewUnreachableRule(),
+	diags := loadFixture(t, "suppressfix", DefaultRules())
+	if len(diags) != 2 {
+		t.Fatalf("want 2 suppressed diagnostics (standalone and trailing form), got %d: %v", len(diags), diags)
 	}
-	diags := loadFixture(t, "suppressfix", rules)
-	if len(diags) != 3 {
-		t.Fatalf("want 3 suppressed diagnostics (one per suppressible rule), got %d: %v", len(diags), diags)
-	}
-	rulesSeen := map[string]bool{}
-	for _, d := range diags {
+	for i, name := range []string{"refStamp", "refTrailing"} {
+		d := diags[i]
+		if d.Rule != RuleUnreachable || !strings.Contains(d.Message, name) {
+			t.Errorf("diagnostic %d should be the unreachable %s: %s", i, name, d)
+		}
 		if !d.Suppressed {
 			t.Errorf("diagnostic escaped its //xfm:ignore: %s", d)
 		}
 		if d.SuppressReason == "" {
 			t.Errorf("suppression must carry a reason: %s", d)
-		}
-		rulesSeen[d.Rule] = true
-	}
-	for _, r := range []string{RuleDeterminism, RuleLockOrder, RuleUnreachable} {
-		if !rulesSeen[r] {
-			t.Errorf("fixture should exercise a suppressed %s violation", r)
 		}
 	}
 	if got := Unsuppressed(diags); len(got) != 0 {
@@ -161,8 +174,14 @@ func TestSuppressions(t *testing.T) {
 	}
 }
 
+// maxSuppressed is the tree-wide ceiling on //xfm:ignore suppressions
+// (DESIGN §9): the unreachable oracles and test seams shipped code
+// keeps. Raising it is a reviewed act, not a side effect.
+const maxSuppressed = 21
+
 // TestTreeIsClean is the local mirror of the CI gate: the real module
-// must have zero unsuppressed diagnostics under the default rule set.
+// must have zero unsuppressed diagnostics under the default rule set,
+// and no more than maxSuppressed suppressed ones.
 func TestTreeIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module")
@@ -175,9 +194,16 @@ func TestTreeIsClean(t *testing.T) {
 	for _, d := range Unsuppressed(diags) {
 		t.Errorf("unsuppressed: %s", d)
 	}
+	suppressed := 0
 	for _, d := range diags {
-		if d.Suppressed && d.SuppressReason == "" {
-			t.Errorf("suppression without reason: %s", d)
+		if d.Suppressed {
+			suppressed++
+			if d.SuppressReason == "" {
+				t.Errorf("suppression without reason: %s", d)
+			}
 		}
+	}
+	if suppressed > maxSuppressed {
+		t.Errorf("%d suppressed diagnostics, ceiling is %d", suppressed, maxSuppressed)
 	}
 }

@@ -15,11 +15,10 @@ func CLIMain(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	showSuppressed := fs.Bool("show-suppressed", false, "also print suppressed diagnostics (text mode)")
-	witness := fs.Bool("witness", false, "print each finding's witness chain, one indented hop per line (text mode)")
 	rulesSpec := fs.String("rules", "", "comma-separated rule names to run (default: all)")
 	dir := fs.String("C", ".", "directory to lint from (module root is found above it)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: xfmlint [-json] [-show-suppressed] [-witness] [-rules r1,r2] [-C dir] [patterns...]\n")
+		fmt.Fprintf(stderr, "usage: xfmlint [-json] [-show-suppressed] [-rules r1,r2] [-C dir] [patterns...]\n")
 		fmt.Fprintf(stderr, "default pattern is ./...; rules: %v\n", KnownRules)
 		fs.PrintDefaults()
 	}
@@ -40,8 +39,7 @@ func CLIMain(args []string, stdout, stderr io.Writer) int {
 	active := Unsuppressed(diags)
 	if *jsonOut {
 		// JSON output carries every diagnostic, suppressed included,
-		// and every witness chain, so the CI artifact is a full audit
-		// trail.
+		// so the CI artifact is a full audit trail.
 		if err := WriteJSON(stdout, diags); err != nil {
 			fmt.Fprintf(stderr, "xfmlint: %v\n", err)
 			return 2
@@ -51,11 +49,7 @@ func CLIMain(args []string, stdout, stderr io.Writer) int {
 		if *showSuppressed {
 			shown = diags
 		}
-		if *witness {
-			WriteTextWitness(stdout, shown)
-		} else {
-			WriteText(stdout, shown)
-		}
+		WriteText(stdout, shown)
 	}
 	fmt.Fprintf(stderr, "xfmlint: %d packages, %d diagnostics (%d suppressed)\n",
 		len(prog.Packages), len(active), len(diags)-len(active))

@@ -1,14 +1,14 @@
 // Package analysis is the xfmlint framework: a stdlib-only static
 // analyzer that loads a Go module with go/parser, type-checks it with
 // go/types (stdlib dependencies come from the source importer), and
-// runs domain rules over the typed ASTs. The rules encode invariants
-// the rest of this repository relies on but the compiler cannot see:
-// two mutex classes are never taken in opposite orders (lock-order),
-// the simulator packages stay bit-deterministic (sim-determinism), and
-// nothing ships that no binary reaches (unreachable). Data races,
-// steady-state allocations and atomic access are owned by other gates —
-// the race detector, the AllocsPerRun tests and the typed sync/atomic
-// API; DESIGN §9 has the table.
+// runs domain rules over the typed ASTs. Its one invariant the compiler
+// cannot see is that nothing ships that no binary reaches (unreachable);
+// the other rule (directive) keeps the //xfm:ignore suppressions
+// honest. Data races, lock order, determinism, steady-state allocations
+// and atomic access are owned by other gates — the race detector, the
+// lock hierarchy of DESIGN §6 with go test's deadlock on a nest against
+// it, the *Deterministic tests and recording diffs, the AllocsPerRun
+// tests and the typed sync/atomic API; DESIGN §9 has the table.
 //
 // Suppressions use the //xfm:ignore comment directive; see directive.go.
 package analysis
@@ -46,9 +46,6 @@ type Program struct {
 	// Directive state, populated by scanDirectives during Load.
 	suppressions   []suppression
 	directiveDiags []Diagnostic
-
-	// The call graph, built lazily by the first rule that asks.
-	callgraph *CallGraph
 }
 
 // Context owns the FileSet and the (expensive) source importer for
@@ -303,12 +300,8 @@ func (ld *loader) check(path string) (*Package, error) {
 		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
 	}
 	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Instances:  map[*ast.Ident]types.Instance{},
+		Defs: map[*ast.Ident]types.Object{},
+		Uses: map[*ast.Ident]types.Object{},
 	}
 	cfg := &types.Config{
 		Importer:  importerFunc(func(p string) (*types.Package, error) { return ld.importPkg(p) }),

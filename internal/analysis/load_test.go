@@ -27,18 +27,18 @@ func TestLoadImportCycle(t *testing.T) {
 // what keeps the fixture suite fast and positions comparable.
 func TestContextSharedAcrossLoads(t *testing.T) {
 	ctx := sharedCtx()
-	p1, err := ctx.Load(filepath.Join("testdata", "src", "detfix"))
+	p1, err := ctx.Load(filepath.Join("testdata", "src", "unreachfix"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := ctx.Load(filepath.Join("testdata", "src", "lockfix"))
+	p2, err := ctx.Load(filepath.Join("testdata", "src", "suppressfix"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p1.Fset != p2.Fset || p1.Fset != ctx.Fset {
 		t.Error("loads from one Context must share its FileSet")
 	}
-	if p1.ModPath != "detfix" || p2.ModPath != "lockfix" {
+	if p1.ModPath != "unreachfix" || p2.ModPath != "suppressfix" {
 		t.Errorf("module identities must stay per-load: %q, %q", p1.ModPath, p2.ModPath)
 	}
 }
@@ -46,11 +46,11 @@ func TestContextSharedAcrossLoads(t *testing.T) {
 // TestLoadSinglePackagePattern: a non-recursive pattern loads exactly
 // the named package directory.
 func TestLoadSinglePackagePattern(t *testing.T) {
-	prog, err := sharedCtx().Load(filepath.Join("testdata", "src", "lockfix"), "./core")
+	prog, err := sharedCtx().Load(filepath.Join("testdata", "src", "unreachfix"), "./lib")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(prog.Packages) != 1 || prog.Packages[0].Path != "lockfix/core" {
-		t.Errorf("want exactly lockfix/core, got %v", prog.Packages)
+	if len(prog.Packages) != 1 || prog.Packages[0].Path != "unreachfix/lib" {
+		t.Errorf("want exactly unreachfix/lib, got %v", prog.Packages)
 	}
 }

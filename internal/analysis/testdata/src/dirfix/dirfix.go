@@ -14,7 +14,7 @@ type Box struct {
 //xfm:hotpath
 func Stale() {}
 
-//xfm:ignor lock-order misspelt verb
+//xfm:ignor unreachable misspelt verb
 func Typo() {}
 
 //xfm:ignore
@@ -23,5 +23,5 @@ func IgnoreBare() {}
 //xfm:ignore no-such-rule because reasons
 func IgnoreUnknown() {}
 
-//xfm:ignore lock-order
+//xfm:ignore unreachable
 func IgnoreNoReason() {}

@@ -13,7 +13,7 @@ import (
 // package-level variable except _ (its initialiser runs at start-up).
 // A method is reached when its receiver type is reached and its name is
 // selected anywhere in reached code — conservative for interface
-// dispatch, the stance callgraph.go takes — or belongs to an interface
+// dispatch — or belongs to an interface
 // that reached code names or hands a value to (error, sort.Sort's
 // parameter: the standard library makes those calls). Test files are
 // not loaded, so a declaration only tests use is reported: move it into

@@ -41,7 +41,7 @@ var generators = map[string]Generator{
 // Names returns all corpus names, sorted.
 func Names() []string {
 	out := make([]string, 0, len(generators))
-	for n := range generators { //xfm:ignore sim-determinism keys are sorted immediately below before return
+	for n := range generators {
 		out = append(out, n)
 	}
 	sort.Strings(out)

@@ -126,9 +126,6 @@ type Column struct {
 // Name returns the column name.
 func (c *Column) Name() string { return c.name }
 
-// Kind returns the element type.
-func (c *Column) Kind() Kind { return c.kind }
-
 // Rows returns the column length.
 func (c *Column) Rows() int { return c.rows }
 

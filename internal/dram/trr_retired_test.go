@@ -76,7 +76,7 @@ func (t *TRRTracker) RecordActivation(row int) {
 		// it every downstream aggressor detection — depend on map
 		// iteration order.
 		coldest, min := -1, int(^uint(0)>>1)
-		for r, c := range t.counters { //xfm:ignore sim-determinism min+row tie-break makes the fold order-insensitive
+		for r, c := range t.counters {
 			if c < min || (c == min && r < coldest) {
 				coldest, min = r, c
 			}

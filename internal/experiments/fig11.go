@@ -165,7 +165,7 @@ func MixSweep() []MixImprovement {
 	// mix order so the output is deterministic regardless of map
 	// iteration — and fan the independent co-runs across workers.
 	mixNames := make([]string, 0, len(mixes))
-	for name := range mixes { //xfm:ignore sim-determinism keys are sorted immediately below before any use
+	for name := range mixes {
 		mixNames = append(mixNames, name)
 	}
 	sort.Strings(mixNames)

@@ -10,9 +10,6 @@ import (
 	"xfm/internal/telemetry"
 )
 
-// batchClock feeds the lock-wait and stage-duration histograms.
-var batchClock = time.Now //xfm:ignore sim-determinism telemetry-only wall clock; simulation state and results never read it
-
 // batchEngine executes a ShardedBackend batch as a two-stage,
 // page-granular pipeline (the software analogue of the paper's §5
 // refresh-access overlap: do the heavy work where it doesn't
@@ -160,9 +157,9 @@ func (e *batchEngine) swapOutBatch(now dram.Ps, pages []PageOut) []error {
 	e.outPlans = e.outPlans[:len(pages)]
 	e.plan(len(pages), func(i int) int { return ShardIndexFor(pages[i].ID, len(e.s.shards)) })
 	telemetry.SFMBatchPipelineDepth.SetInt(int64(len(e.active)))
-	t0 := batchClock()
+	t0 := time.Now()
 	e.s.pool.Run(len(pages), e.s.workers, e.outStepFn)
-	hStageOut.Observe(float64(batchClock().Sub(t0)))
+	hStageOut.Observe(float64(time.Since(t0)))
 	e.outs, e.errs = nil, nil
 	return errs
 }
@@ -189,9 +186,9 @@ func (e *batchEngine) commitOutShard(si int) {
 	plans, errs := e.outPlans, e.errs
 	telemetry.SFMShardBatchPages.Observe(float64(len(idxs)))
 	sh := &e.s.shards[si]
-	t0 := batchClock()
+	t0 := time.Now()
 	sh.mu.Lock()
-	telemetry.SFMShardLockWaitNs.Observe(float64(batchClock().Sub(t0)))
+	telemetry.SFMShardLockWaitNs.Observe(float64(time.Since(t0)))
 	for _, i := range idxs {
 		pg := &outs[i]
 		errs[i] = sh.b.commitOut(pg.ID, pg.Data, &plans[i])
@@ -218,12 +215,12 @@ func (e *batchEngine) swapInBatch(now dram.Ps, pages []PageIn) []error {
 	e.inPlans = e.inPlans[:len(pages)]
 	e.plan(len(pages), func(i int) int { return ShardIndexFor(pages[i].ID, len(e.s.shards)) })
 	telemetry.SFMBatchPipelineDepth.SetInt(int64(len(e.active)))
-	t0 := batchClock()
+	t0 := time.Now()
 	e.s.pool.Run(len(e.active), e.s.workers, e.gatherStepFn)
-	t1 := batchClock()
+	t1 := time.Now()
 	hStageGth.Observe(float64(t1.Sub(t0)))
 	e.s.pool.Run(len(pages), e.s.workers, e.inStepFn)
-	hStageInDC.Observe(float64(batchClock().Sub(t1)))
+	hStageInDC.Observe(float64(time.Since(t1)))
 	e.ins, e.errs = nil, nil
 	for i := range e.inPlans {
 		e.inPlans[i] = inPlan{} // drop pinned-slot aliases
@@ -239,9 +236,9 @@ func (e *batchEngine) gatherStep(_, i int) {
 	idxs := e.byShard[si]
 	telemetry.SFMShardBatchPages.Observe(float64(len(idxs)))
 	sh := &e.s.shards[si]
-	t0 := batchClock()
+	t0 := time.Now()
 	sh.mu.Lock()
-	telemetry.SFMShardLockWaitNs.Observe(float64(batchClock().Sub(t0)))
+	telemetry.SFMShardLockWaitNs.Observe(float64(time.Since(t0)))
 	for _, j := range idxs {
 		pg := &ins[j]
 		plans[j] = sh.b.gatherIn(pg.ID, pg.Dst)
@@ -267,9 +264,9 @@ func (e *batchEngine) commitInShard(si int) {
 	idxs, ins := e.byShard[si], e.ins
 	plans, errs := e.inPlans, e.errs
 	sh := &e.s.shards[si]
-	t0 := batchClock()
+	t0 := time.Now()
 	sh.mu.Lock()
-	telemetry.SFMShardLockWaitNs.Observe(float64(batchClock().Sub(t0)))
+	telemetry.SFMShardLockWaitNs.Observe(float64(time.Since(t0)))
 	for _, i := range idxs {
 		errs[i] = sh.b.commitIn(ins[i].ID, &plans[i])
 	}

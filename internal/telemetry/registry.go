@@ -189,13 +189,13 @@ func (v *HistogramVec) With(labelValue string) *Histogram {
 }
 
 // ResetAll zeroes every metric in the registry (test isolation);
-// families stay registered.
+// families stay registered. Like the exporters, it copies the family
+// list first, so a family lock is never held with the registry's
+// (DESIGN §6).
 //
 //xfm:ignore unreachable test seam: the nma engine/storm tests and TestTimeseriesBitDeterministic (internal/xfm) zero the default registry so two recordings start from the same gauges
 func (r *Registry) ResetAll() {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, f := range r.fams {
+	for _, f := range r.sortedFamilies() {
 		f.mu.RLock()
 		for _, m := range f.children {
 			switch m := m.(type) {
