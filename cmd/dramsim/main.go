@@ -5,13 +5,15 @@
 // Usage:
 //
 //	dramsim [-trace FILE] [-binary] [-channels N] [-ranks N] [-device 8|16|32]
-//	        [-queued] [-metrics-out FILE] [-trace-out FILE]
+//	        [-queued] [-trace-out FILE]
 //	        [-timeseries-out FILE] [-sample-every N]
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //
 // Without -trace it generates the default web front-end trace
-// internally. -timeseries-out records the flight recorder's metric
-// series over the replay (see internal/telemetry and cmd/xfmtop).
+// internally. -timeseries-out writes the run's recording, its one
+// metric export (see internal/telemetry and cmd/xfmtop): the replay
+// drives no NMA simulator, so it holds a single sample of the run's
+// totals.
 package main
 
 import (

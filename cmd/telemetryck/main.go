@@ -1,26 +1,25 @@
 // Command telemetryck validates observability artifacts produced by
-// xfmbench/dramsim: a Prometheus text-exposition metrics file, a
-// Chrome trace-event JSON file, and a flight-recorder time-series
-// dump. CI runs it after a smoke benchmark to keep the telemetry
+// xfmbench/dramsim: a Chrome trace-event JSON file and a
+// flight-recorder time-series dump (the recording, the one metric
+// export). CI runs it after a smoke benchmark to keep the telemetry
 // pipeline from silently rotting.
 //
 // Usage:
 //
-//	telemetryck [-metrics FILE] [-trace FILE] [-require name,name,...]
-//	            [-require-nesting] [-timeseries FILE]
+//	telemetryck [-trace FILE] [-require-nesting] [-timeseries FILE]
 //	            [-require-series name,name,...] [-diff FILE,FILE]
 //
-// -require lists metric names that must appear with at least one
-// sample; it and -require-series default to the rows the metric
-// catalogue (internal/telemetry/catalogue.go) marks as required of
-// every CI artifact. -require-nesting demands that the trace contains
-// at least one NMA compress/decompress span strictly nested inside a
-// refresh-window span on the same track (the paper's core claim,
-// rendered on the timeline). -timeseries validates a dump written by
-// -timeseries-out: schema version, the sim-ps clock, strictly
-// monotonic timestamps within each series, non-negative counter-kind
-// deltas, and (via -require-series) the presence of named series with
-// at least one point.
+// -require-nesting demands that the trace contains at least one NMA
+// compress/decompress span strictly nested inside a refresh-window
+// span on the same track (the paper's core claim, rendered on the
+// timeline). -timeseries validates a dump written by -timeseries-out:
+// schema version, the sim-ps clock, strictly monotonic timestamps
+// within each series, non-negative counter-kind deltas, and (via
+// -require-series) that each named metric family is the source of at
+// least one series with a point — a histogram family is recorded as
+// its _count/_sum/_p50/_p95/_p99 series. -require-series defaults to
+// the rows the metric catalogue (internal/telemetry/catalogue.go)
+// marks as required of every CI recording.
 //
 // -diff A,B is timeseriesdiff mode: compare two -timeseries-out dumps
 // series-by-series and report the first divergent window of each,
@@ -31,7 +30,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -44,68 +42,6 @@ import (
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "telemetryck: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-// checkMetrics parses a Prometheus text-format file: every non-comment
-// line must be `name{labels} value` or `name value`, every HELP/TYPE
-// comment well-formed. Returns the set of sample metric names, with
-// histogram suffixes (_bucket/_sum/_count) folded onto the base name.
-func checkMetrics(path string) map[string]int {
-	f, err := os.Open(path)
-	if err != nil {
-		fail("%v", err)
-	}
-	defer f.Close()
-
-	names := map[string]int{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			parts := strings.Fields(line)
-			if len(parts) < 4 || (parts[1] != "HELP" && parts[1] != "TYPE") {
-				fail("%s:%d: malformed comment %q", path, lineNo, line)
-			}
-			continue
-		}
-		// Sample line: name[{label="value"}] value
-		name := line
-		if i := strings.IndexAny(line, "{ "); i >= 0 {
-			name = line[:i]
-		}
-		if name == "" {
-			fail("%s:%d: empty metric name", path, lineNo)
-		}
-		rest := line[len(name):]
-		if i := strings.LastIndex(rest, " "); i >= 0 {
-			val := rest[i+1:]
-			if val == "" {
-				fail("%s:%d: missing value", path, lineNo)
-			}
-		} else {
-			fail("%s:%d: no value on sample line", path, lineNo)
-		}
-		for _, suf := range []string{"_bucket", "_sum", "_count", "_p50", "_p95", "_p99"} {
-			if strings.HasSuffix(name, suf) {
-				name = strings.TrimSuffix(name, suf)
-				break
-			}
-		}
-		names[name]++
-	}
-	if err := sc.Err(); err != nil {
-		fail("%s: %v", path, err)
-	}
-	if len(names) == 0 {
-		fail("%s: no samples found", path)
-	}
-	return names
 }
 
 // traceEvent is the subset of the Chrome trace-event schema we check.
@@ -210,8 +146,9 @@ type tsDump struct {
 // the simulated-time clock, at least one sample, strictly monotonic
 // timestamps within every series, and non-negative values on
 // counter-kind series (per-window deltas of monotone counters must
-// never run backwards). requireSeries lists series names that must be
-// present with at least one point.
+// never run backwards). requireSeries lists metric families that must
+// be the source (the series' metric field) of a series with at least
+// one point.
 func checkTimeseries(path, requireSeries string) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -234,15 +171,19 @@ func checkTimeseries(path, requireSeries string) {
 		fail("%s: no series recorded", path)
 	}
 	points := 0
-	byName := map[string]tsSeries{}
+	names := map[string]bool{}
+	recorded := map[string]bool{} // source families with a point
 	for _, s := range d.Series {
 		if s.Name == "" || s.Kind == "" || s.Metric == "" {
 			fail("%s: series with empty name/kind/metric: %+v", path, s)
 		}
-		if _, dup := byName[s.Name]; dup {
+		if names[s.Name] {
 			fail("%s: duplicate series %q", path, s.Name)
 		}
-		byName[s.Name] = s
+		names[s.Name] = true
+		if len(s.Points) > 0 {
+			recorded[s.Metric] = true
+		}
 		for i, p := range s.Points {
 			points++
 			if i > 0 && p.T <= s.Points[i-1].T {
@@ -266,7 +207,7 @@ func checkTimeseries(path, requireSeries string) {
 			if want == "" {
 				continue
 			}
-			if s, ok := byName[want]; !ok || len(s.Points) == 0 {
+			if !recorded[want] {
 				missing = append(missing, want)
 			}
 		}
@@ -319,39 +260,18 @@ func checkDiff(arg string) {
 }
 
 func main() {
-	metrics := flag.String("metrics", "", "Prometheus text metrics file to validate")
 	traceOut := flag.String("trace", "", "Chrome trace-event JSON file to validate")
-	require := flag.String("require", strings.Join(telemetry.RequiredMetrics(), ","), "comma-separated metric names that must be present (\"none\" disables)")
 	requireNesting := flag.Bool("require-nesting", false, "require nma spans nested in refresh-window spans")
 	timeseries := flag.String("timeseries", "", "flight-recorder time-series dump to validate")
-	requireSeries := flag.String("require-series", strings.Join(telemetry.RequiredSeries(), ","), "comma-separated series names that must be present in -timeseries (\"none\" disables)")
+	requireSeries := flag.String("require-series", strings.Join(telemetry.RequiredSeries(), ","), "comma-separated metric families that must each source a series with a point in -timeseries (\"none\" disables)")
 	diff := flag.String("diff", "", "compare two comma-separated time-series dumps and report each series' first divergent window")
 	flag.Parse()
 
-	if *metrics == "" && *traceOut == "" && *timeseries == "" && *diff == "" {
-		fail("nothing to check: pass -metrics, -trace, -timeseries, and/or -diff")
-	}
-	if *require == "none" {
-		*require = ""
+	if *traceOut == "" && *timeseries == "" && *diff == "" {
+		fail("nothing to check: pass -trace, -timeseries, and/or -diff")
 	}
 	if *requireSeries == "none" {
 		*requireSeries = ""
-	}
-	if *metrics != "" {
-		names := checkMetrics(*metrics)
-		if *require != "" {
-			var missing []string
-			for _, want := range strings.Split(*require, ",") {
-				want = strings.TrimSpace(want)
-				if want != "" && names[want] == 0 {
-					missing = append(missing, want)
-				}
-			}
-			if len(missing) > 0 {
-				fail("%s: required metrics missing: %s", *metrics, strings.Join(missing, ", "))
-			}
-		}
-		fmt.Printf("metrics ok: %d metric names\n", len(names))
 	}
 	if *traceOut != "" {
 		checkTrace(*traceOut, *requireNesting)

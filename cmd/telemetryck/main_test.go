@@ -50,6 +50,13 @@ func TestTimeseriesValidation(t *testing.T) {
 			`duplicate series "ops_total"`},
 		{"missing-required", func(*tsDump) {}, "ops_total,queue_depth", 1,
 			"required series missing or empty: queue_depth"},
+		// A histogram family is recorded only under suffixed names; it is
+		// required by its own name, through each series' metric field.
+		{"histogram-family", func(d *tsDump) {
+			d.Series = append(d.Series, tsSeries{Name: "lat_ps_p50", Kind: "hist_p50", Metric: "lat_ps",
+				Points: []tsPoint{{T: 100, V: 7}, {T: 200, V: 9}}})
+		}, "ops_total,lat_ps", 0,
+			"timeseries ok: clock sim-ps, 2 samples, 3 series, 6 points"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

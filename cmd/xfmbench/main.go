@@ -7,8 +7,7 @@
 // Usage:
 //
 //	xfmbench [-csv] [-plot] [-list] [-out DIR] [-j N]
-//	         [-metrics-out FILE] [-trace-out FILE]
-//	         [-timeseries-out FILE] [-sample-every N]
+//	         [-trace-out FILE] [-timeseries-out FILE] [-sample-every N]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //	         [-bench-json DIR] [-nma-stepped]
 //	         [-chaos SPEC] [-seed N]
@@ -20,10 +19,11 @@
 // per-interval pages/s trajectory). The CI bench gate (cmd/benchgate)
 // compares those artifacts against the checked-in bench_baseline.json.
 //
-// With -timeseries-out FILE the flight recorder samples the default
-// metric catalogue every -sample-every refresh windows of simulated
-// time and writes the recording (JSON, or CSV when FILE ends in .csv)
-// on exit; telemetryck validates it and xfmtop renders it. A recording
+// With -timeseries-out FILE the flight recorder samples every family
+// of the metric catalogue every -sample-every refresh windows of
+// simulated time and writes the recording (JSON, or CSV when FILE ends
+// in .csv) on exit — the one metric export; telemetryck validates it
+// and xfmtop renders it. A recording
 // is one timeline over one registry, so while recording the
 // experiments run one after another whatever -j says, and the artifact
 // is bit-identical from run to run.

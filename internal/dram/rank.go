@@ -117,8 +117,6 @@ func (r *Rank) refreshAt(start Ps) RefreshWindow {
 	r.lockedUntil = end
 	r.stats.REFs++
 	r.stats.RefreshLockPs += r.t.TRFC
-	telemetry.DRAMRefs.Inc()
-	telemetry.DRAMRefreshLockPs.Add(int64(r.t.TRFC))
 	if r.tracer != nil && r.tracer.Enabled() {
 		if r.telTrack < 0 {
 			r.telTrack = r.tracer.NewTrack("dram-rank")

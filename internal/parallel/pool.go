@@ -3,8 +3,6 @@ package parallel
 import (
 	"sync"
 	"sync/atomic"
-
-	"xfm/internal/telemetry"
 )
 
 // Pool is a persistent worker pool for the batched swap pipeline. A
@@ -98,7 +96,6 @@ func (p *Pool) Run(n, limit int, fn func(worker, i int)) {
 		active = n
 	}
 	if active <= 1 || p.closed() {
-		telemetry.ParallelTasks.Add(int64(n))
 		for i := 0; i < n; i++ {
 			fn(0, i)
 		}
@@ -107,8 +104,6 @@ func (p *Pool) Run(n, limit int, fn func(worker, i int)) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.spawn.Do(p.spawnWorkers)
-	telemetry.ParallelBatches.Inc()
-	telemetry.ParallelTasks.Add(int64(n))
 	j := &p.job
 	j.fn, j.n = fn, n
 	j.chunk = chunkFor(n, active)
@@ -153,9 +148,7 @@ func (p *Pool) work(id int) {
 // is exhausted, so fast workers steal from slow ones near the tail.
 func (p *Pool) runBody(id int) {
 	j := &p.job
-	claimed := 0
 	defer func() {
-		telemetry.ParallelWorkerTasks.Observe(float64(claimed))
 		if r := recover(); r != nil {
 			if j.panicked.CompareAndSwap(false, true) {
 				j.panicVal = r
@@ -172,7 +165,6 @@ func (p *Pool) runBody(id int) {
 		if end > n {
 			end = n
 		}
-		claimed += end - start
 		for i := start; i < end; i++ {
 			j.fn(id, i)
 		}

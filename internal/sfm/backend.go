@@ -248,7 +248,6 @@ func (b *CPUBackend) commitOut(id PageID, data []byte, p *outPlan) error {
 		// the SFM capacity limit is hit", then retries once.
 		b.alloc.Compact()
 		b.stats.CompactOnFull++
-		telemetry.SFMCompactOnFull.Inc()
 		h, err = b.alloc.Alloc(stored)
 	}
 	if err != nil {

@@ -1,9 +1,6 @@
 package sfm
 
-import (
-	"xfm/internal/dram"
-	"xfm/internal/telemetry"
-)
+import "xfm/internal/dram"
 
 // Batched swap APIs (§5–§6 of the paper): XFM's whole throughput story
 // is that swap traffic is accumulated and executed in batches per
@@ -42,7 +39,6 @@ func FirstError(errs []error) error {
 // serially — it owns one scratch buffer and one zsmalloc region, so
 // the batch is a loop. ShardedBackend supplies the parallel version.
 func (b *CPUBackend) SwapOutBatch(now dram.Ps, pages []PageOut) []error {
-	telemetry.SFMBatchPages.Observe(float64(len(pages)))
 	errs := make([]error, len(pages))
 	for i, p := range pages {
 		errs[i] = b.SwapOut(now, p.ID, p.Data)
@@ -52,7 +48,6 @@ func (b *CPUBackend) SwapOutBatch(now dram.Ps, pages []PageOut) []error {
 
 // SwapInBatch implements Backend.
 func (b *CPUBackend) SwapInBatch(now dram.Ps, pages []PageIn, offload bool) []error {
-	telemetry.SFMBatchPages.Observe(float64(len(pages)))
 	errs := make([]error, len(pages))
 	for i, p := range pages {
 		errs[i] = b.SwapIn(now, p.ID, p.Dst, offload)

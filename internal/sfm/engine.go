@@ -3,11 +3,9 @@ package sfm
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"xfm/internal/compress"
 	"xfm/internal/dram"
-	"xfm/internal/telemetry"
 )
 
 // batchEngine executes a ShardedBackend batch as a two-stage,
@@ -99,14 +97,6 @@ func (e *batchEngine) init(s *ShardedBackend, codec compress.Codec) {
 	e.inStepFn = e.inStep
 }
 
-// Stage-duration histogram handles, resolved once (label lookup takes
-// a registry lock).
-var (
-	hStageOut  = telemetry.SFMBatchStageNs.With("stage_out")
-	hStageGth  = telemetry.SFMBatchStageNs.With("gather")
-	hStageInDC = telemetry.SFMBatchStageNs.With("decompress_commit")
-)
-
 // plan groups batch indexes by shard into pooled slices and arms the
 // per-shard pending counters. n is the batch length; shardOf must be
 // the routing hash of element i.
@@ -156,10 +146,7 @@ func (e *batchEngine) swapOutBatch(now dram.Ps, pages []PageOut) []error {
 	}
 	e.outPlans = e.outPlans[:len(pages)]
 	e.plan(len(pages), func(i int) int { return ShardIndexFor(pages[i].ID, len(e.s.shards)) })
-	telemetry.SFMBatchPipelineDepth.SetInt(int64(len(e.active)))
-	t0 := time.Now()
 	e.s.pool.Run(len(pages), e.s.workers, e.outStepFn)
-	hStageOut.Observe(float64(time.Since(t0)))
 	e.outs, e.errs = nil, nil
 	return errs
 }
@@ -184,18 +171,13 @@ func (e *batchEngine) outStep(w, i int) {
 func (e *batchEngine) commitOutShard(si int) {
 	idxs, outs := e.byShard[si], e.outs
 	plans, errs := e.outPlans, e.errs
-	telemetry.SFMShardBatchPages.Observe(float64(len(idxs)))
 	sh := &e.s.shards[si]
-	t0 := time.Now()
 	sh.mu.Lock()
-	telemetry.SFMShardLockWaitNs.Observe(float64(time.Since(t0)))
 	for _, i := range idxs {
 		pg := &outs[i]
 		errs[i] = sh.b.commitOut(pg.ID, pg.Data, &plans[i])
 	}
-	sh.stored.SetInt(sh.b.stats.StoredPages)
 	sh.mu.Unlock()
-	telemetry.SFMBatchPipelineDepth.Add(-1)
 }
 
 // swapInBatch runs the two-phase swap-in pipeline: gather/detach per
@@ -214,13 +196,8 @@ func (e *batchEngine) swapInBatch(now dram.Ps, pages []PageIn) []error {
 	}
 	e.inPlans = e.inPlans[:len(pages)]
 	e.plan(len(pages), func(i int) int { return ShardIndexFor(pages[i].ID, len(e.s.shards)) })
-	telemetry.SFMBatchPipelineDepth.SetInt(int64(len(e.active)))
-	t0 := time.Now()
 	e.s.pool.Run(len(e.active), e.s.workers, e.gatherStepFn)
-	t1 := time.Now()
-	hStageGth.Observe(float64(t1.Sub(t0)))
 	e.s.pool.Run(len(pages), e.s.workers, e.inStepFn)
-	hStageInDC.Observe(float64(time.Since(t1)))
 	e.ins, e.errs = nil, nil
 	for i := range e.inPlans {
 		e.inPlans[i] = inPlan{} // drop pinned-slot aliases
@@ -234,11 +211,8 @@ func (e *batchEngine) swapInBatch(now dram.Ps, pages []PageIn) []error {
 func (e *batchEngine) gatherStep(_, i int) {
 	si, ins, plans := e.active[i], e.ins, e.inPlans
 	idxs := e.byShard[si]
-	telemetry.SFMShardBatchPages.Observe(float64(len(idxs)))
 	sh := &e.s.shards[si]
-	t0 := time.Now()
 	sh.mu.Lock()
-	telemetry.SFMShardLockWaitNs.Observe(float64(time.Since(t0)))
 	for _, j := range idxs {
 		pg := &ins[j]
 		plans[j] = sh.b.gatherIn(pg.ID, pg.Dst)
@@ -264,13 +238,9 @@ func (e *batchEngine) commitInShard(si int) {
 	idxs, ins := e.byShard[si], e.ins
 	plans, errs := e.inPlans, e.errs
 	sh := &e.s.shards[si]
-	t0 := time.Now()
 	sh.mu.Lock()
-	telemetry.SFMShardLockWaitNs.Observe(float64(time.Since(t0)))
 	for _, i := range idxs {
 		errs[i] = sh.b.commitIn(ins[i].ID, &plans[i])
 	}
-	sh.stored.SetInt(sh.b.stats.StoredPages)
 	sh.mu.Unlock()
-	telemetry.SFMBatchPipelineDepth.Add(-1)
 }

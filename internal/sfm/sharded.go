@@ -1,13 +1,11 @@
 package sfm
 
 import (
-	"strconv"
 	"sync"
 
 	"xfm/internal/compress"
 	"xfm/internal/dram"
 	"xfm/internal/parallel"
-	"xfm/internal/telemetry"
 )
 
 // ShardedBackend partitions the far-memory region across several
@@ -37,12 +35,6 @@ type backendShard struct {
 	// b owns the shard's page table and zsmalloc region; CPUBackend is
 	// single-owner, so every touch must hold the shard lock.
 	b *CPUBackend
-	// stored mirrors the shard's StoredPages into the
-	// sfm_shard_stored_pages{shard} gauge; cached here so the batch
-	// path never takes the registry's label lookup. SetInt itself is
-	// atomic, but the value written is read from b, so updates happen
-	// under the same lock.
-	stored *telemetry.Gauge
 	// pad spaces the shard locks apart so they do not false-share a
 	// cache line when every worker is spinning on a different shard.
 	_ [64]byte
@@ -73,7 +65,6 @@ func NewShardedBackend(codec compress.Codec, regionBytes int64, nShards, workers
 	s.pool = parallel.NewPool(s.workers)
 	for i := range s.shards {
 		s.shards[i].b = NewCPUBackend(codec, perShard)
-		s.shards[i].stored = telemetry.SFMShardStoredPages.With(strconv.Itoa(i))
 	}
 	s.eng.init(s, codec)
 	return s
@@ -107,9 +98,7 @@ func (s *ShardedBackend) SwapOut(now dram.Ps, id PageID, data []byte) error {
 	sh := s.shardOf(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	err := sh.b.SwapOut(now, id, data)
-	sh.stored.SetInt(sh.b.stats.StoredPages)
-	return err
+	return sh.b.SwapOut(now, id, data)
 }
 
 // SwapIn implements Backend.
@@ -117,9 +106,7 @@ func (s *ShardedBackend) SwapIn(now dram.Ps, id PageID, dst []byte, offload bool
 	sh := s.shardOf(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	err := sh.b.SwapIn(now, id, dst, offload)
-	sh.stored.SetInt(sh.b.stats.StoredPages)
-	return err
+	return sh.b.SwapIn(now, id, dst, offload)
 }
 
 // SwapOutBatch implements Backend: workers claim pages off an atomic
@@ -127,7 +114,6 @@ func (s *ShardedBackend) SwapIn(now dram.Ps, id PageID, dst []byte, offload bool
 // finish a shard's pages commits that shard in input order (see
 // batchEngine).
 func (s *ShardedBackend) SwapOutBatch(now dram.Ps, pages []PageOut) []error {
-	telemetry.SFMBatchPages.Observe(float64(len(pages)))
 	return s.eng.swapOutBatch(now, pages)
 }
 
@@ -136,7 +122,6 @@ func (s *ShardedBackend) SwapOutBatch(now dram.Ps, pages []PageOut) []error {
 // per-shard free/stats commits (see batchEngine). The offload hint is
 // ignored, as in the serial CPU path.
 func (s *ShardedBackend) SwapInBatch(now dram.Ps, pages []PageIn, offload bool) []error {
-	telemetry.SFMBatchPages.Observe(float64(len(pages)))
 	return s.eng.swapInBatch(now, pages)
 }
 

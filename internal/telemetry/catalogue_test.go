@@ -13,16 +13,13 @@ import (
 var histSeriesSuffixes = []string{"_count", "_sum", "_p50", "_p95", "_p99"}
 
 // TestDefaultRulesNameSampledSeries: a health rule reads the flight
-// recorder, so every series it names must be a sampled catalogue row —
+// recorder, so every series it names must come from a catalogue row —
 // a typo here would read "(no data)" forever instead of failing. A dump
-// holding every sampled series at a positive value must leave every
-// rule active.
+// holding every row's series at a positive value must leave every rule
+// active.
 func TestDefaultRulesNameSampledSeries(t *testing.T) {
 	series := map[string][]float64{}
 	for _, r := range catalogue {
-		if r.attrs&sampled == 0 {
-			continue
-		}
 		if r.kind != kindHistogram {
 			series[r.name] = []float64{1}
 			continue
@@ -34,24 +31,32 @@ func TestDefaultRulesNameSampledSeries(t *testing.T) {
 	}
 	for _, c := range Evaluate(mkDump(series)).Checks {
 		if !c.Active {
-			t.Errorf("rule %s reads a series no sampled catalogue row records", c.Rule)
+			t.Errorf("rule %s reads a series no catalogue row records", c.Rule)
 		}
 	}
 }
 
-// TestRequiredRowsAreSampled: telemetryck can only find a required
-// series in a recording if the default sampler records it, and the
-// metrics CI requires are the ones its dashboards trend.
+// TestRequiredRowsAreSampled: telemetryck requires each required row
+// of a CI recording by its source family, so one sample of the default
+// recorder over the default registry must carry a series for every
+// required family.
 func TestRequiredRowsAreSampled(t *testing.T) {
-	if len(RequiredMetrics()) == 0 || len(RequiredSeries()) == 0 {
-		t.Fatal("the catalogue marks nothing as required: the CI gates would be vacuous")
+	required := RequiredSeries()
+	if len(required) == 0 {
+		t.Fatal("the catalogue marks nothing as required: the CI gate would be vacuous")
 	}
-	for _, r := range catalogue {
-		if r.attrs&(requiredMetric|requiredSeries) != 0 && r.attrs&sampled == 0 {
-			t.Errorf("%s is required of CI artifacts but not sampled", r.name)
+	s := NewSampler(DefaultRegistry(), 0)
+	s.Reset()
+	s.FinalSample()
+	recorded := map[string]bool{}
+	for _, sr := range s.Dump().Series {
+		if len(sr.Points) > 0 {
+			recorded[sr.Metric] = true
 		}
-		if r.attrs&requiredSeries != 0 && r.kind == kindHistogram {
-			t.Errorf("%s: a histogram records %v, never a series under its own name", r.name, histSeriesSuffixes)
+	}
+	for _, name := range required {
+		if !recorded[name] {
+			t.Errorf("%s is required of CI recordings but the default recorder samples no series from it", name)
 		}
 	}
 }
@@ -59,7 +64,7 @@ func TestRequiredRowsAreSampled(t *testing.T) {
 // designTable renders the DESIGN §7 metric table from the catalogue.
 func designTable() string {
 	var b strings.Builder
-	b.WriteString("| Metric | Owner | Kind | Read by | Meaning |\n|---|---|---|---|---|\n")
+	b.WriteString("| Metric | Owner | Kind | Required | Meaning |\n|---|---|---|---|---|\n")
 	for _, r := range catalogue {
 		kind := r.kind
 		if r.kind == kindGaugeFunc {
@@ -68,16 +73,11 @@ func designTable() string {
 		if r.labelKey != "" {
 			kind += " by `" + r.labelKey + "`"
 		}
-		var readers []string
-		for _, c := range []struct {
-			a    attrs
-			name string
-		}{{sampled, "recorder"}, {requiredMetric, "`-require`"}, {requiredSeries, "`-require-series`"}} {
-			if r.attrs&c.a != 0 {
-				readers = append(readers, c.name)
-			}
+		req := ""
+		if r.attrs&required != 0 {
+			req = "yes"
 		}
-		fmt.Fprintf(&b, "| `%s` | %s | %s | %s | %s |\n", r.name, r.layer, kind, strings.Join(readers, ", "), r.help)
+		fmt.Fprintf(&b, "| `%s` | %s | %s | %s | %s |\n", r.name, r.layer, kind, req, r.help)
 	}
 	return b.String()
 }
@@ -117,7 +117,7 @@ func TestDeclareRejectsBadRows(t *testing.T) {
 					t.Errorf("%s: declare(%q) should panic", why, name)
 				}
 			}()
-			declare(layerXFM, kindCounter, name, "help", "", nil, 0)
+			declare(row{name: name, kind: kindCounter, help: "help", layer: layerXFM})
 		}()
 	}
 }

@@ -9,10 +9,10 @@ import (
 )
 
 // CLI bundles the observability flags shared by cmd/xfmbench and
-// cmd/dramsim: metrics/trace/time-series file export and wall-clock
-// CPU/heap profiling that composes with simulated-time tracing.
+// cmd/dramsim: the recording (the one metric export), the trace, and
+// wall-clock CPU/heap profiling that composes with simulated-time
+// tracing.
 type CLI struct {
-	MetricsOut    string
 	TraceOut      string
 	TraceBuf      int
 	TimeseriesOut string
@@ -25,7 +25,6 @@ type CLI struct {
 
 // RegisterFlags installs the shared flags on fs.
 func (c *CLI) RegisterFlags(fs *flag.FlagSet) {
-	fs.StringVar(&c.MetricsOut, "metrics-out", "", "write Prometheus text metrics to this file at exit")
 	fs.StringVar(&c.TraceOut, "trace-out", "", "record simulated-time spans and write Chrome trace-event JSON to this file at exit")
 	fs.IntVar(&c.TraceBuf, "trace-buf", DefaultTraceCapacity, "span ring-buffer capacity for -trace-out (oldest spans drop when exceeded)")
 	fs.StringVar(&c.TimeseriesOut, "timeseries-out", "", "record metric time series and write the flight-recorder dump to this file at exit (.csv extension switches to long-format CSV)")
@@ -62,8 +61,8 @@ func (c *CLI) Start() error {
 	return nil
 }
 
-// Finish flushes every requested artifact: the Prometheus metrics
-// file, the Chrome trace, the CPU profile, and the heap profile.
+// Finish flushes every requested artifact: the CPU profile, the Chrome
+// trace, the recording, and the heap profile.
 func (c *CLI) Finish() error {
 	if c.cpuFile != nil {
 		pprof.StopCPUProfile()
@@ -71,19 +70,6 @@ func (c *CLI) Finish() error {
 			return err
 		}
 		c.cpuFile = nil
-	}
-	if c.MetricsOut != "" {
-		f, err := os.Create(c.MetricsOut)
-		if err != nil {
-			return err
-		}
-		if err := DefaultRegistry().WritePrometheus(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
 	}
 	if c.TraceOut != "" {
 		DefaultTracer().SetEnabled(false)

@@ -12,7 +12,7 @@ func TestSimTickRangeMatchesSequentialTicks(t *testing.T) {
 	// tick count.
 	run := func(bulk bool) *Dump {
 		reg := NewRegistry()
-		ctr := reg.Counter("test_ops_total", "ops")
+		ctr := reg.Counter("test_ops_total")
 		s := NewSampler(reg, 64, "test_ops_total")
 		s.SetSimEvery(4)
 		s.Reset()

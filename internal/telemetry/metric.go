@@ -1,18 +1,19 @@
 // Package telemetry is the unified observability layer of the
 // simulator: a concurrency-safe metrics registry (atomic counters,
 // gauges, and fixed-bucket latency histograms with estimated
-// p50/p95/p99), a lock-cheap span tracer that records simulated-time
-// spans into a bounded ring buffer, and exporters for the Prometheus
-// text exposition format and Chrome trace-event JSON
-// (chrome://tracing / Perfetto).
+// p50/p95/p99), the flight recorder that samples every catalogued
+// family into a simulated-time recording, and a lock-cheap span tracer
+// that records simulated-time spans into a bounded ring buffer and
+// exports Chrome trace-event JSON (chrome://tracing / Perfetto).
 //
-// Every package of the offload path (sfm, xfm, nma, dram, memctrl,
-// parallel) records into the process-wide Default registry and
-// DefaultTracer, so a single benchmark run can emit a navigable
-// timeline of compression bursts packed inside refresh windows plus a
-// scrapeable metrics file. All metric types are safe for concurrent
-// use; snapshots taken while writers are active are approximate but
-// race-free.
+// Every package of the offload path (sfm, xfm, nma, memctrl, fault,
+// workload) records into the process-wide default registry through the
+// handles catalogue.go declares, and the CLIs export it as a recording
+// (-timeseries-out), so a single benchmark run can emit the windowed
+// metric series the health rules and xfmtop read plus a navigable
+// timeline of compression bursts packed inside refresh windows. All
+// metric types are safe for concurrent use; snapshots taken while
+// writers are active are approximate but race-free.
 package telemetry
 
 import (
@@ -27,8 +28,8 @@ type Counter struct{ v atomic.Int64 }
 // Inc adds 1.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (n must be ≥ 0 for Prometheus counter semantics; this is
-// not enforced on the hot path).
+// Add adds n (n must be ≥ 0 for a counter's delta series to stay
+// non-negative; this is not enforced on the hot path).
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
@@ -135,9 +136,6 @@ func (h *Histogram) Observe(v float64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Sum returns the total of all observations.
-func (h *Histogram) Sum() float64 { return h.sum.Value() }
-
 // Min returns the smallest observation, or 0 when empty.
 func (h *Histogram) Min() float64 {
 	if h.count.Load() == 0 {
@@ -163,16 +161,6 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return h.sum.Value() / float64(n)
-}
-
-// Buckets returns the upper bounds and the (non-cumulative) per-bucket
-// counts; the final count is the +Inf bucket.
-func (h *Histogram) Buckets() (bounds []float64, counts []int64) {
-	counts = make([]int64, len(h.counts))
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-	}
-	return h.bounds, counts
 }
 
 // Quantile estimates the q-th quantile (clamped to [0, 1]) by linear

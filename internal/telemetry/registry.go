@@ -2,11 +2,7 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"slices"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -18,11 +14,10 @@ const (
 	kindHistogram = "histogram"
 )
 
-// family is one named metric family: an unlabeled metric or a set of
-// children keyed by one label value.
+// family is one named metric family: an unlabeled metric or, for a
+// CounterVec, a set of counters keyed by one label value.
 type family struct {
 	name     string
-	help     string
 	kind     string
 	labelKey string // "" for unlabeled families
 	buckets  []float64
@@ -58,18 +53,6 @@ func (f *family) child(label string) interface{} {
 	return m
 }
 
-// sortedLabels returns the label values in deterministic order.
-func (f *family) sortedLabels() []string {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make([]string, 0, len(f.children))
-	for k := range f.children {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Registry is a named set of metric families. The zero value is not
 // usable; call NewRegistry (or use Default).
 type Registry struct {
@@ -99,7 +82,7 @@ func validName(name string) bool {
 // an existing name with a different kind, label key or bucket layout,
 // or a derived gauge at all (a second fn would be dropped), panics:
 // that is a programming error, caught at init time.
-func (r *Registry) family(name, help, kind, labelKey string, buckets []float64, fn func() float64) *family {
+func (r *Registry) family(name, kind, labelKey string, buckets []float64, fn func() float64) *family {
 	if !validName(name) {
 		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
 	}
@@ -120,7 +103,7 @@ func (r *Registry) family(name, help, kind, labelKey string, buckets []float64, 
 		return f
 	}
 	f := &family{
-		name: name, help: help, kind: kind, labelKey: labelKey,
+		name: name, kind: kind, labelKey: labelKey,
 		buckets: buckets, fn: fn, children: map[string]interface{}{},
 	}
 	r.fams[name] = f
@@ -128,33 +111,33 @@ func (r *Registry) family(name, help, kind, labelKey string, buckets []float64, 
 }
 
 // Counter returns the registered counter, creating it on first use.
-func (r *Registry) Counter(name, help string) *Counter {
-	return r.family(name, help, kindCounter, "", nil, nil).child("").(*Counter)
+func (r *Registry) Counter(name string) *Counter {
+	return r.family(name, kindCounter, "", nil, nil).child("").(*Counter)
 }
 
 // Gauge returns the registered gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.family(name, help, kindGauge, "", nil, nil).child("").(*Gauge)
+func (r *Registry) Gauge(name string) *Gauge {
+	return r.family(name, kindGauge, "", nil, nil).child("").(*Gauge)
 }
 
-// GaugeFunc registers a derived gauge evaluated at export time (rates
+// GaugeFunc registers a derived gauge evaluated when it is read (rates
 // and ratios computed from counters).
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.family(name, help, kindGaugeFunc, "", nil, fn)
+func (r *Registry) GaugeFunc(name string, fn func() float64) {
+	r.family(name, kindGaugeFunc, "", nil, fn)
 }
 
 // Histogram returns the registered histogram with the given inclusive
 // upper bucket bounds (a +Inf bucket is implicit).
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	return r.family(name, help, kindHistogram, "", buckets, nil).child("").(*Histogram)
+func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
+	return r.family(name, kindHistogram, "", buckets, nil).child("").(*Histogram)
 }
 
 // CounterVec is a counter family labeled by one key.
 type CounterVec struct{ f *family }
 
 // CounterVec returns the labeled counter family.
-func (r *Registry) CounterVec(name, help, labelKey string) *CounterVec {
-	return &CounterVec{r.family(name, help, kindCounter, labelKey, nil, nil)}
+func (r *Registry) CounterVec(name, labelKey string) *CounterVec {
+	return &CounterVec{r.family(name, kindCounter, labelKey, nil, nil)}
 }
 
 // With returns the child counter for the label value.
@@ -162,165 +145,25 @@ func (v *CounterVec) With(labelValue string) *Counter {
 	return v.f.child(labelValue).(*Counter)
 }
 
-// GaugeVec is a gauge family labeled by one key.
-type GaugeVec struct{ f *family }
-
-// GaugeVec returns the labeled gauge family.
-func (r *Registry) GaugeVec(name, help, labelKey string) *GaugeVec {
-	return &GaugeVec{r.family(name, help, kindGauge, labelKey, nil, nil)}
-}
-
-// With returns the child gauge for the label value.
-func (v *GaugeVec) With(labelValue string) *Gauge {
-	return v.f.child(labelValue).(*Gauge)
-}
-
-// HistogramVec is a histogram family labeled by one key.
-type HistogramVec struct{ f *family }
-
-// HistogramVec returns the labeled histogram family.
-func (r *Registry) HistogramVec(name, help, labelKey string, buckets []float64) *HistogramVec {
-	return &HistogramVec{r.family(name, help, kindHistogram, labelKey, buckets, nil)}
-}
-
-// With returns the child histogram for the label value.
-func (v *HistogramVec) With(labelValue string) *Histogram {
-	return v.f.child(labelValue).(*Histogram)
-}
-
 // ResetAll zeroes every metric in the registry (test isolation);
-// families stay registered. Like the exporters, it copies the family
-// list first, so a family lock is never held with the registry's
-// (DESIGN §6).
+// families stay registered. It copies the family list first, so a
+// family lock is never held with the registry's (DESIGN §6).
 //
 //xfm:ignore unreachable test seam: the nma engine/storm tests and TestTimeseriesBitDeterministic (internal/xfm) zero the default registry so two recordings start from the same gauges
 func (r *Registry) ResetAll() {
-	for _, f := range r.sortedFamilies() {
-		f.mu.RLock()
-		for _, m := range f.children {
-			switch m := m.(type) {
-			case *Counter:
-				m.Reset()
-			case *Gauge:
-				m.Reset()
-			case *Histogram:
-				m.Reset()
-			}
-		}
-		f.mu.RUnlock()
-	}
-}
-
-// sortedFamilies snapshots the family list in name order.
-func (r *Registry) sortedFamilies() []*family {
 	r.mu.RLock()
 	fams := make([]*family, 0, len(r.fams))
 	for _, f := range r.fams {
 		fams = append(fams, f)
 	}
 	r.mu.RUnlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-	return fams
-}
-
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	return strings.ReplaceAll(v, "\n", `\n`)
-}
-
-// promLabels renders {key="value"} (or "" when unlabeled), optionally
-// merging an extra le pair for histogram buckets.
-func promLabels(key, value, extraKey, extraValue string) string {
-	var parts []string
-	if key != "" {
-		parts = append(parts, fmt.Sprintf(`%s="%s"`, key, escapeLabel(value)))
+	for _, f := range fams {
+		f.mu.RLock()
+		for _, m := range f.children {
+			m.(interface{ Reset() }).Reset()
+		}
+		f.mu.RUnlock()
 	}
-	if extraKey != "" {
-		parts = append(parts, fmt.Sprintf(`%s="%s"`, extraKey, escapeLabel(extraValue)))
-	}
-	if len(parts) == 0 {
-		return ""
-	}
-	return "{" + strings.Join(parts, ",") + "}"
-}
-
-func promFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// WritePrometheus writes the whole registry in the Prometheus text
-// exposition format (version 0.0.4). Histograms emit cumulative
-// le-buckets plus _sum and _count, and additionally estimated
-// <name>_p50 / _p95 / _p99 quantile samples (untyped) so a scrape of a
-// single benchmark run carries latency percentiles without a server.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	for _, f := range r.sortedFamilies() {
-		typ := f.kind
-		if f.kind == kindGaugeFunc {
-			typ = "gauge"
-		}
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, typ); err != nil {
-			return err
-		}
-		if f.kind == kindGaugeFunc {
-			if _, err := fmt.Fprintf(w, "%s %s\n", f.name, promFloat(f.fn())); err != nil {
-				return err
-			}
-			continue
-		}
-		var quantileLines []string
-		for _, label := range f.sortedLabels() {
-			f.mu.RLock()
-			m := f.children[label]
-			f.mu.RUnlock()
-			ls := promLabels(f.labelKey, label, "", "")
-			var err error
-			switch m := m.(type) {
-			case *Counter:
-				_, err = fmt.Fprintf(w, "%s%s %d\n", f.name, ls, m.Value())
-			case *Gauge:
-				_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, ls, promFloat(m.Value()))
-			case *Histogram:
-				bounds, counts := m.Buckets()
-				cum := int64(0)
-				for i, b := range bounds {
-					cum += counts[i]
-					if _, err = fmt.Fprintf(w, "%s_bucket%s %d\n",
-						f.name, promLabels(f.labelKey, label, "le", promFloat(b)), cum); err != nil {
-						return err
-					}
-				}
-				cum += counts[len(counts)-1]
-				if _, err = fmt.Fprintf(w, "%s_bucket%s %d\n",
-					f.name, promLabels(f.labelKey, label, "le", "+Inf"), cum); err != nil {
-					return err
-				}
-				if _, err = fmt.Fprintf(w, "%s_sum%s %s\n%s_count%s %d\n",
-					f.name, ls, promFloat(m.Sum()), f.name, ls, m.Count()); err != nil {
-					return err
-				}
-				for _, q := range []struct {
-					suffix string
-					q      float64
-				}{{"p50", 0.50}, {"p95", 0.95}, {"p99", 0.99}} {
-					quantileLines = append(quantileLines, fmt.Sprintf("%s_%s%s %s\n",
-						f.name, q.suffix, ls, promFloat(m.Quantile(q.q))))
-				}
-			}
-			if err != nil {
-				return err
-			}
-		}
-		// Quantile samples are distinct (untyped) metrics; they follow
-		// the histogram block so each family's samples stay contiguous.
-		for _, line := range quantileLines {
-			if _, err := io.WriteString(w, line); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // HistogramSnapshot is the exported view of one histogram.
@@ -351,40 +194,49 @@ type Snapshot struct {
 
 // Snapshot captures every metric. Values observed while writers are
 // running are approximate (each field is read atomically but the set
-// is not a consistent cut).
+// is not a consistent cut). Like ResetAll, it copies the family list
+// before taking any family lock.
 //
-//xfm:ignore unreachable test seam: the nma engine/storm tests prove fast-forward ≡ stepped by comparing whole-registry snapshots, histogram min/max included (Prometheus text has neither)
+//xfm:ignore unreachable test seam: the nma engine/storm tests prove fast-forward ≡ stepped by comparing whole-registry snapshots, histogram min/max included (a recording has neither)
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]int64{},
 		Gauges:     map[string]float64{},
 		Histograms: map[string]HistogramSnapshot{},
 	}
-	for _, f := range r.sortedFamilies() {
+	r.mu.RLock()
+	fams := make([]*family, 0, len(r.fams))
+	for _, f := range r.fams {
+		fams = append(fams, f)
+	}
+	r.mu.RUnlock()
+	for _, f := range fams {
 		if f.kind == kindGaugeFunc {
 			s.Gauges[f.name] = f.fn()
 			continue
 		}
-		for _, label := range f.sortedLabels() {
-			f.mu.RLock()
-			m := f.children[label]
-			f.mu.RUnlock()
-			key := f.name + promLabels(f.labelKey, label, "", "")
+		f.mu.RLock()
+		for label, m := range f.children {
+			key := f.name
+			if f.labelKey != "" {
+				key += "{" + f.labelKey + `="` + label + `"}`
+			}
 			switch m := m.(type) {
 			case *Counter:
 				s.Counters[key] = m.Value()
 			case *Gauge:
 				s.Gauges[key] = m.Value()
 			case *Histogram:
-				bounds, counts := m.Buckets()
+				st := m.State()
 				s.Histograms[key] = HistogramSnapshot{
-					Count: m.Count(), Sum: m.Sum(), Min: m.Min(), Max: m.Max(),
+					Count: m.Count(), Sum: st.Sum, Min: m.Min(), Max: m.Max(),
 					Mean: m.Mean(),
 					P50:  m.Quantile(0.50), P95: m.Quantile(0.95), P99: m.Quantile(0.99),
-					Bounds: bounds, Counts: counts,
+					Bounds: st.Bounds, Counts: st.Counts,
 				}
 			}
 		}
+		f.mu.RUnlock()
 	}
 	return s
 }

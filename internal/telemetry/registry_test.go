@@ -10,16 +10,16 @@ import (
 
 func TestCounterAndGauge(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("c_total", "help")
+	c := r.Counter("c_total")
 	c.Inc()
 	c.Add(4)
 	if c.Value() != 5 {
 		t.Errorf("counter = %d, want 5", c.Value())
 	}
-	if again := r.Counter("c_total", "help"); again != c {
+	if again := r.Counter("c_total"); again != c {
 		t.Error("re-registration should return the same counter")
 	}
-	g := r.Gauge("g", "help")
+	g := r.Gauge("g")
 	g.Set(2.5)
 	g.Add(-0.5)
 	if g.Value() != 2 {
@@ -46,21 +46,21 @@ func TestFloatCounter(t *testing.T) {
 
 func TestKindMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("dup", "help")
+	r.Counter("dup")
 	defer func() {
 		if recover() == nil {
 			t.Error("registering dup as gauge should panic")
 		}
 	}()
-	r.Gauge("dup", "help")
+	r.Gauge("dup")
 }
 
 // TestReRegisterDifferentBucketsPanics: a caller must never be handed a
 // histogram whose bounds are not the ones it passed.
 func TestReRegisterDifferentBucketsPanics(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat", "help", []float64{1, 10})
-	if again := r.Histogram("lat", "help", []float64{1, 10}); again != h {
+	h := r.Histogram("lat", []float64{1, 10})
+	if again := r.Histogram("lat", []float64{1, 10}); again != h {
 		t.Error("re-registration with the same buckets should return the same histogram")
 	}
 	defer func() {
@@ -68,28 +68,28 @@ func TestReRegisterDifferentBucketsPanics(t *testing.T) {
 			t.Errorf("re-registering lat with other buckets should panic, got %q", msg)
 		}
 	}()
-	r.Histogram("lat", "help", []float64{1, 100})
+	r.Histogram("lat", []float64{1, 100})
 }
 
 // TestReRegisterGaugeFuncPanics: the second fn used to be dropped
 // silently.
 func TestReRegisterGaugeFuncPanics(t *testing.T) {
 	r := NewRegistry()
-	r.GaugeFunc("rate", "help", func() float64 { return 1 })
+	r.GaugeFunc("rate", func() float64 { return 1 })
 	defer func() {
 		if msg, _ := recover().(string); !strings.Contains(msg, `"rate" re-registered with a second gauge func`) {
 			t.Errorf("re-registering rate should panic, got %q", msg)
 		}
 	}()
-	r.GaugeFunc("rate", "help", func() float64 { return 2 })
+	r.GaugeFunc("rate", func() float64 { return 2 })
 }
 
 func TestHistogramQuantiles(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("h", "help", LinearBuckets(10, 10, 10))
+	h := r.Histogram("h", LinearBuckets(10, 10, 10))
 
 	// Empty histogram: everything zero.
-	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
+	if h.Count() != 0 || h.State().Sum != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
 		t.Error("empty histogram should report zeros")
 	}
 
@@ -117,7 +117,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 
 	h.Reset()
-	if h.Count() != 0 || h.Sum() != 0 {
+	if h.Count() != 0 || h.State().Sum != 0 {
 		t.Error("reset histogram should be empty")
 	}
 	for i := 1; i <= 100; i++ {
@@ -136,54 +136,16 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-func TestWritePrometheusFormat(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("swaps_total", "Swap count.").Add(100)
-	r.Gauge("depth", "Queue depth.").SetInt(0)
-	r.GaugeFunc("rate", "Derived.", func() float64 { return 0.25 })
-	h := r.Histogram("lat_ps", "Latency.", ExpBuckets(1, 10, 3))
-	h.Observe(5)
-	v := r.CounterVec("by_kind_total", "By kind.", "kind")
-	v.With("read").Inc()
-	v.With("write").Add(2)
-
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-
-	// Every sample line must carry a value — a trailing space with no
-	// value is the classic float-formatting regression.
-	for i, line := range strings.Split(out, "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			t.Errorf("line %d malformed: %q", i+1, line)
-		}
-	}
-	for _, want := range []string{
-		"swaps_total 100",
-		"depth 0",
-		"rate 0.25",
-		`by_kind_total{kind="read"} 1`,
-		`by_kind_total{kind="write"} 2`,
-		`lat_ps_bucket{le="+Inf"} 1`,
-		"lat_ps_count 1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q\n%s", want, out)
-		}
-	}
-}
-
 func TestSnapshotJSON(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("c_total", "help").Inc()
-	r.Histogram("h", "help", LinearBuckets(1, 1, 4)).Observe(2)
-	data, err := json.Marshal(r.Snapshot())
+	r.Counter("c_total").Inc()
+	r.Histogram("h", LinearBuckets(1, 1, 4)).Observe(2)
+	r.CounterVec("ops_total", "kind").With("read").Add(3)
+	snap := r.Snapshot()
+	if got := snap.Counters[`ops_total{kind="read"}`]; got != 3 {
+		t.Errorf("labeled child = %d under %v, want 3 under ops_total{kind=\"read\"}", got, snap.Counters)
+	}
+	data, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,9 +167,9 @@ func TestRegistryConcurrent(t *testing.T) {
 		writers.Add(1)
 		go func() {
 			defer writers.Done()
-			c := r.Counter("shared_total", "help")
-			h := r.Histogram("shared_hist", "help", ExpBuckets(1, 2, 10))
-			v := r.CounterVec("shared_vec_total", "help", "k")
+			c := r.Counter("shared_total")
+			h := r.Histogram("shared_hist", ExpBuckets(1, 2, 10))
+			v := r.CounterVec("shared_vec_total", "k")
 			for i := 0; i < 5000; i++ {
 				c.Inc()
 				h.Observe(float64(i % 700))
@@ -215,7 +177,10 @@ func TestRegistryConcurrent(t *testing.T) {
 			}
 		}()
 	}
-	// Concurrent readers: exposition, snapshot, quantiles.
+	// Concurrent readers: whole-registry snapshots and recorder
+	// samples (the sampler's own clock keeps its timestamps monotonic).
+	smp := NewSampler(r, 8, "shared_total", "shared_hist", "shared_vec_total")
+	smp.Reset()
 	for w := 0; w < 3; w++ {
 		readers.Add(1)
 		go func() {
@@ -226,12 +191,8 @@ func TestRegistryConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				var b strings.Builder
-				if err := r.WritePrometheus(&b); err != nil {
-					t.Error(err)
-					return
-				}
 				r.Snapshot()
+				smp.FinalSample()
 			}
 		}()
 	}
@@ -239,10 +200,10 @@ func TestRegistryConcurrent(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	if got := r.Counter("shared_total", "help").Value(); got != 8*5000 {
+	if got := r.Counter("shared_total").Value(); got != 8*5000 {
 		t.Errorf("counter = %d, want %d", got, 8*5000)
 	}
-	if got := r.Histogram("shared_hist", "help", ExpBuckets(1, 2, 10)).Count(); got != 8*5000 {
+	if got := r.Histogram("shared_hist", ExpBuckets(1, 2, 10)).Count(); got != 8*5000 {
 		t.Errorf("histogram count = %d, want %d", got, 8*5000)
 	}
 }

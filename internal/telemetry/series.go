@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -162,7 +163,7 @@ func (s *Sampler) Reset() {
 		case kindCounter:
 			s.prevCtr[name] = f.counterTotal()
 		case kindHistogram:
-			s.prevHist[name] = f.mergedState()
+			s.prevHist[name] = f.child("").(*Histogram).State()
 		}
 	}
 }
@@ -272,11 +273,11 @@ func (s *Sampler) sampleLocked(t int64) {
 			s.get(name, SeriesCounter, name).push(Point{T: t, V: cur - s.prevCtr[name]})
 			s.prevCtr[name] = cur
 		case kindGauge:
-			s.get(name, SeriesGauge, name).push(Point{T: t, V: f.gaugeTotal()})
+			s.get(name, SeriesGauge, name).push(Point{T: t, V: f.child("").(*Gauge).Value()})
 		case kindGaugeFunc:
 			s.get(name, SeriesGauge, name).push(Point{T: t, V: f.fn()})
 		case kindHistogram:
-			cur := f.mergedState()
+			cur := f.child("").(*Histogram).State()
 			d := cur.Delta(s.prevHist[name])
 			s.prevHist[name] = cur
 			s.get(name+"_count", SeriesHCount, name).push(Point{T: t, V: float64(d.Count())})
@@ -363,7 +364,7 @@ func (s *Sampler) WriteCSV(w io.Writer) error {
 	}
 	for _, sr := range d.Series {
 		for _, p := range sr.Points {
-			if _, err := fmt.Fprintf(w, "%s,%d,%s\n", sr.Name, p.T, promFloat(p.V)); err != nil {
+			if _, err := fmt.Fprintf(w, "%s,%d,%s\n", sr.Name, p.T, strconv.FormatFloat(p.V, 'g', -1, 64)); err != nil {
 				return err
 			}
 		}
@@ -410,44 +411,6 @@ func (f *family) counterTotal() float64 {
 	return total
 }
 
-// gaugeTotal sums a gauge family's children (for vec families like
-// per-shard occupancy the sum is the meaningful fleet-wide value).
-func (f *family) gaugeTotal() float64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	total := 0.0
-	for _, m := range f.children {
-		if g, ok := m.(*Gauge); ok {
-			total += g.Value()
-		}
-	}
-	return total
-}
-
-// mergedState merges the bucket states of a histogram family's
-// children (same bucket layout within one family by construction).
-func (f *family) mergedState() HistogramState {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	var out HistogramState
-	for _, m := range f.children {
-		h, ok := m.(*Histogram)
-		if !ok {
-			continue
-		}
-		st := h.State()
-		if out.Counts == nil {
-			out = st
-			continue
-		}
-		for i := range st.Counts {
-			out.Counts[i] += st.Counts[i]
-		}
-		out.Sum += st.Sum
-	}
-	return out
-}
-
 var (
 	defaultSamplerOnce sync.Once
 	defaultSampler     *Sampler
@@ -457,7 +420,7 @@ var (
 // default registry, disabled until a CLI (or test) enables it.
 func DefaultSampler() *Sampler {
 	defaultSamplerOnce.Do(func() {
-		defaultSampler = NewSampler(defaultRegistry, DefaultSeriesCapacity)
+		defaultSampler = NewSampler(DefaultRegistry(), DefaultSeriesCapacity)
 	})
 	return defaultSampler
 }

@@ -145,10 +145,10 @@ func TestHistogramStateConcurrentConsistency(t *testing.T) {
 
 func TestSamplerCountersGaugesHistograms(t *testing.T) {
 	reg := NewRegistry()
-	ctr := reg.Counter("test_ops_total", "ops")
-	g := reg.Gauge("test_depth", "depth")
-	reg.GaugeFunc("test_rate", "rate", func() float64 { return 0.25 })
-	h := reg.Histogram("test_lat", "latency", []float64{10, 100})
+	ctr := reg.Counter("test_ops_total")
+	g := reg.Gauge("test_depth")
+	reg.GaugeFunc("test_rate", func() float64 { return 0.25 })
+	h := reg.Histogram("test_lat", []float64{10, 100})
 
 	ctr.Add(5) // pre-recording activity must not leak into window 1
 	s := NewSampler(reg, 8, "test_ops_total", "test_depth", "test_rate", "test_lat")
@@ -206,30 +206,31 @@ func TestSamplerCountersGaugesHistograms(t *testing.T) {
 
 func TestSamplerVecFamiliesSumChildren(t *testing.T) {
 	reg := NewRegistry()
-	cv := reg.CounterVec("test_shard_ops_total", "per-shard ops", "shard")
-	gv := reg.GaugeVec("test_shard_depth", "per-shard depth", "shard")
-	s := NewSampler(reg, 8, "test_shard_ops_total", "test_shard_depth")
+	ops := reg.CounterVec("test_ops_total", "kind")
+	stalls := reg.CounterVec("test_stalls_total", "queue")
+	ops.With("read").Add(7) // before the recording: not in window 1
+	s := NewSampler(reg, 8, "test_ops_total", "test_stalls_total")
 	s.Reset()
 	s.SetEnabled(true)
 
-	cv.With("0").Add(2)
-	cv.With("1").Add(3)
-	gv.With("0").Set(4)
-	gv.With("1").Set(6)
+	ops.With("read").Add(2)
+	ops.With("write").Add(3)
+	stalls.With("read").Add(4)
+	stalls.With("write").Add(6)
 	s.Sample(1)
 
 	idx := s.Dump().Index()
-	if got := idx["test_shard_ops_total"][0].V; got != 5 {
+	if got := idx["test_ops_total"][0].V; got != 5 {
 		t.Fatalf("summed counter delta = %g, want 5", got)
 	}
-	if got := idx["test_shard_depth"][0].V; got != 10 {
-		t.Fatalf("summed gauge = %g, want 10", got)
+	if got := idx["test_stalls_total"][0].V; got != 10 {
+		t.Fatalf("summed counter delta = %g, want 10", got)
 	}
 }
 
 func TestSamplerMonotonicTimestampsAndReset(t *testing.T) {
 	reg := NewRegistry()
-	ctr := reg.Counter("test_ops_total", "ops")
+	ctr := reg.Counter("test_ops_total")
 	s := NewSampler(reg, 8, "test_ops_total")
 	s.Reset()
 	s.SetEnabled(true)
@@ -262,7 +263,7 @@ func TestSamplerMonotonicTimestampsAndReset(t *testing.T) {
 
 func TestSamplerRingOverflow(t *testing.T) {
 	reg := NewRegistry()
-	g := reg.Gauge("test_depth", "depth")
+	g := reg.Gauge("test_depth")
 	s := NewSampler(reg, 4, "test_depth")
 	s.Reset()
 	s.SetEnabled(true)
@@ -282,7 +283,7 @@ func TestSamplerRingOverflow(t *testing.T) {
 
 func TestSamplerSimTick(t *testing.T) {
 	reg := NewRegistry()
-	ctr := reg.Counter("test_ops_total", "ops")
+	ctr := reg.Counter("test_ops_total")
 	s := NewSampler(reg, 8, "test_ops_total")
 	s.SetSimEvery(4)
 	s.Reset()
@@ -322,7 +323,7 @@ func TestSamplerSimTick(t *testing.T) {
 
 func TestSamplerDumpRoundTripAndCSV(t *testing.T) {
 	reg := NewRegistry()
-	ctr := reg.Counter("test_ops_total", "ops")
+	ctr := reg.Counter("test_ops_total")
 	s := NewSampler(reg, 8, "test_ops_total")
 	s.Reset()
 	s.SetEnabled(true)

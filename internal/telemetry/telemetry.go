@@ -2,7 +2,7 @@ package telemetry
 
 // defaultRegistry is the process-wide registry every instrumented
 // package records into, through the handles catalogue.go declares;
-// CLIs export it with -metrics-out.
+// CLIs export it as a recording with -timeseries-out.
 var defaultRegistry = NewRegistry()
 
 // DefaultRegistry returns the process-wide registry.

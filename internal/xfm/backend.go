@@ -270,7 +270,6 @@ func (b *Backend) submitOnce(req nma.Request) (bool, error) {
 	if (outstanding+1)*int64(cfg.PageBytes) > int64(cfg.SPMBytes) {
 		b.completedSeen.Store(b.driver.PollCompletions())
 		b.spmSyncs.Inc()
-		telemetry.XFMSPMSyncs.Inc()
 	}
 	return b.driver.Submit(req)
 }

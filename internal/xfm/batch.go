@@ -3,7 +3,6 @@ package xfm
 import (
 	"xfm/internal/dram"
 	"xfm/internal/sfm"
-	"xfm/internal/telemetry"
 )
 
 // Batched swap paths. A batch splits into a parallel phase (pure
@@ -16,7 +15,6 @@ import (
 // batch (in parallel when the inner store is sharded), ECC parity is
 // computed on every core, and the offload submissions replay serially.
 func (b *Backend) SwapOutBatch(now dram.Ps, pages []sfm.PageOut) []error {
-	telemetry.XFMBatchPages.Observe(float64(len(pages)))
 	errs := b.inner.SwapOutBatch(now, pages)
 	b.offloadOut(now, pages, errs)
 	return errs
@@ -27,7 +25,6 @@ func (b *Backend) SwapOutBatch(now dram.Ps, pages []sfm.PageOut) []error {
 // beforehand (workers never touch the parity map), and driver
 // accounting replays serially.
 func (b *Backend) SwapInBatch(now dram.Ps, pages []sfm.PageIn, offload bool) []error {
-	telemetry.XFMBatchPages.Observe(float64(len(pages)))
 	errs := b.inner.SwapInBatch(now, pages, offload)
 	b.offloadIn(now, pages, errs, offload)
 	return errs

@@ -33,8 +33,7 @@ type Driver struct {
 	paramSet    bool
 
 	// MMIO round trips are the control-path cost of every offload;
-	// atomic telemetry counters make MMIOStats a race-free snapshot and
-	// feed the process-wide xfm_mmio_* metrics.
+	// atomic telemetry counters make MMIOStats a race-free snapshot.
 	mmioReads  telemetry.Counter
 	mmioWrites telemetry.Counter
 	ioctls     telemetry.Counter
@@ -51,13 +50,11 @@ type Driver struct {
 // mmioRead charges one register read.
 func (d *Driver) mmioRead() {
 	d.mmioReads.Inc()
-	telemetry.XFMMMIOReads.Inc()
 }
 
 // mmioWrite charges n register writes.
 func (d *Driver) mmioWrite(n int64) {
 	d.mmioWrites.Add(n)
-	telemetry.XFMMMIOWrites.Add(n)
 }
 
 // NewDriver builds a driver over one NMA rank simulator.
@@ -84,7 +81,6 @@ func (d *Driver) Paramset(base, size int64) error {
 		return fmt.Errorf("xfm: negative region base %d", base)
 	}
 	d.ioctls.Inc()
-	telemetry.XFMIoctls.Inc()
 	d.mmioWrite(2)
 	d.regionBase, d.regionBytes = base, size
 	d.paramSet = true
