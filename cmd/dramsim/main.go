@@ -41,11 +41,7 @@ func main() {
 	tel.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	if err := tel.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
+	// The device is checked before tel.Start opens any artifact file.
 	var dev dram.DeviceConfig
 	switch *device {
 	case 8:
@@ -57,6 +53,11 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "unknown device %dGb\n", *device)
 		os.Exit(2)
+	}
+
+	if err := tel.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	var records []trace.Record

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	xfmbench [-csv] [-plot] [-list] [-out DIR] [-j N]
+//	xfmbench [-csv] [-plot] [-list] [-out DIR]
 //	         [-trace-out FILE] [-timeseries-out FILE] [-sample-every N]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //	         [-bench-json DIR] [-nma-stepped]
@@ -23,10 +23,8 @@
 // of the metric catalogue every -sample-every refresh windows of
 // simulated time and writes the recording (JSON, or CSV when FILE ends
 // in .csv) on exit — the one metric export; telemetryck validates it
-// and xfmtop renders it. A recording
-// is one timeline over one registry, so while recording the
-// experiments run one after another whatever -j says, and the artifact
-// is bit-identical from run to run.
+// and xfmtop renders it. The experiments run one after another, so a
+// recording is one timeline, bit-identical from run to run.
 //
 // With -chaos SPEC the experiments are skipped and the deterministic
 // fault-injection gate runs instead: the full seed corpus is swapped
@@ -60,7 +58,6 @@ func main() {
 	plot := flag.Bool("plot", false, "append an ASCII bar chart for experiments that provide one")
 	list := flag.Bool("list", false, "list available experiments and exit")
 	outDir := flag.String("out", "", "also write each experiment's table as CSV into this directory")
-	jobs := flag.Int("j", 0, "experiments to run in parallel (0 = GOMAXPROCS, 1 = serial; always serial with -timeseries-out); tables are identical at any setting")
 	benchJSON := flag.String("bench-json", "", "run the swap-path bench scenarios and write BENCH_*.json artifacts into this directory (skips the experiments)")
 	nmaStepped := flag.Bool("nma-stepped", false, "disable the NMA idle fast-forward and step every refresh window (slow; for proving recordings are identical either way)")
 	chaosSpec := flag.String("chaos", "", "run the fault-injection gate with this chaos spec (preset, site=p fields, storm=period:len[:phase]) instead of the experiments; every site and storm it enables must fire")
@@ -73,6 +70,28 @@ func main() {
 	// fast-forward; CI records a run each way and diffs the recordings
 	// with `telemetryck -diff` to prove it (DESIGN §6b).
 	nma.SetFastForward(!*nmaStepped)
+
+	// Arguments are checked before tel.Start opens any artifact file, so
+	// -list or a bad id leaves no empty profile behind.
+	if *list {
+		for _, e := range experiments.All() {
+			fmt.Printf("%-10s %s\n", e.ID, e.Title)
+		}
+		return
+	}
+	var selected []experiments.Experiment
+	if flag.NArg() == 0 {
+		selected = experiments.All()
+	} else {
+		for _, id := range flag.Args() {
+			e, err := experiments.Lookup(id)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(2)
+			}
+			selected = append(selected, e)
+		}
+	}
 
 	if err := tel.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -119,27 +138,6 @@ func main() {
 		return
 	}
 
-	if *list {
-		for _, e := range experiments.All() {
-			fmt.Printf("%-10s %s\n", e.ID, e.Title)
-		}
-		return
-	}
-
-	var selected []experiments.Experiment
-	if flag.NArg() == 0 {
-		selected = experiments.All()
-	} else {
-		for _, id := range flag.Args() {
-			e, err := experiments.Lookup(id)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			selected = append(selected, e)
-		}
-	}
-
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -147,16 +145,10 @@ func main() {
 		}
 	}
 
-	// Experiments run in parallel (pure functions of their inputs) but
-	// results print in the selected order, so the output is identical
-	// to a serial run modulo per-experiment timings. A recording is one
-	// timeline, in which simulators that ran concurrently would
-	// interleave their windows differently on every run: serial then.
-	if tel.TimeseriesOut != "" {
-		*jobs = 1
-	}
-	for _, r := range experiments.RunExperiments(selected, *jobs) {
-		e, tbl := r.Experiment, r.Table
+	for _, e := range selected {
+		start := time.Now()
+		tbl := e.Run()
+		elapsed := time.Since(start)
 		if *outDir != "" {
 			path := filepath.Join(*outDir, e.ID+".csv")
 			if err := os.WriteFile(path, []byte(tbl.CSV()), 0o644); err != nil {
@@ -171,7 +163,7 @@ func main() {
 			if *plot && e.Plot != nil {
 				fmt.Printf("\n%s", e.Plot())
 			}
-			fmt.Printf("(%s in %v)\n\n", e.ID, r.Elapsed.Round(time.Millisecond))
+			fmt.Printf("(%s in %v)\n\n", e.ID, elapsed.Round(time.Millisecond))
 		}
 	}
 

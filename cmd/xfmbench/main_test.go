@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,18 +10,25 @@ import (
 	"xfm/internal/telemetry"
 )
 
-// A recording must not depend on -j: three NMA-driving experiments are
-// recorded serially, at -j 4 and twice at the default, and every
-// recording must match the serial one window for window.
-func TestRecordingIndependentOfJobs(t *testing.T) {
-	dir := t.TempDir()
+// build compiles xfmbench into dir and returns the binary's path.
+func build(t *testing.T, dir string) string {
+	t.Helper()
 	bin := filepath.Join(dir, "xfmbench")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	record := func(name string, flags ...string) *telemetry.Dump {
+	return bin
+}
+
+// A recording is a pure function of the code: three NMA-driving
+// experiments are recorded twice, and the recordings must match window
+// for window.
+func TestRecordingIndependentOfJobs(t *testing.T) {
+	dir := t.TempDir()
+	bin := build(t, dir)
+	record := func(name string) *telemetry.Dump {
 		path := filepath.Join(dir, name+".json")
-		args := append(flags, "-timeseries-out", path, "emulator", "fig12", "energy")
+		args := []string{"-timeseries-out", path, "emulator", "fig12", "energy"}
 		if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
 			t.Fatalf("xfmbench %v: %v\n%s", args, err, out)
 		}
@@ -35,20 +43,42 @@ func TestRecordingIndependentOfJobs(t *testing.T) {
 		}
 		return d
 	}
-	serial := record("j1", "-j", "1")
-	if serial.Samples < 100 {
-		t.Fatalf("serial recording has only %d samples; the experiments no longer drive the NMA", serial.Samples)
+	a := record("a")
+	if a.Samples < 100 {
+		t.Fatalf("recording has only %d samples; the experiments no longer drive the NMA", a.Samples)
 	}
+	if diffs := telemetry.DiffDumps(a, record("b")); len(diffs) > 0 {
+		t.Errorf("second recording diverges in %d place(s), first: %s", len(diffs), diffs[0])
+	}
+}
+
+// Arguments are checked before any artifact file is opened: a run that
+// lists or rejects its arguments leaves no empty CPU profile behind.
+func TestArgumentsCheckedBeforeArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	bin := build(t, dir)
+	prof := filepath.Join(dir, "cpu.prof")
 	for _, c := range []struct {
-		name  string
-		flags []string
+		args []string
+		code int
 	}{
-		{"j4", []string{"-j", "4"}},
-		{"default-a", nil},
-		{"default-b", nil},
+		{[]string{"-cpuprofile", prof, "nosuch"}, 2},
+		{[]string{"-cpuprofile", prof, "-list"}, 0},
 	} {
-		if diffs := telemetry.DiffDumps(serial, record(c.name, c.flags...)); len(diffs) > 0 {
-			t.Errorf("%s diverges from -j 1 in %d place(s), first: %s", c.name, len(diffs), diffs[0])
+		err := exec.Command(bin, c.args...).Run()
+		code := 0
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			code = exit.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if code != c.code {
+			t.Errorf("xfmbench %v exited %d, want %d", c.args, code, c.code)
+		}
+		if _, err := os.Stat(prof); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("xfmbench %v left %s behind (stat: %v)", c.args, prof, err)
+			os.Remove(prof)
 		}
 	}
 }

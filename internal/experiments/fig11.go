@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"xfm/internal/contention"
-	"xfm/internal/parallel"
 	"xfm/internal/stats"
 	"xfm/internal/workload"
 )
@@ -31,19 +30,12 @@ func Fig11() *Fig11Result {
 		Profiles: profiles,
 		Results:  map[contention.Mode]contention.Result{},
 	}
-	modes := contention.Modes()
-	results := make([]contention.Result, len(modes))
-	// CoRun is a pure function of its value arguments, so the three
-	// modes evaluate independently; results gather by index.
-	parallel.ForEach(len(modes), parallel.Workers(0), func(i int) {
-		r, err := contention.CoRun(sys, profiles, traffic, modes[i])
+	for _, m := range contention.Modes() {
+		r, err := contention.CoRun(sys, profiles, traffic, m)
 		if err != nil {
 			panic(err)
 		}
-		results[i] = r
-	})
-	for i, m := range modes {
-		res.Results[m] = results[i]
+		res.Results[m] = r
 	}
 	return res
 }
@@ -161,50 +153,36 @@ func MixSweep() []MixImprovement {
 	// cliff and are not part of the reported band.
 	rates := []float64{0.05, 0.14, 0.25}
 
-	// Flatten the sweep into an indexed (mix, rate) job list — sorted
-	// mix order so the output is deterministic regardless of map
-	// iteration — and fan the independent co-runs across workers.
+	// Sorted mix order, so the output is deterministic regardless of
+	// map iteration.
 	mixNames := make([]string, 0, len(mixes))
 	for name := range mixes {
 		mixNames = append(mixNames, name)
 	}
 	sort.Strings(mixNames)
-	type job struct {
-		name string
-		rate float64
-	}
-	var jobs []job
-	for _, name := range mixNames {
-		for _, rate := range rates {
-			jobs = append(jobs, job{name: name, rate: rate})
-		}
-	}
 	overs := []contention.Mode{contention.BaselineCPU, contention.HostLockoutNMA}
-	gains := make([][]MixImprovement, len(jobs))
-	parallel.ForEach(len(jobs), parallel.Workers(0), func(ji int) {
-		j := jobs[ji]
-		profiles := mixes[j.name]
-		traffic := contention.SFMTraffic{SwapGBps: 512 * j.rate / 60, CompressionRatio: 2.0}
-		results := map[contention.Mode]contention.Result{}
-		for _, m := range contention.Modes() {
-			r, err := contention.CoRun(sys, profiles, traffic, m)
-			if err != nil {
-				panic(err)
-			}
-			results[m] = r
-		}
-		f := &Fig11Result{Profiles: profiles, Results: results}
-		for _, over := range overs {
-			gains[ji] = append(gains[ji], MixImprovement{
-				Mix:  fmt.Sprintf("%s@%.0f%%", j.name, j.rate*100),
-				Over: over,
-				Gain: f.CombinedImprovement(over),
-			})
-		}
-	})
 	var out []MixImprovement
-	for _, g := range gains {
-		out = append(out, g...)
+	for _, name := range mixNames {
+		profiles := mixes[name]
+		for _, rate := range rates {
+			traffic := contention.SFMTraffic{SwapGBps: 512 * rate / 60, CompressionRatio: 2.0}
+			results := map[contention.Mode]contention.Result{}
+			for _, m := range contention.Modes() {
+				r, err := contention.CoRun(sys, profiles, traffic, m)
+				if err != nil {
+					panic(err)
+				}
+				results[m] = r
+			}
+			f := &Fig11Result{Profiles: profiles, Results: results}
+			for _, over := range overs {
+				out = append(out, MixImprovement{
+					Mix:  fmt.Sprintf("%s@%.0f%%", name, rate*100),
+					Over: over,
+					Gain: f.CombinedImprovement(over),
+				})
+			}
+		}
 	}
 	return out
 }

@@ -5,7 +5,6 @@ import (
 
 	"xfm/internal/compress"
 	"xfm/internal/corpus"
-	"xfm/internal/parallel"
 	"xfm/internal/stats"
 	"xfm/internal/xfm"
 )
@@ -39,15 +38,7 @@ type Fig8Result struct {
 // with a window shrunk to its share of the page, and compressed
 // pieces are placed at the same offset on every DIMM. quick reduces
 // the corpus size.
-func Fig8(quick bool) *Fig8Result { return Fig8Workers(quick, 0) }
-
-// Fig8Workers is Fig8 with an explicit parallelism bound (0 =
-// GOMAXPROCS, 1 = the serial reference). Each corpus is an independent
-// compression job, so the corpora fan out across workers; rows are
-// gathered by corpus index and the retention means are accumulated
-// serially in corpus order afterwards, making the result bit-identical
-// at any worker count.
-func Fig8Workers(quick bool, workers int) *Fig8Result {
+func Fig8(quick bool) *Fig8Result {
 	corpusBytes := 512 << 10
 	if quick {
 		corpusBytes = 64 << 10
@@ -55,15 +46,14 @@ func Fig8Workers(quick bool, workers int) *Fig8Result {
 	dimmConfigs := []int{1, 2, 4}
 	newCodec := func(w int) compress.Codec { return compress.NewXDeflateWindow(w) }
 
-	names := corpus.Names()
-	rows := make([]Fig8Row, len(names))
-	parallel.ForEach(len(names), parallel.Workers(workers), func(i int) {
-		gen, err := corpus.Get(names[i])
+	var rows []Fig8Row
+	for _, name := range corpus.Names() {
+		gen, err := corpus.Get(name)
 		if err != nil {
 			panic(err)
 		}
 		pages := corpus.Pages(gen(1, corpusBytes), 4096)
-		row := Fig8Row{Corpus: names[i], Pages: len(pages), Ratio: map[int]float64{}}
+		row := Fig8Row{Corpus: name, Pages: len(pages), Ratio: map[int]float64{}}
 		for _, d := range dimmConfigs {
 			layout := xfm.DefaultLayout(d)
 			var orig, reserved int
@@ -74,8 +64,8 @@ func Fig8Workers(quick bool, workers int) *Fig8Result {
 			}
 			row.Ratio[d] = float64(orig) / float64(reserved)
 		}
-		rows[i] = row
-	})
+		rows = append(rows, row)
+	}
 
 	res := &Fig8Result{
 		Rows:                 rows,

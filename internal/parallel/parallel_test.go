@@ -2,56 +2,8 @@ package parallel
 
 import (
 	"runtime"
-	"sync/atomic"
 	"testing"
 )
-
-func TestForEachCoversAllIndexes(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 7, 64} {
-		const n = 1000
-		var hits [n]atomic.Int32
-		ForEach(n, workers, func(i int) { hits[i].Add(1) })
-		for i := range hits {
-			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times, want 1", workers, i, got)
-			}
-		}
-	}
-}
-
-func TestForEachZeroAndNegativeN(t *testing.T) {
-	called := false
-	ForEach(0, 4, func(int) { called = true })
-	ForEach(-3, 4, func(int) { called = true })
-	if called {
-		t.Fatal("fn called for non-positive n")
-	}
-}
-
-func TestForEachSerialFallbackRunsInline(t *testing.T) {
-	// With one worker the calls must run on the caller's goroutine in
-	// order — the property the determinism tests rely on.
-	var order []int
-	ForEach(5, 1, func(i int) { order = append(order, i) })
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("serial order %v, want ascending", order)
-		}
-	}
-}
-
-func TestForEachPanicPropagates(t *testing.T) {
-	defer func() {
-		if r := recover(); r != "boom" {
-			t.Fatalf("recovered %v, want boom", r)
-		}
-	}()
-	ForEach(100, 4, func(i int) {
-		if i == 42 {
-			panic("boom")
-		}
-	})
-}
 
 func TestWorkers(t *testing.T) {
 	if got := Workers(3); got != 3 {

@@ -5,8 +5,7 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a persistent worker pool for the batched swap pipeline. A
-// ForEach call pays a goroutine spin-up (and join) per batch; a Pool
+// Pool is a persistent worker pool for the batched swap pipeline. It
 // spawns its workers once, parks them between batches, and reuses one
 // job descriptor, so a steady-state batch performs no allocations in
 // the pool itself.

@@ -22,11 +22,8 @@ import (
 // (samples are taken on the serial window-stepping path, after all
 // parallel-phase counter bumps have completed). A sampler owns one
 // strictly monotonic timeline over one shared registry, so a recording
-// is of simulators that run one after another: a second simulator
-// running concurrently would lose its ticks to the first and leak its
-// counter bumps into the first's windows, which is why xfmbench runs
-// its experiments serially while recording. The disabled fast path of
-// SimTick is one atomic load.
+// is serial because the program that makes it runs its simulators one
+// after another. The disabled fast path of SimTick is one atomic load.
 
 // Point is one sample of one series: T is simulated picoseconds.
 type Point struct {
