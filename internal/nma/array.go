@@ -66,15 +66,6 @@ func (a *Array) AdvanceTo(now dram.Ps) {
 	}
 }
 
-// StepAll advances every rank by one window.
-//
-//xfm:ignore unreachable the single-window step TestArrayStagger uses to show the stagger persists
-func (a *Array) StepAll() {
-	for _, s := range a.sims {
-		s.StepWindow()
-	}
-}
-
 // Stats aggregates all ranks' statistics.
 func (a *Array) Stats() Stats {
 	var out Stats

@@ -22,7 +22,9 @@ func TestArrayStagger(t *testing.T) {
 		}
 	}
 	// Stagger persists across steps.
-	a.StepAll()
+	for _, s := range a.sims {
+		s.StepWindow()
+	}
 	for i, g := range a.CurrentGroups() {
 		want := (i*groups/4 + 1) % groups
 		if g != want {

@@ -20,7 +20,8 @@
 // NMA provably performs no access are fast-forwarded in O(1) instead
 // of stepped one tREFI at a time, with bulk counter updates chunked so
 // Stats, telemetry, and flight-recorder samples stay bit-identical to
-// a stepped run.
+// a stepped run. Each event is counted once, in the Sim's Stats; the
+// registry's nma_* rows are fed from them by publish.
 package nma
 
 import (
@@ -203,7 +204,9 @@ func (l *opList) remove(o *op, k int) {
 	*ln = link{}
 }
 
-// Stats aggregates simulation results; it maps to Fig. 12's panels.
+// Stats aggregates simulation results; it maps to Fig. 12's panels. It
+// is also the engine's only count of its events: publish feeds the
+// registry's nma_* rows from it.
 type Stats struct {
 	Submitted   int64
 	Fallbacks   int64 // requests the driver redirected to the CPU
@@ -292,7 +295,8 @@ func (s Stats) MeanLatencyMs() float64 {
 type Sim struct {
 	cfg    Config
 	groups int
-	// slotsPerWin and bulkAdvance are fixed at construction so the
+	// slotsPerWin and bulkAdvance (advanceIdle, then publish: the
+	// recording fast-forward's chunk) are fixed at construction so the
 	// idle fast-forward performs no per-call closure allocation.
 	slotsPerWin int64
 	bulkAdvance func(k int64)
@@ -318,6 +322,13 @@ type Sim struct {
 
 	stats Stats
 
+	// pub is the part of stats the registry already holds and
+	// lat[:nlat] the latencies of written-back ops it has not yet
+	// observed, in completion order; publish moves the difference.
+	pub  Stats
+	lat  [latencyBuffer]float64
+	nlat int
+
 	// Span tracing (off unless the tracer is enabled): each busy window
 	// becomes a "refresh-window" span on this sim's track with one
 	// nested compress/decompress span per access performed inside it.
@@ -326,10 +337,10 @@ type Sim struct {
 	traceOn bool // cached tracer.Enabled() for the current window
 	winAcc  []windowAccess
 
-	// Flight recorder (off unless the sampler is enabled): StepWindow
-	// ticks the simulated-time clock domain so every Nth refresh window
-	// snapshots the registry into time series. The disabled fast path
-	// is one atomic load; fast-forwarded ranges tick in bulk through
+	// Flight recorder (off unless the sampler is recording): while it
+	// records, each stepped window publishes and ticks the simulated-time
+	// clock domain so every Nth refresh window snapshots the registry
+	// into time series; fast-forwarded ranges tick in bulk through
 	// Sampler.SimTickRange, which lands samples on exactly the same
 	// timestamps with exactly the same counter values.
 	sampler *telemetry.Sampler
@@ -341,6 +352,10 @@ type Sim struct {
 	// check per window.
 	inj *fault.Injector
 }
+
+// latencyBuffer is how many completed-op latencies a Sim holds before
+// it observes them into nma_offload_latency_ps in one call.
+const latencyBuffer = 256
 
 // windowAccess remembers one access performed in the current window so
 // its span can be laid out once the window's accesses are known.
@@ -367,7 +382,10 @@ func NewSim(cfg Config) *Sim {
 		track:            -1,
 		sampler:          telemetry.DefaultSampler(),
 	}
-	s.bulkAdvance = s.advanceIdle
+	s.bulkAdvance = func(k int64) {
+		s.advanceIdle(k)
+		s.publish()
+	}
 	return s
 }
 
@@ -430,16 +448,21 @@ func (s *Sim) newOp(req Request) *op {
 // reads, stalled reads fill the Compress_Request_Queue, and a full
 // queue triggers CPU_Fallback. Steady-state Submit performs no heap
 // allocation: op structs recycle through the free list and every
-// container reuses its backing array.
+// container reuses its backing array. A request naming a refresh group
+// outside the device panics before it is counted.
 func (s *Sim) Submit(req Request) bool {
-	s.stats.Submitted++
-	telemetry.NMARequestsSubmitted.Inc()
+	ok := s.submit(req)
+	s.publish()
+	return ok
+}
+
+func (s *Sim) submit(req Request) bool {
 	if req.SrcGroup < 0 || req.SrcGroup >= s.groups || req.DstGroup < -1 || req.DstGroup >= s.groups {
 		panic(fmt.Sprintf("nma: refresh group out of range in %+v", req))
 	}
+	s.stats.Submitted++
 	if s.queuedCount >= s.cfg.QueueDepth {
 		s.stats.Fallbacks++
-		telemetry.NMARequestsRejected.Inc()
 		return false
 	}
 	o := s.newOp(req)
@@ -460,7 +483,15 @@ func (s *Sim) spmHasRoom() bool {
 
 // StepWindow advances the simulation by one refresh window, performing
 // NMA accesses inside it. Returns the window's refresh group.
+//
+//xfm:ignore unreachable the single-window step of the nma engine tests (TestArrayStagger, TestNMARegistryPinned) and TestRegisterFlexibleDestination (internal/xfm); AdvanceTo and RunWindows step through step
 func (s *Sim) StepWindow() int {
+	group := s.step()
+	s.publish()
+	return group
+}
+
+func (s *Sim) step() int {
 	group := int(s.window % int64(s.groups))
 	now := s.Now()
 	cond := s.cfg.AccessesPerTRFC
@@ -471,7 +502,6 @@ func (s *Sim) StepWindow() int {
 		// access slots, and queued work simply ages one window.
 		cond, rand = 0, 0
 		s.stats.StormWindows++
-		telemetry.NMAStormWindows.Inc()
 	}
 	condBudget, randBudget := cond, rand
 	s.traceOn = s.tracer != nil && s.tracer.Enabled()
@@ -568,23 +598,15 @@ func (s *Sim) StepWindow() int {
 	randDone := randBudget - rand
 	if condDone+randDone > 0 {
 		s.stats.BusyWindows++
-		telemetry.NMABusyWindows.Inc()
 	}
-	telemetry.NMAWindows.Inc()
-	telemetry.NMASlotsOffered.Add(int64(condBudget + randBudget))
-	telemetry.NMAConditionalAccesses.Add(int64(condDone))
-	telemetry.NMARandomAccesses.Add(int64(randDone))
-	telemetry.NMAQueueDepth.SetInt(int64(s.queuedCount))
-	telemetry.NMASPMUsedBytes.SetInt(int64(s.spmUsed))
 	if s.traceOn && len(s.winAcc) > 0 {
 		s.emitWindowSpans(group, now)
 	}
 	s.stats.Windows++
 	s.window++
-	if s.sampler != nil {
-		// Samples land on the serial window-stepping path with all
-		// metric updates for completed batches already published, so
-		// sim-domain series are deterministic at any worker count.
+	if s.sampler != nil && s.sampler.Recording() {
+		// A sample reads the registry, so it must hold this window.
+		s.publish()
 		s.sampler.SimTick(int64(now))
 	}
 	return group
@@ -627,28 +649,22 @@ func (s *Sim) idleSkip(max int64) int64 {
 	return max
 }
 
-// skipWindows advances n provably-idle windows in O(1): window clock,
-// Stats.Windows, and the per-window counters move in bulk, with the
-// counter adds chunked by Sampler.SimTickRange so every flight-
-// recorder sample in the range reads exactly the registry state a
-// stepped run would have produced at that timestamp.
+// skipWindows advances n provably-idle windows in O(1): the window
+// clock and the per-window Stats move in bulk. While the sampler
+// records, Sampler.SimTickRange chunks the range and each chunk is
+// published before the sample it ends in, so every flight-recorder
+// sample in the range reads exactly the registry state a stepped run
+// would have produced at that timestamp.
 func (s *Sim) skipWindows(n int64) {
-	start := s.Now()
-	// Stepped windows publish these gauges every tREFI; across an idle
-	// range the values are constant, so one store reproduces every
-	// sample a stepped run would record.
-	telemetry.NMAQueueDepth.SetInt(int64(s.queuedCount))
-	telemetry.NMASPMUsedBytes.SetInt(int64(s.spmUsed))
-	if s.sampler != nil {
-		s.sampler.SimTickRange(int64(start), int64(s.cfg.Timings.TREFI), n, s.bulkAdvance)
+	if s.sampler != nil && s.sampler.Recording() {
+		s.sampler.SimTickRange(int64(s.Now()), int64(s.cfg.Timings.TREFI), n, s.bulkAdvance)
 	} else {
-		s.bulkAdvance(n)
+		s.advanceIdle(n)
 	}
 }
 
 // advanceIdle applies k idle windows' worth of bulk updates: the same
-// counters a stepped idle window bumps, coalesced. Bound once as
-// s.bulkAdvance so fast-forwarding allocates nothing per call.
+// Stats a stepped idle window moves, coalesced.
 func (s *Sim) advanceIdle(k int64) {
 	if k <= 0 {
 		return
@@ -657,15 +673,54 @@ func (s *Sim) advanceIdle(k int64) {
 	// them arithmetically so a fast-forwarded run publishes exactly the
 	// totals a stepped run would (skipping is already restricted to
 	// windows that perform no accesses, storm or not).
-	storms := s.inj.StormWindowsIn(s.window, s.window+k)
-	if storms > 0 {
-		s.stats.StormWindows += storms
-		telemetry.NMAStormWindows.Add(storms)
-	}
-	telemetry.NMAWindows.Add(k)
-	telemetry.NMASlotsOffered.Add((k - storms) * s.slotsPerWin)
+	s.stats.StormWindows += s.inj.StormWindowsIn(s.window, s.window+k)
 	s.stats.Windows += k
 	s.window += k
+}
+
+// publish moves every event counted since the last publish into the
+// process-wide registry: the deltas of Stats, the gauges if a window
+// ran since, and the buffered latencies in completion order. It runs
+// before every flight-recorder tick while the sampler records and
+// before each exported entry point returns, so a sample or a caller
+// reads exactly the registry a per-event count would have built: sims
+// run one after another (DESIGN §7b), and every other sim published
+// before its last call returned. At each of those points, if a window
+// ran since the last publish, it was the last thing to move the queue
+// or the SPM (a skipped range leaves both constant), so their current
+// values are the gauges a per-window store would have left.
+func (s *Sim) publish() {
+	st, p := &s.stats, &s.pub
+	if st.Windows != p.Windows {
+		telemetry.NMAQueueDepth.SetInt(int64(s.queuedCount))
+		telemetry.NMASPMUsedBytes.SetInt(int64(s.spmUsed))
+	}
+	addDelta(telemetry.NMARequestsSubmitted, st.Submitted-p.Submitted)
+	addDelta(telemetry.NMARequestsRejected, st.Fallbacks-p.Fallbacks)
+	addDelta(telemetry.NMARequestsCompleted, st.Completed-p.Completed)
+	addDelta(telemetry.NMAWindows, st.Windows-p.Windows)
+	addDelta(telemetry.NMABusyWindows, st.BusyWindows-p.BusyWindows)
+	addDelta(telemetry.NMAStormWindows, st.StormWindows-p.StormWindows)
+	// A storm window offers no slots, every other window the full budget.
+	addDelta(telemetry.NMASlotsOffered, (st.Windows-st.StormWindows-p.Windows+p.StormWindows)*s.slotsPerWin)
+	addDelta(telemetry.NMAConditionalAccesses, st.Conditional-p.Conditional)
+	addDelta(telemetry.NMARandomAccesses, st.Random-p.Random)
+	*p = *st
+	s.observeLatencies()
+}
+
+func addDelta(c *telemetry.Counter, d int64) {
+	if d != 0 {
+		c.Add(d)
+	}
+}
+
+// observeLatencies empties the latency buffer into the histogram.
+func (s *Sim) observeLatencies() {
+	if s.nlat > 0 {
+		telemetry.NMAOffloadLatencyPs.ObserveAll(s.lat[:s.nlat])
+		s.nlat = 0
+	}
 }
 
 // AdvanceTo steps refresh windows until the window clock passes now,
@@ -678,8 +733,9 @@ func (s *Sim) AdvanceTo(now dram.Ps) {
 		if s.idleSkip(now/trefi-s.window) > 0 {
 			continue
 		}
-		s.StepWindow()
+		s.step()
 	}
+	s.publish()
 }
 
 // emitWindowSpans records the window that just executed as a
@@ -757,10 +813,13 @@ func (s *Sim) writeBack(o *op, now dram.Ps, random bool) {
 		s.stats.WriteCond++
 	}
 	s.stats.Completed++
-	telemetry.NMARequestsCompleted.Inc()
 	lat := now + s.cfg.Timings.TRFC - o.req.Arrive
 	s.stats.SumLatencyPs += lat
-	telemetry.NMAOffloadLatencyPs.Observe(float64(lat))
+	if s.nlat == len(s.lat) {
+		s.observeLatencies()
+	}
+	s.lat[s.nlat] = float64(lat)
+	s.nlat++
 	if lat > s.stats.MaxLatencyPs {
 		s.stats.MaxLatencyPs = lat
 	}
@@ -804,7 +863,7 @@ func (s *Sim) RunWindows(n int, next func() (Request, bool)) {
 			if pending.Arrive > windowStart {
 				break
 			}
-			s.Submit(pending)
+			s.submit(pending)
 			pendingValid = false
 		}
 		max := remaining
@@ -821,7 +880,8 @@ func (s *Sim) RunWindows(n int, next func() (Request, bool)) {
 			remaining -= skipped
 			continue
 		}
-		s.StepWindow()
+		s.step()
 		remaining--
 	}
+	s.publish()
 }

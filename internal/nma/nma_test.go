@@ -2,9 +2,11 @@ package nma
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"xfm/internal/dram"
+	"xfm/internal/telemetry"
 )
 
 func cfg32() Config { return DefaultConfig(dram.Device32Gb) }
@@ -347,7 +349,16 @@ func TestRunWindowsArrivalOrdering(t *testing.T) {
 	}
 }
 
+// TestSubmitPanicsOnBadGroup: a request naming a refresh group outside
+// the device panics before it is counted, so Submitted = Completed +
+// Fallbacks + in flight still holds and the registry does not move.
 func TestSubmitPanicsOnBadGroup(t *testing.T) {
+	rows := func() string {
+		var b strings.Builder
+		foldNMARows(&b, telemetry.DefaultRegistry().Snapshot())
+		return b.String()
+	}
+	before := rows()
 	s := NewSim(cfg32())
 	for _, r := range []Request{
 		{SrcGroup: -1, DstGroup: 0},
@@ -362,6 +373,12 @@ func TestSubmitPanicsOnBadGroup(t *testing.T) {
 			}()
 			s.Submit(r)
 		}()
+	}
+	if st := s.Stats(); st != (Stats{}) {
+		t.Errorf("rejected-by-panic requests were counted: %+v", st)
+	}
+	if after := rows(); after != before {
+		t.Errorf("registry moved across panicking Submits:\nbefore:\n%safter:\n%s", before, after)
 	}
 }
 

@@ -80,8 +80,10 @@ type BackendStats struct {
 	Offloads, Fallbacks int64
 }
 
-// CompressionRatio returns lifetime original/compressed over all
-// swap-outs.
+// CompressionRatio returns the pages stored now (same-filled ones
+// included) times PageSize over the bytes the region holds now: a
+// ratio of current occupancy, not a lifetime figure over all
+// swap-outs. It is 1 while the region holds nothing.
 func (s BackendStats) CompressionRatio() float64 {
 	if s.Region.StoredBytes == 0 || s.StoredPages == 0 {
 		return 1

@@ -168,9 +168,12 @@ func init() {
 		})
 }
 
-// NMA (aggregated across every Sim in the process). The per-window
-// counters are bumped in bulk at the end of StepWindow so the hot loop
-// stays a handful of atomic adds per tRFC.
+// NMA (aggregated across every Sim in the process). A Sim counts each
+// event once, in its own Stats and a buffer of completed-op latencies;
+// its publish adds what the registry does not yet hold to these rows
+// before every flight-recorder tick while the sampler records and
+// before each exported Sim call returns. The gauges hold the last
+// window a Sim stepped or skipped.
 var (
 	NMAWindows = counter(layerNMA, "nma_windows_total",
 		"Refresh windows (tRFC) the NMA simulators stepped through.", required)

@@ -119,16 +119,68 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
+	h.lowerMin(v)
+	h.raiseMax(v)
+}
+
+// ObserveAll records vs exactly as len(vs) Observe calls in order
+// would: the same buckets, count, min and max, and a sum folded value
+// by value in order — float addition stops being associative once the
+// sum passes 2^53, so a batch total added once could land on other
+// bits. NaNs are dropped. Count, sum and extrema cost one atomic
+// update each per call, not per value.
+func (h *Histogram) ObserveAll(vs []float64) {
+	var n int64
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range vs {
+		if math.IsNaN(v) {
+			continue
+		}
+		h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1)
+		n++
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	if n == 0 {
+		return
+	}
+	h.count.Add(n)
 	for {
-		old := h.min.Load()
-		if v >= math.Float64frombits(old) || h.min.CompareAndSwap(old, math.Float64bits(v)) {
+		old := h.sum.bits.Load()
+		sum := math.Float64frombits(old)
+		for _, v := range vs {
+			if !math.IsNaN(v) {
+				sum += v
+			}
+		}
+		if h.sum.bits.CompareAndSwap(old, math.Float64bits(sum)) {
 			break
 		}
 	}
+	h.lowerMin(lo)
+	h.raiseMax(hi)
+}
+
+// lowerMin and raiseMax keep the earlier of two equal extrema, as a
+// sequence of Observe calls does (it matters only for ±0).
+func (h *Histogram) lowerMin(v float64) {
+	for {
+		old := h.min.Load()
+		if v >= math.Float64frombits(old) || h.min.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
+
+func (h *Histogram) raiseMax(v float64) {
 	for {
 		old := h.max.Load()
 		if v <= math.Float64frombits(old) || h.max.CompareAndSwap(old, math.Float64bits(v)) {
-			break
+			return
 		}
 	}
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -133,6 +134,58 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 	if h.Quantile(math.NaN()) != 0 {
 		t.Errorf("Quantile(NaN) = %v, want 0", h.Quantile(math.NaN()))
+	}
+}
+
+// TestObserveAllMatchesObserve: recording a slice is bit-identical to
+// the same Observe calls in order — buckets, sum, count, min, max and
+// mean — including a sum that rounds past 2^53, where adding the
+// batch's own total once would land on other bits.
+func TestObserveAllMatchesObserve(t *testing.T) {
+	const big = 1 << 53
+	for _, tc := range []struct {
+		name         string
+		prior, batch []float64
+	}{
+		{"empty slice", []float64{5e6}, nil},
+		{"empty slice on empty histogram", nil, []float64{}},
+		{"one value", nil, []float64{3e6}},
+		{"NaNs dropped", []float64{2e6}, []float64{math.NaN(), 1e6, math.NaN(), 9e6, math.NaN()}},
+		{"only NaNs", []float64{2e6}, []float64{math.NaN(), math.NaN()}},
+		{"several buckets and ±Inf", []float64{7e6}, []float64{1e6, 1.5e6, 3e6, 3e6, 1e12, 1e12, 2e6, math.Inf(1), math.Inf(-1)}},
+		{"signed zeros keep the first extremum", []float64{0}, []float64{math.Copysign(0, -1), 0, math.Copysign(0, -1)}},
+		{"sum past 2^53", []float64{big - 2}, []float64{1, 1, 1, 1, 3, 1e6, 4.4e12, 1}},
+	} {
+		seq := NewRegistry().Histogram("seq", ExpBuckets(1e6, 2, 18))
+		all := NewRegistry().Histogram("all", ExpBuckets(1e6, 2, 18))
+		for _, v := range tc.prior {
+			seq.Observe(v)
+			all.Observe(v)
+		}
+		for _, v := range tc.batch {
+			seq.Observe(v)
+		}
+		all.ObserveAll(tc.batch)
+
+		bits := math.Float64bits
+		ws, gs := seq.State(), all.State()
+		if bits(ws.Sum) != bits(gs.Sum) || !slices.Equal(ws.Counts, gs.Counts) {
+			t.Errorf("%s: State = %v sum %v, want %v sum %v", tc.name, gs.Counts, gs.Sum, ws.Counts, ws.Sum)
+		}
+		if seq.Count() != all.Count() || bits(seq.Min()) != bits(all.Min()) ||
+			bits(seq.Max()) != bits(all.Max()) || bits(seq.Mean()) != bits(all.Mean()) {
+			t.Errorf("%s: count/min/max/mean = %d/%v/%v/%v, want %d/%v/%v/%v", tc.name,
+				all.Count(), all.Min(), all.Max(), all.Mean(), seq.Count(), seq.Min(), seq.Max(), seq.Mean())
+		}
+	}
+
+	// The 2^53 case has teeth: the batch's total added once rounds
+	// differently from the values folded one by one.
+	h := NewRegistry().Histogram("h", nil)
+	h.Observe(big)
+	h.ObserveAll([]float64{1, 1, 1, 1})
+	if got := h.State().Sum; got != big {
+		t.Errorf("folded sum = %v, want %v (each +1 rounds back to 2^53)", got, float64(big))
 	}
 }
 

@@ -15,15 +15,15 @@ import (
 // slot-utilization collapse, queue-full stall storms — are visible as
 // trajectories instead of end-of-run totals.
 //
-// The recorder has one clock: simulated time. nma.Sim drives it by
-// calling SimTick at the end of every refresh window; the sampler
-// takes one sample every SimEvery ticks, so each sample is a tREFI
-// epoch and the recorded series are bit-deterministic for a fixed seed
-// (samples are taken on the serial window-stepping path, after all
-// parallel-phase counter bumps have completed). A sampler owns one
-// strictly monotonic timeline over one shared registry, so a recording
-// is serial because the program that makes it runs its simulators one
-// after another. The disabled fast path of SimTick is one atomic load.
+// The recorder has one clock: simulated time. While it records, nma.Sim
+// drives it by calling SimTick at the end of every refresh window it
+// steps (SimTickRange for a fast-forwarded range), right after
+// publishing its counts to the registry; the sampler takes one sample
+// every SimEvery ticks, so each sample is a tREFI epoch and the
+// recorded series are bit-deterministic for a fixed seed. A sampler
+// owns one strictly monotonic timeline over one shared registry, so a
+// recording is serial because the program that makes it runs its
+// simulators one after another.
 
 // Point is one sample of one series: T is simulated picoseconds.
 type Point struct {
@@ -172,11 +172,17 @@ func (s *Sampler) Samples() int {
 	return s.samples
 }
 
+// Recording reports whether SimTick can take a sample: the recorder is
+// enabled and sampling is on. While it holds, nma.Sim publishes its
+// counts to the registry before every tick.
+func (s *Sampler) Recording() bool { return s.enabled.Load() && s.simEvery.Load() > 0 }
+
 // SimTick is the simulated-time clock input, called by nma.Sim at the
-// end of every refresh window with the window's execution time in
-// picoseconds. Every SimEvery-th tick takes a sample. Ticks that do
-// not advance the recorded timeline (a second simulator running behind
-// the first) are dropped, keeping timestamps strictly monotonic.
+// end of every refresh window it steps while Recording, with the
+// window's execution time in picoseconds. Every SimEvery-th tick takes
+// a sample. Ticks that do not advance the recorded timeline (a second
+// simulator running behind the first) are dropped, keeping timestamps
+// strictly monotonic.
 func (s *Sampler) SimTick(nowPs int64) {
 	if !s.enabled.Load() {
 		return
@@ -200,7 +206,7 @@ func (s *Sampler) SimTick(nowPs int64) {
 // updates without desynchronizing the recorded series: advance(k) is
 // invoked with a not-yet-accounted tick count immediately before each
 // sample the range triggers (and once with the remainder at the end),
-// so the caller lands its coalesced metric adds in sample-aligned
+// so the caller publishes its coalesced counts in sample-aligned
 // chunks and every sample reads exactly the registry state a stepped
 // run would have produced. advance is always called with chunk counts
 // summing to n, even when the recorder is disabled.
