@@ -15,9 +15,9 @@
 // timeline). -timeseries validates a dump written by -timeseries-out:
 // schema version, the sim-ps clock, strictly monotonic timestamps
 // within each series, non-negative counter-kind deltas, and (via
-// -require-series) that each named metric family is the source of at
-// least one series with a point — a histogram family is recorded as
-// its _count/_sum/_p50/_p95/_p99 series. -require-series defaults to
+// -require-series) that each named catalogue row is the source of at
+// least one series with a point — a histogram row is recorded as its
+// _count/_sum/_p50/_p95/_p99 series. -require-series defaults to
 // the rows the metric catalogue (internal/telemetry/catalogue.go)
 // marks as required of every CI recording.
 //
@@ -116,63 +116,33 @@ func checkTrace(path string, requireNesting bool) {
 		len(tf.TraceEvents), len(windows), nested, len(nmaSpans))
 }
 
-// The time-series mirror structs are deliberately independent of
-// internal/telemetry: the validator re-declares the artifact contract
-// so a producer-side schema drift fails here instead of silently
-// round-tripping.
-type tsPoint struct {
-	T int64   `json:"t"`
-	V float64 `json:"v"`
-}
-
-type tsSeries struct {
-	Name    string    `json:"name"`
-	Kind    string    `json:"kind"`
-	Metric  string    `json:"metric"`
-	Dropped int64     `json:"dropped"`
-	Points  []tsPoint `json:"points"`
-}
-
-type tsDump struct {
-	Schema   int        `json:"schema"`
-	Clock    string     `json:"clock"`
-	SimEvery int64      `json:"sim_every"`
-	Samples  int        `json:"samples"`
-	Ticks    int64      `json:"ticks"`
-	Series   []tsSeries `json:"series"`
-}
-
-// checkTimeseries validates a flight-recorder dump: schema version 1,
-// the simulated-time clock, at least one sample, strictly monotonic
-// timestamps within every series, and non-negative values on
-// counter-kind series (per-window deltas of monotone counters must
-// never run backwards). requireSeries lists metric families that must
-// be the source (the series' metric field) of a series with at least
-// one point.
-func checkTimeseries(path, requireSeries string) {
-	data, err := os.ReadFile(path)
+// readDump loads a recording through telemetry.ReadDump, the one
+// reader: it rejects another schema, another clock, no samples and no
+// series.
+func readDump(path string) *telemetry.Dump {
+	f, err := os.Open(path)
 	if err != nil {
 		fail("%v", err)
 	}
-	var d tsDump
-	if err := json.Unmarshal(data, &d); err != nil {
-		fail("%s: invalid JSON: %v", path, err)
+	defer f.Close()
+	d, err := telemetry.ReadDump(f)
+	if err != nil {
+		fail("%s: %v", path, err)
 	}
-	if d.Schema != 1 {
-		fail("%s: unsupported schema %d, want 1", path, d.Schema)
-	}
-	if d.Clock != "sim-ps" {
-		fail("%s: unknown clock %q, want sim-ps", path, d.Clock)
-	}
-	if d.Samples <= 0 {
-		fail("%s: no samples recorded", path)
-	}
-	if len(d.Series) == 0 {
-		fail("%s: no series recorded", path)
-	}
+	return d
+}
+
+// checkTimeseries validates a flight-recorder dump: what ReadDump
+// checks, then strictly monotonic timestamps within every series and
+// non-negative values on counter-kind series (per-window deltas of
+// monotone counters must never run backwards). requireSeries lists
+// catalogue rows that must be the source (the series' metric field) of
+// a series with at least one point.
+func checkTimeseries(path, requireSeries string) {
+	d := readDump(path)
 	points := 0
 	names := map[string]bool{}
-	recorded := map[string]bool{} // source families with a point
+	recorded := map[string]bool{} // source rows with a point
 	for _, s := range d.Series {
 		if s.Name == "" || s.Kind == "" || s.Metric == "" {
 			fail("%s: series with empty name/kind/metric: %+v", path, s)
@@ -190,11 +160,11 @@ func checkTimeseries(path, requireSeries string) {
 				fail("%s: series %q: non-monotonic timestamp %d after %d (point %d)",
 					path, s.Name, p.T, s.Points[i-1].T, i)
 			}
-			if s.Kind == "counter" && p.V < 0 {
+			if s.Kind == telemetry.SeriesCounter && p.V < 0 {
 				fail("%s: series %q: negative counter delta %g at t=%d",
 					path, s.Name, p.V, p.T)
 			}
-			if s.Kind == "hist_count" && p.V < 0 {
+			if s.Kind == telemetry.SeriesHCount && p.V < 0 {
 				fail("%s: series %q: negative windowed count %g at t=%d",
 					path, s.Name, p.V, p.T)
 			}
@@ -220,30 +190,14 @@ func checkTimeseries(path, requireSeries string) {
 }
 
 // checkDiff is timeseriesdiff mode: load two recordings and report
-// every series' first divergent window. Unlike the validators above it
-// deliberately reuses internal/telemetry's reader and comparator — the
-// diff checks the *engine's* determinism contract, not the artifact
-// schema, so both sides must be parsed exactly as the producer wrote
-// them.
+// every series' first divergent window.
 func checkDiff(arg string) {
 	parts := strings.Split(arg, ",")
 	if len(parts) != 2 || strings.TrimSpace(parts[0]) == "" || strings.TrimSpace(parts[1]) == "" {
 		fail("-diff wants exactly two files: -diff A,B")
 	}
 	pathA, pathB := strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1])
-	read := func(path string) *telemetry.Dump {
-		f, err := os.Open(path)
-		if err != nil {
-			fail("%v", err)
-		}
-		defer f.Close()
-		d, err := telemetry.ReadDump(f)
-		if err != nil {
-			fail("%s: %v", path, err)
-		}
-		return d
-	}
-	a, b := read(pathA), read(pathB)
+	a, b := readDump(pathA), readDump(pathB)
 	diffs := telemetry.DiffDumps(a, b)
 	if len(diffs) > 0 {
 		for _, d := range diffs {
@@ -263,7 +217,7 @@ func main() {
 	traceOut := flag.String("trace", "", "Chrome trace-event JSON file to validate")
 	requireNesting := flag.Bool("require-nesting", false, "require nma spans nested in refresh-window spans")
 	timeseries := flag.String("timeseries", "", "flight-recorder time-series dump to validate")
-	requireSeries := flag.String("require-series", strings.Join(telemetry.RequiredSeries(), ","), "comma-separated metric families that must each source a series with a point in -timeseries (\"none\" disables)")
+	requireSeries := flag.String("require-series", strings.Join(telemetry.RequiredSeries(), ","), "comma-separated catalogue rows that must each source a series with a point in -timeseries (\"none\" disables)")
 	diff := flag.String("diff", "", "compare two comma-separated time-series dumps and report each series' first divergent window")
 	flag.Parse()
 

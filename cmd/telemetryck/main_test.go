@@ -8,18 +8,20 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"xfm/internal/telemetry"
 )
 
 // validDump is the smallest recording checkTimeseries accepts; each
 // case below damages one thing in a copy of it.
-func validDump() tsDump {
-	return tsDump{
+func validDump() telemetry.Dump {
+	return telemetry.Dump{
 		Schema: 1, Clock: "sim-ps", SimEvery: 64, Samples: 2, Ticks: 128,
-		Series: []tsSeries{
+		Series: []telemetry.SeriesDump{
 			{Name: "ops_total", Kind: "counter", Metric: "ops_total",
-				Points: []tsPoint{{T: 100, V: 3}, {T: 200, V: 0}}},
+				Points: []telemetry.Point{{T: 100, V: 3}, {T: 200, V: 0}}},
 			{Name: "depth", Kind: "gauge", Metric: "depth",
-				Points: []tsPoint{{T: 100, V: 1}, {T: 200, V: -1}}},
+				Points: []telemetry.Point{{T: 100, V: 1}, {T: 200, V: -1}}},
 		},
 	}
 }
@@ -33,28 +35,30 @@ func TestTimeseriesValidation(t *testing.T) {
 
 	cases := []struct {
 		name    string
-		damage  func(d *tsDump)
+		damage  func(d *telemetry.Dump)
 		require string
 		exit    int
 		want    string // substring of stderr on failure, of stdout on success
 	}{
-		{"valid", func(*tsDump) {}, "ops_total,depth", 0,
+		{"valid", func(*telemetry.Dump) {}, "ops_total,depth", 0,
 			"timeseries ok: clock sim-ps, 2 samples, 2 series, 4 points"},
-		{"wall-clock", func(d *tsDump) { d.Clock = "wall-ns" }, "none", 1,
+		{"wall-clock", func(d *telemetry.Dump) { d.Clock = "wall-ns" }, "none", 1,
 			`unknown clock "wall-ns"`},
-		{"non-monotonic", func(d *tsDump) { d.Series[1].Points[1].T = 100 }, "none", 1,
+		{"no-samples", func(d *telemetry.Dump) { d.Samples = 0 }, "none", 1,
+			"no samples recorded"},
+		{"non-monotonic", func(d *telemetry.Dump) { d.Series[1].Points[1].T = 100 }, "none", 1,
 			`series "depth": non-monotonic timestamp 100 after 100 (point 1)`},
-		{"negative-delta", func(d *tsDump) { d.Series[0].Points[1].V = -2 }, "none", 1,
+		{"negative-delta", func(d *telemetry.Dump) { d.Series[0].Points[1].V = -2 }, "none", 1,
 			`series "ops_total": negative counter delta -2 at t=200`},
-		{"duplicate", func(d *tsDump) { d.Series[1].Name = "ops_total" }, "none", 1,
+		{"duplicate", func(d *telemetry.Dump) { d.Series[1].Name = "ops_total" }, "none", 1,
 			`duplicate series "ops_total"`},
-		{"missing-required", func(*tsDump) {}, "ops_total,queue_depth", 1,
+		{"missing-required", func(*telemetry.Dump) {}, "ops_total,queue_depth", 1,
 			"required series missing or empty: queue_depth"},
-		// A histogram family is recorded only under suffixed names; it is
+		// A histogram row is recorded only under suffixed names; it is
 		// required by its own name, through each series' metric field.
-		{"histogram-family", func(d *tsDump) {
-			d.Series = append(d.Series, tsSeries{Name: "lat_ps_p50", Kind: "hist_p50", Metric: "lat_ps",
-				Points: []tsPoint{{T: 100, V: 7}, {T: 200, V: 9}}})
+		{"histogram-family", func(d *telemetry.Dump) {
+			d.Series = append(d.Series, telemetry.SeriesDump{Name: "lat_ps_p50", Kind: "hist_p50", Metric: "lat_ps",
+				Points: []telemetry.Point{{T: 100, V: 7}, {T: 200, V: 9}}})
 		}, "ops_total,lat_ps", 0,
 			"timeseries ok: clock sim-ps, 2 samples, 3 series, 6 points"},
 	}

@@ -19,7 +19,7 @@
 // per-interval pages/s trajectory). The CI bench gate (cmd/benchgate)
 // compares those artifacts against the checked-in bench_baseline.json.
 //
-// With -timeseries-out FILE the flight recorder samples every family
+// With -timeseries-out FILE the flight recorder samples every row
 // of the metric catalogue every -sample-every refresh windows of
 // simulated time and writes the recording (JSON, or CSV when FILE ends
 // in .csv) on exit — the one metric export; telemetryck validates it

@@ -1,6 +1,10 @@
 package fault
 
-import "testing"
+import (
+	"testing"
+
+	"xfm/internal/telemetry"
+)
 
 func TestParseSpecFields(t *testing.T) {
 	p, err := ParseSpec("queue-full=0.2,ecc-multi=1,storm=4096:512:64", 7)
@@ -58,6 +62,7 @@ func TestParseSpecErrors(t *testing.T) {
 }
 
 func TestHitDeterministicAndOrderIndependent(t *testing.T) {
+	recorded := telemetry.FaultInjected.Value()
 	plan, err := ParseSpec("queue-full=0.3", 99)
 	if err != nil {
 		t.Fatal(err)
@@ -98,6 +103,16 @@ func TestHitDeterministicAndOrderIndependent(t *testing.T) {
 	}
 	if same == n {
 		t.Fatal("seed change did not move the fire set")
+	}
+	// The recorded row counts every fault any injector fired.
+	var injected int64
+	for _, in := range []*Injector{a, b, c} {
+		for site := Site(0); site < NumSites; site++ {
+			injected += in.Injected(site)
+		}
+	}
+	if got := telemetry.FaultInjected.Value() - recorded; got != injected {
+		t.Fatalf("fault_injected_total moved by %d, want Σ Injected = %d", got, injected)
 	}
 }
 

@@ -171,11 +171,7 @@ func (ctl *Controller) Submit(req Request) dram.Ps {
 	if lat > st.MaxLatPs {
 		st.MaxLatPs = lat
 	}
-	if req.Kind == dram.Read {
-		mReqReads.Inc()
-	} else {
-		mReqWrites.Inc()
-	}
+	telemetry.MemctrlRequests.Inc()
 	telemetry.MemctrlRequestLatencyPs.Observe(float64(lat))
 	return last
 }

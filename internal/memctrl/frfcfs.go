@@ -62,7 +62,7 @@ func (q *QueuedController) Enqueue(req Request) bool {
 	if req.Kind == dram.Read {
 		if len(q.readQ) >= q.ReadQueueDepth {
 			q.stats.ReadQueueFullStalls++
-			mReadStalls.Inc()
+			telemetry.MemctrlQueueFullStalls.Inc()
 			return false
 		}
 		q.readQ = append(q.readQ, req)
@@ -71,7 +71,7 @@ func (q *QueuedController) Enqueue(req Request) bool {
 	}
 	if len(q.writeQ) >= q.WriteQueueDepth {
 		q.stats.WriteQueueFullStalls++
-		mWriteStalls.Inc()
+		telemetry.MemctrlQueueFullStalls.Inc()
 		return false
 	}
 	q.writeQ = append(q.writeQ, req)

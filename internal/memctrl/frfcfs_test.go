@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"xfm/internal/dram"
+	"xfm/internal/telemetry"
 )
 
 func newQC() *QueuedController {
@@ -11,6 +12,7 @@ func newQC() *QueuedController {
 }
 
 func TestQueueAdmissionLimits(t *testing.T) {
+	recorded := telemetry.MemctrlQueueFullStalls.Value()
 	q := newQC()
 	q.ReadQueueDepth = 2
 	q.WriteQueueDepth = 1
@@ -32,6 +34,9 @@ func TestQueueAdmissionLimits(t *testing.T) {
 	st := q.Stats()
 	if st.ReadQueueFullStalls != 1 || st.WriteQueueFullStalls != 1 {
 		t.Errorf("stall counts = %+v", st)
+	}
+	if got, want := telemetry.MemctrlQueueFullStalls.Value()-recorded, st.ReadQueueFullStalls+st.WriteQueueFullStalls; got != want {
+		t.Errorf("memctrl_queue_full_stalls_total moved by %d, want %d", got, want)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"xfm/internal/dram"
+	"xfm/internal/telemetry"
 )
 
 func testMapping() Mapping {
@@ -140,10 +141,15 @@ func TestDecomposePanicsOutOfRange(t *testing.T) {
 }
 
 func TestControllerSubmitAccounting(t *testing.T) {
+	recorded := telemetry.MemctrlRequests.Value()
 	ctl := NewController(testMapping(), dram.DDR5_3200())
 	done := ctl.Submit(Request{Addr: 0, Size: 4096, Kind: dram.Read, Stream: 1, At: 0})
 	if done <= 0 {
 		t.Fatal("completion time not positive")
+	}
+	ctl.Submit(Request{Addr: 1 << 20, Size: 256, Kind: dram.Write, Stream: 2, At: done})
+	if got := telemetry.MemctrlRequests.Value() - recorded; got != 2 {
+		t.Errorf("memctrl_requests_total moved by %d over a read and a write, want 2", got)
 	}
 	st := ctl.Stream(1)
 	if st.Requests != 1 || st.Bytes != 4096 {
@@ -153,8 +159,8 @@ func TestControllerSubmitAccounting(t *testing.T) {
 		t.Errorf("row accesses = %d, want 32", st.RowAccesses)
 	}
 	read, written := ctl.TotalBytes()
-	if read != 4096 || written != 0 {
-		t.Errorf("bytes = %d read, %d written; want 4096/0", read, written)
+	if read != 4096 || written != 256 {
+		t.Errorf("bytes = %d read, %d written; want 4096/256", read, written)
 	}
 }
 

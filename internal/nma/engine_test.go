@@ -21,16 +21,15 @@ import (
 // engineRun drives one simulator through a deterministic random
 // interleaving of submit bursts, AdvanceTo jumps (short and long), and
 // single window steps, with the given fast-forward setting, and
-// returns every observable surface: Stats, a registry snapshot, and
+// returns every observable surface: Stats, a catalogue snapshot, and
 // the sim-time recording bytes.
 func engineRun(t *testing.T, seed int64, ff bool) (Stats, telemetry.Snapshot, []byte) {
 	t.Helper()
-	reg := telemetry.DefaultRegistry()
-	reg.ResetAll()
+	telemetry.ResetAll()
 	SetFastForward(ff)
 	defer SetFastForward(true)
 
-	smp := telemetry.NewSampler(reg, 1<<14)
+	smp := telemetry.NewSampler(1 << 14)
 	smp.SetSimEvery(7) // off-power-of-two so samples straddle skip chunks
 	smp.Reset()
 	smp.SetEnabled(true)
@@ -77,7 +76,7 @@ func engineRun(t *testing.T, seed int64, ff bool) (Stats, telemetry.Snapshot, []
 	if err := smp.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return s.Stats(), reg.Snapshot(), buf.Bytes()
+	return s.Stats(), telemetry.SnapshotAll(), buf.Bytes()
 }
 
 // TestFastForwardEquivalence is the tentpole property test: N

@@ -21,7 +21,7 @@
 // of stepped one tREFI at a time, with bulk counter updates chunked so
 // Stats, telemetry, and flight-recorder samples stay bit-identical to
 // a stepped run. Each event is counted once, in the Sim's Stats; the
-// registry's nma_* rows are fed from them by publish.
+// catalogue's nma_* rows are fed from them by publish.
 package nma
 
 import (
@@ -206,7 +206,7 @@ func (l *opList) remove(o *op, k int) {
 
 // Stats aggregates simulation results; it maps to Fig. 12's panels. It
 // is also the engine's only count of its events: publish feeds the
-// registry's nma_* rows from it.
+// catalogue's nma_* rows from it.
 type Stats struct {
 	Submitted   int64
 	Fallbacks   int64 // requests the driver redirected to the CPU
@@ -322,7 +322,7 @@ type Sim struct {
 
 	stats Stats
 
-	// pub is the part of stats the registry already holds and
+	// pub is the part of stats the catalogue already holds and
 	// lat[:nlat] the latencies of written-back ops it has not yet
 	// observed, in completion order; publish moves the difference.
 	pub  Stats
@@ -339,7 +339,7 @@ type Sim struct {
 
 	// Flight recorder (off unless the sampler is recording): while it
 	// records, each stepped window publishes and ticks the simulated-time
-	// clock domain so every Nth refresh window snapshots the registry
+	// clock domain so every Nth refresh window samples the catalogue
 	// into time series; fast-forwarded ranges tick in bulk through
 	// Sampler.SimTickRange, which lands samples on exactly the same
 	// timestamps with exactly the same counter values.
@@ -605,7 +605,7 @@ func (s *Sim) step() int {
 	s.stats.Windows++
 	s.window++
 	if s.sampler != nil && s.sampler.Recording() {
-		// A sample reads the registry, so it must hold this window.
+		// A sample reads the catalogue, so it must hold this window.
 		s.publish()
 		s.sampler.SimTick(int64(now))
 	}
@@ -653,7 +653,7 @@ func (s *Sim) idleSkip(max int64) int64 {
 // clock and the per-window Stats move in bulk. While the sampler
 // records, Sampler.SimTickRange chunks the range and each chunk is
 // published before the sample it ends in, so every flight-recorder
-// sample in the range reads exactly the registry state a stepped run
+// sample in the range reads exactly the catalogue state a stepped run
 // would have produced at that timestamp.
 func (s *Sim) skipWindows(n int64) {
 	if s.sampler != nil && s.sampler.Recording() {
@@ -679,11 +679,11 @@ func (s *Sim) advanceIdle(k int64) {
 }
 
 // publish moves every event counted since the last publish into the
-// process-wide registry: the deltas of Stats, the gauges if a window
+// catalogue's nma_* rows: the deltas of Stats, the gauges if a window
 // ran since, and the buffered latencies in completion order. It runs
 // before every flight-recorder tick while the sampler records and
 // before each exported entry point returns, so a sample or a caller
-// reads exactly the registry a per-event count would have built: sims
+// reads exactly the rows a per-event count would have built: sims
 // run one after another (DESIGN §7b), and every other sim published
 // before its last call returned. At each of those points, if a window
 // ran since the last publish, it was the last thing to move the queue

@@ -351,11 +351,11 @@ func TestRunWindowsArrivalOrdering(t *testing.T) {
 
 // TestSubmitPanicsOnBadGroup: a request naming a refresh group outside
 // the device panics before it is counted, so Submitted = Completed +
-// Fallbacks + in flight still holds and the registry does not move.
+// Fallbacks + in flight still holds and the nma_* rows do not move.
 func TestSubmitPanicsOnBadGroup(t *testing.T) {
 	rows := func() string {
 		var b strings.Builder
-		foldNMARows(&b, telemetry.DefaultRegistry().Snapshot())
+		foldNMARows(&b, telemetry.SnapshotAll())
 		return b.String()
 	}
 	before := rows()
@@ -378,7 +378,7 @@ func TestSubmitPanicsOnBadGroup(t *testing.T) {
 		t.Errorf("rejected-by-panic requests were counted: %+v", st)
 	}
 	if after := rows(); after != before {
-		t.Errorf("registry moved across panicking Submits:\nbefore:\n%safter:\n%s", before, after)
+		t.Errorf("nma_* rows moved across panicking Submits:\nbefore:\n%safter:\n%s", before, after)
 	}
 }
 

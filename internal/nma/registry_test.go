@@ -1,11 +1,11 @@
 package nma
 
 // The registry oracle: what the NMA engine publishes into the
-// process-wide registry, pinned as a digest of every nma_* row after
+// catalogue's nma_* rows, pinned as a digest of every nma_* row after
 // every exported call. It was recorded on the engine that wrote each
-// event to the registry as it happened, so any change to how the rows
-// are fed must reproduce that engine's registry at every call boundary
-// and every flight-recorder sample, not just its own earlier output.
+// event to the rows as it happened, so any change to how the rows are
+// fed must reproduce that engine's rows at every call boundary and
+// every flight-recorder sample, not just its own earlier output.
 
 import (
 	"bytes"
@@ -48,15 +48,14 @@ func foldNMARows(w io.Writer, snap telemetry.Snapshot) {
 }
 
 // registryOracleRun drives the engine through every exported entry
-// point, folding the registry's nma_* rows into a running SHA-256 after
-// each call, and returns the digest, the final registry snapshot and
+// point, folding the catalogue's nma_* rows into a running SHA-256 after
+// each call, and returns the digest, the final catalogue snapshot and
 // the recording of the one sim that ticks a recording sampler.
 func registryOracleRun(t *testing.T) (string, telemetry.Snapshot, []byte) {
 	t.Helper()
-	reg := telemetry.DefaultRegistry()
-	reg.ResetAll()
+	telemetry.ResetAll()
 	digest := sha256.New()
-	fold := func() { foldNMARows(digest, reg.Snapshot()) }
+	fold := func() { foldNMARows(digest, telemetry.SnapshotAll()) }
 
 	c := cfg32()
 	c.QueueDepth = 32
@@ -141,9 +140,9 @@ func registryOracleRun(t *testing.T) (string, telemetry.Snapshot, []byte) {
 	}
 
 	// A storm-injected sim that ticks a recording sampler, so the
-	// registry is also read at samples inside stepped windows and
+	// rows are also read at samples inside stepped windows and
 	// inside fast-forwarded ranges.
-	smp := telemetry.NewSampler(reg, 1<<14)
+	smp := telemetry.NewSampler(1 << 14)
 	smp.SetSimEvery(31)
 	smp.Reset()
 	smp.SetEnabled(true)
@@ -194,12 +193,12 @@ func registryOracleRun(t *testing.T) (string, telemetry.Snapshot, []byte) {
 		sat.RunWindows(4096, next)
 		fold()
 	}
-	return hex.EncodeToString(digest.Sum(nil)), reg.Snapshot(), rec.Bytes()
+	return hex.EncodeToString(digest.Sum(nil)), telemetry.SnapshotAll(), rec.Bytes()
 }
 
 // TestNMARegistryPinned pins the registry oracle: the digest over every
 // exported call, the final nma_* rows, and the storm sim's recording.
-// The values were recorded on the engine that bumped a registry handle
+// The values were recorded on the engine that bumped a catalogue handle
 // at every event.
 func TestNMARegistryPinned(t *testing.T) {
 	const (

@@ -19,12 +19,11 @@ import (
 // stormRun mirrors engineRun with a storm-scheduling injector armed.
 func stormRun(t *testing.T, seed int64, ff bool, storm fault.StormSpec) (Stats, telemetry.Snapshot, []byte) {
 	t.Helper()
-	reg := telemetry.DefaultRegistry()
-	reg.ResetAll()
+	telemetry.ResetAll()
 	SetFastForward(ff)
 	defer SetFastForward(true)
 
-	smp := telemetry.NewSampler(reg, 1<<14)
+	smp := telemetry.NewSampler(1 << 14)
 	smp.SetSimEvery(7)
 	smp.Reset()
 	smp.SetEnabled(true)
@@ -71,7 +70,7 @@ func stormRun(t *testing.T, seed int64, ff bool, storm fault.StormSpec) (Stats, 
 	if err := smp.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return s.Stats(), reg.Snapshot(), buf.Bytes()
+	return s.Stats(), telemetry.SnapshotAll(), buf.Bytes()
 }
 
 // TestStormFastForwardEquivalence extends the §6b equivalence property

@@ -5,19 +5,18 @@ import (
 	"regexp"
 )
 
-// The metric catalogue: every family of the process-wide registry is
-// declared here, exactly once, as the handle its owner records
-// through. The constructors below are the only way into the default
-// registry, so a registration elsewhere does not compile. Every row is
-// a series of the flight recorder (DefaultSeriesMetrics), the one
-// metric export; what telemetryck requires of a CI recording
-// (RequiredSeries) and the DESIGN §7 table (TestDesignCatalogueTable)
-// are read off the rows. A row is deterministic under the simulated
-// clock (no wall-time histograms), so recordings are bit-identical for
-// a fixed seed at any worker count. Private registries (NewRegistry)
-// are not catalogued.
+// The metric catalogue: every metric of the process is declared here,
+// exactly once, as a row that owns its instrument and hands its owner
+// the handle it records through. The row constructors below are
+// unexported, so a metric declared elsewhere does not compile. Every
+// row is a series of the flight recorder (NewSampler walks the rows in
+// order), the one metric export; what telemetryck requires of a CI
+// recording (RequiredSeries) and the DESIGN §7 table
+// (TestDesignCatalogueTable) are read off the rows. A row is
+// deterministic under the simulated clock (no wall-time histograms), so
+// recordings are bit-identical for a fixed seed at any worker count.
 
-// layer is the package that owns a family; DESIGN §7 groups by it.
+// layer is the package that owns a row; DESIGN §7 groups by it.
 type layer string
 
 const (
@@ -36,11 +35,25 @@ type attrs uint8
 // file CI validates (telemetryck -require-series).
 const required attrs = 1
 
-// row is one catalogue entry.
+// Row kinds.
+const (
+	kindCounter   = "counter"
+	kindGauge     = "gauge"
+	kindGaugeFunc = "gaugefunc" // a gauge derived when read
+	kindHistogram = "histogram"
+)
+
+// row is one catalogue entry. It holds exactly one instrument, the one
+// its kind names.
 type row struct {
-	name, kind, help, labelKey string
-	layer                      layer
-	attrs                      attrs
+	name, kind, help string
+	layer            layer
+	attrs            attrs
+
+	ctr   *Counter
+	gauge *Gauge
+	fn    func() float64
+	hist  *Histogram
 }
 
 var (
@@ -65,42 +78,29 @@ func declare(r row) {
 }
 
 func counter(l layer, name, help string, a attrs) *Counter {
-	declare(row{name: name, kind: kindCounter, help: help, layer: l, attrs: a})
-	return defaultRegistry.Counter(name)
+	c := &Counter{}
+	declare(row{name: name, kind: kindCounter, help: help, layer: l, attrs: a, ctr: c})
+	return c
 }
 
 func gauge(l layer, name, help string, a attrs) *Gauge {
-	declare(row{name: name, kind: kindGauge, help: help, layer: l, attrs: a})
-	return defaultRegistry.Gauge(name)
+	g := &Gauge{}
+	declare(row{name: name, kind: kindGauge, help: help, layer: l, attrs: a, gauge: g})
+	return g
 }
 
 func gaugeFunc(l layer, name, help string, a attrs, fn func() float64) {
-	declare(row{name: name, kind: kindGaugeFunc, help: help, layer: l, attrs: a})
-	defaultRegistry.GaugeFunc(name, fn)
+	declare(row{name: name, kind: kindGaugeFunc, help: help, layer: l, attrs: a, fn: fn})
 }
 
 func histogram(l layer, name, help string, buckets []float64, a attrs) *Histogram {
-	declare(row{name: name, kind: kindHistogram, help: help, layer: l, attrs: a})
-	return defaultRegistry.Histogram(name, buckets)
-}
-
-func counterVec(l layer, name, help, labelKey string, a attrs) *CounterVec {
-	declare(row{name: name, kind: kindCounter, help: help, labelKey: labelKey, layer: l, attrs: a})
-	return defaultRegistry.CounterVec(name, labelKey)
-}
-
-// DefaultSeriesMetrics is what the default sampler records: every row,
-// in catalogue order.
-func DefaultSeriesMetrics() []string {
-	out := make([]string, len(catalogue))
-	for i, r := range catalogue {
-		out[i] = r.name
-	}
-	return out
+	h := newHistogram(buckets)
+	declare(row{name: name, kind: kindHistogram, help: help, layer: l, attrs: a, hist: h})
+	return h
 }
 
 // RequiredSeries is telemetryck's -require-series default: the required
-// rows, matched against each recorded series' source family.
+// rows, matched against each recorded series' source row.
 func RequiredSeries() []string {
 	var out []string
 	for _, r := range catalogue {
@@ -170,10 +170,10 @@ func init() {
 
 // NMA (aggregated across every Sim in the process). A Sim counts each
 // event once, in its own Stats and a buffer of completed-op latencies;
-// its publish adds what the registry does not yet hold to these rows
-// before every flight-recorder tick while the sampler records and
-// before each exported Sim call returns. The gauges hold the last
-// window a Sim stepped or skipped.
+// its publish adds to these rows what they do not yet hold, before
+// every flight-recorder tick while the sampler records and before each
+// exported Sim call returns. The gauges hold the last window a Sim
+// stepped or skipped.
 var (
 	NMAWindows = counter(layerNMA, "nma_windows_total",
 		"Refresh windows (tRFC) the NMA simulators stepped through.", required)
@@ -223,8 +223,8 @@ func init() {
 // experiments), plus FR-FCFS queue occupancy so back-pressure into the
 // core is visible on a dashboard.
 var (
-	MemctrlRequests = counterVec(layerMemctrl, "memctrl_requests_total",
-		"Requests submitted to the controller, by access kind.", "kind", 0)
+	MemctrlRequests = counter(layerMemctrl, "memctrl_requests_total",
+		"Requests submitted to the controller (reads and writes).", 0)
 	MemctrlRequestLatencyPs = histogram(layerMemctrl, "memctrl_request_latency_ps",
 		"Per-request completion latency in picoseconds (all chunks done).",
 		ExpBuckets(1e3, 2, 24), 0)
@@ -232,12 +232,11 @@ var (
 		"Current FR-FCFS read queue occupancy.", 0)
 	MemctrlWriteQueueDepth = gauge(layerMemctrl, "memctrl_write_queue_depth",
 		"Current FR-FCFS write queue occupancy.", 0)
-	MemctrlQueueFullStalls = counterVec(layerMemctrl, "memctrl_queue_full_stalls_total",
-		"Enqueue rejections due to a full transaction queue, by queue.", "queue", 0)
+	MemctrlQueueFullStalls = counter(layerMemctrl, "memctrl_queue_full_stalls_total",
+		"Enqueue rejections due to a full transaction queue (read or write).", 0)
 )
 
-// Chaos: one counter family, labeled by injection site; the per-site
-// children are cached on each fault.Injector at construction so the
-// hot submit path never does a label lookup.
-var FaultInjected = counterVec(layerFault, "fault_injected_total",
-	"Faults fired by the chaos injection plane, by injection site.", "site", 0)
+// Chaos: every fault the injection plane fires, at any site; the
+// per-site counts are fault.Injector.Injected.
+var FaultInjected = counter(layerFault, "fault_injected_total",
+	"Faults fired by the chaos injection plane, at any injection site.", 0)

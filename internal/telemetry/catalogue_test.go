@@ -9,7 +9,7 @@ import (
 )
 
 // histSeriesSuffixes are the five windowed series the sampler derives
-// from one histogram family.
+// from one histogram row.
 var histSeriesSuffixes = []string{"_count", "_sum", "_p50", "_p95", "_p99"}
 
 // TestDefaultRulesNameSampledSeries: a health rule reads the flight
@@ -37,15 +37,14 @@ func TestDefaultRulesNameSampledSeries(t *testing.T) {
 }
 
 // TestRequiredRowsAreSampled: telemetryck requires each required row
-// of a CI recording by its source family, so one sample of the default
-// recorder over the default registry must carry a series for every
-// required family.
+// of a CI recording by its source row, so one sample of a recorder over
+// the catalogue must carry a series for every required row.
 func TestRequiredRowsAreSampled(t *testing.T) {
 	required := RequiredSeries()
 	if len(required) == 0 {
 		t.Fatal("the catalogue marks nothing as required: the CI gate would be vacuous")
 	}
-	s := NewSampler(DefaultRegistry(), 0)
+	s := NewSampler(0)
 	s.Reset()
 	s.FinalSample()
 	recorded := map[string]bool{}
@@ -69,9 +68,6 @@ func designTable() string {
 		kind := r.kind
 		if r.kind == kindGaugeFunc {
 			kind = "gauge (derived)"
-		}
-		if r.labelKey != "" {
-			kind += " by `" + r.labelKey + "`"
 		}
 		req := ""
 		if r.attrs&required != 0 {
@@ -117,7 +113,7 @@ func TestDeclareRejectsBadRows(t *testing.T) {
 					t.Errorf("%s: declare(%q) should panic", why, name)
 				}
 			}()
-			declare(row{name: name, kind: kindCounter, help: "help", layer: layerXFM})
+			declare(row{name: name, kind: kindCounter, help: "help", layer: layerXFM, ctr: &Counter{}})
 		}()
 	}
 }

@@ -11,9 +11,8 @@ func TestSimTickRangeMatchesSequentialTicks(t *testing.T) {
 	// increments: same sample timestamps, same sampled values, same
 	// tick count.
 	run := func(bulk bool) *Dump {
-		reg := NewRegistry()
-		ctr := reg.Counter("test_ops_total")
-		s := NewSampler(reg, 64, "test_ops_total")
+		ctr := &Counter{}
+		s := newSampler(64, []row{{name: "test_ops_total", kind: kindCounter, ctr: ctr}})
 		s.SetSimEvery(4)
 		s.Reset()
 		s.SetEnabled(true)
@@ -46,8 +45,7 @@ func TestSimTickRangeMatchesSequentialTicks(t *testing.T) {
 }
 
 func TestSimTickRangeDisabledStillAdvances(t *testing.T) {
-	reg := NewRegistry()
-	s := NewSampler(reg, 8)
+	s := newSampler(8, nil)
 	s.SetSimEvery(4)
 	// Disabled recorder: no ticks counted (mirrors SimTick), but the
 	// caller's bulk advance must still run in full.

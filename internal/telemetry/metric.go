@@ -1,19 +1,3 @@
-// Package telemetry is the unified observability layer of the
-// simulator: a concurrency-safe metrics registry (atomic counters,
-// gauges, and fixed-bucket latency histograms with estimated
-// p50/p95/p99), the flight recorder that samples every catalogued
-// family into a simulated-time recording, and a lock-cheap span tracer
-// that records simulated-time spans into a bounded ring buffer and
-// exports Chrome trace-event JSON (chrome://tracing / Perfetto).
-//
-// Every package of the offload path (sfm, xfm, nma, memctrl, fault,
-// workload) records into the process-wide default registry through the
-// handles catalogue.go declares, and the CLIs export it as a recording
-// (-timeseries-out), so a single benchmark run can emit the windowed
-// metric series the health rules and xfmtop read plus a navigable
-// timeline of compression bursts packed inside refresh windows. All
-// metric types are safe for concurrent use; snapshots taken while
-// writers are active are approximate but race-free.
 package telemetry
 
 import (
@@ -66,16 +50,6 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // SetInt stores an integer value.
 func (g *Gauge) SetInt(v int64) { g.Set(float64(v)) }
-
-// Add shifts the gauge by v.
-func (g *Gauge) Add(v float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
@@ -206,7 +180,7 @@ func (h *Histogram) Max() float64 {
 
 // Mean returns Sum/Count, or 0 when empty.
 //
-//xfm:ignore unreachable a Snapshot field: compared by the nma fast-forward equivalence tests through Registry.Snapshot, checked by TestHistogramQuantiles
+//xfm:ignore unreachable a Snapshot field: compared by the nma fast-forward equivalence tests through SnapshotAll, checked by TestHistogramQuantiles
 func (h *Histogram) Mean() float64 {
 	n := h.count.Load()
 	if n == 0 {

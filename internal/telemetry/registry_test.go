@@ -4,27 +4,21 @@ import (
 	"encoding/json"
 	"math"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 )
 
 func TestCounterAndGauge(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c_total")
+	var c Counter
 	c.Inc()
 	c.Add(4)
 	if c.Value() != 5 {
 		t.Errorf("counter = %d, want 5", c.Value())
 	}
-	if again := r.Counter("c_total"); again != c {
-		t.Error("re-registration should return the same counter")
-	}
-	g := r.Gauge("g")
+	var g Gauge
 	g.Set(2.5)
-	g.Add(-0.5)
-	if g.Value() != 2 {
-		t.Errorf("gauge = %v, want 2", g.Value())
+	if g.Value() != 2.5 {
+		t.Errorf("gauge = %v, want 2.5", g.Value())
 	}
 	g.SetInt(7)
 	if g.Value() != 7 {
@@ -45,49 +39,8 @@ func TestFloatCounter(t *testing.T) {
 	}
 }
 
-func TestKindMismatchPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("dup")
-	defer func() {
-		if recover() == nil {
-			t.Error("registering dup as gauge should panic")
-		}
-	}()
-	r.Gauge("dup")
-}
-
-// TestReRegisterDifferentBucketsPanics: a caller must never be handed a
-// histogram whose bounds are not the ones it passed.
-func TestReRegisterDifferentBucketsPanics(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat", []float64{1, 10})
-	if again := r.Histogram("lat", []float64{1, 10}); again != h {
-		t.Error("re-registration with the same buckets should return the same histogram")
-	}
-	defer func() {
-		if msg, _ := recover().(string); !strings.Contains(msg, `"lat" re-registered with buckets`) {
-			t.Errorf("re-registering lat with other buckets should panic, got %q", msg)
-		}
-	}()
-	r.Histogram("lat", []float64{1, 100})
-}
-
-// TestReRegisterGaugeFuncPanics: the second fn used to be dropped
-// silently.
-func TestReRegisterGaugeFuncPanics(t *testing.T) {
-	r := NewRegistry()
-	r.GaugeFunc("rate", func() float64 { return 1 })
-	defer func() {
-		if msg, _ := recover().(string); !strings.Contains(msg, `"rate" re-registered with a second gauge func`) {
-			t.Errorf("re-registering rate should panic, got %q", msg)
-		}
-	}()
-	r.GaugeFunc("rate", func() float64 { return 2 })
-}
-
 func TestHistogramQuantiles(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", LinearBuckets(10, 10, 10))
+	h := newHistogram(LinearBuckets(10, 10, 10))
 
 	// Empty histogram: everything zero.
 	if h.Count() != 0 || h.State().Sum != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
@@ -156,8 +109,8 @@ func TestObserveAllMatchesObserve(t *testing.T) {
 		{"signed zeros keep the first extremum", []float64{0}, []float64{math.Copysign(0, -1), 0, math.Copysign(0, -1)}},
 		{"sum past 2^53", []float64{big - 2}, []float64{1, 1, 1, 1, 3, 1e6, 4.4e12, 1}},
 	} {
-		seq := NewRegistry().Histogram("seq", ExpBuckets(1e6, 2, 18))
-		all := NewRegistry().Histogram("all", ExpBuckets(1e6, 2, 18))
+		seq := newHistogram(ExpBuckets(1e6, 2, 18))
+		all := newHistogram(ExpBuckets(1e6, 2, 18))
 		for _, v := range tc.prior {
 			seq.Observe(v)
 			all.Observe(v)
@@ -181,7 +134,7 @@ func TestObserveAllMatchesObserve(t *testing.T) {
 
 	// The 2^53 case has teeth: the batch's total added once rounds
 	// differently from the values folded one by one.
-	h := NewRegistry().Histogram("h", nil)
+	h := newHistogram(nil)
 	h.Observe(big)
 	h.ObserveAll([]float64{1, 1, 1, 1})
 	if got := h.State().Sum; got != big {
@@ -189,30 +142,57 @@ func TestObserveAllMatchesObserve(t *testing.T) {
 	}
 }
 
+// TestSnapshotJSON: SnapshotAll holds every catalogue row under its
+// own name, in the map its kind names, and round-trips through JSON;
+// after ResetAll every stored instrument reads zero.
 func TestSnapshotJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c_total").Inc()
-	r.Histogram("h", LinearBuckets(1, 1, 4)).Observe(2)
-	r.CounterVec("ops_total", "kind").With("read").Add(3)
-	snap := r.Snapshot()
-	if got := snap.Counters[`ops_total{kind="read"}`]; got != 3 {
-		t.Errorf("labeled child = %d under %v, want 3 under ops_total{kind=\"read\"}", got, snap.Counters)
+	ResetAll()
+	snap := SnapshotAll()
+	for _, r := range catalogue {
+		var ok bool
+		switch r.kind {
+		case kindCounter:
+			var v int64
+			v, ok = snap.Counters[r.name]
+			ok = ok && v == 0
+		case kindGauge:
+			var v float64
+			v, ok = snap.Gauges[r.name]
+			ok = ok && v == 0
+		case kindGaugeFunc:
+			_, ok = snap.Gauges[r.name]
+		case kindHistogram:
+			var h HistogramSnapshot
+			h, ok = snap.Histograms[r.name]
+			ok = ok && h.Count == 0
+		}
+		if !ok {
+			t.Errorf("%s (%s) missing from the snapshot or not reset: %+v", r.name, r.kind, snap)
+		}
+	}
+	if n := len(snap.Counters) + len(snap.Gauges) + len(snap.Histograms); n != len(catalogue) {
+		t.Errorf("snapshot holds %d keys, want one per row (%d)", n, len(catalogue))
 	}
 	data, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var round map[string]interface{}
+	var round Snapshot
 	if err := json.Unmarshal(data, &round); err != nil {
 		t.Fatalf("snapshot is not valid JSON: %v", err)
 	}
+	if len(round.Counters) != len(snap.Counters) || len(round.Histograms) != len(snap.Histograms) {
+		t.Errorf("round trip lost keys: %+v", round)
+	}
 }
 
-// TestRegistryConcurrent hammers one registry from many goroutines so
-// `go test -race` proves the registration and observation paths are
-// data-race free.
+// TestRegistryConcurrent hammers private rows from many goroutines
+// while readers snapshot the catalogue and sample the rows, so
+// `go test -race` proves the observation and sampling paths are data-race
+// free.
 func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry()
+	var ctr Counter
+	hist := newHistogram(ExpBuckets(1, 2, 10))
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
 
@@ -220,19 +200,18 @@ func TestRegistryConcurrent(t *testing.T) {
 		writers.Add(1)
 		go func() {
 			defer writers.Done()
-			c := r.Counter("shared_total")
-			h := r.Histogram("shared_hist", ExpBuckets(1, 2, 10))
-			v := r.CounterVec("shared_vec_total", "k")
 			for i := 0; i < 5000; i++ {
-				c.Inc()
-				h.Observe(float64(i % 700))
-				v.With([]string{"a", "b", "c"}[i%3]).Inc()
+				ctr.Inc()
+				hist.Observe(float64(i % 700))
 			}
 		}()
 	}
-	// Concurrent readers: whole-registry snapshots and recorder
+	// Concurrent readers: whole-catalogue snapshots and recorder
 	// samples (the sampler's own clock keeps its timestamps monotonic).
-	smp := NewSampler(r, 8, "shared_total", "shared_hist", "shared_vec_total")
+	smp := newSampler(8, []row{
+		{name: "shared_total", kind: kindCounter, ctr: &ctr},
+		{name: "shared_hist", kind: kindHistogram, hist: hist},
+	})
 	smp.Reset()
 	for w := 0; w < 3; w++ {
 		readers.Add(1)
@@ -244,7 +223,7 @@ func TestRegistryConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				r.Snapshot()
+				SnapshotAll()
 				smp.FinalSample()
 			}
 		}()
@@ -253,10 +232,10 @@ func TestRegistryConcurrent(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	if got := r.Counter("shared_total").Value(); got != 8*5000 {
+	if got := ctr.Value(); got != 8*5000 {
 		t.Errorf("counter = %d, want %d", got, 8*5000)
 	}
-	if got := r.Histogram("shared_hist", ExpBuckets(1, 2, 10)).Count(); got != 8*5000 {
+	if got := hist.Count(); got != 8*5000 {
 		t.Errorf("histogram count = %d, want %d", got, 8*5000)
 	}
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -9,8 +10,8 @@ import (
 	"sync/atomic"
 )
 
-// The flight recorder: a Sampler periodically snapshots selected
-// registry metrics into fixed-capacity ring-buffered time series, so
+// The flight recorder: a Sampler periodically samples every catalogue
+// row into fixed-capacity ring-buffered time series, so
 // the signals that matter in a windowed system — fallback-rate spikes,
 // slot-utilization collapse, queue-full stall storms — are visible as
 // trajectories instead of end-of-run totals.
@@ -18,10 +19,10 @@ import (
 // The recorder has one clock: simulated time. While it records, nma.Sim
 // drives it by calling SimTick at the end of every refresh window it
 // steps (SimTickRange for a fast-forwarded range), right after
-// publishing its counts to the registry; the sampler takes one sample
+// publishing its counts to the catalogue; the sampler takes one sample
 // every SimEvery ticks, so each sample is a tREFI epoch and the
 // recorded series are bit-deterministic for a fixed seed. A sampler
-// owns one strictly monotonic timeline over one shared registry, so a
+// owns one strictly monotonic timeline over the shared catalogue, so a
 // recording is serial because the program that makes it runs its
 // simulators one after another.
 
@@ -33,8 +34,8 @@ type Point struct {
 
 // Series kinds recorded by the sampler.
 const (
-	SeriesCounter = "counter" // per-window delta of a (summed) counter family
-	SeriesGauge   = "gauge"   // instantaneous value (summed across children)
+	SeriesCounter = "counter" // per-window delta of a counter
+	SeriesGauge   = "gauge"   // instantaneous value
 	SeriesHCount  = "hist_count"
 	SeriesHSum    = "hist_sum"
 	SeriesHP50    = "hist_p50"
@@ -46,7 +47,7 @@ const (
 type series struct {
 	name    string // series name (metric name plus any histogram suffix)
 	kind    string
-	metric  string // source family
+	metric  string // source row
 	buf     []Point
 	next, n int
 	dropped int64
@@ -78,11 +79,12 @@ const DefaultSeriesCapacity = 1024
 // (tREFI intervals) for the simulated-time clock domain.
 const DefaultSimEvery = 64
 
-// Sampler records time series over one registry. The zero value is not
-// usable; call NewSampler (or use DefaultSampler). All methods are safe
-// for concurrent use.
+// Sampler records one time series per catalogue row (five per
+// histogram row), in catalogue order. The zero value is not usable;
+// call NewSampler (or use DefaultSampler). All methods are safe for
+// concurrent use.
 type Sampler struct {
-	reg     *Registry
+	rows    []row
 	enabled atomic.Bool
 	// simEvery is the sampling period in ticks; 0 routes around SimTick
 	// entirely.
@@ -90,34 +92,28 @@ type Sampler struct {
 	ticks    atomic.Int64
 
 	mu       sync.Mutex
-	names    []string
 	capacity int
-	order    []*series
-	byName   map[string]*series
-	prevCtr  map[string]float64
-	prevHist map[string]HistogramState
+	order    []*series // every row's series, in push order
+	prevCtr  []float64 // by row index: the counter at the last sample
+	prevHist []HistogramState
 	samples  int
 	lastT    int64
 	haveLast bool
 }
 
-// NewSampler builds a disabled sampler over reg recording the given
-// metric families (DefaultSeriesMetrics when empty) with the given
-// per-series ring capacity (DefaultSeriesCapacity when ≤ 0).
-func NewSampler(reg *Registry, capacity int, metrics ...string) *Sampler {
+// NewSampler builds a disabled sampler over the catalogue with the
+// given per-series ring capacity (DefaultSeriesCapacity when ≤ 0).
+func NewSampler(capacity int) *Sampler { return newSampler(capacity, catalogue) }
+
+func newSampler(capacity int, rows []row) *Sampler {
 	if capacity <= 0 {
 		capacity = DefaultSeriesCapacity
 	}
-	if len(metrics) == 0 {
-		metrics = DefaultSeriesMetrics()
-	}
 	s := &Sampler{
-		reg:      reg,
+		rows:     rows,
 		capacity: capacity,
-		names:    append([]string(nil), metrics...),
-		byName:   map[string]*series{},
-		prevCtr:  map[string]float64{},
-		prevHist: map[string]HistogramState{},
+		prevCtr:  make([]float64, len(rows)),
+		prevHist: make([]HistogramState, len(rows)),
 	}
 	s.simEvery.Store(DefaultSimEvery)
 	return s
@@ -144,23 +140,16 @@ func (s *Sampler) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.order = nil
-	s.byName = map[string]*series{}
-	s.prevCtr = map[string]float64{}
-	s.prevHist = map[string]HistogramState{}
 	s.samples = 0
 	s.haveLast = false
 	s.lastT = 0
 	s.ticks.Store(0)
-	for _, name := range s.names {
-		f := s.reg.familyByName(name)
-		if f == nil {
-			continue
-		}
-		switch f.kind {
+	for i, r := range s.rows {
+		switch r.kind {
 		case kindCounter:
-			s.prevCtr[name] = f.counterTotal()
+			s.prevCtr[i] = float64(r.ctr.Value())
 		case kindHistogram:
-			s.prevHist[name] = f.child("").(*Histogram).State()
+			s.prevHist[i] = r.hist.State()
 		}
 	}
 }
@@ -174,7 +163,7 @@ func (s *Sampler) Samples() int {
 
 // Recording reports whether SimTick can take a sample: the recorder is
 // enabled and sampling is on. While it holds, nma.Sim publishes its
-// counts to the registry before every tick.
+// counts to the catalogue before every tick.
 func (s *Sampler) Recording() bool { return s.enabled.Load() && s.simEvery.Load() > 0 }
 
 // SimTick is the simulated-time clock input, called by nma.Sim at the
@@ -207,8 +196,8 @@ func (s *Sampler) SimTick(nowPs int64) {
 // invoked with a not-yet-accounted tick count immediately before each
 // sample the range triggers (and once with the remainder at the end),
 // so the caller publishes its coalesced counts in sample-aligned
-// chunks and every sample reads exactly the registry state a stepped
-// run would have produced. advance is always called with chunk counts
+// chunks and every sample reads exactly the counts a stepped run would
+// have produced. advance is always called with chunk counts
 // summing to n, even when the recorder is disabled.
 func (s *Sampler) SimTickRange(startPs, stepPs, n int64, advance func(k int64)) {
 	if n <= 0 {
@@ -265,42 +254,39 @@ func (s *Sampler) sampleLocked(t int64) {
 	}
 	s.lastT = t
 	s.haveLast = true
-	for _, name := range s.names {
-		f := s.reg.familyByName(name)
-		if f == nil {
-			continue
+	// Every row pushes its series in the same order at every sample, so
+	// the k-th push of a sample feeds the k-th series; the first sample
+	// after a Reset creates them.
+	k := 0
+	push := func(r row, suffix, kind string, v float64) {
+		if k == len(s.order) {
+			s.order = append(s.order, &series{name: r.name + suffix, kind: kind, metric: r.name, buf: make([]Point, s.capacity)})
 		}
-		switch f.kind {
+		s.order[k].push(Point{T: t, V: v})
+		k++
+	}
+	for i, r := range s.rows {
+		switch r.kind {
 		case kindCounter:
-			cur := f.counterTotal()
-			s.get(name, SeriesCounter, name).push(Point{T: t, V: cur - s.prevCtr[name]})
-			s.prevCtr[name] = cur
+			cur := float64(r.ctr.Value())
+			push(r, "", SeriesCounter, cur-s.prevCtr[i])
+			s.prevCtr[i] = cur
 		case kindGauge:
-			s.get(name, SeriesGauge, name).push(Point{T: t, V: f.child("").(*Gauge).Value()})
+			push(r, "", SeriesGauge, r.gauge.Value())
 		case kindGaugeFunc:
-			s.get(name, SeriesGauge, name).push(Point{T: t, V: f.fn()})
+			push(r, "", SeriesGauge, r.fn())
 		case kindHistogram:
-			cur := f.child("").(*Histogram).State()
-			d := cur.Delta(s.prevHist[name])
-			s.prevHist[name] = cur
-			s.get(name+"_count", SeriesHCount, name).push(Point{T: t, V: float64(d.Count())})
-			s.get(name+"_sum", SeriesHSum, name).push(Point{T: t, V: d.Sum})
-			s.get(name+"_p50", SeriesHP50, name).push(Point{T: t, V: d.Quantile(0.50)})
-			s.get(name+"_p95", SeriesHP95, name).push(Point{T: t, V: d.Quantile(0.95)})
-			s.get(name+"_p99", SeriesHP99, name).push(Point{T: t, V: d.Quantile(0.99)})
+			cur := r.hist.State()
+			d := cur.Delta(s.prevHist[i])
+			s.prevHist[i] = cur
+			push(r, "_count", SeriesHCount, float64(d.Count()))
+			push(r, "_sum", SeriesHSum, d.Sum)
+			push(r, "_p50", SeriesHP50, d.Quantile(0.50))
+			push(r, "_p95", SeriesHP95, d.Quantile(0.95))
+			push(r, "_p99", SeriesHP99, d.Quantile(0.99))
 		}
 	}
 	s.samples++
-}
-
-func (s *Sampler) get(name, kind, metric string) *series {
-	sr := s.byName[name]
-	if sr == nil {
-		sr = &series{name: name, kind: kind, metric: metric, buf: make([]Point, s.capacity)}
-		s.byName[name] = sr
-		s.order = append(s.order, sr)
-	}
-	return sr
 }
 
 // ClockSimPs is the clock name in dumps: simulated picoseconds.
@@ -375,11 +361,22 @@ func (s *Sampler) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// ReadDump parses a time-series artifact.
+// ReadDump parses a time-series artifact and rejects one no recorder
+// writes: another schema, another clock, no samples or no series.
 func ReadDump(r io.Reader) (*Dump, error) {
 	var d Dump
 	if err := json.NewDecoder(r).Decode(&d); err != nil {
 		return nil, fmt.Errorf("telemetry: invalid time-series dump: %w", err)
+	}
+	switch {
+	case d.Schema != DumpSchemaVersion:
+		return nil, fmt.Errorf("telemetry: unsupported schema %d, want %d", d.Schema, DumpSchemaVersion)
+	case d.Clock != ClockSimPs:
+		return nil, fmt.Errorf("telemetry: unknown clock %q, want %s", d.Clock, ClockSimPs)
+	case d.Samples <= 0:
+		return nil, errors.New("telemetry: no samples recorded")
+	case len(d.Series) == 0:
+		return nil, errors.New("telemetry: no series recorded")
 	}
 	return &d, nil
 }
@@ -393,37 +390,16 @@ func (d *Dump) Index() SeriesIndex {
 	return idx
 }
 
-// familyByName returns the named family, or nil.
-func (r *Registry) familyByName(name string) *family {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.fams[name]
-}
-
-// counterTotal sums a counter family's children (one child when
-// unlabeled). Summation commutes, so map iteration order is harmless.
-func (f *family) counterTotal() float64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	total := 0.0
-	for _, m := range f.children {
-		if c, ok := m.(*Counter); ok {
-			total += float64(c.Value())
-		}
-	}
-	return total
-}
-
 var (
 	defaultSamplerOnce sync.Once
 	defaultSampler     *Sampler
 )
 
 // DefaultSampler returns the process-wide flight recorder over the
-// default registry, disabled until a CLI (or test) enables it.
+// catalogue, disabled until a CLI (or test) enables it.
 func DefaultSampler() *Sampler {
 	defaultSamplerOnce.Do(func() {
-		defaultSampler = NewSampler(DefaultRegistry(), DefaultSeriesCapacity)
+		defaultSampler = NewSampler(DefaultSeriesCapacity)
 	})
 	return defaultSampler
 }

@@ -144,14 +144,14 @@ func TestHistogramStateConcurrentConsistency(t *testing.T) {
 }
 
 func TestSamplerCountersGaugesHistograms(t *testing.T) {
-	reg := NewRegistry()
-	ctr := reg.Counter("test_ops_total")
-	g := reg.Gauge("test_depth")
-	reg.GaugeFunc("test_rate", func() float64 { return 0.25 })
-	h := reg.Histogram("test_lat", []float64{10, 100})
-
+	ctr, g, h := &Counter{}, &Gauge{}, newHistogram([]float64{10, 100})
 	ctr.Add(5) // pre-recording activity must not leak into window 1
-	s := NewSampler(reg, 8, "test_ops_total", "test_depth", "test_rate", "test_lat")
+	s := newSampler(8, []row{
+		{name: "test_ops_total", kind: kindCounter, ctr: ctr},
+		{name: "test_depth", kind: kindGauge, gauge: g},
+		{name: "test_rate", kind: kindGaugeFunc, fn: func() float64 { return 0.25 }},
+		{name: "test_lat", kind: kindHistogram, hist: h},
+	})
 	s.Reset()
 	s.SetEnabled(true)
 
@@ -193,10 +193,17 @@ func TestSamplerCountersGaugesHistograms(t *testing.T) {
 	if len(p50) != 2 || p50[0].V <= 0 || p50[0].V > 100 {
 		t.Fatalf("test_lat_p50 = %v, want 2 points with first in (0,100]", p50)
 	}
-	// Kinds are labeled for downstream validators.
+	// Series follow row order; kinds are labeled for downstream
+	// validators.
+	var names []string
 	kinds := map[string]string{}
 	for _, sr := range d.Series {
+		names = append(names, sr.Name)
 		kinds[sr.Name] = sr.Kind
+	}
+	wantNames := "test_ops_total test_depth test_rate test_lat_count test_lat_sum test_lat_p50 test_lat_p95 test_lat_p99"
+	if got := strings.Join(names, " "); got != wantNames {
+		t.Fatalf("series order = %s, want %s", got, wantNames)
 	}
 	if kinds["test_ops_total"] != SeriesCounter || kinds["test_depth"] != SeriesGauge ||
 		kinds["test_rate"] != SeriesGauge || kinds["test_lat_p99"] != SeriesHP99 {
@@ -204,34 +211,9 @@ func TestSamplerCountersGaugesHistograms(t *testing.T) {
 	}
 }
 
-func TestSamplerVecFamiliesSumChildren(t *testing.T) {
-	reg := NewRegistry()
-	ops := reg.CounterVec("test_ops_total", "kind")
-	stalls := reg.CounterVec("test_stalls_total", "queue")
-	ops.With("read").Add(7) // before the recording: not in window 1
-	s := NewSampler(reg, 8, "test_ops_total", "test_stalls_total")
-	s.Reset()
-	s.SetEnabled(true)
-
-	ops.With("read").Add(2)
-	ops.With("write").Add(3)
-	stalls.With("read").Add(4)
-	stalls.With("write").Add(6)
-	s.Sample(1)
-
-	idx := s.Dump().Index()
-	if got := idx["test_ops_total"][0].V; got != 5 {
-		t.Fatalf("summed counter delta = %g, want 5", got)
-	}
-	if got := idx["test_stalls_total"][0].V; got != 10 {
-		t.Fatalf("summed counter delta = %g, want 10", got)
-	}
-}
-
 func TestSamplerMonotonicTimestampsAndReset(t *testing.T) {
-	reg := NewRegistry()
-	ctr := reg.Counter("test_ops_total")
-	s := NewSampler(reg, 8, "test_ops_total")
+	ctr := &Counter{}
+	s := newSampler(8, []row{{name: "test_ops_total", kind: kindCounter, ctr: ctr}})
 	s.Reset()
 	s.SetEnabled(true)
 
@@ -262,9 +244,8 @@ func TestSamplerMonotonicTimestampsAndReset(t *testing.T) {
 }
 
 func TestSamplerRingOverflow(t *testing.T) {
-	reg := NewRegistry()
-	g := reg.Gauge("test_depth")
-	s := NewSampler(reg, 4, "test_depth")
+	g := &Gauge{}
+	s := newSampler(4, []row{{name: "test_depth", kind: kindGauge, gauge: g}})
 	s.Reset()
 	s.SetEnabled(true)
 	for i := 1; i <= 10; i++ {
@@ -282,9 +263,8 @@ func TestSamplerRingOverflow(t *testing.T) {
 }
 
 func TestSamplerSimTick(t *testing.T) {
-	reg := NewRegistry()
-	ctr := reg.Counter("test_ops_total")
-	s := NewSampler(reg, 8, "test_ops_total")
+	ctr := &Counter{}
+	s := newSampler(8, []row{{name: "test_ops_total", kind: kindCounter, ctr: ctr}})
 	s.SetSimEvery(4)
 	s.Reset()
 
@@ -322,9 +302,8 @@ func TestSamplerSimTick(t *testing.T) {
 }
 
 func TestSamplerDumpRoundTripAndCSV(t *testing.T) {
-	reg := NewRegistry()
-	ctr := reg.Counter("test_ops_total")
-	s := NewSampler(reg, 8, "test_ops_total")
+	ctr := &Counter{}
+	s := newSampler(8, []row{{name: "test_ops_total", kind: kindCounter, ctr: ctr}})
 	s.Reset()
 	s.SetEnabled(true)
 	ctr.Add(2)
@@ -356,28 +335,63 @@ func TestSamplerDumpRoundTripAndCSV(t *testing.T) {
 	if buf.String() != want {
 		t.Fatalf("CSV = %q, want %q", buf.String(), want)
 	}
+}
 
-	if _, err := ReadDump(strings.NewReader("not json")); err == nil {
-		t.Fatal("ReadDump accepted garbage")
+// TestReadDumpRejectsForeignRecordings: the one reader of recordings
+// refuses what no recorder writes, so telemetryck, -diff and xfmtop
+// cannot pass or render an empty or foreign file.
+func TestReadDumpRejectsForeignRecordings(t *testing.T) {
+	const series = `"series":[{"name":"s","kind":"counter","metric":"s","points":[{"t":1,"v":2}]}]`
+	for _, tc := range []struct {
+		name, json, want string
+	}{
+		{"valid", `{"schema":1,"clock":"sim-ps","samples":1,` + series + `}`, ""},
+		{"empty object", `{}`, "unsupported schema 0"},
+		{"other schema", `{"schema":7,"clock":"sim-ps","samples":1,` + series + `}`, "unsupported schema 7, want 1"},
+		{"wall clock", `{"schema":1,"clock":"wall","samples":1,` + series + `}`, `unknown clock "wall"`},
+		{"no samples", `{"schema":1,"clock":"sim-ps","samples":0,` + series + `}`, "no samples recorded"},
+		{"no series", `{"schema":1,"clock":"sim-ps","samples":1,"series":[]}`, "no series recorded"},
+		{"not json", `not json`, "invalid time-series dump"},
+	} {
+		d, err := ReadDump(strings.NewReader(tc.json))
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: ReadDump = %v, want a dump", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: ReadDump = %+v, %v; want an error containing %q", tc.name, d, err, tc.want)
+		}
 	}
 }
 
+// TestDefaultSeriesMetricsResolve: every catalogue row holds exactly
+// one instrument, the one its kind names, under a unique name on the
+// convention — what the sampler, SnapshotAll and ResetAll dispatch on.
 func TestDefaultSeriesMetricsResolve(t *testing.T) {
-	// Every catalogue entry must stay a registered family name once the
-	// instrumented packages are linked in; here we only check the list
-	// is non-empty, free of duplicates, and uses valid metric names.
-	names := DefaultSeriesMetrics()
-	if len(names) == 0 {
-		t.Fatal("empty default series catalogue")
+	if len(catalogue) == 0 {
+		t.Fatal("empty catalogue")
 	}
 	seen := map[string]bool{}
-	for _, n := range names {
-		if seen[n] {
-			t.Errorf("duplicate catalogue entry %q", n)
+	for _, r := range catalogue {
+		if seen[r.name] {
+			t.Errorf("duplicate catalogue row %q", r.name)
 		}
-		seen[n] = true
-		if !validName(n) {
-			t.Errorf("invalid metric name %q in catalogue", n)
+		seen[r.name] = true
+		if !metricNameRE.MatchString(r.name) {
+			t.Errorf("row name %q violates %s", r.name, metricNameRE)
+		}
+		have := map[string]bool{
+			kindCounter:   r.ctr != nil,
+			kindGauge:     r.gauge != nil,
+			kindGaugeFunc: r.fn != nil,
+			kindHistogram: r.hist != nil,
+		}
+		for kind, set := range have {
+			if set != (kind == r.kind) {
+				t.Errorf("row %s of kind %s: %s instrument set = %v", r.name, r.kind, kind, set)
+			}
+		}
+		if _, known := have[r.kind]; !known {
+			t.Errorf("row %s has unknown kind %q", r.name, r.kind)
 		}
 	}
 }

@@ -20,8 +20,8 @@ func recordTimeseries(t *testing.T, workers int) []byte {
 	t.Helper()
 	// Zero the process-wide metrics so gauges start from the same state
 	// on every run; the sampler re-baselines counters itself.
-	telemetry.DefaultRegistry().ResetAll()
-	smp := telemetry.NewSampler(telemetry.DefaultRegistry(), 256)
+	telemetry.ResetAll()
+	smp := telemetry.NewSampler(256)
 	smp.SetSimEvery(4)
 	smp.Reset()
 	smp.SetEnabled(true)
