@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"xfm/internal/compress"
@@ -34,11 +35,39 @@ func TestGeneratorsDeterministic(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Errorf("%s: not deterministic for same seed", n)
 		}
-		c := g(43, 8192)
-		if n != "sparse-zero" && bytes.Equal(a, c) {
+		if bytes.Equal(a, g(43, 8192)) {
 			t.Errorf("%s: identical output for different seeds", n)
 		}
 	}
+}
+
+// TestGeneratorsConcurrentMatchSerial calls every generator from
+// several goroutines at once (HTML fans its paragraphs out on a pool of
+// GOMAXPROCS workers inside each call) and requires each result to equal
+// a serial call's.
+func TestGeneratorsConcurrentMatchSerial(t *testing.T) {
+	const size = 128 << 10
+	names := Names()
+	want := make(map[string][]byte, len(names))
+	for _, n := range names {
+		g, _ := Get(n)
+		want[n] = g(3, size)
+	}
+	var wg sync.WaitGroup
+	for k := 0; k < 8; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			for i := range names {
+				n := names[(i+k)%len(names)]
+				g, _ := Get(n)
+				if !bytes.Equal(g(3, size), want[n]) {
+					t.Errorf("%s: goroutine %d differs from the serial call", n, k)
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
 }
 
 func TestGeneratorsExactLength(t *testing.T) {
@@ -115,6 +144,22 @@ func TestDNAEntropyBound(t *testing.T) {
 	}()
 	if rXD < 1.5 {
 		t.Errorf("dna xdeflate ratio = %.2f, want ≥ 1.5", rXD)
+	}
+}
+
+var corpusSink []byte
+
+// BenchmarkCorpus times each generator at the benchmark's working-set
+// shape: 256 pages at seed 1.
+func BenchmarkCorpus(b *testing.B) {
+	for _, n := range Names() {
+		g, _ := Get(n)
+		b.Run(n, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				corpusSink = g(1, 256*4096)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/op")
+		})
 	}
 }
 
