@@ -169,27 +169,6 @@ func (t *Tree[K, V]) deleteMin(n *node[K, V]) *node[K, V] {
 	return fixUp(n)
 }
 
-// Min returns the smallest key and its value; ok is false when empty.
-func (t *Tree[K, V]) Min() (key K, val V, ok bool) {
-	if t.root == nil {
-		return key, val, false
-	}
-	n := min(t.root)
-	return n.key, n.val, true
-}
-
-// Max returns the largest key and its value; ok is false when empty.
-func (t *Tree[K, V]) Max() (key K, val V, ok bool) {
-	if t.root == nil {
-		return key, val, false
-	}
-	n := t.root
-	for n.right != nil {
-		n = n.right
-	}
-	return n.key, n.val, true
-}
-
 func min[K any, V any](n *node[K, V]) *node[K, V] {
 	for n.left != nil {
 		n = n.left

@@ -3,7 +3,7 @@
 // style of AIFM), a cold-page-selection control plane (Google-style
 // age scanning and Meta-style pressure control), and a zswap-like
 // backend that compresses cold pages into a zsmalloc-managed region
-// indexed by a red-black tree.
+// and finds each stored page through a map from its id to its handle.
 package sfm
 
 import (
@@ -13,7 +13,6 @@ import (
 
 	"xfm/internal/compress"
 	"xfm/internal/dram"
-	"xfm/internal/rbtree"
 	"xfm/internal/telemetry"
 	"xfm/internal/zsmalloc"
 )
@@ -102,15 +101,14 @@ func (s BackendStats) CompressionRatio() float64 {
 type CPUBackend struct {
 	codec   compress.Codec
 	alloc   *zsmalloc.Allocator
-	index   *rbtree.Tree[PageID, entry]
+	index   map[PageID]entry
 	stats   BackendStats
 	scratch compress.Scratch
 }
 
 type entry struct {
-	handle  zsmalloc.Handle
-	rawSize int
-	stored  bool // false when kept uncompressed (incompressible page)
+	handle zsmalloc.Handle
+	stored bool // false when kept uncompressed (incompressible page)
 	// sameFilled marks a page whose every 8-byte word equals fillWord:
 	// zswap stores such pages as just the word, with no zsmalloc
 	// allocation at all (the "same-filled page" optimization).
@@ -125,7 +123,7 @@ func NewCPUBackend(codec compress.Codec, regionBytes int64) *CPUBackend {
 	return &CPUBackend{
 		codec: codec,
 		alloc: zsmalloc.New(regionBytes),
-		index: rbtree.New[PageID, entry](func(a, b PageID) bool { return a < b }),
+		index: map[PageID]entry{},
 	}
 }
 
@@ -219,13 +217,13 @@ func (b *CPUBackend) commitOut(id PageID, data []byte, p *outPlan) error {
 	if p.class == classError {
 		return p.err
 	}
-	if _, dup := b.index.Get(id); dup {
+	if _, dup := b.index[id]; dup {
 		return ErrExists
 	}
 	if p.class == classSameFilled {
 		// Same-filled page: store only the fill word (zswap's
 		// optimization; zero pages are the common case).
-		b.index.Put(id, entry{rawSize: PageSize, sameFilled: true, fillWord: p.fillWord})
+		b.index[id] = entry{sameFilled: true, fillWord: p.fillWord}
 		b.stats.SwapOuts++
 		b.stats.BytesOut += PageSize
 		b.stats.StoredPages++
@@ -235,7 +233,7 @@ func (b *CPUBackend) commitOut(id PageID, data []byte, p *outPlan) error {
 		return nil
 	}
 	stored := p.comp
-	e := entry{rawSize: PageSize, stored: true}
+	e := entry{stored: true}
 	if p.class == classIncompressible {
 		// Incompressible page: store raw, like zswap's same-size
 		// passthrough.
@@ -259,7 +257,7 @@ func (b *CPUBackend) commitOut(id PageID, data []byte, p *outPlan) error {
 		return err
 	}
 	e.handle = h
-	b.index.Put(id, e)
+	b.index[id] = e
 	b.stats.SwapOuts++
 	b.stats.BytesOut += PageSize
 	b.stats.StoredPages++
@@ -296,8 +294,7 @@ type inPlan struct {
 
 // gatherIn detaches one swap-in page under the shard lock: it takes
 // the entry out of the index (so concurrent single-page ops cannot
-// double-claim it; one lookup, not a Get and then a Delete that looks
-// again), and pins the compressed object so
+// double-claim it), and pins the compressed object so
 // compact-on-full from another batch cannot move the bytes while
 // decompressIn reads them without the lock. It mutates only the index
 // and the pin bit — all stats settle in commitIn.
@@ -305,16 +302,17 @@ func (b *CPUBackend) gatherIn(id PageID, dst []byte) inPlan {
 	if len(dst) != PageSize {
 		return inPlan{err: fmt.Errorf("sfm: dst has %d bytes, want %d", len(dst), PageSize)}
 	}
-	e, ok := b.index.Take(id)
+	e, ok := b.index[id]
 	if !ok {
 		return inPlan{err: ErrNotFound}
 	}
+	delete(b.index, id)
 	if e.sameFilled {
 		return inPlan{e: e, detached: true}
 	}
 	raw, err := b.alloc.Pin(e.handle)
 	if err != nil {
-		b.index.Put(id, e) // a page that cannot be pinned stays stored
+		b.index[id] = e // a page that cannot be pinned stays stored
 		return inPlan{err: err}
 	}
 	return inPlan{e: e, pinned: raw, detached: true}
@@ -368,12 +366,12 @@ func (b *CPUBackend) commitIn(id PageID, p *inPlan) error {
 		return nil
 	}
 	if p.err != nil {
-		b.index.Put(id, p.e)
+		b.index[id] = p.e
 		b.alloc.Unpin(e.handle)
 		return p.err
 	}
 	if err := b.alloc.Free(e.handle); err != nil {
-		b.index.Put(id, p.e)
+		b.index[id] = p.e
 		return err
 	}
 	b.stats.SwapIns++
@@ -396,7 +394,7 @@ func (b *CPUBackend) SwapIn(now dram.Ps, id PageID, dst []byte, offload bool) er
 
 // Contains implements Backend.
 func (b *CPUBackend) Contains(id PageID) bool {
-	_, ok := b.index.Get(id)
+	_, ok := b.index[id]
 	return ok
 }
 

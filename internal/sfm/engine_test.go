@@ -157,7 +157,7 @@ func TestBatchDecompressFailureLeavesStored(t *testing.T) {
 	// header followed by trailing garbage, always rejected).
 	victim := PageID(11)
 	sh := &b.shards[ShardIndexFor(victim, len(b.shards))]
-	e, ok := sh.b.index.Get(victim)
+	e, ok := sh.b.index[victim]
 	if !ok || !e.stored {
 		t.Fatalf("victim page not stored compressed (ok=%v, stored=%v)", ok, e.stored)
 	}
@@ -230,26 +230,26 @@ func TestSwapInPinFailureLeavesStored(t *testing.T) {
 		}
 	}
 	const victim = PageID(2)
-	good, _ := b.index.Get(victim)
+	good := b.index[victim]
 	bad := good
 	bad.handle = ^good.handle
-	b.index.Put(victim, bad)
+	b.index[victim] = bad
 
 	dst := make([]byte, PageSize)
 	if err := b.SwapIn(0, victim, dst, false); !errors.Is(err, zsmalloc.ErrInvalidHandle) {
 		t.Fatalf("SwapIn with a dangling handle: %v, want ErrInvalidHandle", err)
 	}
-	if e, ok := b.index.Get(victim); !ok || e != bad {
+	if e, ok := b.index[victim]; !ok || e != bad {
 		t.Fatalf("index entry after the failed swap-in = %+v, %v; want it back unchanged", e, ok)
 	}
-	if got := b.index.Len(); got != 3 {
+	if got := len(b.index); got != 3 {
 		t.Fatalf("index holds %d entries, want 3", got)
 	}
 	if got := b.Stats().StoredPages; got != 3 {
 		t.Fatalf("StoredPages = %d, want 3", got)
 	}
 
-	b.index.Put(victim, good)
+	b.index[victim] = good
 	if err := b.SwapIn(0, victim, dst, false); err != nil {
 		t.Fatal(err)
 	}
@@ -312,9 +312,9 @@ func TestBatchEngineConcurrentMix(t *testing.T) {
 }
 
 // TestBatchRoundTripAllocs is the allocation regression gate for the
-// batched hot path. The pipeline's pooled plans, worker arenas,
-// recycled rbtree nodes, and zsmalloc free lists drove a 256-page
-// round trip from ~900 allocs/op to a few dozen; the ceiling here is
+// batched hot path. The pipeline's pooled plans, worker arenas, the
+// index map's reused buckets and zsmalloc's free lists keep a 256-page
+// round trip to a handful of allocs/op; the ceiling here is
 // deliberately loose (headroom for scheduler noise) but low enough
 // that any per-page allocation (256+) fails immediately.
 func TestBatchRoundTripAllocs(t *testing.T) {

@@ -461,3 +461,58 @@ func TestCompactOnFullRecoversSpace(t *testing.T) {
 		t.Error("capacity-triggered compaction not recorded")
 	}
 }
+
+// TestIndexAgainstMap drives random SwapOut/SwapIn/Contains sequences
+// on a CPUBackend against a map oracle, over id spaces of 8 … 1 024
+// ids, so swap-ins and re-swap-outs hit often in the small ones. After
+// every op: the error is the one the oracle predicts, a swapped-in
+// page is the page stored under that id, Contains agrees, and
+// StoredPages is the oracle's size.
+func TestIndexAgainstMap(t *testing.T) {
+	pages := [][]byte{makePage(0), make([]byte, PageSize)} // same-filled, incompressible
+	rand.New(rand.NewSource(9)).Read(pages[1])
+	for id := PageID(0); id < 6; id++ {
+		pages = append(pages, randomPage(id))
+	}
+	dst := make([]byte, PageSize)
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		keys := 1 + rng.Intn(1<<uint(2+seed))
+		b := newBackend()
+		ref := map[PageID][]byte{}
+		for op := 0; op < 3000; op++ {
+			id := PageID(rng.Intn(keys))
+			want, live := ref[id]
+			switch rng.Intn(4) {
+			case 0, 1:
+				page := pages[rng.Intn(len(pages))]
+				err := b.SwapOut(0, id, page)
+				if live && err != ErrExists || !live && err != nil {
+					t.Fatalf("seed %d op %d: SwapOut(%d) = %v with the id stored = %v", seed, op, id, err, live)
+				}
+				if !live {
+					ref[id] = page
+				}
+			case 2:
+				err := b.SwapIn(0, id, dst, false)
+				if live && err != nil || !live && err != ErrNotFound {
+					t.Fatalf("seed %d op %d: SwapIn(%d) = %v with the id stored = %v", seed, op, id, err, live)
+				}
+				if live && !bytes.Equal(dst, want) {
+					t.Fatalf("seed %d op %d: SwapIn(%d) restored another page", seed, op, id)
+				}
+				delete(ref, id)
+			case 3:
+				if b.Contains(id) != live {
+					t.Fatalf("seed %d op %d: Contains(%d) = %v, want %v", seed, op, id, !live, live)
+				}
+			}
+			if _, ok := ref[id]; b.Contains(id) != ok {
+				t.Fatalf("seed %d op %d: id %d stored = %v after the op, want %v", seed, op, id, !ok, ok)
+			}
+			if got := b.Stats().StoredPages; got != int64(len(ref)) {
+				t.Fatalf("seed %d op %d: StoredPages = %d, want %d", seed, op, got, len(ref))
+			}
+		}
+	}
+}

@@ -58,9 +58,8 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 func (g *Gauge) Reset() { g.bits.Store(0) }
 
 // Histogram is a fixed-bucket histogram with atomic bucket counts. It
-// tracks count, sum, min, and max, and estimates quantiles by linear
-// interpolation inside the bucket containing the target rank. NaN
-// observations are ignored.
+// tracks count, sum, min, and max; quantiles are read from a State (see
+// HistogramState.Quantile). NaN observations are ignored.
 type Histogram struct {
 	bounds []float64 // sorted inclusive upper bounds; implicit +Inf last
 	counts []atomic.Int64
@@ -161,78 +160,6 @@ func (h *Histogram) raiseMax(v float64) {
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Min returns the smallest observation, or 0 when empty.
-func (h *Histogram) Min() float64 {
-	if h.count.Load() == 0 {
-		return 0
-	}
-	return math.Float64frombits(h.min.Load())
-}
-
-// Max returns the largest observation, or 0 when empty.
-func (h *Histogram) Max() float64 {
-	if h.count.Load() == 0 {
-		return 0
-	}
-	return math.Float64frombits(h.max.Load())
-}
-
-// Mean returns Sum/Count, or 0 when empty.
-//
-//xfm:ignore unreachable a Snapshot field: compared by the nma fast-forward equivalence tests through SnapshotAll, checked by TestHistogramQuantiles
-func (h *Histogram) Mean() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return h.sum.Value() / float64(n)
-}
-
-// Quantile estimates the q-th quantile (clamped to [0, 1]) by linear
-// interpolation within the bucket holding the target rank, clamped to
-// the observed [Min, Max]. Returns 0 when empty or when q is NaN.
-func (h *Histogram) Quantile(q float64) float64 {
-	n := h.count.Load()
-	if n == 0 || math.IsNaN(q) {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(n)
-	lo, hi := h.Min(), h.Max()
-	cum := 0.0
-	lower := lo
-	for i := range h.counts {
-		c := float64(h.counts[i].Load())
-		if c > 0 && cum+c >= target {
-			upper := hi
-			if i < len(h.bounds) && h.bounds[i] < upper {
-				upper = h.bounds[i]
-			}
-			if lower < lo {
-				lower = lo
-			}
-			if upper < lower {
-				upper = lower
-			}
-			frac := 0.0
-			if c > 0 {
-				frac = (target - cum) / c
-			}
-			return lower + (upper-lower)*frac
-		}
-		cum += c
-		if i < len(h.bounds) {
-			lower = h.bounds[i]
-		}
-	}
-	return hi
-}
 
 // HistogramState is a value snapshot of a histogram's buckets and sum,
 // the unit of windowed (per-sample-interval) quantile math: the flight

@@ -1,5 +1,7 @@
 package telemetry
 
+import "math"
+
 // Two test seams over the catalogue's instruments: ResetAll zeroes
 // them, SnapshotAll reads them. Every instrument is atomic, so neither
 // takes a lock.
@@ -66,12 +68,17 @@ func SnapshotAll() Snapshot {
 			s.Gauges[r.name] = r.fn()
 		case kindHistogram:
 			h, st := r.hist, r.hist.State()
-			s.Histograms[r.name] = HistogramSnapshot{
-				Count: h.Count(), Sum: st.Sum, Min: h.Min(), Max: h.Max(),
-				Mean: h.Mean(),
-				P50:  h.Quantile(0.50), P95: h.Quantile(0.95), P99: h.Quantile(0.99),
+			hs := HistogramSnapshot{
+				Count: h.Count(), Sum: st.Sum,
+				P50: st.Quantile(0.50), P95: st.Quantile(0.95), P99: st.Quantile(0.99),
 				Bounds: st.Bounds, Counts: st.Counts,
 			}
+			if hs.Count > 0 {
+				hs.Min = math.Float64frombits(h.min.Load())
+				hs.Max = math.Float64frombits(h.max.Load())
+				hs.Mean = h.sum.Value() / float64(hs.Count)
+			}
+			s.Histograms[r.name] = hs
 		}
 	}
 	return s

@@ -39,24 +39,31 @@ func TestFloatCounter(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantiles pins the one quantile semantics the package
+// has, HistogramState.Quantile (Prometheus histogram_quantile: linear
+// inside the bucket holding the rank, 0 as the first bucket's lower
+// edge, the largest finite bound for the +Inf bucket), on the live
+// histogram's state — the values SnapshotAll reports as P50/P95/P99.
 func TestHistogramQuantiles(t *testing.T) {
 	h := newHistogram(LinearBuckets(10, 10, 10))
+	q := func(q float64) float64 { return h.State().Quantile(q) }
 
 	// Empty histogram: everything zero.
-	if h.Count() != 0 || h.State().Sum != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
+	if h.Count() != 0 || h.State().Sum != 0 || h.Mean() != 0 || q(0.5) != 0 {
 		t.Error("empty histogram should report zeros")
 	}
 
-	// Single sample: every quantile collapses onto it (the bucket
-	// interpolation is clamped to the observed min/max).
+	// Single sample: quantiles spread over its bucket (20,30], not
+	// onto the sample.
 	h.Observe(25)
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := h.Quantile(q); got != 25 {
-			t.Errorf("single-sample Quantile(%v) = %v, want 25", q, got)
+	for _, tc := range []struct{ q, want float64 }{{0, 20}, {0.5, 25}, {0.99, 29.9}, {1, 30}} {
+		if got := q(tc.q); math.Abs(got-tc.want) > 1e-9 {
+			t.Errorf("single-sample Quantile(%v) = %v, want %v", tc.q, got, tc.want)
 		}
 	}
 
-	// NaN samples are dropped; ±Inf land in the extreme buckets.
+	// NaN samples are dropped; ±Inf land in the extreme buckets, and
+	// the +Inf bucket answers with the largest finite bound.
 	h.Observe(math.NaN())
 	if h.Count() != 1 {
 		t.Errorf("NaN sample was counted: count = %d", h.Count())
@@ -69,6 +76,9 @@ func TestHistogramQuantiles(t *testing.T) {
 	if !math.IsInf(h.Max(), 1) || !math.IsInf(h.Min(), -1) {
 		t.Errorf("min/max = %v/%v, want ±Inf", h.Min(), h.Max())
 	}
+	if got := q(1); got != 100 {
+		t.Errorf("Quantile(1) with a +Inf sample = %v, want 100", got)
+	}
 
 	h.Reset()
 	if h.Count() != 0 || h.State().Sum != 0 {
@@ -77,16 +87,14 @@ func TestHistogramQuantiles(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i))
 	}
-	p50 := h.Quantile(0.5)
-	if p50 < 40 || p50 > 60 {
-		t.Errorf("p50 = %v, want ≈50", p50)
+	if got := q(0.5); got != 50 {
+		t.Errorf("p50 = %v, want 50", got)
 	}
-	p99 := h.Quantile(0.99)
-	if p99 < 90 || p99 > 100 {
-		t.Errorf("p99 = %v, want ≈99", p99)
+	if got := q(0.99); math.Abs(got-99) > 1e-9 {
+		t.Errorf("p99 = %v, want 99", got)
 	}
-	if h.Quantile(math.NaN()) != 0 {
-		t.Errorf("Quantile(NaN) = %v, want 0", h.Quantile(math.NaN()))
+	if q(math.NaN()) != 0 {
+		t.Errorf("Quantile(NaN) = %v, want 0", q(math.NaN()))
 	}
 }
 
@@ -238,4 +246,29 @@ func TestRegistryConcurrent(t *testing.T) {
 	if got := hist.Count(); got != 8*5000 {
 		t.Errorf("histogram count = %d, want %d", got, 8*5000)
 	}
+}
+
+// Min returns the smallest observation, or 0 when empty.
+func (h *Histogram) Min() float64 {
+	if h.count.Load() == 0 {
+		return 0
+	}
+	return math.Float64frombits(h.min.Load())
+}
+
+// Max returns the largest observation, or 0 when empty.
+func (h *Histogram) Max() float64 {
+	if h.count.Load() == 0 {
+		return 0
+	}
+	return math.Float64frombits(h.max.Load())
+}
+
+// Mean returns Sum/Count, or 0 when empty.
+func (h *Histogram) Mean() float64 {
+	n := h.count.Load()
+	if n == 0 {
+		return 0
+	}
+	return h.sum.Value() / float64(n)
 }

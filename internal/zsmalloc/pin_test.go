@@ -109,7 +109,7 @@ func TestFreeEndsPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.objects[h].pinned {
+	if a.lookup(h).pinned {
 		t.Fatal("recycled slot kept its pin bit")
 	}
 	if err := a.CheckInvariants(); err != nil {
@@ -179,8 +179,8 @@ func TestAllPinnedSourceSkipped(t *testing.T) {
 }
 
 // TestAllocReusesFreedSlotStructs drives alloc/free cycles and checks
-// the steady state allocates no slot bookkeeping (the freeSlots and
-// spare-page caches feed the batch engine's zero-alloc hot path).
+// the steady state allocates nothing (the handle table's free list and
+// the spare-page caches feed the batch engine's zero-alloc hot path).
 func TestAllocReusesFreedSlotStructs(t *testing.T) {
 	a := New(0)
 	payload := bytes.Repeat([]byte{'q'}, 500)
@@ -209,10 +209,46 @@ func TestAllocReusesFreedSlotStructs(t *testing.T) {
 			panic(err)
 		}
 	})
-	// The objects map insert/delete may allocate occasionally; slot
-	// structs and page buffers must not.
-	if allocs > 2 {
-		t.Fatalf("steady-state alloc/free cycle: %.1f allocs/op, want ≤2", allocs)
+	if allocs != 0 {
+		t.Fatalf("steady-state alloc/free cycle: %.1f allocs/op, want 0", allocs)
+	}
+	if err := a.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStaleHandleAfterReuse frees a handle, allocates again so the
+// freed slot is reused, and checks the old handle still names nothing:
+// Get, Pin, Unpin and Free on it fail and leave the new object alone.
+// Handles that were never issued (0, a small integer) fail too.
+func TestStaleHandleAfterReuse(t *testing.T) {
+	a := New(0)
+	hs, _ := fillPages(t, a, 3, 100)
+	stale := hs[1]
+	if err := a.Free(stale); err != nil {
+		t.Fatal(err)
+	}
+	fresh, data := fillPages(t, a, 1, 200)
+	if fresh[0] == stale {
+		t.Fatalf("Alloc reissued the freed handle %#x", stale)
+	}
+	for _, h := range []Handle{stale, 0, 999} {
+		if _, err := a.Get(nil, h); err != ErrInvalidHandle {
+			t.Errorf("Get(%#x) = %v, want ErrInvalidHandle", h, err)
+		}
+		if _, err := a.Pin(h); err != ErrInvalidHandle {
+			t.Errorf("Pin(%#x) = %v, want ErrInvalidHandle", h, err)
+		}
+		if err := a.Unpin(h); err != ErrInvalidHandle {
+			t.Errorf("Unpin(%#x) = %v, want ErrInvalidHandle", h, err)
+		}
+		if err := a.Free(h); err != ErrInvalidHandle {
+			t.Errorf("Free(%#x) = %v, want ErrInvalidHandle", h, err)
+		}
+	}
+	got, err := a.Get(nil, fresh[0])
+	if err != nil || !bytes.Equal(got, data[0]) {
+		t.Fatalf("Get(fresh) = %q, %v after the stale-handle calls", got, err)
 	}
 	if err := a.CheckInvariants(); err != nil {
 		t.Fatal(err)

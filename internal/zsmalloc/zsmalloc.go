@@ -18,8 +18,11 @@ const PageSize = 4096
 // classGranularity is the spacing between size classes in bytes.
 const classGranularity = 64
 
-// Handle identifies a stored object. Handles are stable across
-// compaction.
+// Handle identifies a stored object: a generation in the high 32 bits
+// over an index into the allocator's slot table in the low 32. Handles
+// are stable across compaction. Free bumps the slot's generation, so a
+// freed handle stays invalid after its index is reused; generations
+// start at 1, so 0 and small integers are never valid.
 type Handle int64
 
 // Errors returned by the allocator.
@@ -47,10 +50,12 @@ func (s Stats) Utilization() float64 {
 	return float64(s.StoredBytes) / float64(s.PageBytes)
 }
 
+// slot is one entry of the handle table. A free entry has a nil page.
 type slot struct {
 	page   *zpage
 	index  int
 	length int
+	gen    uint32
 	// pinned marks the object as an active migration exclusion:
 	// compaction will not move it, so bytes returned by Pin stay valid
 	// until Unpin or Free. Set only via Pin/Unpin.
@@ -60,7 +65,7 @@ type slot struct {
 type zpage struct {
 	class   *sizeClass
 	data    []byte
-	handles []Handle // handle occupying each slot; 0 = free
+	handles []Handle // handle occupying each object slot; 0 = free
 	free    int
 	inFree  bool // member of the class's free-page list
 	freeIdx int  // index within the class's free-page list
@@ -112,24 +117,24 @@ func (c *sizeClass) dropFree(p *zpage) {
 // Allocator packs variable-size compressed objects into fixed-size
 // encapsulating pages. The zero value is not usable; call New.
 type Allocator struct {
-	maxPages int // capacity limit in encapsulating pages; 0 = unlimited
+	maxPages int64 // capacity limit in encapsulating pages; 0 = unlimited
 	classes  []*sizeClass
-	objects  map[Handle]*slot
-	next     Handle
-	stats    Stats
-	// freeSlots recycles slot descriptors released by Free, so the
-	// steady-state alloc/free cycle of a batch swap round trip does
-	// not touch the Go heap. Bounded by the high-water object count.
-	freeSlots []*slot
+	// slots is the handle table, indexed by a handle's low 32 bits.
+	// free lists the indices of its free entries, so the steady-state
+	// alloc/free cycle of a batch swap round trip does not touch the
+	// Go heap; both are bounded by the high-water object count.
+	slots []slot
+	free  []uint32
+	stats Stats
 }
 
 // New returns an allocator limited to maxBytes of encapsulating pages
 // (rounded down to whole pages); maxBytes ≤ 0 means unlimited. This
 // limit is the SFM region capacity.
 func New(maxBytes int64) *Allocator {
-	a := &Allocator{objects: map[Handle]*slot{}, next: 1}
+	a := &Allocator{}
 	if maxBytes > 0 {
-		a.maxPages = int(maxBytes / PageSize)
+		a.maxPages = maxBytes / PageSize
 	}
 	for size := classGranularity; size <= PageSize; size += classGranularity {
 		a.classes = append(a.classes, &sizeClass{size: size, slots: PageSize / size})
@@ -146,13 +151,13 @@ func (a *Allocator) classFor(n int) *sizeClass {
 	return a.classes[idx-1]
 }
 
-// pagesHeld returns the current number of encapsulating pages.
-func (a *Allocator) pagesHeld() int {
-	n := 0
-	for _, c := range a.classes {
-		n += len(c.pages)
+// lookup returns the live slot h names, or nil.
+func (a *Allocator) lookup(h Handle) *slot {
+	i, gen := uint32(h), uint32(uint64(h)>>32)
+	if int(i) >= len(a.slots) || a.slots[i].gen != gen || a.slots[i].page == nil {
+		return nil
 	}
-	return n
+	return &a.slots[i]
 }
 
 // Alloc stores a copy of data and returns its handle. It fails with
@@ -173,7 +178,7 @@ func (a *Allocator) Alloc(data []byte) (Handle, error) {
 		page = c.freePages[n-1]
 	}
 	if page == nil {
-		if a.maxPages > 0 && a.pagesHeld() >= a.maxPages {
+		if a.maxPages > 0 && a.stats.PageBytes/PageSize >= a.maxPages {
 			return 0, ErrCapacity
 		}
 		if n := len(c.spare); n > 0 {
@@ -202,24 +207,23 @@ func (a *Allocator) Alloc(data []byte) (Handle, error) {
 	if idx < 0 {
 		panic("zsmalloc: page with free count but no free slot")
 	}
-	h := a.next
-	a.next++
+	var i uint32
+	if n := len(a.free); n > 0 {
+		i = a.free[n-1]
+		a.free = a.free[:n-1]
+	} else {
+		i = uint32(len(a.slots))
+		a.slots = append(a.slots, slot{gen: 1})
+	}
+	s := &a.slots[i]
+	s.page, s.index, s.length = page, idx, len(data)
+	h := Handle(uint64(s.gen)<<32 | uint64(i))
 	copy(page.slotBytes(idx, len(data)), data)
 	page.handles[idx] = h
 	page.free--
 	if page.free == 0 {
 		page.class.dropFree(page)
 	}
-	var s *slot
-	if n := len(a.freeSlots); n > 0 {
-		s = a.freeSlots[n-1]
-		a.freeSlots[n-1] = nil
-		a.freeSlots = a.freeSlots[:n-1]
-		*s = slot{page: page, index: idx, length: len(data)}
-	} else {
-		s = &slot{page: page, index: idx, length: len(data)}
-	}
-	a.objects[h] = s
 	a.stats.Objects++
 	a.stats.StoredBytes += int64(len(data))
 	a.stats.Allocs++
@@ -229,8 +233,8 @@ func (a *Allocator) Alloc(data []byte) (Handle, error) {
 // Get appends the object's bytes to dst and returns the extended
 // slice.
 func (a *Allocator) Get(dst []byte, h Handle) ([]byte, error) {
-	s, ok := a.objects[h]
-	if !ok {
+	s := a.lookup(h)
+	if s == nil {
 		return dst, ErrInvalidHandle
 	}
 	return append(dst, s.page.slotBytes(s.index, s.length)...), nil
@@ -239,11 +243,10 @@ func (a *Allocator) Get(dst []byte, h Handle) ([]byte, error) {
 // Free releases the object's slot (pinned or not; freeing an object
 // ends its pin). Empty encapsulating pages are cached for reuse.
 func (a *Allocator) Free(h Handle) error {
-	s, ok := a.objects[h]
-	if !ok {
+	s := a.lookup(h)
+	if s == nil {
 		return ErrInvalidHandle
 	}
-	delete(a.objects, h)
 	page := s.page
 	page.handles[s.index] = 0
 	page.free++
@@ -251,8 +254,8 @@ func (a *Allocator) Free(h Handle) error {
 	a.stats.Objects--
 	a.stats.StoredBytes -= int64(s.length)
 	a.stats.Frees++
-	*s = slot{}
-	a.freeSlots = append(a.freeSlots, s)
+	*s = slot{gen: max(s.gen+1, 1)} // a wrapped generation skips 0
+	a.free = append(a.free, uint32(h))
 	if page.free == page.class.slots {
 		a.releasePage(page)
 	}
@@ -265,8 +268,8 @@ func (a *Allocator) Free(h Handle) error {
 // read. The slice aliases the encapsulating page: it is valid only
 // while the pin holds and must be treated as read-only.
 func (a *Allocator) Pin(h Handle) ([]byte, error) {
-	s, ok := a.objects[h]
-	if !ok {
+	s := a.lookup(h)
+	if s == nil {
 		return nil, ErrInvalidHandle
 	}
 	s.pinned = true
@@ -276,8 +279,8 @@ func (a *Allocator) Pin(h Handle) ([]byte, error) {
 // Unpin makes the object movable by compaction again. Bytes returned
 // by Pin must not be used afterwards.
 func (a *Allocator) Unpin(h Handle) error {
-	s, ok := a.objects[h]
-	if !ok {
+	s := a.lookup(h)
+	if s == nil {
 		return ErrInvalidHandle
 	}
 	s.pinned = false
@@ -337,7 +340,7 @@ func (a *Allocator) compactClass(c *sizeClass) int64 {
 		// their bytes in place without the allocator's external lock.
 		srcIdx := -1
 		for i := len(src.handles) - 1; i >= 0; i-- {
-			if h := src.handles[i]; h != 0 && !a.objects[h].pinned {
+			if h := src.handles[i]; h != 0 && !a.slots[uint32(h)].pinned {
 				srcIdx = i
 				break
 			}
@@ -358,7 +361,7 @@ func (a *Allocator) compactClass(c *sizeClass) int64 {
 			break
 		}
 		h := src.handles[srcIdx]
-		s := a.objects[h]
+		s := &a.slots[uint32(h)]
 		copy(dst.slotBytes(dstIdx, s.length), src.slotBytes(srcIdx, s.length))
 		moved += int64(s.length)
 		dst.handles[dstIdx] = h
@@ -395,7 +398,7 @@ func (a *Allocator) Stats() Stats { return a.stats }
 //xfm:ignore unreachable the consistency oracle of TestPropertyRandomOps, TestCompactionPreservesContent and TestPinExcludesFromCompaction
 func (a *Allocator) CheckInvariants() error {
 	objects := 0
-	var stored int64
+	var stored, held int64
 	for _, c := range a.classes {
 		// Free-list consistency: every page with free slots is listed
 		// exactly once, full pages are not.
@@ -432,8 +435,8 @@ func (a *Allocator) CheckInvariants() error {
 					continue
 				}
 				used++
-				s, ok := a.objects[h]
-				if !ok {
+				s := a.lookup(h)
+				if s == nil {
 					return fmt.Errorf("page slot holds unknown handle %d", h)
 				}
 				if s.page != p || s.index != i {
@@ -449,15 +452,36 @@ func (a *Allocator) CheckInvariants() error {
 			}
 			objects += used
 		}
+		held += int64(len(c.pages))
 	}
-	for h, s := range a.objects {
-		if s.page.handles[s.index] != h {
+	if held*PageSize != a.stats.PageBytes {
+		return fmt.Errorf("classes hold %d pages, stats.PageBytes %d", held, a.stats.PageBytes)
+	}
+	live := 0
+	for i := range a.slots {
+		s := &a.slots[i]
+		if s.gen == 0 {
+			return fmt.Errorf("slot %d has generation 0", i)
+		}
+		if s.page == nil {
+			continue
+		}
+		live++
+		if h := Handle(uint64(s.gen)<<32 | uint64(i)); s.page.handles[s.index] != h {
 			return fmt.Errorf("object %d not present at its slot", h)
 		}
 		stored += int64(s.length)
 	}
-	if objects != len(a.objects) {
-		return fmt.Errorf("page slots hold %d objects, map holds %d", objects, len(a.objects))
+	onFree := map[uint32]bool{}
+	for _, i := range a.free {
+		if int(i) >= len(a.slots) || a.slots[i].page != nil || onFree[i] {
+			return fmt.Errorf("free list entry %d is out of range, live or listed twice", i)
+		}
+		onFree[i] = true
+	}
+	if objects != live || live+len(a.free) != len(a.slots) {
+		return fmt.Errorf("page slots hold %d objects, the table %d live and %d free of %d",
+			objects, live, len(a.free), len(a.slots))
 	}
 	if objects != a.stats.Objects {
 		return fmt.Errorf("stats.Objects %d, want %d", a.stats.Objects, objects)

@@ -328,8 +328,8 @@ func BenchmarkCompact(b *testing.B) {
 
 // Size returns the stored size of the object.
 func (a *Allocator) Size(h Handle) (int, error) {
-	s, ok := a.objects[h]
-	if !ok {
+	s := a.lookup(h)
+	if s == nil {
 		return 0, ErrInvalidHandle
 	}
 	return s.length, nil
