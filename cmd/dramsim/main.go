@@ -11,7 +11,7 @@
 //
 // Without -trace it generates the default web front-end trace
 // internally. -timeseries-out writes the run's recording, its one
-// metric export (see internal/telemetry and cmd/xfmtop): the replay
+// metric export (see internal/telemetry and cmd/telemetryck): the replay
 // drives no NMA simulator, so it holds a single sample of the run's
 // totals.
 package main

@@ -1,8 +1,7 @@
 // Command telemetryck validates observability artifacts produced by
 // xfmbench/dramsim: a Chrome trace-event JSON file and a
 // flight-recorder time-series dump (the recording, the one metric
-// export). CI runs it after a smoke benchmark to keep the telemetry
-// pipeline from silently rotting.
+// export). It is the one reader of recordings; CI runs it on each.
 //
 // Usage:
 //
@@ -19,7 +18,13 @@
 // least one series with a point — a histogram row is recorded as its
 // _count/_sum/_p50/_p95/_p99 series. -require-series defaults to
 // the rows the metric catalogue (internal/telemetry/catalogue.go)
-// marks as required of every CI recording.
+// marks as required of every CI recording. A check flag without its
+// artifact is a usage error.
+//
+// A valid recording gets the health verdict (telemetry.Evaluate,
+// DESIGN §7b): a HEALTH line and one line per rule. telemetryck exits
+// 3 when it is not OK and every other check passed; a failed check
+// exits 1.
 //
 // -diff A,B is timeseriesdiff mode: compare two -timeseries-out dumps
 // series-by-series and report the first divergent window of each,
@@ -33,6 +38,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -137,8 +143,9 @@ func readDump(path string) *telemetry.Dump {
 // non-negative values on counter-kind series (per-window deltas of
 // monotone counters must never run backwards). requireSeries lists
 // catalogue rows that must be the source (the series' metric field) of
-// a series with at least one point.
-func checkTimeseries(path, requireSeries string) {
+// a series with at least one point. A valid dump's health verdict is
+// printed and returned.
+func checkTimeseries(path, requireSeries string) telemetry.Health {
 	d := readDump(path)
 	points := 0
 	names := map[string]bool{}
@@ -187,6 +194,33 @@ func checkTimeseries(path, requireSeries string) {
 	}
 	fmt.Printf("timeseries ok: clock %s, %d samples, %d series, %d points\n",
 		d.Clock, d.Samples, len(d.Series), points)
+	h := telemetry.Evaluate(d)
+	fmt.Printf("HEALTH: %s\n", h.Status)
+	for _, c := range h.Checks {
+		mark, detail := " ok", fmt.Sprintf("value %s, threshold %s", fmtVal(c.Value), fmtVal(c.Threshold))
+		switch {
+		case c.Firing:
+			mark, detail = "FIRE", fmt.Sprintf("value %s vs threshold %s [%s]",
+				fmtVal(c.Value), fmtVal(c.Threshold), c.Severity)
+		case !c.Active:
+			mark, detail = "  --", "(no data)"
+		}
+		fmt.Printf("  %-4s %-28s %s\n", mark, c.Rule, detail)
+	}
+	return h
+}
+
+// fmtVal renders a rule's value or threshold compactly.
+func fmtVal(v float64) string {
+	av := math.Abs(v)
+	switch {
+	case v == math.Trunc(v) && av < 1e7:
+		return fmt.Sprintf("%d", int64(v))
+	case av >= 1e6 || (av < 1e-3 && av > 0):
+		return fmt.Sprintf("%.3g", v)
+	default:
+		return fmt.Sprintf("%.3f", v)
+	}
 }
 
 // checkDiff is timeseriesdiff mode: load two recordings and report
@@ -224,16 +258,29 @@ func main() {
 	if *traceOut == "" && *timeseries == "" && *diff == "" {
 		fail("nothing to check: pass -trace, -timeseries, and/or -diff")
 	}
+	if *requireNesting && *traceOut == "" {
+		fail("-require-nesting checks a trace: pass -trace")
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "require-series" && *timeseries == "" {
+			fail("-require-series checks a recording: pass -timeseries")
+		}
+	})
 	if *requireSeries == "none" {
 		*requireSeries = ""
 	}
 	if *traceOut != "" {
 		checkTrace(*traceOut, *requireNesting)
 	}
+	var h telemetry.Health
 	if *timeseries != "" {
-		checkTimeseries(*timeseries, *requireSeries)
+		h = checkTimeseries(*timeseries, *requireSeries)
 	}
 	if *diff != "" {
 		checkDiff(*diff)
+	}
+	if h.Code != 0 {
+		fmt.Fprintf(os.Stderr, "telemetryck: %s: health %s\n", *timeseries, h.Status)
+		os.Exit(3)
 	}
 }

@@ -23,7 +23,7 @@
 // of the metric catalogue every -sample-every refresh windows of
 // simulated time and writes the recording (JSON, or CSV when FILE ends
 // in .csv) on exit — the one metric export; telemetryck validates it
-// and xfmtop renders it. The experiments run one after another, so a
+// and prints its health verdict. The experiments run one after another, so a
 // recording is one timeline, bit-identical from run to run.
 //
 // With -chaos SPEC the experiments are skipped and the deterministic

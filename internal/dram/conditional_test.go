@@ -21,10 +21,6 @@ func TestMaxConditionalAccessesMatchesTable(t *testing.T) {
 		if got := DeriveConditionalBudget(dev); got != want[dev.Name] {
 			t.Errorf("%s: derived budget = %d, want %d", dev.Name, got, want[dev.Name])
 		}
-		if dev.MaxConditionalPerTRFC != want[dev.Name] {
-			t.Errorf("%s: configured budget %d disagrees with paper %d",
-				dev.Name, dev.MaxConditionalPerTRFC, want[dev.Name])
-		}
 	}
 }
 

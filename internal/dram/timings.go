@@ -134,9 +134,6 @@ type DeviceConfig struct {
 	RowsPerBankPerREF int // rows of one bank refreshed during one tRFC
 	SubarraysPerBank  int
 	RowsPerSubarray   int
-	// MaxConditionalPerTRFC is the maximum number of 4 KiB conditional
-	// page accesses per tRFC window (§5, Fig. 6: 4/3/2 for 32/16/8 Gb).
-	MaxConditionalPerTRFC int
 	// ChipRowBytes is the row (page) size of one chip in bytes.
 	ChipRowBytes int
 }
@@ -147,22 +144,19 @@ var (
 		Name: "8Gb", CapacityGbit: 8,
 		RowsPerBank: 64 << 10, BanksPerChip: 16,
 		TRFC: 195 * Nanosecond, RowsPerBankPerREF: 8,
-		SubarraysPerBank: 128, RowsPerSubarray: 512,
-		MaxConditionalPerTRFC: 2, ChipRowBytes: 1024,
+		SubarraysPerBank: 128, RowsPerSubarray: 512, ChipRowBytes: 1024,
 	}
 	Device16Gb = DeviceConfig{
 		Name: "16Gb", CapacityGbit: 16,
 		RowsPerBank: 64 << 10, BanksPerChip: 32,
 		TRFC: 295 * Nanosecond, RowsPerBankPerREF: 8,
-		SubarraysPerBank: 128, RowsPerSubarray: 512,
-		MaxConditionalPerTRFC: 3, ChipRowBytes: 1024,
+		SubarraysPerBank: 128, RowsPerSubarray: 512, ChipRowBytes: 1024,
 	}
 	Device32Gb = DeviceConfig{
 		Name: "32Gb", CapacityGbit: 32,
 		RowsPerBank: 128 << 10, BanksPerChip: 32,
 		TRFC: 410 * Nanosecond, RowsPerBankPerREF: 16,
-		SubarraysPerBank: 256, RowsPerSubarray: 512,
-		MaxConditionalPerTRFC: 4, ChipRowBytes: 1024,
+		SubarraysPerBank: 256, RowsPerSubarray: 512, ChipRowBytes: 1024,
 	}
 )
 

@@ -37,7 +37,7 @@ func Table1() *stats.Table {
 		return fmt.Sprintf("%d", d.SubarraysPerBank)
 	})
 	row("max 4KiB conditional accesses/tRFC", func(d dram.DeviceConfig) string {
-		return fmt.Sprintf("%d", d.MaxConditionalPerTRFC)
+		return fmt.Sprintf("%d", dram.DeriveConditionalBudget(d))
 	})
 	return t
 }

@@ -101,7 +101,7 @@ func DefaultConfig(dev dram.DeviceConfig) Config {
 		Device:          dev,
 		Timings:         dram.DDR5_3200().WithTRFC(dev.TRFC),
 		SPMBytes:        2 << 20,
-		AccessesPerTRFC: dev.MaxConditionalPerTRFC,
+		AccessesPerTRFC: dram.DeriveConditionalBudget(dev),
 		RandomPerTRFC:   1,
 		QueueDepth:      4096,
 		PageBytes:       4096,

@@ -33,10 +33,12 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestDefaultConfigMatchesDevice(t *testing.T) {
+	// §5: 4, 3 and 2 conditional accesses per tRFC for 32, 16 and 8 Gb.
+	want := map[string]int{"8Gb": 2, "16Gb": 3, "32Gb": 4}
 	for _, dev := range dram.Table1Devices() {
 		c := DefaultConfig(dev)
-		if c.AccessesPerTRFC != dev.MaxConditionalPerTRFC {
-			t.Errorf("%s: accesses/tRFC = %d, want %d", dev.Name, c.AccessesPerTRFC, dev.MaxConditionalPerTRFC)
+		if c.AccessesPerTRFC != want[dev.Name] {
+			t.Errorf("%s: accesses/tRFC = %d, want %d", dev.Name, c.AccessesPerTRFC, want[dev.Name])
 		}
 		if c.Timings.TRFC != dev.TRFC {
 			t.Errorf("%s: tRFC not propagated", dev.Name)

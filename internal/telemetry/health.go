@@ -1,6 +1,6 @@
 package telemetry
 
-// The health verdict xfmtop prints for a recording (DESIGN §7b): two
+// The health verdict telemetryck prints for a recording (DESIGN §7b): two
 // rules over the flight recorder's series, each kept because a
 // recording CI makes trips it, folded into one OK/DEGRADED/CRITICAL
 // status.

@@ -302,7 +302,7 @@ type SeriesDump struct {
 }
 
 // Dump is the time-series artifact schema (written by -timeseries-out,
-// validated by telemetryck, rendered by xfmtop).
+// validated by telemetryck, which also prints its health verdict).
 type Dump struct {
 	Schema   int    `json:"schema"`
 	Clock    string `json:"clock"`

@@ -338,8 +338,8 @@ func TestSamplerDumpRoundTripAndCSV(t *testing.T) {
 }
 
 // TestReadDumpRejectsForeignRecordings: the one reader of recordings
-// refuses what no recorder writes, so telemetryck, -diff and xfmtop
-// cannot pass or render an empty or foreign file.
+// refuses what no recorder writes, so telemetryck's -timeseries and
+// -diff cannot pass an empty or foreign file or give it a verdict.
 func TestReadDumpRejectsForeignRecordings(t *testing.T) {
 	const series = `"series":[{"name":"s","kind":"counter","metric":"s","points":[{"t":1,"v":2}]}]`
 	for _, tc := range []struct {

@@ -11,7 +11,7 @@
 // workload) records through the handles catalogue.go declares, and the
 // CLIs export them as a recording (-timeseries-out), so a single
 // benchmark run can emit the windowed metric series the health rules
-// and xfmtop read plus a navigable timeline of compression bursts
+// read (telemetryck prints their verdict) plus a navigable timeline of compression bursts
 // packed inside refresh windows. All instruments are safe for
 // concurrent use; reads taken while writers are active are approximate
 // but race-free.
