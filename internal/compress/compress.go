@@ -1,7 +1,8 @@
 // Package compress provides the page-compression codecs used by the SFM
 // stack: a from-scratch byte-oriented LZ codec ("lzfast", LZO/LZ4-class),
-// a from-scratch LZ77+Huffman codec ("xdeflate", DEFLATE-class), and a
-// wrapper over the standard library's flate as a reference.
+// and a from-scratch LZ77+Huffman codec ("xdeflate", DEFLATE-class).
+// There is no codec registry: each caller builds the codec it runs
+// (NewLZFast, NewXDeflate, NewXDeflateWindow, ...).
 //
 // The paper's SFM control plane uses lzo and zstd in production (§2.1) and
 // the XFM accelerator implements Deflate (§7). The cost model (§3) needs
@@ -10,17 +11,13 @@
 // CCPerGB ≈ 7.65e9 cycles per GB.
 package compress
 
-import (
-	"errors"
-	"fmt"
-	"sort"
-)
+import "errors"
 
 // Codec compresses and decompresses byte buffers (OS pages in the SFM
 // use case). Implementations must be deterministic and must round-trip
 // exactly.
 type Codec interface {
-	// Name returns the registry name of the codec.
+	// Name returns the codec's name (e.g. "lzfast", "xdeflate-w1024").
 	Name() string
 	// Compress appends the compressed form of src to dst and returns
 	// the extended slice. Compress never fails: incompressible input
@@ -42,48 +39,8 @@ type CodecInfo struct {
 	CompressCyclesPerByte float64
 	// DecompressCyclesPerByte is the modeled CPU cost of decompression.
 	DecompressCyclesPerByte float64
-	// TypicalRatio is the codec's typical compression ratio on
-	// warehouse page data (original/compressed), for documentation.
-	TypicalRatio float64
 }
 
 // ErrCorrupt is returned by Decompress when the input stream is not a
 // valid compressed stream.
 var ErrCorrupt = errors.New("compress: corrupt input")
-
-var registry = map[string]Codec{}
-
-// Register adds a codec to the global registry. It panics on duplicate
-// names, which indicates a programming error.
-func Register(c Codec) {
-	name := c.Name()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("compress: duplicate codec %q", name))
-	}
-	registry[name] = c
-}
-
-// Lookup returns the codec registered under name.
-func Lookup(name string) (Codec, error) {
-	c, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("compress: unknown codec %q", name)
-	}
-	return c, nil
-}
-
-// Names returns the sorted names of all registered codecs.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func init() {
-	Register(NewLZFast())
-	Register(NewXDeflate())
-	Register(NewFlate())
-}

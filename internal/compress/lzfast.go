@@ -105,7 +105,6 @@ func (z *LZFast) Info() CodecInfo {
 	return CodecInfo{
 		CompressCyclesPerByte:   6.0,
 		DecompressCyclesPerByte: 1.5,
-		TypicalRatio:            2.1,
 	}
 }
 

@@ -121,7 +121,6 @@ func (x *XDeflate) Info() CodecInfo {
 	return CodecInfo{
 		CompressCyclesPerByte:   12.0,
 		DecompressCyclesPerByte: 4.0,
-		TypicalRatio:            3.0,
 	}
 }
 

@@ -140,16 +140,24 @@ func (r *Reader) Read() (Record, error) {
 	return parseLine(strings.TrimSpace(line))
 }
 
+// keyBits gives each record key its bit in parseLine's seen set;
+// other keys map to 0 and are skipped.
+var keyBits = map[string]uint8{"at": 1, "op": 2, "page": 4, "bytes": 8}
+
+const allKeys = 1 | 2 | 4 | 8
+
 // parseLine decodes one {"at":..,"op":"..","page":..,"bytes":..} line
 // with a small hand-rolled parser (records are machine-generated; a
-// full JSON decoder is unnecessary).
+// full JSON decoder is unnecessary). Each of the four keys must appear
+// exactly once: a repeated key is not allowed to stand in for a
+// missing one.
 func parseLine(line string) (Record, error) {
 	var rec Record
 	if !strings.HasPrefix(line, "{") || !strings.HasSuffix(line, "}") {
 		return rec, ErrBadRecord
 	}
 	fields := strings.Split(line[1:len(line)-1], ",")
-	seen := 0
+	var seen uint8
 	for _, f := range fields {
 		kv := strings.SplitN(f, ":", 2)
 		if len(kv) != 2 {
@@ -157,6 +165,11 @@ func parseLine(line string) (Record, error) {
 		}
 		key := strings.Trim(kv[0], `" `)
 		val := strings.TrimSpace(kv[1])
+		bit := keyBits[key]
+		if seen&bit != 0 {
+			return rec, ErrBadRecord
+		}
+		seen |= bit
 		switch key {
 		case "at":
 			n, err := strconv.ParseInt(val, 10, 64)
@@ -164,31 +177,27 @@ func parseLine(line string) (Record, error) {
 				return rec, ErrBadRecord
 			}
 			rec.AtPs = n
-			seen++
 		case "op":
 			val = strings.Trim(val, `"`)
 			if len(val) != 1 {
 				return rec, ErrBadRecord
 			}
 			rec.Op = Op(val[0])
-			seen++
 		case "page":
 			n, err := strconv.ParseInt(val, 10, 64)
 			if err != nil {
 				return rec, ErrBadRecord
 			}
 			rec.PageID = n
-			seen++
 		case "bytes":
 			n, err := strconv.ParseInt(val, 10, 32)
 			if err != nil {
 				return rec, ErrBadRecord
 			}
 			rec.Bytes = int32(n)
-			seen++
 		}
 	}
-	if seen != 4 || !rec.Op.Valid() {
+	if seen != allKeys || !rec.Op.Valid() {
 		return rec, ErrBadRecord
 	}
 	return rec, nil

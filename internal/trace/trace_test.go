@@ -91,6 +91,7 @@ func TestReadMalformedText(t *testing.T) {
 		`{"at":1,"op":"O","page":2}` + "\n",                // missing bytes
 		`{"at":"x","op":"O","page":2,"bytes":4096}` + "\n", // bad int
 		`{"at":1,"op":"ZZ","page":2,"bytes":4096}` + "\n",  // bad op
+		`{"at":1,"at":2,"op":"O","page":3}` + "\n",         // repeated key, missing bytes
 	}
 	for _, c := range cases {
 		_, err := NewReader(bytes.NewBufferString(c)).Read()
