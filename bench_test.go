@@ -94,12 +94,15 @@ func BenchmarkFig12CPUFallbacks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		last = experiments.Fig12(true)
 	}
-	if c, ok := last.Cell(1.0, 8, 3); ok {
-		b.ReportMetric(c.FallbackRate*100, "fallback%@8MB3acc100")
-		b.ReportMetric(c.ConditionalFraction*100, "cond%@8MB3acc100")
-	}
-	if c, ok := last.Cell(1.0, 1, 1); ok {
-		b.ReportMetric(c.FallbackRate*100, "fallback%@1MB1acc100")
+	for _, c := range last.Cells {
+		switch {
+		case c.PromotionRate != 1.0:
+		case c.SPMBytes == 8<<20 && c.AccessesPerTRFC == 3:
+			b.ReportMetric(c.FallbackRate*100, "fallback%@8MB3acc100")
+			b.ReportMetric(c.ConditionalFraction*100, "cond%@8MB3acc100")
+		case c.SPMBytes == 1<<20 && c.AccessesPerTRFC == 1:
+			b.ReportMetric(c.FallbackRate*100, "fallback%@1MB1acc100")
+		}
 	}
 }
 

@@ -9,11 +9,15 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"xfm/internal/costmodel"
 	"xfm/internal/stats"
 )
+
+// maxRows bounds the year sweep's table.
+const maxRows = 10000
 
 func main() {
 	capacity := flag.Float64("capacity", 512, "far memory capacity in GB")
@@ -28,6 +32,16 @@ func main() {
 	p.PromotionRate = *promotion
 	if err := p.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	// The year sweep below must end: a finite horizon and a step that
+	// reaches it within maxRows rows.
+	if math.IsNaN(*years) || math.IsInf(*years, 0) || *years < 0 {
+		fmt.Fprintf(os.Stderr, "costmodel: -years %v must be finite and non-negative\n", *years)
+		os.Exit(2)
+	}
+	if math.IsNaN(*step) || math.IsInf(*step, 0) || *step <= 0 || *years / *step > maxRows {
+		fmt.Fprintf(os.Stderr, "costmodel: -step %v must be finite, positive and at least -years/%d\n", *step, maxRows)
 		os.Exit(2)
 	}
 

@@ -4,16 +4,16 @@
 //
 // Usage:
 //
-//	dramsim [-trace FILE] [-binary] [-channels N] [-ranks N] [-device 8|16|32]
+//	dramsim [-trace FILE] [-channels N] [-ranks N] [-device 8|16|32]
 //	        [-queued] [-trace-out FILE]
 //	        [-timeseries-out FILE] [-sample-every N]
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //
-// Without -trace it generates the default web front-end trace
-// internally. -timeseries-out writes the run's recording, its one
-// metric export (see internal/telemetry and cmd/telemetryck): the replay
-// drives no NMA simulator, so it holds a single sample of the run's
-// totals.
+// The trace is tracegen's JSON-lines output; without -trace it
+// generates the default web front-end trace internally.
+// -timeseries-out writes the run's recording, its one metric export
+// (see internal/telemetry and cmd/telemetryck): the replay drives no
+// NMA simulator, so it holds a single sample of the run's totals.
 package main
 
 import (
@@ -32,7 +32,6 @@ import (
 
 func main() {
 	traceFile := flag.String("trace", "", "trace file to replay (default: generate internally)")
-	binary := flag.Bool("binary", false, "trace file uses the binary encoding")
 	channels := flag.Int("channels", 4, "memory channels")
 	ranks := flag.Int("ranks", 2, "ranks per channel")
 	device := flag.Int("device", 32, "DRAM chip capacity in Gbit (8, 16, 32)")
@@ -41,7 +40,8 @@ func main() {
 	tel.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	// The device is checked before tel.Start opens any artifact file.
+	// The device and the geometry are checked before tel.Start opens
+	// any artifact file.
 	var dev dram.DeviceConfig
 	switch *device {
 	case 8:
@@ -52,6 +52,11 @@ func main() {
 		dev = dram.Device32Gb
 	default:
 		fmt.Fprintf(os.Stderr, "unknown device %dGb\n", *device)
+		os.Exit(2)
+	}
+	mapping := memctrl.SkylakeMapping(*channels, *ranks, dev)
+	if err := mapping.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -68,13 +73,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		var tr *trace.Reader
-		if *binary {
-			tr = trace.NewBinaryReader(f)
-		} else {
-			tr = trace.NewReader(f)
-		}
-		records, err = trace.ReadAll(tr)
+		records, err = trace.ReadAll(trace.NewReader(f))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -90,7 +89,6 @@ func main() {
 	}
 
 	tm := dram.DDR5_3200().WithTRFC(dev.TRFC)
-	mapping := memctrl.SkylakeMapping(*channels, *ranks, dev)
 	var ctl *memctrl.Controller
 	var qctl *memctrl.QueuedController
 	if *queued {

@@ -1,10 +1,10 @@
 // Command tracegen runs the synthetic web front-end over a
 // far-memory heap and writes its swap-in/out trace (§7's methodology)
-// to stdout or a file.
+// to stdout or a file, one JSON line per record (internal/trace).
 //
 // Usage:
 //
-//	tracegen [-o FILE] [-binary] [-pages N] [-queries N] [-seed N]
+//	tracegen [-o FILE] [-pages N] [-queries N] [-seed N]
 package main
 
 import (
@@ -21,7 +21,6 @@ import (
 
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
-	binary := flag.Bool("binary", false, "write the compact binary encoding")
 	pages := flag.Int("pages", 512, "data set size in pages")
 	queries := flag.Int("queries", 4000, "number of queries to run")
 	seed := flag.Int64("seed", 1, "workload seed")
@@ -48,12 +47,7 @@ func main() {
 		defer f.Close()
 		sink = f
 	}
-	var tw *trace.Writer
-	if *binary {
-		tw = trace.NewBinaryWriter(sink)
-	} else {
-		tw = trace.NewWriter(sink)
-	}
+	tw := trace.NewWriter(sink)
 	for _, r := range res.Trace {
 		if err := tw.Write(r); err != nil {
 			fmt.Fprintln(os.Stderr, err)

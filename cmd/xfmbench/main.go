@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	xfmbench [-csv] [-plot] [-list] [-out DIR]
+//	xfmbench [-csv] [-list]
 //	         [-trace-out FILE] [-timeseries-out FILE] [-sample-every N]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //	         [-bench-json DIR] [-nma-stepped]
@@ -43,7 +43,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"xfm/internal/bench"
@@ -55,9 +54,7 @@ import (
 
 func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	plot := flag.Bool("plot", false, "append an ASCII bar chart for experiments that provide one")
 	list := flag.Bool("list", false, "list available experiments and exit")
-	outDir := flag.String("out", "", "also write each experiment's table as CSV into this directory")
 	benchJSON := flag.String("bench-json", "", "run the swap-path bench scenarios and write BENCH_*.json artifacts into this directory (skips the experiments)")
 	nmaStepped := flag.Bool("nma-stepped", false, "disable the NMA idle fast-forward and step every refresh window (slow; for proving recordings are identical either way)")
 	chaosSpec := flag.String("chaos", "", "run the fault-injection gate with this chaos spec (preset, site=p fields, storm=period:len[:phase]) instead of the experiments; every site and storm it enables must fire")
@@ -138,31 +135,14 @@ func main() {
 		return
 	}
 
-	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-
 	for _, e := range selected {
 		start := time.Now()
 		tbl := e.Run()
 		elapsed := time.Since(start)
-		if *outDir != "" {
-			path := filepath.Join(*outDir, e.ID+".csv")
-			if err := os.WriteFile(path, []byte(tbl.CSV()), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
 		if *csv {
 			fmt.Printf("# %s\n%s\n", e.Title, tbl.CSV())
 		} else {
 			fmt.Printf("=== %s ===\n%s", e.Title, tbl.String())
-			if *plot && e.Plot != nil {
-				fmt.Printf("\n%s", e.Plot())
-			}
 			fmt.Printf("(%s in %v)\n\n", e.ID, elapsed.Round(time.Millisecond))
 		}
 	}

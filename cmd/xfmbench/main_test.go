@@ -5,6 +5,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"xfm/internal/telemetry"
@@ -81,4 +83,35 @@ func TestArgumentsCheckedBeforeArtifacts(t *testing.T) {
 			os.Remove(prof)
 		}
 	}
+}
+
+// timing matches the one line of each experiment that reads the wall
+// clock, "(id in 1.2s)"; masking it leaves only simulated results.
+var timing = regexp.MustCompile(`(?m)^\((\w+) in [^)\n]*\)$`)
+
+// The contract as a test: the default suite reproduces the committed
+// xfmbench_output.txt exactly outside its timing lines. A change that
+// moves a result regenerates that file in the same commit
+// (go run ./cmd/xfmbench > xfmbench_output.txt).
+func TestOutputMatchesCommitted(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "xfmbench_output.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := exec.Command(build(t, t.TempDir())).Output()
+	if err != nil {
+		t.Fatalf("xfmbench: %v", err)
+	}
+	mask := func(b []byte) string { return timing.ReplaceAllString(string(b), "($1 in …)") }
+	g, w := mask(got), mask(want)
+	if g == w {
+		return
+	}
+	gl, wl := strings.Split(g, "\n"), strings.Split(w, "\n")
+	for i := range gl {
+		if i >= len(wl) || gl[i] != wl[i] {
+			t.Fatalf("the suite's output departs from xfmbench_output.txt at line %d:\n%s", i+1, gl[i])
+		}
+	}
+	t.Fatalf("the suite's output ends at line %d; xfmbench_output.txt has %d", len(gl), len(wl))
 }

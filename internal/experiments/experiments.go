@@ -21,17 +21,13 @@ type Experiment struct {
 	ID    string // e.g. "fig11"
 	Title string
 	Run   func() *stats.Table
-	// Plot, when non-nil, renders the experiment's headline series as
-	// an ASCII bar chart (cmd/xfmbench -plot).
-	Plot func() string
 }
 
 // All returns every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
 		{ID: "fig1", Title: "Fig. 1: SFM memory bandwidth utilization vs rank count",
-			Run:  func() *stats.Table { return Fig1().Table() },
-			Plot: func() string { return Fig1().Plot() }},
+			Run: func() *stats.Table { return Fig1().Table() }},
 		{ID: "fig3", Title: "Fig. 3: DFM vs SFM cost and emissions over time",
 			Run: func() *stats.Table { return Fig3().Table() }},
 		{ID: "fig6", Title: "Fig. 6: conditional access timing derivation",
@@ -39,13 +35,11 @@ func All() []Experiment {
 		{ID: "fig8", Title: "Fig. 8: compression ratio in multi-channel mode",
 			Run: func() *stats.Table { return Fig8(false).Table() }},
 		{ID: "fig11", Title: "Fig. 11: SPEC × SFM co-run interference",
-			Run:  func() *stats.Table { return Fig11().Table() },
-			Plot: func() string { return Fig11().Plot() }},
+			Run: func() *stats.Table { return Fig11().Table() }},
 		{ID: "fig11sim", Title: "Fig. 11 (cross-check): co-run on the DRAM timing simulator",
 			Run: func() *stats.Table { return Fig11Sim().Table() }},
 		{ID: "fig12", Title: "Fig. 12: CPU fallbacks vs SPM size and accesses/tRFC",
-			Run:  func() *stats.Table { return Fig12(false).Table() },
-			Plot: func() string { return Fig12(true).Plot() }},
+			Run: func() *stats.Table { return Fig12(false).Table() }},
 		{ID: "table1", Title: "Table 1: DDR5 device configurations",
 			Run: Table1},
 		{ID: "table2", Title: "Table 2: FPGA resource utilization",

@@ -204,6 +204,17 @@ func TestSec32Headlines(t *testing.T) {
 	}
 }
 
+// fig12Cell returns the grid point for (promotion, spmMB, accesses);
+// ok is false when absent.
+func fig12Cell(r *Fig12Result, promotion float64, spmMB, accesses int) (Fig12Cell, bool) {
+	for _, c := range r.Cells {
+		if c.PromotionRate == promotion && c.SPMBytes == spmMB<<20 && c.AccessesPerTRFC == accesses {
+			return c, true
+		}
+	}
+	return Fig12Cell{}, false
+}
+
 func TestFig12Headlines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Fig. 12 sweep is slow")
@@ -214,7 +225,7 @@ func TestFig12Headlines(t *testing.T) {
 	}
 	// Headline: 8 MB + 3 accesses eliminates fallbacks at both rates.
 	for _, prom := range []float64{0.5, 1.0} {
-		c, ok := r.Cell(prom, 8, 3)
+		c, ok := fig12Cell(r, prom, 8, 3)
 		if !ok {
 			t.Fatal("missing 8MB/3acc cell")
 		}
@@ -228,7 +239,7 @@ func TestFig12Headlines(t *testing.T) {
 		for _, acc := range []int{1, 2, 3} {
 			prev := 2.0
 			for _, spm := range []int{1, 2, 4, 8} {
-				c, _ := r.Cell(prom, spm, acc)
+				c, _ := fig12Cell(r, prom, spm, acc)
 				if c.FallbackRate > prev+0.04 {
 					t.Errorf("fallbacks grew with SPM at prom=%v acc=%d spm=%d", prom, acc, spm)
 				}
@@ -237,8 +248,8 @@ func TestFig12Headlines(t *testing.T) {
 		}
 	}
 	// Random-access share scales with promotion rate (§8).
-	lo, _ := r.Cell(0.5, 8, 3)
-	hi, _ := r.Cell(1.0, 8, 3)
+	lo, _ := fig12Cell(r, 0.5, 8, 3)
+	hi, _ := fig12Cell(r, 1.0, 8, 3)
 	if hi.RandomFraction < lo.RandomFraction {
 		t.Errorf("random share did not grow with promotion: %.3f vs %.3f",
 			lo.RandomFraction, hi.RandomFraction)

@@ -94,17 +94,6 @@ func Fig12(quick bool) *Fig12Result {
 	return res
 }
 
-// Cell returns the grid point for (promotion, spmMB, accesses); ok is
-// false when absent.
-func (r *Fig12Result) Cell(promotion float64, spmMB, accesses int) (Fig12Cell, bool) {
-	for _, c := range r.Cells {
-		if c.PromotionRate == promotion && c.SPMBytes == spmMB<<20 && c.AccessesPerTRFC == accesses {
-			return c, true
-		}
-	}
-	return Fig12Cell{}, false
-}
-
 // Table renders the figure.
 func (r *Fig12Result) Table() *stats.Table {
 	t := stats.NewTable(

@@ -167,35 +167,6 @@ func TestTableRaggedRows(t *testing.T) {
 	}
 }
 
-func TestBarChartRendering(t *testing.T) {
-	b := NewBarChart("shape")
-	b.Add("alpha", 10, "")
-	b.Add("beta", 5, "note")
-	b.Add("zero", 0, "")
-	out := b.String()
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("lines = %d, want 4:\n%s", len(lines), out)
-	}
-	alphaBars := strings.Count(lines[1], "█")
-	betaBars := strings.Count(lines[2], "█")
-	if alphaBars <= betaBars {
-		t.Errorf("bar lengths not proportional: %d vs %d", alphaBars, betaBars)
-	}
-	if strings.Count(lines[3], "█") != 0 {
-		t.Error("zero value rendered a bar")
-	}
-	if !strings.Contains(lines[2], "note") {
-		t.Error("note missing")
-	}
-}
-
-func TestBarChartEmpty(t *testing.T) {
-	if out := NewBarChart("t").String(); !strings.Contains(out, "no data") {
-		t.Errorf("empty chart output %q", out)
-	}
-}
-
 func TestHistogramSingleSample(t *testing.T) {
 	var h Histogram
 	h.Observe(7)

@@ -1,13 +1,12 @@
 // Package trace defines the swap-in/out trace format the emulator
 // consumes (§7: "Swap-in/out traces are generated using the AIFM
 // userspace far memory framework when running a synthetic web
-// front-end application"), with JSON-lines and compact binary
-// encodings.
+// front-end application"), encoded as JSON lines: one
+// {"at":..,"op":"..","page":..,"bytes":..} object per record.
 package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -52,20 +51,14 @@ type Record struct {
 // ErrBadRecord is returned for malformed trace input.
 var ErrBadRecord = errors.New("trace: malformed record")
 
-// Writer emits records in the chosen encoding.
+// Writer emits records as JSON lines.
 type Writer struct {
-	w      *bufio.Writer
-	binary bool
-	n      int64
+	w *bufio.Writer
+	n int64
 }
 
-// NewWriter returns a text (JSON-lines-like) writer.
+// NewWriter returns a writer.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: bufio.NewWriter(w)} }
-
-// NewBinaryWriter returns a compact binary writer (21 bytes/record).
-func NewBinaryWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriter(w), binary: true}
-}
 
 // Write appends one record.
 func (w *Writer) Write(r Record) error {
@@ -73,15 +66,6 @@ func (w *Writer) Write(r Record) error {
 		return ErrBadRecord
 	}
 	w.n++
-	if w.binary {
-		var buf [21]byte
-		binary.LittleEndian.PutUint64(buf[0:], uint64(r.AtPs))
-		buf[8] = byte(r.Op)
-		binary.LittleEndian.PutUint64(buf[9:], uint64(r.PageID))
-		binary.LittleEndian.PutUint32(buf[17:], uint32(r.Bytes))
-		_, err := w.w.Write(buf[:])
-		return err
-	}
 	_, err := fmt.Fprintf(w.w, "{\"at\":%d,\"op\":\"%c\",\"page\":%d,\"bytes\":%d}\n",
 		r.AtPs, r.Op, r.PageID, r.Bytes)
 	return err
@@ -93,41 +77,16 @@ func (w *Writer) Count() int64 { return w.n }
 // Flush flushes buffered output.
 func (w *Writer) Flush() error { return w.w.Flush() }
 
-// Reader decodes records.
+// Reader decodes JSON-lines records.
 type Reader struct {
-	s      *bufio.Reader
-	binary bool
+	s *bufio.Reader
 }
 
-// NewReader returns a text reader.
+// NewReader returns a reader.
 func NewReader(r io.Reader) *Reader { return &Reader{s: bufio.NewReader(r)} }
-
-// NewBinaryReader returns a binary reader.
-func NewBinaryReader(r io.Reader) *Reader {
-	return &Reader{s: bufio.NewReader(r), binary: true}
-}
 
 // Read returns the next record, or io.EOF at the end.
 func (r *Reader) Read() (Record, error) {
-	if r.binary {
-		var buf [21]byte
-		if _, err := io.ReadFull(r.s, buf[:]); err != nil {
-			if err == io.ErrUnexpectedEOF {
-				return Record{}, ErrBadRecord
-			}
-			return Record{}, err
-		}
-		rec := Record{
-			AtPs:   int64(binary.LittleEndian.Uint64(buf[0:])),
-			Op:     Op(buf[8]),
-			PageID: int64(binary.LittleEndian.Uint64(buf[9:])),
-			Bytes:  int32(binary.LittleEndian.Uint32(buf[17:])),
-		}
-		if !rec.Op.Valid() {
-			return Record{}, ErrBadRecord
-		}
-		return rec, nil
-	}
 	line, err := r.s.ReadString('\n')
 	if err != nil {
 		if err == io.EOF && strings.TrimSpace(line) == "" {

@@ -54,30 +54,6 @@ func TestTextRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	recs := sampleRecords(500, 2)
-	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Flush()
-	if buf.Len() != 500*21 {
-		t.Errorf("binary size = %d, want %d", buf.Len(), 500*21)
-	}
-	got, err := ReadAll(NewBinaryReader(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Fatalf("record %d mismatch", i)
-		}
-	}
-}
-
 func TestWriteRejectsInvalidOp(t *testing.T) {
 	w := NewWriter(io.Discard)
 	if err := w.Write(Record{Op: 'Z'}); err != ErrBadRecord {
@@ -101,24 +77,9 @@ func TestReadMalformedText(t *testing.T) {
 	}
 }
 
-func TestReadTruncatedBinary(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
-	w.Write(Record{Op: SwapOut, Bytes: 4096})
-	w.Flush()
-	trunc := buf.Bytes()[:10]
-	_, err := NewBinaryReader(bytes.NewReader(trunc)).Read()
-	if err == nil {
-		t.Error("truncated binary record accepted")
-	}
-}
-
 func TestEmptyStreams(t *testing.T) {
 	if _, err := NewReader(bytes.NewReader(nil)).Read(); err != io.EOF {
 		t.Errorf("empty text stream: err = %v, want EOF", err)
-	}
-	if _, err := NewBinaryReader(bytes.NewReader(nil)).Read(); err != io.EOF {
-		t.Errorf("empty binary stream: err = %v, want EOF", err)
 	}
 }
 
@@ -131,7 +92,7 @@ func TestOpStrings(t *testing.T) {
 	}
 }
 
-func TestPropertyRoundTripBothEncodings(t *testing.T) {
+func TestPropertyRoundTrip(t *testing.T) {
 	f := func(at int64, page int64, opSel uint8, b int32) bool {
 		r := Record{
 			AtPs:   at,
@@ -139,16 +100,13 @@ func TestPropertyRoundTripBothEncodings(t *testing.T) {
 			PageID: page,
 			Bytes:  b,
 		}
-		var tb, bb bytes.Buffer
-		tw, bw := NewWriter(&tb), NewBinaryWriter(&bb)
-		if tw.Write(r) != nil || bw.Write(r) != nil {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		if w.Write(r) != nil || w.Flush() != nil {
 			return false
 		}
-		tw.Flush()
-		bw.Flush()
-		tr, err1 := NewReader(&tb).Read()
-		br, err2 := NewBinaryReader(&bb).Read()
-		return err1 == nil && err2 == nil && tr == r && br == r
+		got, err := NewReader(&buf).Read()
+		return err == nil && got == r
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
