@@ -40,8 +40,12 @@ func main() {
 	tel.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	// The device and the geometry are checked before tel.Start opens
-	// any artifact file.
+	// The telemetry flags, the device and the geometry are checked
+	// before tel.Start opens any artifact file.
+	if err := tel.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	var dev dram.DeviceConfig
 	switch *device {
 	case 8:

@@ -10,9 +10,10 @@ import (
 	"testing"
 )
 
-// An unknown -device or a non-positive geometry is rejected before any
-// artifact file is opened: the run exits 2 with a message, not a panic,
-// and leaves no empty CPU profile behind.
+// An unknown -device, a non-positive geometry or an out-of-range
+// telemetry flag is rejected before any artifact file is opened: the run
+// exits 2 with a message, not a panic, and leaves no empty CPU profile,
+// recording or trace behind.
 func TestDeviceCheckedBeforeArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "dramsim")
@@ -20,10 +21,15 @@ func TestDeviceCheckedBeforeArtifacts(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	prof := filepath.Join(dir, "cpu.prof")
+	rec := filepath.Join(dir, "rec.json")
+	tr := filepath.Join(dir, "trace.json")
 	for _, args := range [][]string{
 		{"-device", "7"},
 		{"-channels", "0"},
 		{"-ranks", "-1"},
+		{"-sample-every", "0", "-timeseries-out", rec},
+		{"-sample-every", "-1", "-timeseries-out", rec},
+		{"-trace-buf", "0", "-trace-out", tr},
 	} {
 		var stderr bytes.Buffer
 		cmd := exec.Command(bin, append(args, "-cpuprofile", prof)...)
@@ -36,9 +42,11 @@ func TestDeviceCheckedBeforeArtifacts(t *testing.T) {
 		if strings.Contains(stderr.String(), "panic:") {
 			t.Errorf("dramsim %v panicked:\n%s", args, stderr.String())
 		}
-		if _, err := os.Stat(prof); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("dramsim %v left %s behind (stat: %v)", args, prof, err)
-			os.Remove(prof)
+		for _, f := range []string{prof, rec, tr} {
+			if _, err := os.Stat(f); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("dramsim %v left %s behind (stat: %v)", args, f, err)
+				os.Remove(f)
+			}
 		}
 	}
 }

@@ -21,10 +21,10 @@
 //
 // With -timeseries-out FILE the flight recorder samples every row
 // of the metric catalogue every -sample-every refresh windows of
-// simulated time and writes the recording (JSON, or CSV when FILE ends
-// in .csv) on exit — the one metric export; telemetryck validates it
-// and prints its health verdict. The experiments run one after another, so a
-// recording is one timeline, bit-identical from run to run.
+// simulated time and writes the recording (JSON) on exit — the one
+// metric export; telemetryck validates it and prints its health
+// verdict. The experiments run one after another, so a recording is one
+// timeline, bit-identical from run to run.
 //
 // With -chaos SPEC the experiments are skipped and the deterministic
 // fault-injection gate runs instead: the full seed corpus is swapped
@@ -33,8 +33,9 @@
 // every page is byte-verified on the way back.
 // SPEC is a preset ("ci-default", "off"), "site=p" fields and
 // "storm=period:len[:phase]"; -seed fixes the schedule (two runs with
-// the same spec and seed are bit-identical, recordings included). The
-// run exits nonzero on any silently corrupted page, when the pages that
+// the same spec and seed are bit-identical, recordings included). A
+// spec that does not parse exits 2 before any artifact opens. The run
+// exits nonzero on any silently corrupted page, when the pages that
 // failed as uncorrectable do not number the injected double-bit flips,
 // or when a site or storm the spec enables never fired.
 package main
@@ -48,6 +49,7 @@ import (
 	"xfm/internal/bench"
 	"xfm/internal/chaos"
 	"xfm/internal/experiments"
+	"xfm/internal/fault"
 	"xfm/internal/nma"
 	"xfm/internal/telemetry"
 )
@@ -69,7 +71,12 @@ func main() {
 	nma.SetFastForward(!*nmaStepped)
 
 	// Arguments are checked before tel.Start opens any artifact file, so
-	// -list or a bad id leaves no empty profile behind.
+	// -list, a bad id, chaos spec or telemetry flag leaves no empty
+	// profile behind.
+	if err := tel.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if *list {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-10s %s\n", e.ID, e.Title)
@@ -90,13 +97,22 @@ func main() {
 		}
 	}
 
+	var plan fault.Plan
+	if *chaosSpec != "" {
+		var err error
+		if plan, err = fault.ParseSpec(*chaosSpec, *seed); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+	}
+
 	if err := tel.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 
 	if *chaosSpec != "" {
-		res, err := chaos.Run(chaos.Config{Spec: *chaosSpec, Seed: *seed})
+		res, err := chaos.Run(chaos.Config{Plan: plan})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -55,19 +55,28 @@ func TestRecordingIndependentOfJobs(t *testing.T) {
 }
 
 // Arguments are checked before any artifact file is opened: a run that
-// lists or rejects its arguments leaves no empty CPU profile behind.
+// lists or rejects its arguments leaves no empty CPU profile, recording
+// or trace behind.
 func TestArgumentsCheckedBeforeArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	bin := build(t, dir)
 	prof := filepath.Join(dir, "cpu.prof")
+	rec := filepath.Join(dir, "rec.json")
+	tr := filepath.Join(dir, "trace.json")
 	for _, c := range []struct {
 		args []string
 		code int
 	}{
-		{[]string{"-cpuprofile", prof, "nosuch"}, 2},
-		{[]string{"-cpuprofile", prof, "-list"}, 0},
+		{[]string{"nosuch"}, 2},
+		{[]string{"-list"}, 0},
+		{[]string{"-chaos", "bogus=1"}, 2},
+		{[]string{"-chaos", "storm=0:5"}, 2},
+		{[]string{"-sample-every", "0", "-timeseries-out", rec, "emulator"}, 2},
+		{[]string{"-sample-every", "-1", "-timeseries-out", rec, "emulator"}, 2},
+		{[]string{"-trace-buf", "0", "-trace-out", tr, "emulator"}, 2},
 	} {
-		err := exec.Command(bin, c.args...).Run()
+		args := append([]string{"-cpuprofile", prof}, c.args...)
+		err := exec.Command(bin, args...).Run()
 		code := 0
 		var exit *exec.ExitError
 		if errors.As(err, &exit) {
@@ -76,11 +85,13 @@ func TestArgumentsCheckedBeforeArtifacts(t *testing.T) {
 			t.Fatal(err)
 		}
 		if code != c.code {
-			t.Errorf("xfmbench %v exited %d, want %d", c.args, code, c.code)
+			t.Errorf("xfmbench %v exited %d, want %d", args, code, c.code)
 		}
-		if _, err := os.Stat(prof); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("xfmbench %v left %s behind (stat: %v)", c.args, prof, err)
-			os.Remove(prof)
+		for _, f := range []string{prof, rec, tr} {
+			if _, err := os.Stat(f); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("xfmbench %v left %s behind (stat: %v)", args, f, err)
+				os.Remove(f)
+			}
 		}
 	}
 }

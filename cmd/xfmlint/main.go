@@ -7,9 +7,11 @@
 //
 // Usage:
 //
-//	xfmlint ./...
-//	xfmlint -json ./... > xfmlint.json
-//	xfmlint -rules unreachable ./...
+//	xfmlint [-C dir]
+//
+// It lints the whole module at or above dir (default: the current
+// directory) and prints each unsuppressed diagnostic as one
+// "file:line:col: rule: message" line; any argument is a usage error.
 package main
 
 import (

@@ -1,13 +1,10 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
-	"io"
 	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // Rule names, used in diagnostics and //xfm:ignore directives.
@@ -31,13 +28,13 @@ func knownRule(name string) bool {
 // Diagnostic is one finding at a source position. File is relative to
 // the module root so output is stable across checkouts.
 type Diagnostic struct {
-	File           string `json:"file"`
-	Line           int    `json:"line"`
-	Col            int    `json:"col"`
-	Rule           string `json:"rule"`
-	Message        string `json:"message"`
-	Suppressed     bool   `json:"suppressed,omitempty"`
-	SuppressReason string `json:"suppress_reason,omitempty"`
+	File           string
+	Line           int
+	Col            int
+	Rule           string
+	Message        string
+	Suppressed     bool
+	SuppressReason string
 }
 
 // String renders the go-vet-style "file:line:col: rule: message" form.
@@ -60,38 +57,6 @@ func DefaultRules() []Rule {
 		NewDirectiveRule(),
 		NewUnreachableRule(),
 	}
-}
-
-// SelectRules filters rules down to the comma-separated names in spec
-// (the CLI's -rules flag). An empty spec selects everything; an
-// unknown name, or a spec that names no rule at all (","), is an error
-// so a typo cannot silently skip a gate.
-func SelectRules(rules []Rule, spec string) ([]Rule, error) {
-	if spec == "" {
-		return rules, nil
-	}
-	known := "known: " + strings.Join(KnownRules, ", ")
-	want := map[string]bool{}
-	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if !knownRule(name) {
-			return nil, fmt.Errorf("unknown rule %q (%s)", name, known)
-		}
-		want[name] = true
-	}
-	if len(want) == 0 {
-		return nil, fmt.Errorf("rule list %q names no rule (%s)", spec, known)
-	}
-	var out []Rule
-	for _, r := range rules {
-		if want[r.Name()] {
-			out = append(out, r)
-		}
-	}
-	return out, nil
 }
 
 // suppression is one parsed //xfm:ignore directive. It covers
@@ -183,22 +148,4 @@ func Unsuppressed(diags []Diagnostic) []Diagnostic {
 		}
 	}
 	return out
-}
-
-// WriteText prints diagnostics one per line in vet style.
-func WriteText(w io.Writer, diags []Diagnostic) {
-	for _, d := range diags {
-		fmt.Fprintln(w, d.String())
-	}
-}
-
-// WriteJSON prints diagnostics as a JSON array (always an array, never
-// null, so downstream tooling can `jq length` it).
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
-	if diags == nil {
-		diags = []Diagnostic{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(diags)
 }

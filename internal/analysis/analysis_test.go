@@ -127,28 +127,6 @@ func TestUnreachableRule(t *testing.T) {
 	}
 }
 
-func TestSelectRules(t *testing.T) {
-	all := DefaultRules()
-	got, err := SelectRules(all, "unreachable, directive,")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("want 2 rules, got %d", len(got))
-	}
-	for _, spec := range []string{"no-such-rule", "lock-order"} {
-		if _, err := SelectRules(all, spec); err == nil {
-			t.Errorf("unknown rule name %q must error, not silently skip", spec)
-		}
-	}
-	if _, err := SelectRules(all, " , "); err == nil {
-		t.Error("a spec of only commas and blanks selects nothing and must error")
-	}
-	if got, err := SelectRules(all, ""); err != nil || len(got) != len(all) {
-		t.Errorf("empty spec selects everything: %v, %d rules", err, len(got))
-	}
-}
-
 // TestSuppressions: suppressfix's two unreachable oracles carry a
 // reasoned //xfm:ignore, one standalone above the declaration and one
 // trailing it, and both are suppressed.

@@ -29,7 +29,6 @@ import (
 // Package is one type-checked package of the linted module.
 type Package struct {
 	Path  string // import path, e.g. "xfm/internal/sfm"
-	Dir   string
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
@@ -41,7 +40,7 @@ type Program struct {
 	Fset     *token.FileSet
 	ModPath  string
 	ModDir   string
-	Packages []*Package // the packages matched by the load patterns
+	Packages []*Package // every package of the module
 
 	// Directive state, populated by scanDirectives during Load.
 	suppressions   []suppression
@@ -75,15 +74,10 @@ type loader struct {
 	typeErrs []error
 }
 
-// Load parses and type-checks the module rooted at (or above) dir.
-// Patterns follow the go tool's shape: "./..." walks everything under
-// dir; "./x/y" names one package directory. Test files (_test.go) and
-// testdata/vendor directories are skipped: xfmlint checks the
-// invariants of shipped code.
-func (c *Context) Load(dir string, patterns ...string) (*Program, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
+// Load parses and type-checks every package of the module rooted at
+// (or above) dir. Test files (_test.go) and testdata/vendor directories
+// are skipped: xfmlint checks the invariants of shipped code.
+func (c *Context) Load(dir string) (*Program, error) {
 	absDir, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
@@ -100,19 +94,9 @@ func (c *Context) Load(dir string, patterns ...string) (*Program, error) {
 		byPath:   map[string]*Package{},
 		checking: map[string]bool{},
 	}
-	var dirs []string
-	seen := map[string]bool{}
-	for _, pat := range patterns {
-		expanded, err := expandPattern(absDir, pat)
-		if err != nil {
-			return nil, err
-		}
-		for _, d := range expanded {
-			if !seen[d] {
-				seen[d] = true
-				dirs = append(dirs, d)
-			}
-		}
+	dirs, err := packageDirs(modDir)
+	if err != nil {
+		return nil, err
 	}
 	sort.Strings(dirs)
 	prog := &Program{Fset: c.Fset, ModPath: modPath, ModDir: modDir}
@@ -183,27 +167,9 @@ func parseModFile(src string) (modPath, goVer string) {
 	return modPath, goVer
 }
 
-// expandPattern resolves one CLI pattern to package directories that
-// contain at least one non-test .go file.
-func expandPattern(base, pat string) ([]string, error) {
-	recursive := false
-	if p, ok := strings.CutSuffix(pat, "/..."); ok {
-		recursive = true
-		pat = p
-		if pat == "." || pat == "" {
-			pat = "."
-		}
-	}
-	root := pat
-	if !filepath.IsAbs(root) {
-		root = filepath.Join(base, root)
-	}
-	if !recursive {
-		if !hasGoFiles(root) {
-			return nil, fmt.Errorf("analysis: no Go files in %s", root)
-		}
-		return []string{root}, nil
-	}
+// packageDirs lists the directories under root that contain at least
+// one non-test .go file.
+func packageDirs(root string) ([]string, error) {
 	var out []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -311,7 +277,7 @@ func (ld *loader) check(path string) (*Package, error) {
 		},
 	}
 	tpkg, _ := cfg.Check(path, ld.ctx.Fset, files, info)
-	pkg := &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}
+	pkg := &Package{Path: path, Files: files, Types: tpkg, Info: info}
 	ld.byPath[path] = pkg
 	return pkg, nil
 }

@@ -42,15 +42,3 @@ func TestContextSharedAcrossLoads(t *testing.T) {
 		t.Errorf("module identities must stay per-load: %q, %q", p1.ModPath, p2.ModPath)
 	}
 }
-
-// TestLoadSinglePackagePattern: a non-recursive pattern loads exactly
-// the named package directory.
-func TestLoadSinglePackagePattern(t *testing.T) {
-	prog, err := sharedCtx().Load(filepath.Join("testdata", "src", "unreachfix"), "./lib")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prog.Packages) != 1 || prog.Packages[0].Path != "unreachfix/lib" {
-		t.Errorf("want exactly unreachfix/lib, got %v", prog.Packages)
-	}
-}

@@ -32,11 +32,10 @@ const batchPages = 16
 
 // Config parameterizes one chaos run.
 type Config struct {
-	// Spec is the fault schedule in fault.ParseSpec grammar (a preset
-	// like "ci-default", site=p fields, storm=period:len).
-	Spec string
-	// Seed seeds both the injector and the corpus generators.
-	Seed int64
+	// Plan is the fault schedule (fault.ParseSpec parses one from the
+	// -chaos grammar); its Seed seeds both the injector and the corpus
+	// generators.
+	Plan fault.Plan
 	// PagesPerCorpus is how many 4 KiB pages of each corpus to swap
 	// (default 64).
 	PagesPerCorpus int
@@ -113,11 +112,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.PagesPerCorpus <= 0 {
 		cfg.PagesPerCorpus = 64
 	}
-	plan, err := fault.ParseSpec(cfg.Spec, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	inj := fault.NewInjector(plan)
+	inj := fault.NewInjector(cfg.Plan)
 
 	sim := nma.NewSim(nma.DefaultConfig(dram.Device32Gb))
 	drv := xfm.NewDriver(sim)
@@ -129,7 +124,7 @@ func Run(cfg Config) (*Result, error) {
 	defer b.Close()
 	b.SetInjector(inj)
 
-	res := &Result{plan: plan}
+	res := &Result{plan: cfg.Plan}
 	trefi := sim.Config().Timings.TREFI
 	now := dram.Ps(0)
 	nextID := sfm.PageID(0)
@@ -138,7 +133,7 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pages := corpus.Pages(gen(cfg.Seed, cfg.PagesPerCorpus*sfm.PageSize), sfm.PageSize)
+		pages := corpus.Pages(gen(cfg.Plan.Seed, cfg.PagesPerCorpus*sfm.PageSize), sfm.PageSize)
 		for start := 0; start < len(pages); start += batchPages {
 			end := start + batchPages
 			if end > len(pages) {

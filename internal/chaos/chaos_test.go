@@ -7,13 +7,23 @@ import (
 	"xfm/internal/fault"
 )
 
+// plan parses a -chaos spec with seed, as xfmbench does.
+func plan(t *testing.T, spec string, seed int64) fault.Plan {
+	t.Helper()
+	p, err := fault.ParseSpec(spec, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestCIDefaultPassesStrictGate(t *testing.T) {
 	seeds := int64(8)
 	if raceEnabled {
 		seeds = 1
 	}
 	for seed := int64(1); seed <= seeds; seed++ {
-		res, err := Run(Config{Spec: "ci-default", Seed: seed})
+		res, err := Run(Config{Plan: plan(t, "ci-default", seed)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,18 +38,18 @@ func TestCIDefaultPassesStrictGate(t *testing.T) {
 }
 
 func TestRunsAreBitReproducible(t *testing.T) {
-	a, err := Run(Config{Spec: "ci-default", Seed: 7})
+	a, err := Run(Config{Plan: plan(t, "ci-default", 7)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(Config{Spec: "ci-default", Seed: 7})
+	b, err := Run(Config{Plan: plan(t, "ci-default", 7)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same-seed runs diverge:\n%+v\n%+v", a, b)
 	}
-	c, err := Run(Config{Spec: "ci-default", Seed: 8})
+	c, err := Run(Config{Plan: plan(t, "ci-default", 8)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +59,7 @@ func TestRunsAreBitReproducible(t *testing.T) {
 }
 
 func TestOffSpecIsLossless(t *testing.T) {
-	res, err := Run(Config{Spec: "off", Seed: 1, PagesPerCorpus: 8})
+	res, err := Run(Config{Plan: plan(t, "off", 1), PagesPerCorpus: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,13 +72,10 @@ func TestOffSpecIsLossless(t *testing.T) {
 }
 
 func TestGateRejectsLoss(t *testing.T) {
-	plan, err := fault.ParseSpec("ecc-multi=0.1,queue-full=0.1,storm=8:1", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := plan(t, "ecc-multi=0.1,queue-full=0.1,storm=8:1", 1)
 	// fired passes the gate; each case below breaks one requirement.
 	fired := func() *Result {
-		r := &Result{Pages: 10, Uncorrectable: 2, StormWindows: 1, plan: plan}
+		r := &Result{Pages: 10, Uncorrectable: 2, StormWindows: 1, plan: p}
 		r.Injected[fault.SiteECCMulti] = 2
 		r.Injected[fault.SiteQueueFull] = 1
 		return r

@@ -27,13 +27,11 @@ type Rank struct {
 
 // RankStats aggregates rank-level counters.
 type RankStats struct {
-	REFs           int64
-	RowHits        int64
-	RowMisses      int64
-	ReadBursts     int64
-	WriteBursts    int64
-	RefreshLockPs  Ps // total time the rank spent locked by refresh
-	StallOnRefresh int64
+	REFs        int64
+	RowHits     int64
+	RowMisses   int64
+	ReadBursts  int64
+	WriteBursts int64
 }
 
 // NewRank builds a rank of cfg-shaped banks with timing set t. The
@@ -116,7 +114,6 @@ func (r *Rank) refreshAt(start Ps) RefreshWindow {
 	}
 	r.lockedUntil = end
 	r.stats.REFs++
-	r.stats.RefreshLockPs += r.t.TRFC
 	if r.tracer != nil && r.tracer.Enabled() {
 		if r.telTrack < 0 {
 			r.telTrack = r.tracer.NewTrack("dram-rank")

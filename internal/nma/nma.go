@@ -81,11 +81,9 @@ type Config struct {
 	// QueueDepth is the Compress_Request_Queue capacity in entries.
 	QueueDepth int
 
-	// PageBytes is the offload granularity (4 KiB).
+	// PageBytes is the offload granularity (4 KiB). The SPM charges
+	// every op a full page, compressed or not.
 	PageBytes int
-	// CompressedBytes is the average compressed page size staged in
-	// the SPM after compression (PageBytes / compression ratio).
-	CompressedBytes int
 
 	// CompressGBps and DecompressGBps are the accelerator engine
 	// throughputs (the AxDIMM prototype: 14.8 and 17.2 GB/s; §7).
@@ -95,7 +93,7 @@ type Config struct {
 
 // DefaultConfig returns the paper's evaluation configuration for the
 // given device: 2 MB SPM (the prototype's), device-specific access
-// budget, one random access per window, 4 KiB pages at 2× ratio.
+// budget, one random access per window, 4 KiB pages.
 func DefaultConfig(dev dram.DeviceConfig) Config {
 	return Config{
 		Device:          dev,
@@ -105,7 +103,6 @@ func DefaultConfig(dev dram.DeviceConfig) Config {
 		RandomPerTRFC:   1,
 		QueueDepth:      4096,
 		PageBytes:       4096,
-		CompressedBytes: 2048,
 		CompressGBps:    14.8,
 		DecompressGBps:  17.2,
 	}
@@ -121,9 +118,6 @@ func (c Config) Validate() error {
 	}
 	if c.AccessesPerTRFC+c.RandomPerTRFC == 0 {
 		return fmt.Errorf("nma: zero total access budget")
-	}
-	if c.CompressedBytes <= 0 || c.CompressedBytes > c.PageBytes {
-		return fmt.Errorf("nma: compressed size %d outside (0, %d]", c.CompressedBytes, c.PageBytes)
 	}
 	if c.CompressGBps <= 0 || c.DecompressGBps <= 0 {
 		return fmt.Errorf("nma: non-positive engine throughput")

@@ -25,11 +25,6 @@ func TestConfigValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("zero access budget accepted")
 	}
-	bad = cfg32()
-	bad.CompressedBytes = bad.PageBytes + 1
-	if bad.Validate() == nil {
-		t.Error("compressed larger than page accepted")
-	}
 }
 
 func TestDefaultConfigMatchesDevice(t *testing.T) {

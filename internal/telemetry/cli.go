@@ -2,10 +2,10 @@ package telemetry
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 )
 
 // CLI bundles the observability flags shared by cmd/xfmbench and
@@ -27,10 +27,23 @@ type CLI struct {
 func (c *CLI) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.TraceOut, "trace-out", "", "record simulated-time spans and write Chrome trace-event JSON to this file at exit")
 	fs.IntVar(&c.TraceBuf, "trace-buf", DefaultTraceCapacity, "span ring-buffer capacity for -trace-out (oldest spans drop when exceeded)")
-	fs.StringVar(&c.TimeseriesOut, "timeseries-out", "", "record metric time series and write the flight-recorder dump to this file at exit (.csv extension switches to long-format CSV)")
+	fs.StringVar(&c.TimeseriesOut, "timeseries-out", "", "record metric time series and write the flight-recorder dump to this file (JSON) at exit")
 	fs.IntVar(&c.SampleEvery, "sample-every", DefaultSimEvery, "simulated-time sampling period for -timeseries-out, in refresh windows (tREFI intervals)")
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a runtime/pprof CPU profile to this file")
 	fs.StringVar(&c.MemProfile, "memprofile", "", "write a runtime/pprof heap profile to this file at exit")
+}
+
+// Validate rejects flag values no recorder can honour: a sampling
+// period or a span buffer below one. The programs call it before Start,
+// so a rejected run opens no artifact.
+func (c *CLI) Validate() error {
+	if c.SampleEvery < 1 {
+		return fmt.Errorf("-sample-every %d: want at least 1 refresh window", c.SampleEvery)
+	}
+	if c.TraceBuf < 1 {
+		return fmt.Errorf("-trace-buf %d: want at least 1 span", c.TraceBuf)
+	}
+	return nil
 }
 
 // Start enables tracing and the flight recorder and starts profiling
@@ -98,11 +111,7 @@ func (c *CLI) Finish() error {
 		if err != nil {
 			return err
 		}
-		write := s.WriteJSON
-		if strings.HasSuffix(c.TimeseriesOut, ".csv") {
-			write = s.WriteCSV
-		}
-		if werr := write(f); werr != nil {
+		if werr := s.WriteJSON(f); werr != nil {
 			f.Close()
 			return werr
 		}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -341,24 +340,6 @@ func (s *Sampler) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(s.Dump())
-}
-
-// WriteCSV writes the dump in long format (series,t,value), one row
-// per point — trivially loadable into any plotting tool and robust to
-// series of unequal length.
-func (s *Sampler) WriteCSV(w io.Writer) error {
-	d := s.Dump()
-	if _, err := io.WriteString(w, "series,t,value\n"); err != nil {
-		return err
-	}
-	for _, sr := range d.Series {
-		for _, p := range sr.Points {
-			if _, err := fmt.Fprintf(w, "%s,%d,%s\n", sr.Name, p.T, strconv.FormatFloat(p.V, 'g', -1, 64)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // ReadDump parses a time-series artifact and rejects one no recorder
