@@ -7,7 +7,9 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 
 	"xfm/internal/dram"
 	"xfm/internal/nma"
@@ -67,21 +69,38 @@ type PromotionTraffic struct {
 	BurstPeriod dram.Ps
 }
 
-// Validate checks the parameters.
+// Validate checks the parameters. Stream generates on a goroutine of
+// its own, where a panic could not be recovered, so every config Stream
+// cannot run is rejected here.
 func (p PromotionTraffic) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"SFMCapacityGB", p.SFMCapacityGB}, {"PromotionRate", p.PromotionRate},
+		{"RestartProb", p.RestartProb}, {"Burstiness", p.Burstiness},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("workload: %s %v is not finite", f.name, f.v)
+		}
+	}
 	if p.SFMCapacityGB <= 0 || p.PageBytes <= 0 || p.Ranks <= 0 || p.Groups <= 0 {
 		return fmt.Errorf("workload: non-positive parameter in %+v", p)
 	}
 	if p.PromotionRate < 0 || p.PromotionRate > 1 {
 		return fmt.Errorf("workload: promotion rate %v outside [0,1]", p.PromotionRate)
 	}
+	if r := p.PagesPerSecondPerRank(); math.IsInf(r, 0) {
+		return fmt.Errorf("workload: request rate overflows in %+v", p)
+	}
 	if p.Burstiness < 0 || p.Burstiness >= 1 {
-		if p.Burstiness != 0 {
-			return fmt.Errorf("workload: burstiness %v outside [0,1)", p.Burstiness)
-		}
+		return fmt.Errorf("workload: burstiness %v outside [0,1)", p.Burstiness)
 	}
 	if p.Burstiness > 0 && p.BurstPeriod <= 0 {
 		return fmt.Errorf("workload: burstiness requires a positive BurstPeriod")
+	}
+	if p.DstAheadGroups > 0 && p.TREFI <= 0 {
+		return fmt.Errorf("workload: DstAheadGroups requires a positive TREFI")
 	}
 	return nil
 }
@@ -94,13 +113,106 @@ func (p PromotionTraffic) PagesPerSecondPerRank() float64 {
 	return 2 * pagesPerSec / float64(p.Ranks) // compress + decompress
 }
 
+// streamBlock is how many requests the generator goroutine hands over
+// at a time, enough that a channel hand-off per block costs nothing
+// beside the random draws. streamDepth is how many filled blocks may
+// wait for the consumer: with more than one, a consumer that catches
+// up does not stall while the producer fills the next block.
+const (
+	streamBlock = 1024
+	streamDepth = 2
+)
+
 // Stream returns an iterator producing Poisson arrivals for `dur` of
 // simulated time, in nondecreasing Arrive order, alternating compress
 // and decompress requests with uniformly distributed refresh groups.
+// It panics on a config Validate rejects.
+//
+// The requests are generated a block ahead on a goroutine of its own,
+// so the caller (the simulator) does not wait on the random draws. The
+// producer fills blocks of streamBlock requests and sends them on a
+// channel; the iterator hands consumed blocks back on a second channel
+// for reuse. The sequence is the serial generator's whatever the
+// scheduling. A stream ends the producer when it runs out; one dropped
+// before that stops it when the garbage collector finalizes the
+// iterator's state, which closes the producer's done channel.
 func (p PromotionTraffic) Stream(dur dram.Ps) func() (nma.Request, bool) {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
+	full := make(chan []nma.Request, streamDepth)
+	// At most streamDepth+2 blocks exist (the queued ones, the one the
+	// producer fills and the one the iterator reads), so handing one
+	// back never finds free full.
+	free := make(chan []nma.Request, streamDepth+2)
+	done := make(chan struct{})
+	go produce(p.generate(dur), full, free, done)
+	r := &streamReader{full: full, free: free}
+	runtime.SetFinalizer(r, func(*streamReader) { close(done) })
+	return r.next
+}
+
+// produce runs gen to its end, sending its requests on full in blocks,
+// and stops early once done is closed. It holds no reference to the
+// streamReader, so a dropped stream can be finalized.
+func produce(gen func() (nma.Request, bool), full chan<- []nma.Request, free <-chan []nma.Request, done <-chan struct{}) {
+	defer close(full)
+	for more := true; more; {
+		var blk []nma.Request
+		select {
+		case blk = <-free:
+			blk = blk[:0]
+		default:
+			blk = make([]nma.Request, 0, streamBlock)
+		}
+		for len(blk) < streamBlock {
+			var r nma.Request
+			if r, more = gen(); !more {
+				break
+			}
+			blk = append(blk, r)
+		}
+		if len(blk) == 0 {
+			return
+		}
+		select {
+		case full <- blk:
+		case <-done:
+			return
+		}
+	}
+}
+
+// streamReader is the consumer side of a Stream: the block being read
+// and the producer's channels.
+type streamReader struct {
+	blk  []nma.Request
+	i    int
+	full <-chan []nma.Request
+	free chan<- []nma.Request
+}
+
+func (s *streamReader) next() (nma.Request, bool) {
+	if s.i == len(s.blk) {
+		if s.blk != nil {
+			select {
+			case s.free <- s.blk:
+			default:
+			}
+		}
+		blk, ok := <-s.full
+		s.blk, s.i = blk, 0
+		if !ok {
+			return nma.Request{}, false
+		}
+	}
+	r := s.blk[s.i]
+	s.i++
+	return r, true
+}
+
+// generate is the serial request generator behind Stream.
+func (p PromotionTraffic) generate(dur dram.Ps) func() (nma.Request, bool) {
 	rng := rand.New(rand.NewSource(p.Seed))
 	rate := p.PagesPerSecondPerRank() // events per second
 	var now dram.Ps
@@ -112,9 +224,6 @@ func (p PromotionTraffic) Stream(dur dram.Ps) func() (nma.Request, bool) {
 	// sources).
 	srcScan := newScan(rng, p.Groups, p.PagesPerGroup, p.RestartProb)
 	dstScan := newScan(rng, p.Groups, p.PagesPerGroup, p.RestartProb)
-	if p.DstAheadGroups > 0 && p.TREFI <= 0 {
-		panic("workload: DstAheadGroups requires TREFI")
-	}
 
 	// Burst phase state: phaseEnd is when the current on/off phase
 	// expires.

@@ -31,13 +31,29 @@ func TestPromotionTrafficRates(t *testing.T) {
 }
 
 func TestPromotionTrafficValidate(t *testing.T) {
-	bad := PromotionTraffic{SFMCapacityGB: 0, Ranks: 1, PageBytes: 1, Groups: 1}
-	if bad.Validate() == nil {
-		t.Error("zero capacity accepted")
+	base := PromotionTraffic{SFMCapacityGB: 1, PromotionRate: 0.5, Ranks: 1, PageBytes: 1, Groups: 1}
+	if err := base.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	bad = PromotionTraffic{SFMCapacityGB: 1, PromotionRate: 2, Ranks: 1, PageBytes: 1, Groups: 1}
-	if bad.Validate() == nil {
-		t.Error("promotion 200% accepted")
+	for _, c := range []struct {
+		name string
+		edit func(*PromotionTraffic)
+	}{
+		{"zero capacity", func(p *PromotionTraffic) { p.SFMCapacityGB = 0 }},
+		{"promotion 200%", func(p *PromotionTraffic) { p.PromotionRate = 2 }},
+		// A NaN rate made the stream run backwards; an infinite
+		// capacity made every gap 0, so the stream never advanced.
+		{"NaN promotion", func(p *PromotionTraffic) { p.PromotionRate = math.NaN() }},
+		{"infinite capacity", func(p *PromotionTraffic) { p.SFMCapacityGB = math.Inf(1) }},
+		{"request rate overflowing", func(p *PromotionTraffic) { p.SFMCapacityGB = 1e300 }},
+		// Only Stream used to catch this one, by panicking.
+		{"DstAheadGroups without TREFI", func(p *PromotionTraffic) { p.DstAheadGroups = 1024 }},
+	} {
+		bad := base
+		c.edit(&bad)
+		if bad.Validate() == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 
