@@ -29,10 +29,9 @@ func TestDeviceCheckedBeforeArtifacts(t *testing.T) {
 		{"-ranks", "-1"},
 		{"-sample-every", "0", "-timeseries-out", rec},
 		{"-sample-every", "-1", "-timeseries-out", rec},
-		{"-trace-buf", "0", "-trace-out", tr},
 	} {
 		var stderr bytes.Buffer
-		cmd := exec.Command(bin, append(args, "-cpuprofile", prof)...)
+		cmd := exec.Command(bin, append(args, "-cpuprofile", prof, "-trace-out", tr)...)
 		cmd.Stderr = &stderr
 		err := cmd.Run()
 		var exit *exec.ExitError

@@ -5,10 +5,10 @@
 //
 // Usage:
 //
-//	telemetryck [-trace FILE] [-require-nesting] [-timeseries FILE]
+//	telemetryck [-trace FILE] [-timeseries FILE]
 //	            [-require-series name,name,...] [-diff FILE,FILE]
 //
-// -require-nesting demands that the trace contains at least one NMA
+// -trace demands that the trace contains at least one NMA
 // compress/decompress span strictly nested inside a refresh-window
 // span on the same track (the paper's core claim, rendered on the
 // timeline). -timeseries validates a dump written by -timeseries-out:
@@ -65,10 +65,10 @@ type traceFile struct {
 	TraceEvents []traceEvent `json:"traceEvents"`
 }
 
-// checkTrace parses the Chrome trace JSON and, when requireNesting is
-// set, verifies at least one cat="nma" span lies strictly inside a
-// refresh-window span on the same tid.
-func checkTrace(path string, requireNesting bool) {
+// checkTrace parses the Chrome trace JSON and verifies at least one
+// cat="nma" span lies strictly inside a refresh-window span on the same
+// tid.
+func checkTrace(path string) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fail("%v", err)
@@ -91,10 +91,6 @@ func checkTrace(path string, requireNesting bool) {
 		case ev.Cat == "nma":
 			nmaSpans = append(nmaSpans, ev)
 		}
-	}
-	if !requireNesting {
-		fmt.Printf("trace ok: %d events\n", len(tf.TraceEvents))
-		return
 	}
 	if len(windows) == 0 {
 		fail("%s: no refresh-window spans", path)
@@ -248,8 +244,7 @@ func checkDiff(arg string) {
 }
 
 func main() {
-	traceOut := flag.String("trace", "", "Chrome trace-event JSON file to validate")
-	requireNesting := flag.Bool("require-nesting", false, "require nma spans nested in refresh-window spans")
+	traceOut := flag.String("trace", "", "Chrome trace-event JSON file to validate; at least one nma span must nest in a refresh-window span")
 	timeseries := flag.String("timeseries", "", "flight-recorder time-series dump to validate")
 	requireSeries := flag.String("require-series", strings.Join(telemetry.RequiredSeries(), ","), "comma-separated catalogue rows that must each source a series with a point in -timeseries (\"none\" disables)")
 	diff := flag.String("diff", "", "compare two comma-separated time-series dumps and report each series' first divergent window")
@@ -257,9 +252,6 @@ func main() {
 
 	if *traceOut == "" && *timeseries == "" && *diff == "" {
 		fail("nothing to check: pass -trace, -timeseries, and/or -diff")
-	}
-	if *requireNesting && *traceOut == "" {
-		fail("-require-nesting checks a trace: pass -trace")
 	}
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "require-series" && *timeseries == "" {
@@ -270,7 +262,7 @@ func main() {
 		*requireSeries = ""
 	}
 	if *traceOut != "" {
-		checkTrace(*traceOut, *requireNesting)
+		checkTrace(*traceOut)
 	}
 	var h telemetry.Health
 	if *timeseries != "" {

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -26,12 +27,91 @@ func validDump() telemetry.Dump {
 	}
 }
 
-func TestTimeseriesValidation(t *testing.T) {
-	dir := t.TempDir()
+// build compiles telemetryck into dir and returns the binary's path.
+func build(t *testing.T, dir string) string {
+	t.Helper()
 	bin := filepath.Join(dir, "telemetryck")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	return bin
+}
+
+// run runs bin with args and returns its exit status, stdout and
+// stderr.
+func run(t *testing.T, bin string, args ...string) (exit int, stdout, stderr string) {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	var out, errOut strings.Builder
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if errors.As(err, &ee) {
+		exit = ee.ExitCode()
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	return exit, out.String(), errOut.String()
+}
+
+// TestTraceNesting runs -trace over small traces: at least one nma span
+// must lie inside a refresh-window span on the same tid.
+func TestTraceNesting(t *testing.T) {
+	dir := t.TempDir()
+	bin := build(t, dir)
+	const (
+		window = `{"name":"refresh-window","cat":"dram","ph":"X","ts":100,"dur":0.41,"pid":0,"tid":0}`
+		meta   = `{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"nma [0]"}}`
+	)
+	nma := func(ts float64, tid int) string {
+		return fmt.Sprintf(`{"name":"compress","cat":"nma","ph":"X","ts":%g,"dur":0.1025,"pid":0,"tid":%d}`, ts, tid)
+	}
+	events := func(evs ...string) string {
+		return `{"displayTimeUnit":"ms","traceEvents":[` + strings.Join(evs, ",\n") + `]}`
+	}
+	for _, c := range []struct {
+		name, trace string
+		exit        int
+		want        string // substring of stdout on exit 0, of stderr otherwise
+	}{
+		{"nested", events(meta, window, nma(100.2, 0), nma(200, 0)), 0,
+			"trace ok: 4 events, 1 refresh windows, 1/2 nma spans nested"},
+		// A span sharing the window's edges nests: timestamps are
+		// picoseconds rendered as fractional microseconds.
+		{"nested-at-edges", events(window, nma(100, 0), nma(100.3075, 0)), 0,
+			"2/2 nma spans nested"},
+		{"outside-every-window", events(window, nma(100.35, 0), nma(99.95, 0)), 1,
+			"no nma span nests inside a refresh-window span"},
+		{"window-on-another-tid", events(window, nma(100.1, 1)), 1,
+			"no nma span nests inside a refresh-window span"},
+		{"no-refresh-windows", events(meta, nma(100.1, 0)), 1,
+			"no refresh-window spans"},
+		{"no-nma-spans", events(meta, window), 1,
+			"no nma spans"},
+		{"zero-events", events(), 1,
+			"no trace events"},
+		{"invalid-json", `{"traceEvents":[`, 1,
+			"invalid JSON"},
+	} {
+		path := filepath.Join(dir, c.name+".json")
+		if err := os.WriteFile(path, []byte(c.trace), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		exit, stdout, stderr := run(t, bin, "-trace", path)
+		got := stdout
+		if c.exit != 0 {
+			got = stderr
+		}
+		if exit != c.exit || !strings.Contains(got, c.want) {
+			t.Errorf("%s: exit %d, want %d; output %q, want it to contain %q\nstdout: %s\nstderr: %s",
+				c.name, exit, c.exit, got, c.want, stdout, stderr)
+		}
+	}
+}
+
+func TestTimeseriesValidation(t *testing.T) {
+	dir := t.TempDir()
+	bin := build(t, dir)
 
 	// ecc adds a recording of two uncorrectable ECC words, which the
 	// ecc-uncorrectable health rule fires on.
@@ -77,8 +157,6 @@ func TestTimeseriesValidation(t *testing.T) {
 		{"health-critical-invalid", func(d *telemetry.Dump) { ecc(d); d.Series[1].Points[1].T = 100 }, "-timeseries $F -require-series none", 1,
 			`series "depth": non-monotonic timestamp 100 after 100 (point 1)`},
 		// A check flag without the artifact it checks is a usage error.
-		{"nesting-without-trace", func(*telemetry.Dump) {}, "-require-nesting -timeseries $F", 1,
-			"-require-nesting checks a trace: pass -trace"},
 		{"require-series-without-timeseries", func(*telemetry.Dump) {}, "-diff $F,$F -require-series ops_total", 1,
 			"-require-series checks a recording: pass -timeseries"},
 	}
@@ -94,24 +172,14 @@ func TestTimeseriesValidation(t *testing.T) {
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			cmd := exec.Command(bin, strings.Fields(strings.ReplaceAll(c.args, "$F", path))...)
-			var stdout, stderr strings.Builder
-			cmd.Stdout, cmd.Stderr = &stdout, &stderr
-			err = cmd.Run()
-			exit := 0
-			var ee *exec.ExitError
-			if errors.As(err, &ee) {
-				exit = ee.ExitCode()
-			} else if err != nil {
-				t.Fatal(err)
-			}
-			got := stdout.String()
+			exit, stdout, stderr := run(t, bin, strings.Fields(strings.ReplaceAll(c.args, "$F", path))...)
+			got := stdout
 			if c.exit == 1 {
-				got = stderr.String()
+				got = stderr
 			}
 			if exit != c.exit || !strings.Contains(got, c.want) {
 				t.Fatalf("exit %d, want %d; output %q, want it to contain %q\nstdout: %s\nstderr: %s",
-					exit, c.exit, got, c.want, stdout.String(), stderr.String())
+					exit, c.exit, got, c.want, stdout, stderr)
 			}
 		})
 	}

@@ -6,11 +6,11 @@
 //
 // Usage:
 //
-//	xfmbench [-csv] [-list]
+//	xfmbench [-list]
 //	         [-trace-out FILE] [-timeseries-out FILE] [-sample-every N]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //	         [-bench-json DIR] [-nma-stepped]
-//	         [-chaos SPEC] [-seed N]
+//	         [-chaos SPEC]
 //	         [experiment ...]
 //
 // With -bench-json DIR the experiments are skipped; instead the
@@ -32,12 +32,13 @@
 // queue-fulls, ECC flips, refresh storms; see internal/fault) and
 // every page is byte-verified on the way back.
 // SPEC is a preset ("ci-default", "off"), "site=p" fields and
-// "storm=period:len[:phase]"; -seed fixes the schedule (two runs with
-// the same spec and seed are bit-identical, recordings included). A
-// spec that does not parse exits 2 before any artifact opens. The run
-// exits nonzero on any silently corrupted page, when the pages that
-// failed as uncorrectable do not number the injected double-bit flips,
-// or when a site or storm the spec enables never fired.
+// "storm=period:len[:phase]"; the schedule and the corpus data come
+// from seed 1 (two runs with the same spec are bit-identical,
+// recordings included). A spec that does not parse exits 2 before any
+// artifact opens. The run exits nonzero on any silently corrupted
+// page, when the pages that failed as uncorrectable do not number the
+// injected double-bit flips, or when a site or storm the spec enables
+// never fired.
 package main
 
 import (
@@ -54,13 +55,14 @@ import (
 	"xfm/internal/telemetry"
 )
 
+// chaosSeed seeds the -chaos fault schedule and corpus data.
+const chaosSeed = 1
+
 func main() {
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	list := flag.Bool("list", false, "list available experiments and exit")
 	benchJSON := flag.String("bench-json", "", "run the swap-path bench scenarios and write BENCH_*.json artifacts into this directory (skips the experiments)")
 	nmaStepped := flag.Bool("nma-stepped", false, "disable the NMA idle fast-forward and step every refresh window (slow; for proving recordings are identical either way)")
 	chaosSpec := flag.String("chaos", "", "run the fault-injection gate with this chaos spec (preset, site=p fields, storm=period:len[:phase]) instead of the experiments; every site and storm it enables must fire")
-	seed := flag.Int64("seed", 1, "deterministic seed for the -chaos fault schedule and corpus data")
 	var tel telemetry.CLI
 	tel.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -100,7 +102,7 @@ func main() {
 	var plan fault.Plan
 	if *chaosSpec != "" {
 		var err error
-		if plan, err = fault.ParseSpec(*chaosSpec, *seed); err != nil {
+		if plan, err = fault.ParseSpec(*chaosSpec, chaosSeed); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
@@ -112,7 +114,7 @@ func main() {
 	}
 
 	if *chaosSpec != "" {
-		res, err := chaos.Run(chaos.Config{Plan: plan})
+		res, err := chaos.Run(plan)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -155,12 +157,8 @@ func main() {
 		start := time.Now()
 		tbl := e.Run()
 		elapsed := time.Since(start)
-		if *csv {
-			fmt.Printf("# %s\n%s\n", e.Title, tbl.CSV())
-		} else {
-			fmt.Printf("=== %s ===\n%s", e.Title, tbl.String())
-			fmt.Printf("(%s in %v)\n\n", e.ID, elapsed.Round(time.Millisecond))
-		}
+		fmt.Printf("=== %s ===\n%s", e.Title, tbl.String())
+		fmt.Printf("(%s in %v)\n\n", e.ID, elapsed.Round(time.Millisecond))
 	}
 
 	if err := tel.Finish(); err != nil {

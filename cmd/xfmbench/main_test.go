@@ -73,9 +73,8 @@ func TestArgumentsCheckedBeforeArtifacts(t *testing.T) {
 		{[]string{"-chaos", "storm=0:5"}, 2},
 		{[]string{"-sample-every", "0", "-timeseries-out", rec, "emulator"}, 2},
 		{[]string{"-sample-every", "-1", "-timeseries-out", rec, "emulator"}, 2},
-		{[]string{"-trace-buf", "0", "-trace-out", tr, "emulator"}, 2},
 	} {
-		args := append([]string{"-cpuprofile", prof}, c.args...)
+		args := append([]string{"-cpuprofile", prof, "-trace-out", tr}, c.args...)
 		err := exec.Command(bin, args...).Run()
 		code := 0
 		var exit *exec.ExitError

@@ -27,22 +27,15 @@ import (
 	"xfm/internal/xfm"
 )
 
-// batchPages is the batch size of the run's swap-out and swap-in calls.
-const batchPages = 16
-
-// Config parameterizes one chaos run.
-type Config struct {
-	// Plan is the fault schedule (fault.ParseSpec parses one from the
-	// -chaos grammar); its Seed seeds both the injector and the corpus
-	// generators.
-	Plan fault.Plan
-	// PagesPerCorpus is how many 4 KiB pages of each corpus to swap
-	// (default 64).
-	PagesPerCorpus int
-}
+// batchPages is the batch size of the run's swap-out and swap-in calls;
+// pagesPerCorpus is how many 4 KiB pages of each corpus a run swaps.
+const (
+	batchPages     = 16
+	pagesPerCorpus = 64
+)
 
 // Result summarizes one chaos run. All fields are deterministic for a
-// fixed Config.
+// fixed plan.
 type Result struct {
 	Corpora, Pages int
 	// Mismatches counts pages that came back wrong, or failed with
@@ -104,15 +97,15 @@ func (r *Result) Gate() error {
 	return nil
 }
 
-// Run executes one chaos run: every corpus is generated, swapped out
-// through the batched path, aged a few refresh windows, swapped back in
-// and byte-verified against the original. A swap-in that fails with
-// *xfm.UncorrectableError is counted; any other failure is a mismatch.
-func Run(cfg Config) (*Result, error) {
-	if cfg.PagesPerCorpus <= 0 {
-		cfg.PagesPerCorpus = 64
-	}
-	inj := fault.NewInjector(cfg.Plan)
+// Run executes one chaos run under plan, the fault schedule
+// (fault.ParseSpec parses one from the -chaos grammar), whose Seed
+// seeds both the injector and the corpus generators: every corpus is
+// generated, swapped out through the batched path, aged a few refresh
+// windows, swapped back in and byte-verified against the original. A
+// swap-in that fails with *xfm.UncorrectableError is counted; any other
+// failure is a mismatch.
+func Run(plan fault.Plan) (*Result, error) {
+	inj := fault.NewInjector(plan)
 
 	sim := nma.NewSim(nma.DefaultConfig(dram.Device32Gb))
 	drv := xfm.NewDriver(sim)
@@ -124,7 +117,7 @@ func Run(cfg Config) (*Result, error) {
 	defer b.Close()
 	b.SetInjector(inj)
 
-	res := &Result{plan: cfg.Plan}
+	res := &Result{plan: plan}
 	trefi := sim.Config().Timings.TREFI
 	now := dram.Ps(0)
 	nextID := sfm.PageID(0)
@@ -133,7 +126,7 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pages := corpus.Pages(gen(cfg.Plan.Seed, cfg.PagesPerCorpus*sfm.PageSize), sfm.PageSize)
+		pages := corpus.Pages(gen(plan.Seed, pagesPerCorpus*sfm.PageSize), sfm.PageSize)
 		for start := 0; start < len(pages); start += batchPages {
 			end := start + batchPages
 			if end > len(pages) {

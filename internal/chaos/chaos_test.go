@@ -23,7 +23,7 @@ func TestCIDefaultPassesStrictGate(t *testing.T) {
 		seeds = 1
 	}
 	for seed := int64(1); seed <= seeds; seed++ {
-		res, err := Run(Config{Plan: plan(t, "ci-default", seed)})
+		res, err := Run(plan(t, "ci-default", seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,18 +38,18 @@ func TestCIDefaultPassesStrictGate(t *testing.T) {
 }
 
 func TestRunsAreBitReproducible(t *testing.T) {
-	a, err := Run(Config{Plan: plan(t, "ci-default", 7)})
+	a, err := Run(plan(t, "ci-default", 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(Config{Plan: plan(t, "ci-default", 7)})
+	b, err := Run(plan(t, "ci-default", 7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same-seed runs diverge:\n%+v\n%+v", a, b)
 	}
-	c, err := Run(Config{Plan: plan(t, "ci-default", 8)})
+	c, err := Run(plan(t, "ci-default", 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestRunsAreBitReproducible(t *testing.T) {
 }
 
 func TestOffSpecIsLossless(t *testing.T) {
-	res, err := Run(Config{Plan: plan(t, "off", 1), PagesPerCorpus: 8})
+	res, err := Run(plan(t, "off", 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,10 +121,9 @@ func TestPrototypeOverprovisioned(t *testing.T) {
 }
 
 // TestAxDIMMPrototypeThroughput pins the §7 prototype numbers where the
-// simulator reads them: the NMA's default engine rates.
+// simulator reads them: the NMA's engine rates.
 func TestAxDIMMPrototypeThroughput(t *testing.T) {
-	cfg := nma.DefaultConfig(dram.Device32Gb)
-	comp, decomp := cfg.CompressGBps, cfg.DecompressGBps
+	comp, decomp := nma.CompressGBps, nma.DecompressGBps
 	if comp != 14.8 || decomp != 17.2 {
 		t.Errorf("prototype throughput = %.1f/%.1f, want 14.8/17.2 (§7)", comp, decomp)
 	}

@@ -84,12 +84,14 @@ type Config struct {
 	// PageBytes is the offload granularity (4 KiB). The SPM charges
 	// every op a full page, compressed or not.
 	PageBytes int
-
-	// CompressGBps and DecompressGBps are the accelerator engine
-	// throughputs (the AxDIMM prototype: 14.8 and 17.2 GB/s; §7).
-	CompressGBps   float64
-	DecompressGBps float64
 }
+
+// CompressGBps and DecompressGBps are the accelerator engine
+// throughputs: the AxDIMM prototype's 14.8 and 17.2 GB/s (§7).
+const (
+	CompressGBps   = 14.8
+	DecompressGBps = 17.2
+)
 
 // DefaultConfig returns the paper's evaluation configuration for the
 // given device: 2 MB SPM (the prototype's), device-specific access
@@ -103,8 +105,6 @@ func DefaultConfig(dev dram.DeviceConfig) Config {
 		RandomPerTRFC:   1,
 		QueueDepth:      4096,
 		PageBytes:       4096,
-		CompressGBps:    14.8,
-		DecompressGBps:  17.2,
 	}
 }
 
@@ -118,9 +118,6 @@ func (c Config) Validate() error {
 	}
 	if c.AccessesPerTRFC+c.RandomPerTRFC == 0 {
 		return fmt.Errorf("nma: zero total access budget")
-	}
-	if c.CompressGBps <= 0 || c.DecompressGBps <= 0 {
-		return fmt.Errorf("nma: non-positive engine throughput")
 	}
 	return c.Device.Validate()
 }
@@ -772,9 +769,9 @@ func (s *Sim) startRead(o *op, now dram.Ps, random bool) {
 	s.queuedCount--
 	o.state = opPending
 	s.spmUsed += s.cfg.PageBytes
-	gbps := s.cfg.CompressGBps
+	gbps := float64(CompressGBps)
 	if o.req.Kind == DecompressOp {
-		gbps = s.cfg.DecompressGBps
+		gbps = DecompressGBps
 	}
 	computePs := dram.Ps(float64(s.cfg.PageBytes) / (gbps * 1e9) * float64(dram.Second))
 	o.doneAt = now + s.cfg.Timings.TRFC + computePs

@@ -153,8 +153,6 @@ func (h *Heap) PageIDs() []PageID {
 type ColdScanController struct {
 	Heap      *Heap
 	ColdAfter dram.Ps
-	// MaxPerRun bounds swap-outs per scan; 0 = unlimited.
-	MaxPerRun int
 }
 
 // Run applies the policy at time now and returns how many pages it
@@ -162,9 +160,6 @@ type ColdScanController struct {
 func (c *ColdScanController) Run(now dram.Ps) int {
 	n := 0
 	for _, id := range c.Heap.PageIDs() {
-		if c.MaxPerRun > 0 && n >= c.MaxPerRun {
-			break
-		}
 		if !c.Heap.Resident(id) {
 			continue
 		}

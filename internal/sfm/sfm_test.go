@@ -219,17 +219,6 @@ func TestColdScanControllerDemotesIdlePages(t *testing.T) {
 	}
 }
 
-func TestColdScanMaxPerRun(t *testing.T) {
-	h := NewHeap(newBackend())
-	for i := 0; i < 10; i++ {
-		h.Alloc(0, nil)
-	}
-	ctl := &ColdScanController{Heap: h, ColdAfter: dram.Second, MaxPerRun: 3}
-	if n := ctl.Run(10 * dram.Second); n != 3 {
-		t.Errorf("demoted %d, want 3", n)
-	}
-}
-
 func TestPressureControllerEvictsLRU(t *testing.T) {
 	h := NewHeap(newBackend())
 	var ids []PageID

@@ -1,5 +1,5 @@
-// Package stats provides the fixed-width table and bar-chart rendering
-// the experiment harness uses to report results in the shape of the
+// Package stats provides the fixed-width table rendering the
+// experiment harness uses to report results in the shape of the
 // paper's tables and figures.
 package stats
 
@@ -95,32 +95,6 @@ func (t *Table) String() string {
 	}
 	b.WriteString(strings.Repeat("-", total+2*(ncol-1)))
 	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		writeRow(r)
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values (headers first).
-// Cells containing commas or quotes are quoted.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	writeRow := func(row []string) {
-		for i, c := range row {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				b.WriteByte('"')
-				b.WriteString(strings.ReplaceAll(c, `"`, `""`))
-				b.WriteByte('"')
-			} else {
-				b.WriteString(c)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Headers)
 	for _, r := range t.Rows {
 		writeRow(r)
 	}

@@ -146,18 +146,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestTableCSVQuoting(t *testing.T) {
-	tb := NewTable("", "a", "b")
-	tb.AddRow(`x,y`, `he said "hi"`)
-	csv := tb.CSV()
-	if !strings.Contains(csv, `"x,y"`) {
-		t.Errorf("comma cell not quoted: %q", csv)
-	}
-	if !strings.Contains(csv, `"he said ""hi"""`) {
-		t.Errorf("quote cell not escaped: %q", csv)
-	}
-}
-
 func TestTableRaggedRows(t *testing.T) {
 	tb := NewTable("", "a")
 	tb.AddRow("1", "2", "3")

@@ -14,7 +14,6 @@ import (
 // tracing.
 type CLI struct {
 	TraceOut      string
-	TraceBuf      int
 	TimeseriesOut string
 	SampleEvery   int
 	CPUProfile    string
@@ -26,7 +25,6 @@ type CLI struct {
 // RegisterFlags installs the shared flags on fs.
 func (c *CLI) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.TraceOut, "trace-out", "", "record simulated-time spans and write Chrome trace-event JSON to this file at exit")
-	fs.IntVar(&c.TraceBuf, "trace-buf", DefaultTraceCapacity, "span ring-buffer capacity for -trace-out (oldest spans drop when exceeded)")
 	fs.StringVar(&c.TimeseriesOut, "timeseries-out", "", "record metric time series and write the flight-recorder dump to this file (JSON) at exit")
 	fs.IntVar(&c.SampleEvery, "sample-every", DefaultSimEvery, "simulated-time sampling period for -timeseries-out, in refresh windows (tREFI intervals)")
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a runtime/pprof CPU profile to this file")
@@ -34,14 +32,11 @@ func (c *CLI) RegisterFlags(fs *flag.FlagSet) {
 }
 
 // Validate rejects flag values no recorder can honour: a sampling
-// period or a span buffer below one. The programs call it before Start,
-// so a rejected run opens no artifact.
+// period below one. The programs call it before Start, so a rejected
+// run opens no artifact.
 func (c *CLI) Validate() error {
 	if c.SampleEvery < 1 {
 		return fmt.Errorf("-sample-every %d: want at least 1 refresh window", c.SampleEvery)
-	}
-	if c.TraceBuf < 1 {
-		return fmt.Errorf("-trace-buf %d: want at least 1 span", c.TraceBuf)
 	}
 	return nil
 }
@@ -50,9 +45,7 @@ func (c *CLI) Validate() error {
 // as requested by the parsed flags.
 func (c *CLI) Start() error {
 	if c.TraceOut != "" {
-		tr := DefaultTracer()
-		tr.SetCapacity(c.TraceBuf)
-		tr.SetEnabled(true)
+		DefaultTracer().SetEnabled(true)
 	}
 	if c.TimeseriesOut != "" {
 		s := DefaultSampler()

@@ -53,18 +53,6 @@ func (t *Tracer) SetEnabled(on bool) { t.enabled.Store(on) }
 // must check this before building span arguments.
 func (t *Tracer) Enabled() bool { return t.enabled.Load() }
 
-// SetCapacity resizes the ring to hold up to n spans, discarding
-// anything recorded so far.
-func (t *Tracer) SetCapacity(n int) {
-	if n < 1 {
-		n = 1
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.buf = make([]Span, n)
-	t.next, t.n, t.dropped = 0, 0, 0
-}
-
 // NewTrack registers a named timeline track (a Chrome trace tid) and
 // returns its id. Tracks group spans from one emitter — an NMA rank, a
 // DRAM rank, the swap capture point — into separate rows of the

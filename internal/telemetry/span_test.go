@@ -7,6 +7,15 @@ import (
 	"testing"
 )
 
+// setCapacity resizes the ring to hold up to n spans, discarding
+// anything recorded so far; the programs keep DefaultTraceCapacity.
+func (t *Tracer) setCapacity(n int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.buf = make([]Span, n)
+	t.next, t.n, t.dropped = 0, 0, 0
+}
+
 func TestTracerDisabledRecordsNothing(t *testing.T) {
 	tr := NewTracer()
 	tk := tr.NewTrack("t")
@@ -50,7 +59,7 @@ func TestTracerNegativeDurationClamps(t *testing.T) {
 
 func TestTracerRingWrap(t *testing.T) {
 	tr := NewTracer()
-	tr.SetCapacity(4)
+	tr.setCapacity(4)
 	tr.SetEnabled(true)
 	tk := tr.NewTrack("t")
 	for i := 0; i < 10; i++ {
@@ -129,7 +138,7 @@ func TestWriteChromeTraceJSON(t *testing.T) {
 // reader snapshots, for the -race suite.
 func TestTracerConcurrent(t *testing.T) {
 	tr := NewTracer()
-	tr.SetCapacity(1024)
+	tr.setCapacity(1024)
 	tr.SetEnabled(true)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -87,8 +88,6 @@ func TestPromotionStreamPinned(t *testing.T) {
 			n: 13276, last: 63995542467, digest: "fb74a650612c44e0fd1e91243d60ed7b84ad3a45275f8c43c8190c94533a5731"},
 		{name: "uniform-groups", p: with(fig12(0.4, 5), func(p *PromotionTraffic) { p.PagesPerGroup = 0; p.DstAheadGroups = 0 }), dur: walks(1),
 			n: 5420, last: 31990099146, digest: "89322c140c1c91ff66097e4a917a6621576233a92ca8b4d1a9beb9872acc9f1c"},
-		{name: "bursty", p: with(fig12(1, 7), func(p *PromotionTraffic) { p.Burstiness = 0.8; p.BurstPeriod = 20 * dram.Millisecond }), dur: walks(2),
-			n: 23493, last: 63998482019, digest: "3920f89002c76b0e7621329c8e88f8ec5fa8040fedde8e7df413571877fc04a5"},
 		{name: "promotion-0", p: fig12(0, 1), dur: walks(1),
 			n: 0, last: 0, digest: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
 	}
@@ -97,6 +96,45 @@ func TestPromotionStreamPinned(t *testing.T) {
 		if n != c.n || last != c.last || digest != c.digest {
 			t.Errorf("%s: stream moved: got n=%d last=%d digest=%s, want n=%d last=%d digest=%s",
 				c.name, n, last, digest, c.n, c.last, c.digest)
+		}
+	}
+}
+
+// TestStreamEndsAtExtremeRates drains streams whose gaps run past what
+// a dram.Ps holds. Each must end, with arrivals nondecreasing and
+// within [0, dur].
+func TestStreamEndsAtExtremeRates(t *testing.T) {
+	base := PromotionTraffic{Ranks: 1, PageBytes: 4096, Groups: 8192, Seed: 1}
+	for _, c := range []struct {
+		name           string
+		capacity, rate float64
+		dur            dram.Ps
+	}{
+		// The gap overflows int64 picoseconds, where converting it is
+		// undefined (amd64 yields −2^63).
+		{"gap-past-int64", 1e-9, 1e-9, dram.Second},
+		{"gap-past-int64/longest-dur", 1e-9, 1e-9, math.MaxInt64},
+		// The gap overflows float64 seconds: +Inf.
+		{"gap-infinite", 1e-300, 1e-300, dram.Second},
+		// The first gaps fit and later ones need not.
+		{"gaps-near-dur", 1e-3, 1e-3, 400 * dram.Second},
+	} {
+		p := base
+		p.SFMCapacityGB, p.PromotionRate = c.capacity, c.rate
+		next := p.Stream(c.dur)
+		var prev dram.Ps
+		for n := 0; ; n++ {
+			r, ok := next()
+			if !ok {
+				break
+			}
+			if r.Arrive < prev || r.Arrive > c.dur {
+				t.Fatalf("%s: request %d arrives at %d after %d, outside [0, %d]", c.name, n, r.Arrive, prev, c.dur)
+			}
+			if n == 1000 {
+				t.Fatalf("%s: stream still running after %d requests", c.name, n)
+			}
+			prev = r.Arrive
 		}
 	}
 }

@@ -58,15 +58,6 @@ type PromotionTraffic struct {
 	// TREFI is the refresh interval, needed to convert arrival times
 	// into window indexes for DstAheadGroups.
 	TREFI dram.Ps
-
-	// Burstiness makes the arrivals a two-state (on/off) modulated
-	// Poisson process with the same mean rate: during "on" periods the
-	// instantaneous rate is (1 + Burstiness)× the mean, during "off"
-	// periods (1 − Burstiness)×. 0 = plain Poisson. The paper's
-	// motivation calls SFM traffic "bursty swap ins and outs" (§3.2).
-	Burstiness float64
-	// BurstPeriod is the mean duration of each on/off phase.
-	BurstPeriod dram.Ps
 }
 
 // Validate checks the parameters. Stream generates on a goroutine of
@@ -78,7 +69,7 @@ func (p PromotionTraffic) Validate() error {
 		v    float64
 	}{
 		{"SFMCapacityGB", p.SFMCapacityGB}, {"PromotionRate", p.PromotionRate},
-		{"RestartProb", p.RestartProb}, {"Burstiness", p.Burstiness},
+		{"RestartProb", p.RestartProb},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("workload: %s %v is not finite", f.name, f.v)
@@ -92,12 +83,6 @@ func (p PromotionTraffic) Validate() error {
 	}
 	if r := p.PagesPerSecondPerRank(); math.IsInf(r, 0) {
 		return fmt.Errorf("workload: request rate overflows in %+v", p)
-	}
-	if p.Burstiness < 0 || p.Burstiness >= 1 {
-		return fmt.Errorf("workload: burstiness %v outside [0,1)", p.Burstiness)
-	}
-	if p.Burstiness > 0 && p.BurstPeriod <= 0 {
-		return fmt.Errorf("workload: burstiness requires a positive BurstPeriod")
 	}
 	if p.DstAheadGroups > 0 && p.TREFI <= 0 {
 		return fmt.Errorf("workload: DstAheadGroups requires a positive TREFI")
@@ -225,36 +210,18 @@ func (p PromotionTraffic) generate(dur dram.Ps) func() (nma.Request, bool) {
 	srcScan := newScan(rng, p.Groups, p.PagesPerGroup, p.RestartProb)
 	dstScan := newScan(rng, p.Groups, p.PagesPerGroup, p.RestartProb)
 
-	// Burst phase state: phaseEnd is when the current on/off phase
-	// expires.
-	burstOn := true
-	var phaseEnd dram.Ps
-	if p.Burstiness > 0 {
-		phaseEnd = dram.Ps(rng.ExpFloat64() * float64(p.BurstPeriod))
-	}
-
 	return func() (nma.Request, bool) {
 		if rate <= 0 {
 			return nma.Request{}, false
 		}
-		instRate := rate
-		if p.Burstiness > 0 {
-			for now >= phaseEnd {
-				burstOn = !burstOn
-				phaseEnd += dram.Ps(rng.ExpFloat64() * float64(p.BurstPeriod))
-			}
-			if burstOn {
-				instRate = rate * (1 + p.Burstiness)
-			} else {
-				instRate = rate * (1 - p.Burstiness)
-			}
-		}
-		// Exponential inter-arrival gap at the phase's rate.
-		gapSec := rng.ExpFloat64() / instRate
-		now += dram.Ps(gapSec * float64(dram.Second))
-		if now > dur {
+		// Exponential inter-arrival gap. At a tiny rate the gap in ps
+		// can pass math.MaxInt64, where the conversion is undefined;
+		// such a gap carries now past every dur, so the stream ends.
+		gap := rng.ExpFloat64() / rate * float64(dram.Second)
+		if gap >= math.MaxInt64 || dram.Ps(gap) > dur-now {
 			return nma.Request{}, false
 		}
+		now += dram.Ps(gap)
 		id++
 		kind := nma.CompressOp
 		if id%2 == 0 {

@@ -274,80 +274,6 @@ func BenchmarkWebFrontend(b *testing.B) {
 	}
 }
 
-func TestBurstinessValidation(t *testing.T) {
-	base := PromotionTraffic{SFMCapacityGB: 64, PromotionRate: 0.2, Ranks: 4, PageBytes: 4096, Groups: 8192}
-	bad := base
-	bad.Burstiness = 1.0
-	if bad.Validate() == nil {
-		t.Error("burstiness 1.0 accepted")
-	}
-	bad = base
-	bad.Burstiness = 0.5 // missing period
-	if bad.Validate() == nil {
-		t.Error("burstiness without period accepted")
-	}
-	ok := base
-	ok.Burstiness = 0.5
-	ok.BurstPeriod = dram.Millisecond
-	if err := ok.Validate(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBurstyStreamKeepsMeanRate(t *testing.T) {
-	count := func(burst float64) int {
-		p := PromotionTraffic{
-			SFMCapacityGB: 512, PromotionRate: 0.5,
-			Ranks: 16, PageBytes: 4096, Groups: 8192, Seed: 4,
-			Burstiness: burst, BurstPeriod: dram.Millisecond,
-		}
-		n := 0
-		next := p.Stream(100 * dram.Millisecond)
-		for {
-			if _, ok := next(); !ok {
-				return n
-			}
-			n++
-		}
-	}
-	smooth := count(0)
-	bursty := count(0.8)
-	ratio := float64(bursty) / float64(smooth)
-	if ratio < 0.85 || ratio > 1.15 {
-		t.Errorf("bursty stream mean rate off: %d vs %d (ratio %.2f)", bursty, smooth, ratio)
-	}
-}
-
-func TestBurstinessIncreasesFallbacks(t *testing.T) {
-	// §3.2's "bursty swap ins and outs": at the same mean load near
-	// the service knee, burstier arrivals overflow the SPM/queue more.
-	run := func(burst float64) float64 {
-		cfg := nma.DefaultConfig(dram.Device32Gb)
-		cfg.SPMBytes = 1 << 20
-		cfg.AccessesPerTRFC = 2
-		cfg.QueueDepth = 2048
-		sim := nma.NewSim(cfg)
-		p := PromotionTraffic{
-			SFMCapacityGB: 512, PromotionRate: 1.0,
-			Ranks: 12, PageBytes: 4096, Groups: 8192, Seed: 7,
-			PagesPerGroup: 2, RestartProb: 1.0 / 256,
-			DstAheadGroups: 5000, TREFI: cfg.Timings.TREFI,
-			Burstiness: burst,
-		}
-		if burst > 0 {
-			p.BurstPeriod = 20 * dram.Millisecond
-		}
-		windows := 2 * 8192
-		sim.RunWindows(windows, p.Stream(dram.Ps(windows)*cfg.Timings.TREFI))
-		return sim.Stats().FallbackRate()
-	}
-	smooth := run(0)
-	bursty := run(0.9)
-	if bursty < smooth {
-		t.Errorf("bursty fallback rate %.4f below smooth %.4f", bursty, smooth)
-	}
-}
-
 // TestSaturatedStatsPinned pins nma.Stats for the saturated Fig. 12
 // regime (the nma_saturated benchmark's traffic at the default 4096-entry
 // queue): the queue-full and SPM-full paths and the random reads and
