@@ -34,10 +34,17 @@ func mixedCorpusPages(tb testing.TB, name string) [][]byte {
 	return pages
 }
 
+// allMixedPages interleaves the generators one page each in turn, so
+// the "all" benchmarks' pages[i%len(pages)] weighs every generator
+// equally (to within one page) at any b.N, not only at multiples of
+// 4 096.
 func allMixedPages(tb testing.TB) [][]byte {
-	var pages [][]byte
-	for _, name := range corpus.Names() {
-		pages = append(pages, mixedCorpusPages(tb, name)...)
+	names := corpus.Names()
+	pages := make([][]byte, 0, len(names)*mixedPagesPerGen)
+	for k := 0; k < mixedPagesPerGen; k++ {
+		for _, name := range names {
+			pages = append(pages, mixedCorpusPages(tb, name)[k])
+		}
 	}
 	return pages
 }
