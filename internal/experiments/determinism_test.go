@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestFig8ParallelMatchesSerial: Fig. 8 is a pure function of its
+// TestFig8Deterministic: Fig. 8 is a pure function of its
 // inputs, so two calls must agree field for field and render the same
 // table.
-func TestFig8ParallelMatchesSerial(t *testing.T) {
+func TestFig8Deterministic(t *testing.T) {
 	a, b := Fig8(true), Fig8(true)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("Fig8 result differs between two calls")
