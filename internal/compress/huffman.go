@@ -137,16 +137,6 @@ func (hs *huffScratch) sortLeaves(n int) []int32 {
 	return from
 }
 
-// huffBuildLengths is the allocating convenience form used by tests.
-//
-//xfm:ignore unreachable entry point of TestHuffmanKraft, TestHuffmanLengthLimit and the frozen reference encoder (compat_ref_test.go)
-func huffBuildLengths(freq []int) []uint8 {
-	lengths := make([]uint8, len(freq))
-	var hs huffScratch
-	huffBuildLengthsInto(lengths, freq, &hs)
-	return lengths
-}
-
 // huffCanonicalTableInto assigns canonical codes from lengths into tab
 // (len(tab) must equal len(lengths)) as code<<4 | length, so the
 // encoder fetches both with one load. The codes are bit-reversed for
@@ -171,19 +161,6 @@ func huffCanonicalTableInto(tab []uint32, lengths []uint8) {
 		tab[sym] = reverseBits(nextCode[l], uint(l))<<4 | uint32(l)
 		nextCode[l]++
 	}
-}
-
-// huffCanonicalCodes is the allocating convenience form used by tests:
-// the codes alone.
-//
-//xfm:ignore unreachable entry point of TestHuffmanRoundTripCodes and craftStream (xdeflate_ref_test.go)
-func huffCanonicalCodes(lengths []uint8) []uint32 {
-	codes := make([]uint32, len(lengths))
-	huffCanonicalTableInto(codes, lengths)
-	for i := range codes {
-		codes[i] >>= 4
-	}
-	return codes
 }
 
 // reverseBits reverses the low n bits of v (1 ≤ n ≤ 16).
@@ -295,15 +272,6 @@ func (d *huffDecoder) buildTable(extra []uint8) {
 			rev |= bit
 		}
 	}
-}
-
-// newHuffDecoder is the allocating convenience form used by tests.
-//
-//xfm:ignore unreachable entry point of TestHuffmanRoundTripCodes
-func newHuffDecoder(lengths []uint8) *huffDecoder {
-	d := &huffDecoder{}
-	d.init(lengths, make([]uint8, len(lengths)))
-	return d
 }
 
 // decode reads one symbol from r. Returns -1 on corrupt input. The
