@@ -1,56 +1,63 @@
 package main
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
-
-	"xfm/internal/telemetry"
 )
 
-// build compiles xfmbench into dir and returns the binary's path.
-func build(t *testing.T, dir string) string {
-	t.Helper()
-	bin := filepath.Join(dir, "xfmbench")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+// bin is the xfmbench binary TestMain builds once for every test.
+var bin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "xfmbench-test")
+	bin = filepath.Join(dir, "xfmbench")
+	var out []byte
+	if err == nil {
+		out, err = exec.Command("go", "build", "-o", bin, ".").CombinedOutput()
 	}
-	return bin
+	code := 1
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "building xfmbench: %v\n%s", err, out)
+	} else {
+		code = m.Run()
+	}
+	os.RemoveAll(dir)
+	os.Exit(code)
 }
 
-// A recording is a pure function of the code: three NMA-driving
-// experiments are recorded twice, and the recordings must match window
-// for window.
-func TestRecordingIndependentOfJobs(t *testing.T) {
+// A recording is a pure function of the code: CI's two emulator
+// recordings, fast-forwarded and -nma-stepped, must each match its
+// committed digest in testdata/recordings.sha256 byte for byte.
+func TestRecordingsMatchDigests(t *testing.T) {
+	sums, err := os.ReadFile(filepath.Join("..", "..", "testdata", "recordings.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	bin := build(t, dir)
-	record := func(name string) *telemetry.Dump {
-		path := filepath.Join(dir, name+".json")
-		args := []string{"-timeseries-out", path, "emulator", "fig12", "energy"}
+	for name, flags := range map[string][]string{
+		"timeseries.json":         nil,
+		"timeseries-stepped.json": {"-nma-stepped"},
+	} {
+		path := filepath.Join(dir, name)
+		args := append(flags, "-timeseries-out", path, "-sample-every", "1024", "emulator")
 		if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
 			t.Fatalf("xfmbench %v: %v\n%s", args, err, out)
 		}
-		f, err := os.Open(path)
+		b, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer f.Close()
-		d, err := telemetry.ReadDump(f)
-		if err != nil {
-			t.Fatal(err)
+		line := fmt.Sprintf("%x  telemetry-artifacts/%s\n", sha256.Sum256(b), name)
+		if !strings.Contains(string(sums), line) {
+			t.Errorf("xfmbench %v: recordings.sha256 lacks the line %q", args, line)
 		}
-		return d
-	}
-	a := record("a")
-	if a.Samples < 100 {
-		t.Fatalf("recording has only %d samples; the experiments no longer drive the NMA", a.Samples)
-	}
-	if diffs := telemetry.DiffDumps(a, record("b")); len(diffs) > 0 {
-		t.Errorf("second recording diverges in %d place(s), first: %s", len(diffs), diffs[0])
 	}
 }
 
@@ -59,7 +66,6 @@ func TestRecordingIndependentOfJobs(t *testing.T) {
 // or trace behind.
 func TestArgumentsCheckedBeforeArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	bin := build(t, dir)
 	prof := filepath.Join(dir, "cpu.prof")
 	rec := filepath.Join(dir, "rec.json")
 	tr := filepath.Join(dir, "trace.json")
@@ -108,7 +114,7 @@ func TestOutputMatchesCommitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := exec.Command(build(t, t.TempDir())).Output()
+	got, err := exec.Command(bin).Output()
 	if err != nil {
 		t.Fatalf("xfmbench: %v", err)
 	}

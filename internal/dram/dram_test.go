@@ -357,3 +357,27 @@ func (r *Rank) ForceRefresh(at Ps) RefreshWindow {
 func (t Timings) RefreshDutyCycle() float64 {
 	return float64(t.TRFC) / float64(t.TREFI)
 }
+
+// DDR4_2400 returns the DDR4-2400 (CL17) timing set used by the
+// paper's emulator, matching gem5's DDR4-2400 interface. tRFC is for
+// an 8 Gb device.
+func DDR4_2400() Timings {
+	return Timings{
+		Name:        "DDR4-2400",
+		TCK:         833,
+		TRCD:        14160,
+		TCL:         14160,
+		TCWL:        10410,
+		TRP:         14160,
+		TRAS:        32000,
+		TRC:         46160,
+		TRFC:        350 * Nanosecond,
+		TREFI:       64 * Millisecond / 8192, // 7.8125 us
+		TBurst:      3333,                    // BL8 at 2400 MT/s
+		TSTAG:       10 * Nanosecond,
+		Retention:   64 * Millisecond,
+		DataRateMTs: 2400,
+		BusBytes:    8,
+		BurstBytes:  64,
+	}
+}

@@ -7,7 +7,7 @@ package nma
 // Submit and advance at zero steady-state allocations.
 
 import (
-	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -15,16 +15,17 @@ import (
 	"testing"
 
 	"xfm/internal/dram"
+	"xfm/internal/fault"
 	"xfm/internal/telemetry"
 )
 
-// engineRun drives one simulator through a deterministic random
-// interleaving of submit bursts, AdvanceTo jumps (short and long), and
-// single window steps, with the given fast-forward setting, and
+// ffRun drives one simulator through a deterministic random
+// interleaving of steps actions (submit bursts, AdvanceTo jumps short
+// and long, single window steps) with the given fast-forward setting
+// and, when storm is not nil, a storm-scheduling injector armed. It
 // returns every observable surface: Stats, a catalogue snapshot, and
-// the sim-time recording bytes.
-func engineRun(t *testing.T, seed int64, ff bool) (Stats, telemetry.Snapshot, []byte) {
-	t.Helper()
+// the sim-time recording.
+func ffRun(seed int64, steps int, storm *fault.StormSpec, ff bool) (Stats, telemetry.Snapshot, *telemetry.Dump) {
 	telemetry.ResetAll()
 	SetFastForward(ff)
 	defer SetFastForward(true)
@@ -38,10 +39,13 @@ func engineRun(t *testing.T, seed int64, ff bool) (Stats, telemetry.Snapshot, []
 	c.QueueDepth = 64
 	s := NewSim(c)
 	s.SetSampler(smp)
+	if storm != nil {
+		s.SetInjector(fault.NewInjector(fault.Plan{Seed: seed, Storm: *storm}))
+	}
 	trefi := c.Timings.TREFI
 
 	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < 200; i++ {
+	for i := 0; i < steps; i++ {
 		switch rng.Intn(4) {
 		case 0: // submit burst near the sim's upcoming refresh groups
 			n := 1 + rng.Intn(8)
@@ -71,12 +75,30 @@ func engineRun(t *testing.T, seed int64, ff bool) (Stats, telemetry.Snapshot, []
 	}
 	// Drain: two retention walks complete everything still in flight.
 	s.AdvanceTo(s.Now() + 2*c.Timings.Retention)
+	return s.Stats(), telemetry.SnapshotAll(), smp.Dump()
+}
 
-	var buf bytes.Buffer
-	if err := smp.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
+// requireFFEquivalent runs one interleaving stepped and fast-forwarded
+// and fails the test unless both leave the same Stats, the same
+// catalogue snapshot and recordings DiffDumps finds no difference in
+// (the recordings' JSON is then byte-identical). It returns the Stats.
+func requireFFEquivalent(t *testing.T, run string, seed int64, steps int, storm *fault.StormSpec) Stats {
+	t.Helper()
+	stStep, snapStep, dumpStep := ffRun(seed, steps, storm, false)
+	stFF, snapFF, dumpFF := ffRun(seed, steps, storm, true)
+	if stStep != stFF {
+		t.Fatalf("%s: Stats diverge:\nstepped: %+v\nfastfwd: %+v", run, stStep, stFF)
 	}
-	return s.Stats(), telemetry.SnapshotAll(), buf.Bytes()
+	if !reflect.DeepEqual(snapStep, snapFF) {
+		t.Fatalf("%s: metric snapshots diverge:\nstepped: %+v\nfastfwd: %+v", run, snapStep, snapFF)
+	}
+	if diffs := telemetry.DiffDumps(dumpStep, dumpFF); len(diffs) > 0 {
+		for _, d := range diffs {
+			t.Errorf("%s: %s", run, d)
+		}
+		t.Fatalf("%s: recordings diverge", run)
+	}
+	return stStep
 }
 
 // TestFastForwardEquivalence is the tentpole property test: N
@@ -84,28 +106,7 @@ func engineRun(t *testing.T, seed int64, ff bool) (Stats, telemetry.Snapshot, []
 // every observable surface, across random interleavings.
 func TestFastForwardEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		stStep, snapStep, dumpStep := engineRun(t, seed, false)
-		stFF, snapFF, dumpFF := engineRun(t, seed, true)
-		if stStep != stFF {
-			t.Fatalf("seed %d: Stats diverge:\nstepped: %+v\nfastfwd: %+v", seed, stStep, stFF)
-		}
-		if !reflect.DeepEqual(snapStep, snapFF) {
-			t.Fatalf("seed %d: metric snapshots diverge:\nstepped: %+v\nfastfwd: %+v", seed, snapStep, snapFF)
-		}
-		if !bytes.Equal(dumpStep, dumpFF) {
-			a, err := telemetry.ReadDump(bytes.NewReader(dumpStep))
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := telemetry.ReadDump(bytes.NewReader(dumpFF))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, d := range telemetry.DiffDumps(a, b) {
-				t.Errorf("seed %d: %s", seed, d)
-			}
-			t.Fatalf("seed %d: recordings diverge", seed)
-		}
+		requireFFEquivalent(t, fmt.Sprintf("seed %d", seed), seed, 200, nil)
 	}
 }
 

@@ -6,72 +6,11 @@ package nma
 // publish bit-identical stats, metrics, and recordings.
 
 import (
-	"bytes"
-	"math/rand"
-	"reflect"
+	"fmt"
 	"testing"
 
-	"xfm/internal/dram"
 	"xfm/internal/fault"
-	"xfm/internal/telemetry"
 )
-
-// stormRun mirrors engineRun with a storm-scheduling injector armed.
-func stormRun(t *testing.T, seed int64, ff bool, storm fault.StormSpec) (Stats, telemetry.Snapshot, []byte) {
-	t.Helper()
-	telemetry.ResetAll()
-	SetFastForward(ff)
-	defer SetFastForward(true)
-
-	smp := telemetry.NewSampler(1 << 14)
-	smp.SetSimEvery(7)
-	smp.Reset()
-	smp.SetEnabled(true)
-
-	c := cfg32()
-	c.QueueDepth = 64
-	s := NewSim(c)
-	s.SetSampler(smp)
-	s.SetInjector(fault.NewInjector(fault.Plan{Seed: seed, Storm: storm}))
-	trefi := c.Timings.TREFI
-
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < 120; i++ {
-		switch rng.Intn(4) {
-		case 0:
-			n := 1 + rng.Intn(8)
-			base := int(s.window % int64(s.groups))
-			for j := 0; j < n; j++ {
-				dst := rng.Intn(s.groups)
-				if rng.Intn(2) == 0 {
-					dst = -1
-				}
-				s.Submit(Request{
-					ID:       int64(i*100 + j),
-					Kind:     OpKind(rng.Intn(2)),
-					SrcGroup: (base + rng.Intn(32)) % s.groups,
-					DstGroup: dst,
-					Arrive:   s.Now() - trefi,
-				})
-			}
-		case 1:
-			s.AdvanceTo(s.Now() + dram.Ps(rng.Intn(16))*trefi)
-		case 2:
-			s.AdvanceTo(s.Now() + dram.Ps(1024+rng.Intn(4096))*trefi)
-		case 3:
-			for j := rng.Intn(5); j > 0; j-- {
-				s.StepWindow()
-			}
-		}
-	}
-	s.AdvanceTo(s.Now() + 2*c.Timings.Retention)
-
-	var buf bytes.Buffer
-	if err := smp.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return s.Stats(), telemetry.SnapshotAll(), buf.Bytes()
-}
 
 // TestStormFastForwardEquivalence extends the §6b equivalence property
 // to storm schedules: skipped idle ranges must account storm windows
@@ -84,30 +23,9 @@ func TestStormFastForwardEquivalence(t *testing.T) {
 	}
 	for _, storm := range storms {
 		for seed := int64(1); seed <= 4; seed++ {
-			stStep, snapStep, dumpStep := stormRun(t, seed, false, storm)
-			stFF, snapFF, dumpFF := stormRun(t, seed, true, storm)
-			if stStep != stFF {
-				t.Fatalf("storm %+v seed %d: Stats diverge:\nstepped: %+v\nfastfwd: %+v", storm, seed, stStep, stFF)
-			}
-			if !reflect.DeepEqual(snapStep, snapFF) {
-				t.Fatalf("storm %+v seed %d: metric snapshots diverge", storm, seed)
-			}
-			if !bytes.Equal(dumpStep, dumpFF) {
-				a, err := telemetry.ReadDump(bytes.NewReader(dumpStep))
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := telemetry.ReadDump(bytes.NewReader(dumpFF))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, d := range telemetry.DiffDumps(a, b) {
-					t.Errorf("storm %+v seed %d: %s", storm, seed, d)
-				}
-				t.Fatalf("storm %+v seed %d: recordings diverge", storm, seed)
-			}
-			if stStep.StormWindows == 0 {
-				t.Fatalf("storm %+v seed %d: no storm windows counted", storm, seed)
+			run := fmt.Sprintf("storm %+v seed %d", storm, seed)
+			if st := requireFFEquivalent(t, run, seed, 120, &storm); st.StormWindows == 0 {
+				t.Fatalf("%s: no storm windows counted", run)
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -128,5 +130,91 @@ func TestDiffDumpsStructuralAndMissingSeries(t *testing.T) {
 	d.Samples, d.Ticks = a.Samples, a.Ticks // isolate the per-series finding
 	if diffs := DiffDumps(a, d); len(diffs) != 1 || !strings.Contains(diffs[0].Reason, "point count") {
 		t.Fatalf("point count diffs = %v", diffs)
+	}
+}
+
+// Each row's dumps differ in their JSON bytes, so DiffDumps must say how.
+func TestDiffDumpsSeesWhatTheBytesShow(t *testing.T) {
+	for want, mutate := range map[string]func(*Dump){
+		"value differs: -0 vs 0":                     func(d *Dump) { d.Series[0].Points[0].V = math.Copysign(0, -1) },
+		"series order differs at position 0: u vs s": func(d *Dump) { d.Series[0], d.Series[1] = d.Series[1], d.Series[0] },
+		"metric differs: other vs m":                 func(d *Dump) { d.Series[0].Metric = "other" },
+		"dropped count differs: 3 vs 0":              func(d *Dump) { d.Series[0].Dropped = 3 },
+	} {
+		a, b := dumpWith(Point{T: 1}), dumpWith(Point{T: 1})
+		for _, d := range []*Dump{a, b} {
+			d.Series = append(d.Series, SeriesDump{Name: "u", Kind: "gauge", Metric: "u"})
+		}
+		mutate(a)
+		if diffs := DiffDumps(a, b); len(diffs) != 1 || !strings.Contains(diffs[0].String(), want) {
+			t.Errorf("diffs = %v, want one containing %q", diffs, want)
+		}
+	}
+}
+
+// TestDiffDumpsAgreesWithJSON mutates copies of a sampler's recording
+// (a counter, a gauge whose ring dropped points, a histogram family)
+// field by field, series by series and point by point: DiffDumps must
+// find a difference exactly when the two dumps' JSON differs.
+func TestDiffDumpsAgreesWithJSON(t *testing.T) {
+	ctr, g, h := &Counter{}, &Gauge{}, newHistogram([]float64{1, 10})
+	s := newSampler(6, []row{{name: "test_ops_total", kind: kindCounter, ctr: ctr},
+		{name: "test_depth", kind: kindGauge, gauge: g}, {name: "test_lat", kind: kindHistogram, hist: h}})
+	s.SetSimEvery(2)
+	s.Reset()
+	s.SetEnabled(true)
+	for i := int64(1); i <= 20; i++ {
+		ctr.Add(i % 3)
+		g.Set(float64(i%4) - 1)
+		h.Observe(float64(i % 12))
+		s.SimTick(10 * i)
+	}
+	rec := s.Dump()
+	want, err := json.Marshal(rec)
+	if err != nil || rec.Series[1].Dropped == 0 {
+		t.Fatalf("recording: %v, gauge dropped %d points, want some", err, rec.Series[1].Dropped)
+	}
+	mutations := []func(*Dump){
+		func(*Dump) {}, func(d *Dump) { d.Schema++ }, func(d *Dump) { d.Clock = "wall" },
+		func(d *Dump) { d.SimEvery = 0 }, func(d *Dump) { d.Samples-- }, func(d *Dump) { d.Ticks++ },
+		func(d *Dump) { d.Series = nil }, func(d *Dump) { d.Series = d.Series[1:] },
+		func(d *Dump) { d.Series = append(d.Series, d.Series[0]) }, func(d *Dump) { d.Series[2] = d.Series[1] },
+		func(d *Dump) { d.Series[3].Points = nil }, func(d *Dump) { d.Series[3].Points = d.Series[3].Points[:0] },
+	}
+	for i, sr := range rec.Series {
+		next := (i + 1) % len(rec.Series)
+		mutations = append(mutations, func(d *Dump) { d.Series[i], d.Series[next] = d.Series[next], d.Series[i] },
+			func(d *Dump) { d.Series[i].Name += "_x" }, func(d *Dump) { d.Series[i].Kind += "_x" },
+			func(d *Dump) { d.Series[i].Metric += "_x" }, func(d *Dump) { d.Series[i].Dropped = 1 - d.Series[i].Dropped })
+		for j := range sr.Points {
+			p := func(d *Dump) *Point { return &d.Series[i].Points[j] }
+			mutations = append(mutations, func(d *Dump) { p(d).T++ }, func(d *Dump) { p(d).V = -p(d).V },
+				func(d *Dump) { p(d).V = math.Nextafter(p(d).V, 1e9) }, func(d *Dump) { p(d).V += 0 })
+		}
+	}
+	same := 0
+	for k, m := range mutations {
+		var b Dump
+		if err := json.Unmarshal(want, &b); err != nil {
+			t.Fatal(err)
+		}
+		m(&b)
+		got, err := json.Marshal(&b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diffs := DiffDumps(rec, &b); (len(diffs) == 0) != (string(got) == string(want)) {
+			t.Errorf("mutation %d: JSON equal %v, DiffDumps %v", k, string(got) == string(want), diffs)
+		} else if len(diffs) == 0 {
+			same++
+		}
+	}
+	if same == 0 || same == len(mutations) {
+		t.Fatalf("%d of %d mutations kept the JSON; the check needs both kinds", same, len(mutations))
+	}
+	// An empty list encodes as null when nil and as [] otherwise.
+	if len(DiffDumps(&Dump{}, &Dump{Series: []SeriesDump{}})) == 0 ||
+		len(DiffDumps(&Dump{Series: []SeriesDump{{}}}, &Dump{Series: []SeriesDump{{Points: []Point{}}}})) == 0 {
+		t.Error("DiffDumps finds no difference between a null list and an empty one")
 	}
 }

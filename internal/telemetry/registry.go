@@ -8,7 +8,7 @@ import "math"
 
 // ResetAll zeroes every catalogue instrument (test isolation).
 //
-//xfm:ignore unreachable test seam: the nma engine/storm tests and TestTimeseriesBitDeterministic (internal/xfm) zero the catalogue so two recordings start from the same gauges
+//xfm:ignore unreachable test seam: the nma fast-forward equivalence tests (ffRun) and TestTimeseriesBitDeterministic (internal/xfm) zero the catalogue so two recordings start from the same gauges
 func ResetAll() {
 	for _, r := range catalogue {
 		switch r.kind {
@@ -24,7 +24,7 @@ func ResetAll() {
 
 // HistogramSnapshot is the exported view of one histogram.
 //
-//xfm:ignore unreachable element of Snapshot: the one view that carries a histogram's min and max, which engineRun/stormRun (internal/nma) compare
+//xfm:ignore unreachable element of Snapshot: the one view that carries a histogram's min and max, which the nma fast-forward equivalence tests (requireFFEquivalent) compare
 type HistogramSnapshot struct {
 	Count  int64     `json:"count"`
 	Sum    float64   `json:"sum"`
@@ -51,7 +51,7 @@ type Snapshot struct {
 // writers are running are approximate (each field is read atomically
 // but the set is not a consistent cut).
 //
-//xfm:ignore unreachable test seam: the nma engine/storm tests prove fast-forward ≡ stepped by comparing whole-catalogue snapshots, histogram min/max included (a recording has neither)
+//xfm:ignore unreachable test seam: the nma fast-forward equivalence tests (requireFFEquivalent) prove fast-forward ≡ stepped by comparing whole-catalogue snapshots, histogram min/max included (a recording has neither)
 func SnapshotAll() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]int64{},

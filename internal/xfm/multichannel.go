@@ -68,41 +68,6 @@ func (l MultiChannelLayout) SplitInto(parts [][]byte, page []byte) [][]byte {
 	return parts
 }
 
-// GatherInto reassembles a page from per-DIMM buffers produced by
-// SplitInto, appending into page (typically a reused buffer resliced to
-// length 0). It is the inverse of SplitInto for any page whose length
-// is a multiple of InterleaveBytes.
-//
-//xfm:ignore unreachable inverse of SplitInto: TestSplitIntoGatherInto round-trips the interleave Fig. 8 runs through it
-func (l MultiChannelLayout) GatherInto(page []byte, parts [][]byte) []byte {
-	if len(parts) != l.DIMMs {
-		panic(fmt.Sprintf("xfm: Gather got %d parts, layout has %d DIMMs", len(parts), l.DIMMs))
-	}
-	// Real layouts interleave over 1-4 DIMMs; keep the cursor array on
-	// the stack so GatherInto stays allocation-free.
-	var offbuf [8]int
-	var offsets []int
-	if l.DIMMs <= len(offbuf) {
-		offsets = offbuf[:l.DIMMs]
-	} else {
-		offsets = make([]int, l.DIMMs)
-	}
-	for i := 0; ; i++ {
-		d := i % l.DIMMs
-		off := offsets[d]
-		if off >= len(parts[d]) {
-			break
-		}
-		end := off + l.InterleaveBytes
-		if end > len(parts[d]) {
-			end = len(parts[d])
-		}
-		page = append(page, parts[d][off:end]...)
-		offsets[d] = end
-	}
-	return page
-}
-
 // CompressedLayout is the result of compressing one page in
 // multi-channel mode.
 type CompressedLayout struct {
@@ -142,28 +107,4 @@ func (l MultiChannelLayout) CompressPage(page []byte, newCodec func(window int) 
 		}
 	}
 	return out
-}
-
-// DecompressPageInto reverses CompressPage, appending the reassembled
-// page into dst (typically a reused buffer resliced to length 0). The
-// per-DIMM decompressed parts are staged in pooled scratch, so the
-// only allocation on a warmed path is dst's own growth.
-//
-//xfm:ignore unreachable round-trip oracle of the CompressPage Fig. 8 runs: TestCompressPageRoundTrip and TestDecompressPageInto
-func (l MultiChannelLayout) DecompressPageInto(dst []byte, c CompressedLayout, newCodec func(window int) compress.Codec, pageBytes int) ([]byte, error) {
-	codec := newCodec(l.WindowBytes(pageBytes))
-	s := compress.GetScratch()
-	defer s.Release()
-	parts := s.Parts(len(c.Parts))
-	for i, p := range c.Parts {
-		out, err := codec.Decompress(parts[i], p)
-		if err != nil {
-			return dst, err
-		}
-		parts[i] = out
-	}
-	if len(parts) != l.DIMMs {
-		return dst, fmt.Errorf("xfm: layout has %d DIMMs, compressed page has %d parts", l.DIMMs, len(parts))
-	}
-	return l.GatherInto(dst, parts), nil
 }

@@ -1,7 +1,6 @@
 package xfm
 
 import (
-	"bytes"
 	"testing"
 
 	"xfm/internal/compress"
@@ -14,9 +13,9 @@ import (
 
 // recordTimeseries runs a fixed batched swap workload against an XFM
 // backend with the given worker count, recording the default series
-// catalogue in the simulated-time clock domain, and returns the JSON
-// artifact bytes.
-func recordTimeseries(t *testing.T, workers int) []byte {
+// catalogue in the simulated-time clock domain, and returns the
+// recording.
+func recordTimeseries(t *testing.T, workers int) *telemetry.Dump {
 	t.Helper()
 	// Zero the process-wide metrics so gauges start from the same state
 	// on every run; the sampler re-baselines counters itself.
@@ -59,21 +58,27 @@ func recordTimeseries(t *testing.T, workers int) []byte {
 	smp.FinalSample()
 	smp.SetEnabled(false)
 
-	var buf bytes.Buffer
-	if err := smp.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	d, err := telemetry.ReadDump(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := smp.Dump()
 	if d.Samples < 8 {
 		t.Fatalf("workload produced only %d samples; widen the waves", d.Samples)
 	}
-	return buf.Bytes()
+	return d
 }
 
-// TestTimeseriesBitDeterministic pins the ISSUE acceptance criterion:
+// requireSameRecording fails the test, naming each divergent series,
+// unless DiffDumps finds no difference between the two recordings
+// (their JSON is then byte-identical).
+func requireSameRecording(t *testing.T, what string, a, b *telemetry.Dump) {
+	t.Helper()
+	if diffs := telemetry.DiffDumps(a, b); len(diffs) > 0 {
+		for _, d := range diffs {
+			t.Errorf("diff: %s", d)
+		}
+		t.Fatalf("%s: recordings differ", what)
+	}
+}
+
+// TestTimeseriesBitDeterministic pins the determinism contract:
 // for a fixed seed, simulated-time series are bit-identical across
 // reruns and across worker counts. Samples fire on nma.Sim's serial
 // window-stepping path after each batch's parallel phase has fully
@@ -82,39 +87,18 @@ func recordTimeseries(t *testing.T, workers int) []byte {
 // scheduling.
 func TestTimeseriesBitDeterministic(t *testing.T) {
 	first := recordTimeseries(t, 1)
-	rerun := recordTimeseries(t, 1)
-	if !bytes.Equal(first, rerun) {
-		t.Fatal("time-series artifact differs across reruns at workers=1")
-	}
-	parallel := recordTimeseries(t, 4)
-	if !bytes.Equal(first, parallel) {
-		t.Fatal("time-series artifact differs between workers=1 and workers=4")
-	}
+	requireSameRecording(t, "rerun at workers=1", first, recordTimeseries(t, 1))
+	requireSameRecording(t, "workers=1 against workers=4", first, recordTimeseries(t, 4))
 }
 
 // TestTimeseriesFastForwardInvariant extends the determinism contract
 // across the NMA engine's idle fast-forward: the same workload
 // recorded with every refresh window stepped must produce the same
-// bytes as the fast-forwarded default (DESIGN §6b). CI proves the
+// recording as the fast-forwarded default (DESIGN §6b). CI proves the
 // same property on the full emulator via `telemetryck -diff`.
 func TestTimeseriesFastForwardInvariant(t *testing.T) {
 	fast := recordTimeseries(t, 1)
 	nma.SetFastForward(false)
 	defer nma.SetFastForward(true)
-	stepped := recordTimeseries(t, 1)
-	if bytes.Equal(fast, stepped) {
-		return
-	}
-	a, err := telemetry.ReadDump(bytes.NewReader(fast))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := telemetry.ReadDump(bytes.NewReader(stepped))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range telemetry.DiffDumps(a, b) {
-		t.Errorf("diff: %s", d)
-	}
-	t.Fatal("fast-forwarded recording differs from stepped recording")
+	requireSameRecording(t, "fast-forwarded against stepped", fast, recordTimeseries(t, 1))
 }

@@ -2,6 +2,7 @@ package zsmalloc
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -333,4 +334,102 @@ func (a *Allocator) Size(h Handle) (int, error) {
 		return 0, ErrInvalidHandle
 	}
 	return s.length, nil
+}
+
+// CheckInvariants verifies internal consistency; tests call it after
+// mutation storms. It returns an error describing the first violation.
+func (a *Allocator) CheckInvariants() error {
+	objects := 0
+	var stored, held int64
+	for _, c := range a.classes {
+		// Free-list consistency: every page with free slots is listed
+		// exactly once, full pages are not.
+		listed := map[*zpage]int{}
+		for _, p := range c.freePages {
+			listed[p]++
+		}
+		for _, p := range c.pages {
+			switch {
+			case p.free > 0 && (listed[p] != 1 || !p.inFree):
+				return fmt.Errorf("class %d: page with %d free slots not on free list", c.size, p.free)
+			case p.free == 0 && (listed[p] != 0 || p.inFree):
+				return fmt.Errorf("class %d: full page on free list", c.size)
+			}
+		}
+		// Spare pages must be clean (empty, detached, reusable as-is).
+		for _, p := range c.spare {
+			if p.free != c.slots || p.inFree {
+				return fmt.Errorf("class %d: spare page not clean", c.size)
+			}
+			for _, h := range p.handles {
+				if h != 0 {
+					return fmt.Errorf("class %d: spare page holds handle %d", c.size, h)
+				}
+			}
+		}
+		for _, p := range c.pages {
+			if p.free == c.slots {
+				return fmt.Errorf("class %d holds an empty page", c.size)
+			}
+			used := 0
+			for i, h := range p.handles {
+				if h == 0 {
+					continue
+				}
+				used++
+				s := a.lookup(h)
+				if s == nil {
+					return fmt.Errorf("page slot holds unknown handle %d", h)
+				}
+				if s.page != p || s.index != i {
+					return fmt.Errorf("handle %d back-pointer mismatch", h)
+				}
+				if s.length > c.size {
+					return fmt.Errorf("handle %d length %d exceeds class %d", h, s.length, c.size)
+				}
+			}
+			if used != c.slots-p.free {
+				return fmt.Errorf("class %d page free count %d inconsistent with %d used slots",
+					c.size, p.free, used)
+			}
+			objects += used
+		}
+		held += int64(len(c.pages))
+	}
+	if held*PageSize != a.stats.PageBytes {
+		return fmt.Errorf("classes hold %d pages, stats.PageBytes %d", held, a.stats.PageBytes)
+	}
+	live := 0
+	for i := range a.slots {
+		s := &a.slots[i]
+		if s.gen == 0 {
+			return fmt.Errorf("slot %d has generation 0", i)
+		}
+		if s.page == nil {
+			continue
+		}
+		live++
+		if h := Handle(uint64(s.gen)<<32 | uint64(i)); s.page.handles[s.index] != h {
+			return fmt.Errorf("object %d not present at its slot", h)
+		}
+		stored += int64(s.length)
+	}
+	onFree := map[uint32]bool{}
+	for _, i := range a.free {
+		if int(i) >= len(a.slots) || a.slots[i].page != nil || onFree[i] {
+			return fmt.Errorf("free list entry %d is out of range, live or listed twice", i)
+		}
+		onFree[i] = true
+	}
+	if objects != live || live+len(a.free) != len(a.slots) {
+		return fmt.Errorf("page slots hold %d objects, the table %d live and %d free of %d",
+			objects, live, len(a.free), len(a.slots))
+	}
+	if objects != a.stats.Objects {
+		return fmt.Errorf("stats.Objects %d, want %d", a.stats.Objects, objects)
+	}
+	if stored != a.stats.StoredBytes {
+		return fmt.Errorf("stats.StoredBytes %d, want %d", a.stats.StoredBytes, stored)
+	}
+	return nil
 }
