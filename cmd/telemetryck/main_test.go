@@ -27,19 +27,29 @@ func validDump() telemetry.Dump {
 	}
 }
 
-// build compiles telemetryck into dir and returns the binary's path.
-func build(t *testing.T, dir string) string {
-	t.Helper()
-	bin := filepath.Join(dir, "telemetryck")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+// bin is the telemetryck binary TestMain builds once for every test.
+var bin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "telemetryck-test")
+	bin = filepath.Join(dir, "telemetryck")
+	var out []byte
+	if err == nil {
+		out, err = exec.Command("go", "build", "-o", bin, ".").CombinedOutput()
 	}
-	return bin
+	code := 1
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "building telemetryck: %v\n%s", err, out)
+	} else {
+		code = m.Run()
+	}
+	os.RemoveAll(dir)
+	os.Exit(code)
 }
 
-// run runs bin with args and returns its exit status, stdout and
-// stderr.
-func run(t *testing.T, bin string, args ...string) (exit int, stdout, stderr string) {
+// run runs the binary with args and returns its exit status, stdout
+// and stderr.
+func run(t *testing.T, args ...string) (exit int, stdout, stderr string) {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
 	var out, errOut strings.Builder
@@ -58,7 +68,6 @@ func run(t *testing.T, bin string, args ...string) (exit int, stdout, stderr str
 // must lie inside a refresh-window span on the same tid.
 func TestTraceNesting(t *testing.T) {
 	dir := t.TempDir()
-	bin := build(t, dir)
 	const (
 		window = `{"name":"refresh-window","cat":"dram","ph":"X","ts":100,"dur":0.41,"pid":0,"tid":0}`
 		meta   = `{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"nma [0]"}}`
@@ -97,7 +106,7 @@ func TestTraceNesting(t *testing.T) {
 		if err := os.WriteFile(path, []byte(c.trace), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		exit, stdout, stderr := run(t, bin, "-trace", path)
+		exit, stdout, stderr := run(t, "-trace", path)
 		got := stdout
 		if c.exit != 0 {
 			got = stderr
@@ -111,7 +120,6 @@ func TestTraceNesting(t *testing.T) {
 
 func TestTimeseriesValidation(t *testing.T) {
 	dir := t.TempDir()
-	bin := build(t, dir)
 
 	// ecc adds a recording of two uncorrectable ECC words, which the
 	// ecc-uncorrectable health rule fires on.
@@ -172,7 +180,7 @@ func TestTimeseriesValidation(t *testing.T) {
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			exit, stdout, stderr := run(t, bin, strings.Fields(strings.ReplaceAll(c.args, "$F", path))...)
+			exit, stdout, stderr := run(t, strings.Fields(strings.ReplaceAll(c.args, "$F", path))...)
 			got := stdout
 			if c.exit == 1 {
 				got = stderr
