@@ -14,10 +14,11 @@
 //	         [experiment ...]
 //
 // With -bench-json DIR the experiments are skipped; instead the
-// swap-path benchmark scenarios run and each result is written as
-// DIR/BENCH_<name>.json (pages/s, allocs/op, compression ratio, and a
-// per-interval pages/s trajectory). The CI bench gate (cmd/benchgate)
-// compares those artifacts against the checked-in bench_baseline.json.
+// swap-path bench scenarios of internal/bench run and each result is
+// written as DIR/BENCH_<name>.json (pages/s, allocs/op, compression
+// ratio, and a per-interval pages/s trajectory). CI runs them as an
+// ungated smoke; the performance gate is cmd/benchgate over
+// benchmark/'s reports.
 //
 // With -timeseries-out FILE the flight recorder samples every row
 // of the metric catalogue every -sample-every refresh windows of

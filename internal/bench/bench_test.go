@@ -1,77 +1,45 @@
 package bench
 
 import (
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"xfm/internal/sfm"
 )
 
-func baselineOf(rs ...Result) Baseline { return Baseline{Scenarios: rs} }
-
-func TestGatePassesWithinThreshold(t *testing.T) {
-	b := baselineOf(Result{Name: "a", PagesPerSec: 1000})
-	lines, err := Gate(b, []Result{{Name: "a", PagesPerSec: 810}}, 0.20)
-	if err != nil {
-		t.Fatalf("gate failed: %v", err)
-	}
-	if len(lines) != 1 {
-		t.Fatalf("got %d report lines, want 1", len(lines))
-	}
-}
-
-func TestGateFailsOnRegression(t *testing.T) {
-	b := baselineOf(Result{Name: "a", PagesPerSec: 1000})
-	_, err := Gate(b, []Result{{Name: "a", PagesPerSec: 799}}, 0.20)
-	if err == nil {
-		t.Fatal("gate passed a 20.1% regression")
-	}
-	if !strings.Contains(err.Error(), "below the") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-}
-
-func TestGateFailsOnMissingScenario(t *testing.T) {
-	b := baselineOf(Result{Name: "a", PagesPerSec: 1000}, Result{Name: "b", PagesPerSec: 500})
-	if _, err := Gate(b, []Result{{Name: "a", PagesPerSec: 1000}}, 0.20); err == nil {
-		t.Fatal("gate passed with scenario b missing from results")
-	}
-	if _, err := Gate(b, []Result{
-		{Name: "a", PagesPerSec: 1000},
-		{Name: "b", PagesPerSec: 500},
-		{Name: "c", PagesPerSec: 1},
-	}, 0.20); err == nil {
-		t.Fatal("gate passed with scenario c missing from baseline")
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	in := []Result{
 		{Name: "x", PagesPerSec: 123.5, NsPerOp: 4, AllocsPerOp: 5, CompressionRatio: 2.5, PagesPerOp: 256,
-			GoMaxProcs: 8, GoVersion: "go1.24.0", Workers: 4, Shards: 16,
+			GoMaxProcs:          8,
 			IntervalPagesPerSec: []float64{120, 125, 124, 123}, SteadyStatePagesPerSec: 123.5},
 		{Name: "y", PagesPerSec: 9, PagesPerOp: 256},
 	}
 	if err := WriteJSON(dir, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadJSON(dir)
+	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(in) {
-		t.Fatalf("got %d results, want %d", len(out), len(in))
-	}
-	seen := map[string]Result{}
-	for _, r := range out {
-		seen[r.Name] = r
+	if len(paths) != len(in) {
+		t.Fatalf("got %d files, want %d", len(paths), len(in))
 	}
 	for _, r := range in {
-		if !reflect.DeepEqual(seen[r.Name], r) {
-			t.Fatalf("round trip changed %s: %+v -> %+v", r.Name, r, seen[r.Name])
+		data, err := os.ReadFile(filepath.Join(dir, "BENCH_"+r.Name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Result
+		if err := json.Unmarshal(data, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, r) {
+			t.Fatalf("round trip changed %s: %+v -> %+v", r.Name, r, got)
 		}
 	}
 }
@@ -123,64 +91,6 @@ func TestSteadyState(t *testing.T) {
 	}
 	if got := steadyState(nil); got != 0 {
 		t.Fatalf("empty steadyState = %g, want 0", got)
-	}
-}
-
-func TestSteadyStateWarnings(t *testing.T) {
-	flat := Result{Name: "flat", PagesPerSec: 1000, SteadyStatePagesPerSec: 1050,
-		IntervalPagesPerSec: []float64{900, 1000, 1050, 1050}}
-	if w := SteadyStateWarnings([]Result{flat}); len(w) != 0 {
-		t.Fatalf("5%% divergence warned: %v", w)
-	}
-	ramp := Result{Name: "ramp", PagesPerSec: 1000, SteadyStatePagesPerSec: 1300,
-		IntervalPagesPerSec: []float64{500, 800, 1200, 1400}}
-	w := SteadyStateWarnings([]Result{ramp})
-	if len(w) != 1 || !strings.Contains(w[0], "not in steady state") {
-		t.Fatalf("30%% divergence should warn once, got %v", w)
-	}
-	// Too few intervals to judge: stay quiet.
-	short := ramp
-	short.IntervalPagesPerSec = []float64{500, 1400}
-	if w := SteadyStateWarnings([]Result{short}); len(w) != 0 {
-		t.Fatalf("2-interval run warned: %v", w)
-	}
-	// Results predating the trajectory fields: stay quiet.
-	if w := SteadyStateWarnings([]Result{{Name: "old", PagesPerSec: 1000}}); len(w) != 0 {
-		t.Fatalf("legacy result warned: %v", w)
-	}
-}
-
-func TestEnvWarnings(t *testing.T) {
-	base := baselineOf(Result{Name: "a", GoMaxProcs: 8, GoVersion: "go1.24.0", Workers: 0, Shards: 16})
-	same := Result{Name: "a", GoMaxProcs: 8, GoVersion: "go1.24.0", Workers: 0, Shards: 16}
-	if w := EnvWarnings(base, []Result{same}); len(w) != 0 {
-		t.Fatalf("matching environments warned: %v", w)
-	}
-
-	mism := same
-	mism.GoMaxProcs = 1
-	w := EnvWarnings(base, []Result{mism})
-	if len(w) != 1 || !strings.Contains(w[0], "GOMAXPROCS mismatch") {
-		t.Fatalf("GOMAXPROCS 8 vs 1 should warn once, got %v", w)
-	}
-
-	old := baselineOf(Result{Name: "a"}) // pre-environment baseline
-	w = EnvWarnings(old, []Result{same})
-	if len(w) != 1 || !strings.Contains(w[0], "predates environment recording") {
-		t.Fatalf("zero-GoMaxProcs baseline should warn, got %v", w)
-	}
-
-	cfg := same
-	cfg.Workers = 4
-	cfg.GoVersion = "go1.25.0"
-	w = EnvWarnings(base, []Result{cfg})
-	if len(w) != 2 {
-		t.Fatalf("version + config mismatch should warn twice, got %v", w)
-	}
-
-	// Scenarios missing from the results are the Gate's problem.
-	if w := EnvWarnings(base, nil); len(w) != 0 {
-		t.Fatalf("missing scenario warned: %v", w)
 	}
 }
 

@@ -97,9 +97,6 @@ func runNMAWindowSweep(name string) (Result, error) {
 		CompressionRatio:       0,
 		PagesPerOp:             sweepPages,
 		GoMaxProcs:             runtime.GOMAXPROCS(0),
-		GoVersion:              runtime.Version(),
-		Workers:                0,
-		Shards:                 sweepRanks,
 		IntervalPagesPerSec:    intervals,
 		SteadyStatePagesPerSec: steadyState(intervals),
 	}, nil

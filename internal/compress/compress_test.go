@@ -496,7 +496,7 @@ func TestLZ77WindowRespected(t *testing.T) {
 // The 4K codec benchmarks reuse their dst buffers the way the swap
 // pipeline does (Scratch staging), so their allocs/op reflect the
 // steady-state hot path: 0 allocs/op, asserted by the regression tests
-// in scratch_test.go and gated in CI via -bench-json.
+// in scratch_test.go.
 //
 // Their page is one key=value line repeated 140 times: after the first
 // 31 bytes everything is one chain of maximal matches, so they time the
