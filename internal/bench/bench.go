@@ -117,9 +117,9 @@ var skewedIDs = func() []sfm.PageID {
 func skewedID(i int) sfm.PageID { return skewedIDs[i] }
 
 // pages builds the benchmark working set: 256 compressible key-value
-// pages. ids, when non-nil,
-// overrides the default sequential page ids (page content still keys
-// off the position, so every scenario compresses identical bytes).
+// pages. ids, when non-nil, overrides the default sequential page ids
+// (page content still keys off the position, so every scenario
+// compresses identical bytes).
 func pages(ids func(i int) sfm.PageID) ([]sfm.PageOut, []sfm.PageIn) {
 	outs := make([]sfm.PageOut, benchPages)
 	ins := make([]sfm.PageIn, benchPages)

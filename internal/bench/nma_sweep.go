@@ -1,7 +1,7 @@
 package bench
 
 // nma_window_sweep: the simulator-path scenario. The swap scenarios
-// gate the codec/backend hot path; this one gates the NMA window
+// time the codec/backend hot path; this one times the NMA window
 // engine — `Array.AdvanceTo` over mixed idle/busy traffic, the cost
 // every experiment and the emulator harness pays per simulated
 // interval. One op is a burst of page offloads landing near each
