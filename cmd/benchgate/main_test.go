@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -44,20 +45,11 @@ func runs(k int) side {
 // (every run when idx is empty).
 func (s side) scale(name string, f float64, idx ...int) side {
 	for i := range s {
-		if len(idx) == 0 || contains(idx, i) {
+		if len(idx) == 0 || slices.Contains(idx, i) {
 			s[i].Metrics[name] *= f
 		}
 	}
 	return s
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // write puts each run in a report file of its own, named as CI names them.
