@@ -9,16 +9,9 @@
 //	xfmbench [-list]
 //	         [-trace-out FILE] [-timeseries-out FILE] [-sample-every N]
 //	         [-cpuprofile FILE] [-memprofile FILE]
-//	         [-bench-json DIR] [-nma-stepped]
+//	         [-nma-stepped]
 //	         [-chaos SPEC]
 //	         [experiment ...]
-//
-// With -bench-json DIR the experiments are skipped; instead the
-// swap-path bench scenarios of internal/bench run and each result is
-// written as DIR/BENCH_<name>.json (pages/s, allocs/op, compression
-// ratio, and a per-interval pages/s trajectory). CI runs them as an
-// ungated smoke; the performance gate is cmd/benchgate over
-// benchmark/'s reports.
 //
 // With -timeseries-out FILE the flight recorder samples every row
 // of the metric catalogue every -sample-every refresh windows of
@@ -48,7 +41,6 @@ import (
 	"os"
 	"time"
 
-	"xfm/internal/bench"
 	"xfm/internal/chaos"
 	"xfm/internal/experiments"
 	"xfm/internal/fault"
@@ -61,7 +53,6 @@ const chaosSeed = 1
 
 func main() {
 	list := flag.Bool("list", false, "list available experiments and exit")
-	benchJSON := flag.String("bench-json", "", "run the swap-path bench scenarios and write BENCH_*.json artifacts into this directory (skips the experiments)")
 	nmaStepped := flag.Bool("nma-stepped", false, "disable the NMA idle fast-forward and step every refresh window (slow; for proving recordings are identical either way)")
 	chaosSpec := flag.String("chaos", "", "run the fault-injection gate with this chaos spec (preset, site=p fields, storm=period:len[:phase]) instead of the experiments; every site and storm it enables must fire")
 	var tel telemetry.CLI
@@ -128,27 +119,6 @@ func main() {
 		}
 		if gateErr != nil {
 			fmt.Fprintln(os.Stderr, gateErr)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *benchJSON != "" {
-		results, err := bench.RunAll()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := bench.WriteJSON(*benchJSON, results); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		for _, r := range results {
-			fmt.Printf("%-24s %10.0f pages/s  %6.0f allocs/op  ratio %.2f\n",
-				r.Name, r.PagesPerSec, r.AllocsPerOp, r.CompressionRatio)
-		}
-		if err := tel.Finish(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		return

@@ -404,6 +404,49 @@ func BenchmarkAdvanceIdle(b *testing.B) {
 	}
 }
 
+// BenchmarkWindowSweep times the engine over mixed busy and idle
+// traffic: per iteration a burst of 64 offloads lands a few groups ahead
+// of each of four staggered ranks' refresh counters (busy head), then
+// AdvanceTo crosses a 2048-window horizon the engine mostly
+// fast-forwards (idle tail). pages/s counts offloads through the whole
+// submit, advance and complete cycle.
+func BenchmarkWindowSweep(b *testing.B) {
+	const ranks, burst, windows = 4, 64, 2048
+	c := cfg32()
+	trefi := c.Timings.TREFI
+	groups := c.Device.RefreshGroups()
+	a := NewArray(c, ranks)
+	// Rank k starts k·groups/ranks windows ahead, so anchor the horizon
+	// to the last rank's clock: every rank then advances at least
+	// windows per iteration.
+	horizon := a.Rank(ranks-1).Now() - trefi
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cur := a.CurrentGroups()
+		for j := 0; j < burst; j++ {
+			rank := j % ranks
+			req := Request{
+				ID:       int64(i*burst + j),
+				Kind:     OpKind(j % 2),
+				SrcGroup: (cur[rank] + 1 + j/ranks) % groups,
+				DstGroup: -1, // flexible: write-backs stay conditional too
+				Arrive:   horizon,
+			}
+			if !a.Submit(rank, req) {
+				b.Fatalf("iteration %d: submit rejected (the queue should never fill)", i)
+			}
+		}
+		horizon += windows * trefi
+		a.AdvanceTo(horizon)
+	}
+	b.StopTimer()
+	if st := a.Stats(); st.Completed != st.Submitted {
+		b.Fatalf("%d of %d offloads completed", st.Completed, st.Submitted)
+	}
+	b.ReportMetric(float64(b.N)*burst/b.Elapsed().Seconds(), "pages/s")
+}
+
 // SetTracer redirects span output to tr (nil disables tracing for this
 // sim); tests inject private tracers here. Sims default to the
 // process-wide telemetry.DefaultTracer.

@@ -25,16 +25,6 @@ type PageIn struct {
 	Dst []byte
 }
 
-// FirstError returns the first non-nil error in errs, or nil.
-func FirstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // SwapOutBatch implements Backend: the CPU backend executes the batch
 // serially — it owns one scratch buffer and one zsmalloc region, so
 // the batch is a loop. ShardedBackend supplies the parallel version.

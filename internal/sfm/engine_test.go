@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"xfm/internal/compress"
+	"xfm/internal/corpus"
 	"xfm/internal/zsmalloc"
 )
 
@@ -104,15 +105,13 @@ func TestBatchSkewedSingleShard(t *testing.T) {
 	defer sharded.Close()
 	serial := NewCPUBackend(codec, 0)
 
-	ids := make([]PageID, 0, 64)
-	for id := PageID(0); len(ids) < 64; id++ {
-		if ShardIndexFor(id, nShards) == 0 {
-			ids = append(ids, id)
-		}
-	}
+	ids := idsOnShard0(64, nShards)
 	outs := makeBatchOut(ids)
-	if err := FirstError(sharded.SwapOutBatch(0, outs)); err != nil {
+	if err := errors.Join(sharded.SwapOutBatch(0, outs)...); err != nil {
 		t.Fatal(err)
+	}
+	if n := len(sharded.shards[0].b.index); n != len(ids) {
+		t.Fatalf("shard 0 holds %d pages, want all %d", n, len(ids))
 	}
 	for _, p := range outs {
 		if err := serial.SwapOut(0, p.ID, p.Data); err != nil {
@@ -126,7 +125,7 @@ func TestBatchSkewedSingleShard(t *testing.T) {
 	}
 
 	ins := makeBatchIn(ids)
-	if err := FirstError(sharded.SwapInBatch(0, ins, false)); err != nil {
+	if err := errors.Join(sharded.SwapInBatch(0, ins, false)...); err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range ins {
@@ -136,6 +135,56 @@ func TestBatchSkewedSingleShard(t *testing.T) {
 	}
 	if got := sharded.Stats().StoredPages; got != 0 {
 		t.Fatalf("StoredPages = %d after draining, want 0", got)
+	}
+}
+
+// idsOnShard0 returns the first n page ids that route to shard 0 of
+// a backend with the given shard count.
+func idsOnShard0(n, shards int) []PageID {
+	ids := make([]PageID, 0, n)
+	for id := PageID(0); len(ids) < n; id++ {
+		if ShardIndexFor(id, shards) == 0 {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// BenchmarkBatchSkewed times a 256-page lzfast batch round trip on a
+// 16-shard backend, with the ids spread over every shard (uniform) and
+// with every id on shard 0 (skewed). A shard-granular engine degrades
+// to serial on the skewed case; the page-granular pipeline should stay
+// within ~1.5x of uniform. Both cases move the same key-value bytes.
+func BenchmarkBatchSkewed(b *testing.B) {
+	const pages, shards = 256, 16
+	uniform := make([]PageID, pages)
+	for i := range uniform {
+		uniform[i] = PageID(i)
+	}
+	for _, c := range []struct {
+		name string
+		ids  []PageID
+	}{{"uniform", uniform}, {"skewed", idsOnShard0(pages, shards)}} {
+		b.Run(c.name, func(b *testing.B) {
+			outs := make([]PageOut, pages)
+			ins := make([]PageIn, pages)
+			for i, id := range c.ids {
+				outs[i] = PageOut{ID: id, Data: corpus.KeyValue(int64(i), PageSize)}
+				ins[i] = PageIn{ID: id, Dst: make([]byte, PageSize)}
+			}
+			be := NewShardedBackend(compress.NewLZFast(), 0, shards, 0)
+			defer be.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := errors.Join(be.SwapOutBatch(0, outs)...); err != nil {
+					b.Fatal(err)
+				}
+				if err := errors.Join(be.SwapInBatch(0, ins, false)...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -149,7 +198,7 @@ func TestBatchDecompressFailureLeavesStored(t *testing.T) {
 	defer b.Close()
 	ids := []PageID{10, 11, 12, 13}
 	outs := makeBatchOut(ids)
-	if err := FirstError(b.SwapOutBatch(0, outs)); err != nil {
+	if err := errors.Join(b.SwapOutBatch(0, outs)...); err != nil {
 		t.Fatal(err)
 	}
 
@@ -281,7 +330,7 @@ func TestBatchEngineConcurrentMix(t *testing.T) {
 			}
 			for r := 0; r < rounds; r++ {
 				outs := makeBatchOut(ids)
-				if err := FirstError(b.SwapOutBatch(0, outs)); err != nil {
+				if err := errors.Join(b.SwapOutBatch(0, outs)...); err != nil {
 					t.Error(err)
 					return
 				}
@@ -292,7 +341,7 @@ func TestBatchEngineConcurrentMix(t *testing.T) {
 					_ = b.Stats()
 				}
 				ins := makeBatchIn(ids)
-				if err := FirstError(b.SwapInBatch(0, ins, false)); err != nil {
+				if err := errors.Join(b.SwapInBatch(0, ins, false)...); err != nil {
 					t.Error(err)
 					return
 				}
@@ -339,18 +388,18 @@ func TestBatchRoundTripAllocs(t *testing.T) {
 			ins := makeBatchIn(ids)
 			// Warm up pools, arenas, and free lists.
 			for i := 0; i < 3; i++ {
-				if err := FirstError(b.SwapOutBatch(0, outs)); err != nil {
+				if err := errors.Join(b.SwapOutBatch(0, outs)...); err != nil {
 					t.Fatal(err)
 				}
-				if err := FirstError(b.SwapInBatch(0, ins, false)); err != nil {
+				if err := errors.Join(b.SwapInBatch(0, ins, false)...); err != nil {
 					t.Fatal(err)
 				}
 			}
 			allocs := testing.AllocsPerRun(10, func() {
-				if err := FirstError(b.SwapOutBatch(0, outs)); err != nil {
+				if err := errors.Join(b.SwapOutBatch(0, outs)...); err != nil {
 					t.Fatal(err)
 				}
-				if err := FirstError(b.SwapInBatch(0, ins, false)); err != nil {
+				if err := errors.Join(b.SwapInBatch(0, ins, false)...); err != nil {
 					t.Fatal(err)
 				}
 			})

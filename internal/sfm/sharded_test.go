@@ -2,6 +2,7 @@ package sfm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -50,7 +51,7 @@ func TestShardedBatchRoundTrip(t *testing.T) {
 				ids[i] = PageID(i)
 			}
 			outs := makeBatchOut(ids)
-			if err := FirstError(b.SwapOutBatch(0, outs)); err != nil {
+			if err := errors.Join(b.SwapOutBatch(0, outs)...); err != nil {
 				t.Fatal(err)
 			}
 			for _, id := range ids {
@@ -59,7 +60,7 @@ func TestShardedBatchRoundTrip(t *testing.T) {
 				}
 			}
 			ins := makeBatchIn(ids)
-			if err := FirstError(b.SwapInBatch(0, ins, false)); err != nil {
+			if err := errors.Join(b.SwapInBatch(0, ins, false)...); err != nil {
 				t.Fatal(err)
 			}
 			for i, p := range ins {
@@ -92,7 +93,7 @@ func TestShardedBatchMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := FirstError(sharded.SwapOutBatch(0, outs)); err != nil {
+	if err := errors.Join(sharded.SwapOutBatch(0, outs)...); err != nil {
 		t.Fatal(err)
 	}
 
@@ -107,7 +108,7 @@ func TestShardedBatchMatchesSerial(t *testing.T) {
 	}
 
 	ins := makeBatchIn(ids)
-	if err := FirstError(sharded.SwapInBatch(0, ins, false)); err != nil {
+	if err := errors.Join(sharded.SwapInBatch(0, ins, false)...); err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range ins {
@@ -177,7 +178,7 @@ func TestShardedConcurrentStress(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				outs := makeBatchOut(ids)
 				if g%2 == 0 {
-					if err := FirstError(b.SwapOutBatch(0, outs)); err != nil {
+					if err := errors.Join(b.SwapOutBatch(0, outs)...); err != nil {
 						t.Error(err)
 						return
 					}
@@ -192,7 +193,7 @@ func TestShardedConcurrentStress(t *testing.T) {
 				_ = b.Stats()
 				_ = b.Contains(ids[0])
 				ins := makeBatchIn(ids)
-				if err := FirstError(b.SwapInBatch(0, ins, r%2 == 0)); err != nil {
+				if err := errors.Join(b.SwapInBatch(0, ins, r%2 == 0)...); err != nil {
 					t.Error(err)
 					return
 				}
@@ -217,10 +218,10 @@ func TestShardedConcurrentStress(t *testing.T) {
 func TestTracingBatch(t *testing.T) {
 	tb := NewTracingBackend(NewCPUBackend(compress.NewLZFast(), 0))
 	ids := []PageID{5, 6, 7}
-	if err := FirstError(tb.SwapOutBatch(100, makeBatchOut(ids))); err != nil {
+	if err := errors.Join(tb.SwapOutBatch(100, makeBatchOut(ids))...); err != nil {
 		t.Fatal(err)
 	}
-	if err := FirstError(tb.SwapInBatch(200, makeBatchIn(ids), true)); err != nil {
+	if err := errors.Join(tb.SwapInBatch(200, makeBatchIn(ids), true)...); err != nil {
 		t.Fatal(err)
 	}
 	recs := tb.Trace()

@@ -2,6 +2,7 @@ package xfm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -60,7 +61,7 @@ func TestBackendBatchMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := sfm.FirstError(batched.SwapOutBatch(now, outs)); err != nil {
+	if err := errors.Join(batched.SwapOutBatch(now, outs)...); err != nil {
 		t.Fatal(err)
 	}
 	if s, b := serial.Stats(), batched.Stats(); s != b {
@@ -70,10 +71,10 @@ func TestBackendBatchMatchesSerial(t *testing.T) {
 	for _, offload := range []bool{false, true} {
 		t.Run(fmt.Sprintf("offload=%v", offload), func(t *testing.T) {
 			serial, batched := mk(), mk()
-			if err := sfm.FirstError(serial.SwapOutBatch(now, outs)); err != nil {
+			if err := errors.Join(serial.SwapOutBatch(now, outs)...); err != nil {
 				t.Fatal(err)
 			}
-			if err := sfm.FirstError(batched.SwapOutBatch(now, outs)); err != nil {
+			if err := errors.Join(batched.SwapOutBatch(now, outs)...); err != nil {
 				t.Fatal(err)
 			}
 			later := now + 10*dram.Microsecond
@@ -88,7 +89,7 @@ func TestBackendBatchMatchesSerial(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := sfm.FirstError(batched.SwapInBatch(later, bIns, offload)); err != nil {
+			if err := errors.Join(batched.SwapInBatch(later, bIns, offload)...); err != nil {
 				t.Fatal(err)
 			}
 			for i := range ids {
@@ -124,7 +125,7 @@ func TestShardedXFMBackendRoundTrip(t *testing.T) {
 		outs[i] = sfm.PageOut{ID: id, Data: compressiblePage(id)}
 	}
 	now := 50 * dram.Microsecond
-	if err := sfm.FirstError(b.SwapOutBatch(now, outs)); err != nil {
+	if err := errors.Join(b.SwapOutBatch(now, outs)...); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.Stats().StoredPages; got != int64(len(ids)) {
@@ -134,7 +135,7 @@ func TestShardedXFMBackendRoundTrip(t *testing.T) {
 	for i, id := range ids {
 		ins[i] = sfm.PageIn{ID: id, Dst: make([]byte, sfm.PageSize)}
 	}
-	if err := sfm.FirstError(b.SwapInBatch(now+10*dram.Microsecond, ins, true)); err != nil {
+	if err := errors.Join(b.SwapInBatch(now+10*dram.Microsecond, ins, true)...); err != nil {
 		t.Fatal(err)
 	}
 	for i := range ids {
@@ -173,7 +174,7 @@ func TestGroupBatchMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := sfm.FirstError(batched.SwapOutBatch(now, outs)); err != nil {
+	if err := errors.Join(batched.SwapOutBatch(now, outs)...); err != nil {
 		t.Fatal(err)
 	}
 	if s, b := serial.Stats(), batched.Stats(); s != b {
@@ -195,7 +196,7 @@ func TestGroupBatchMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := sfm.FirstError(batched.SwapInBatch(later, bIns, true)); err != nil {
+	if err := errors.Join(batched.SwapInBatch(later, bIns, true)...); err != nil {
 		t.Fatal(err)
 	}
 	for i := range ids {

@@ -2,6 +2,7 @@ package xfm
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestNoStaleParityAfterECCToggle(t *testing.T) {
 		b := newTestBackend(t)
 		must := func(errs []error) {
 			t.Helper()
-			if err := sfm.FirstError(errs); err != nil {
+			if err := errors.Join(errs...); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -63,7 +64,7 @@ func TestNoStaleParityAfterECCToggle(t *testing.T) {
 		must(b.SwapInBatch(0, in, false))
 		must(b.SwapOutBatch(0, []sfm.PageOut{{ID: 7, Data: bPage}}))
 		b.SetECC(true)
-		check(t, b, sfm.FirstError(b.SwapInBatch(0, in, false)))
+		check(t, b, errors.Join(b.SwapInBatch(0, in, false)...))
 	})
 }
 
@@ -107,10 +108,10 @@ func TestECCAddsNoAllocations(t *testing.T) {
 	}
 	batch := func(b *Backend) func() {
 		return func() {
-			if err := sfm.FirstError(b.SwapOutBatch(0, outs)); err != nil {
+			if err := errors.Join(b.SwapOutBatch(0, outs)...); err != nil {
 				t.Fatal(err)
 			}
-			if err := sfm.FirstError(b.SwapInBatch(0, ins, true)); err != nil {
+			if err := errors.Join(b.SwapInBatch(0, ins, true)...); err != nil {
 				t.Fatal(err)
 			}
 		}

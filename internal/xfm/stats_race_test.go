@@ -1,6 +1,7 @@
 package xfm
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -55,14 +56,14 @@ func TestStatsConcurrentWithBatch(t *testing.T) {
 			id := sfm.PageID(r*batch + i)
 			outs[i] = sfm.PageOut{ID: id, Data: compressiblePage(id)}
 		}
-		if err := sfm.FirstError(b.SwapOutBatch(now, outs)); err != nil {
+		if err := errors.Join(b.SwapOutBatch(now, outs)...); err != nil {
 			t.Fatal(err)
 		}
 		ins := make([]sfm.PageIn, batch)
 		for i := range ins {
 			ins[i] = sfm.PageIn{ID: outs[i].ID, Dst: make([]byte, sfm.PageSize)}
 		}
-		if err := sfm.FirstError(b.SwapInBatch(now+dram.Microsecond, ins, true)); err != nil {
+		if err := errors.Join(b.SwapInBatch(now+dram.Microsecond, ins, true)...); err != nil {
 			t.Fatal(err)
 		}
 		now += 2 * dram.Microsecond

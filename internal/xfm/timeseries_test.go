@@ -1,6 +1,7 @@
 package xfm
 
 import (
+	"errors"
 	"testing"
 
 	"xfm/internal/compress"
@@ -46,11 +47,11 @@ func recordTimeseries(t *testing.T, workers int) *telemetry.Dump {
 	// refresh windows (and so takes many samples) between batches.
 	now := 50 * dram.Microsecond
 	for wave := 0; wave < 4; wave++ {
-		if err := sfm.FirstError(b.SwapOutBatch(now, outs)); err != nil {
+		if err := errors.Join(b.SwapOutBatch(now, outs)...); err != nil {
 			t.Fatal(err)
 		}
 		now += 50 * dram.Microsecond
-		if err := sfm.FirstError(b.SwapInBatch(now, ins, true)); err != nil {
+		if err := errors.Join(b.SwapInBatch(now, ins, true)...); err != nil {
 			t.Fatal(err)
 		}
 		now += 50 * dram.Microsecond
